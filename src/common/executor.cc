@@ -47,6 +47,15 @@ int64_t RuntimeThreadCount() { return RuntimeThreadsGauge()->Value(); }
 
 int64_t RuntimeThreadPeak() { return RuntimeThreadsPeakGauge()->Value(); }
 
+namespace {
+
+/// Set for the lifetime of a worker loop; see Executor::OnWorkerThread.
+thread_local bool t_on_worker = false;
+
+}  // namespace
+
+bool Executor::OnWorkerThread() { return t_on_worker; }
+
 // ---------------------------------------------------------------------------
 // Timer state
 // ---------------------------------------------------------------------------
@@ -207,6 +216,7 @@ bool Executor::PopTask(size_t index, std::function<void()>* task) {
 
 void Executor::WorkerLoop(size_t index) {
   ScopedRuntimeThread census(name_ + "/" + std::to_string(index));
+  t_on_worker = true;
   for (;;) {
     std::function<void()> task;
     if (PopTask(index, &task)) {

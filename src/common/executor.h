@@ -221,6 +221,11 @@ class Executor {
   /// destructor.
   void Shutdown();
 
+  /// True on a worker-lane thread of any Executor. A worker that blocks on
+  /// the network parks part of a small shared pool; RpcEndpoint counts such
+  /// waits (`net.rpc.blocking_waits_on_worker`).
+  static bool OnWorkerThread();
+
   Clock* clock() const { return clock_; }
   bool virtual_time() const { return manual_ != nullptr; }
   size_t num_workers() const { return workers_.size(); }

@@ -508,6 +508,11 @@ uint64_t LogMaintainer::InvalidCount() const {
   return invalid_.size();
 }
 
+LId LogMaintainer::FirstInvalid() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return invalid_.empty() ? kInvalidLId : *invalid_.begin();
+}
+
 std::vector<std::pair<LId, std::string>> LogMaintainer::InvalidEntries()
     const {
   std::vector<LId> lids;

@@ -180,6 +180,9 @@ class LogMaintainer {
   /// Number of positions currently invalid.
   uint64_t InvalidCount() const;
 
+  /// Lowest invalid position (kInvalidLId when none).
+  LId FirstInvalid() const;
+
   /// Snapshot of every invalid position with its encoded record bytes — the
   /// replay set a promoted coordinator re-broadcasts. Positions whose
   /// payload cannot be read back are skipped (they never landed here).

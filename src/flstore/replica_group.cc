@@ -1,7 +1,10 @@
 #include "flstore/replica_group.h"
 
+#include <cstdint>
+#include <memory>
 #include <utility>
 
+#include "common/clock.h"
 #include "common/codec.h"
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -122,59 +125,111 @@ bool ReplicaGroup::in_replica_set() const {
          (role_ == ReplicaRole::kCoordinator && !peers_.empty());
 }
 
-Status ReplicaGroup::InvalidateBroadcast(std::vector<ReplicatedEntry> entries,
-                                         const std::string& client_id,
-                                         uint64_t seq,
-                                         const std::string& response,
-                                         net::NodeId* unreachable) {
+void ReplicaGroup::InvalidateBroadcast(std::vector<ReplicatedEntry> entries,
+                                       const std::string& client_id,
+                                       uint64_t seq,
+                                       const std::string& response,
+                                       RoundDone done) {
   InvalidateRequest req;
   std::vector<net::NodeId> peers;
+  Status refusal;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (fenced_) return Status::Unavailable("NOT_COORDINATOR: fenced");
-    if (role_ == ReplicaRole::kReplica) {
-      return Status::Unavailable("NOT_COORDINATOR: replica");
+    if (fenced_) {
+      refusal = Status::Unavailable("NOT_COORDINATOR: fenced");
+    } else if (role_ == ReplicaRole::kReplica) {
+      refusal = Status::Unavailable("NOT_COORDINATOR: replica");
     }
-    if (peers_.empty()) return Status::OK();  // nothing to replicate to
     req.epoch = epoch_;
     peers = peers_;
+  }
+  if (!refusal.ok() || peers.empty()) {  // refused, or no one to replicate to
+    done(refusal, net::NodeId());
+    return;
   }
   req.entries = std::move(entries);
   req.client_id = client_id;
   req.seq = seq;
   req.response = response;
-  size_t entry_count = req.entries.size();
+
+  // Completion state shared by the peers' calls; the last answer (or the
+  // first epoch rejection) decides the round.
+  struct Round {
+    std::mutex mu;
+    size_t outstanding = 0;
+    bool decided = false;
+    size_t failed_peer = SIZE_MAX;  // lowest peer index that failed
+    Status failure;
+    std::vector<net::NodeId> peers;
+    size_t entry_count = 0;
+    int64_t start_nanos = 0;
+    RoundDone done;
+  };
+  auto round = std::make_shared<Round>();
+  round->outstanding = peers.size();
+  round->peers = std::move(peers);
+  round->entry_count = req.entries.size();
+  round->start_nanos = SystemClock::Default()->NowNanos();
+  round->done = std::move(done);
+  // Replication lag = how long the INV round holds up the append ack.
+  auto finish = [round](Status status, const net::NodeId& unreachable) {
+    ReplicationLagHist()->Record(static_cast<uint64_t>(
+        SystemClock::Default()->NowNanos() - round->start_nanos));
+    round->done(std::move(status), unreachable);
+  };
+
+  net::CallOptions options;
+  options.timeout = invalidate_timeout_;
   std::string wire = EncodeInvalidateRequest(req);
-  // Replication lag = how long the synchronous INV round holds up the
-  // append ack.
-  metrics::ScopedLatencyTimer lag_timer(ReplicationLagHist());
-  for (const net::NodeId& peer : peers) {
-    Result<std::string> result =
-        endpoint_->Call(peer, kInvalidateRpc, wire, invalidate_timeout_);
-    if (result.ok()) continue;
-    if (result.status().code() == StatusCode::kFailedPrecondition) {
-      // Epoch rejection: a higher epoch exists somewhere, so this node was
-      // deposed. Self-fence — our unacked invalid tail dies with us.
-      LOG_EVERY_N_SEC(kWarn, 5)
-          << "invalidate to " << peer
-          << " rejected, fencing: " << result.status().ToString();
-      Fence();
-      return Status::Unavailable("NOT_COORDINATOR: deposed (" +
-                                 result.status().ToString() + ")");
-    }
-    // Transport failure: the peer is suspect, but we may still be the live
-    // coordinator. The batch stays applied-but-invalid locally; the caller
-    // reports the suspect so the controller can drop the peer, after which
-    // a replay revalidates the batch.
-    LOG_EVERY_N_SEC(kWarn, 5)
-        << "invalidate to " << peer
-        << " unreachable: " << result.status().ToString();
-    if (unreachable != nullptr) *unreachable = peer;
-    return Status::Unavailable("REPLICA_UNREACHABLE: " + peer + " (" +
-                               result.status().ToString() + ")");
+  const size_t n = round->peers.size();
+  for (size_t i = 0; i < n; ++i) {
+    std::string payload = i + 1 < n ? wire : std::move(wire);
+    endpoint_->CallAsync(
+        round->peers[i], kInvalidateRpc, std::move(payload), options,
+        [this, round, finish, i](Result<std::string> result) {
+          std::unique_lock<std::mutex> lock(round->mu);
+          if (round->decided) return;
+          const net::NodeId& peer = round->peers[i];
+          if (result.status().code() == StatusCode::kFailedPrecondition) {
+            // Epoch rejection: a higher epoch exists somewhere, so this
+            // node was deposed. Self-fence — our unacked invalid tail dies
+            // with us.
+            round->decided = true;
+            lock.unlock();
+            LOG_EVERY_N_SEC(kWarn, 5)
+                << "invalidate to " << peer
+                << " rejected, fencing: " << result.status().ToString();
+            Fence();
+            finish(Status::Unavailable("NOT_COORDINATOR: deposed (" +
+                                       result.status().ToString() + ")"),
+                   net::NodeId());
+            return;
+          }
+          if (!result.ok() && i < round->failed_peer) {
+            round->failed_peer = i;
+            round->failure = result.status();
+          }
+          if (--round->outstanding > 0) return;
+          round->decided = true;
+          lock.unlock();
+          if (round->failed_peer == SIZE_MAX) {
+            ReplicatedEntriesCounter()->Add(round->entry_count);
+            finish(Status::OK(), net::NodeId());
+            return;
+          }
+          // Transport failure: the peer is suspect, but we may still be
+          // the live coordinator. The batch stays applied-but-invalid
+          // locally; the caller reports the suspect so the controller can
+          // drop the peer, after which a replay revalidates the batch.
+          const net::NodeId& suspect = round->peers[round->failed_peer];
+          LOG_EVERY_N_SEC(kWarn, 5) << "invalidate to " << suspect
+                                    << " unreachable: "
+                                    << round->failure.ToString();
+          finish(Status::Unavailable("REPLICA_UNREACHABLE: " + suspect +
+                                     " (" + round->failure.ToString() + ")"),
+                 suspect);
+        });
   }
-  ReplicatedEntriesCounter()->Add(entry_count);
-  return Status::OK();
 }
 
 void ReplicaGroup::ValidateBroadcast(const std::vector<LId>& lids, LId floor) {

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -75,9 +76,9 @@ struct ReplicaOptions {
   /// The other replicas of this stripe (coordinator role only; replicas
   /// learn the membership when they are promoted or reconfigured).
   std::vector<net::NodeId> peers;
-  /// Per-peer budget for one synchronous invalidate call. Appends ack only
-  /// after every replica durably framed the batch, so this bounds append
-  /// latency under a slow peer before the write parks as invalid.
+  /// Per-peer budget for one invalidate call. Appends ack only after every
+  /// replica durably framed the batch, so this bounds append latency under
+  /// a slow peer before the write parks as invalid.
   std::chrono::milliseconds invalidate_timeout{1000};
 };
 
@@ -85,9 +86,11 @@ struct ReplicaOptions {
 /// stripe (DESIGN.md §12).
 ///
 ///  * The coordinator lands a batch locally (marked invalid), then sends an
-///    INV carrying the payload to every peer. Each ack means "applied and
-///    durable here". Once all peers acked, the coordinator validates the
-///    positions (local mark + one-way VAL broadcast) and acks the client.
+///    INV carrying the payload to every peer at once. Each ack means
+///    "applied and durable here". When the last ack arrives, the coordinator
+///    validates the positions (local mark + one-way VAL broadcast) and acks
+///    the client — from that completion, not from a waiting thread, so
+///    several rounds of one stripe can be in flight together.
 ///  * Every replica serves reads — but only of *valid* positions, which is
 ///    what makes the reads linearizable: a valid position is durable on all
 ///    replicas and can never be junk-filled by a failover.
@@ -120,16 +123,26 @@ class ReplicaGroup {
   /// the validated floor.
   bool in_replica_set() const;
 
-  /// Coordinator: synchronously invalidate a batch (with its dedup token)
-  /// on every peer. On an epoch rejection this node fences before
-  /// returning. On a transport failure it does NOT fence: `unreachable` (if
-  /// non-null) names the suspect peer and the caller must fail the client
-  /// request (kUnavailable) without acking — the landed entries stay
-  /// invalid until a replay revalidates them.
-  Status InvalidateBroadcast(std::vector<ReplicatedEntry> entries,
-                             const std::string& client_id, uint64_t seq,
-                             const std::string& response,
-                             net::NodeId* unreachable);
+  /// Outcome of one INV round. On a transport failure `unreachable` names
+  /// the suspect peer; it is empty otherwise.
+  using RoundDone =
+      std::function<void(Status status, const net::NodeId& unreachable)>;
+
+  /// Coordinator: invalidate a batch (with its dedup token) on every peer
+  /// at once and return; `done` runs once, from the thread that delivers
+  /// the deciding INV ack (or times it out), or before this returns when
+  /// nothing is in flight. The round costs the slowest peer's round trip,
+  /// not the sum of them.
+  ///
+  /// An epoch rejection from any peer fences this node and decides the
+  /// round at once, even when another peer's call failed in transport.
+  /// Otherwise, once every peer answered, the first transport failure (in
+  /// peer order) fails the round with `unreachable` set: the caller must
+  /// fail the client request (kUnavailable) without acking — the landed
+  /// entries stay invalid until a replay revalidates them.
+  void InvalidateBroadcast(std::vector<ReplicatedEntry> entries,
+                           const std::string& client_id, uint64_t seq,
+                           const std::string& response, RoundDone done);
 
   /// Coordinator: fire-and-forget VAL broadcast flipping `lids` readable on
   /// every peer, piggybacking the validated floor. Losing one is harmless —

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <tuple>
 
 #include "common/codec.h"
@@ -264,6 +267,7 @@ Status MaintainerServer::Start() {
   CHARIOTS_RETURN_IF_ERROR(maintainer_.Open());
   CHARIOTS_RETURN_IF_ERROR(dedup_.Open());
   RegisterReplicationMetrics();
+  net::RegisterRpcMetrics();
   RegisterHealthMetrics();
   flightrec::RegisterFlightRecorderMetrics();
   // Probe names embed the node id, so a /healthz report in a multi-stripe
@@ -365,153 +369,72 @@ void MaintainerServer::OnLanded(const LogRecord& record, LId lid) {
 }
 
 void MaintainerServer::InstallHandlers() {
-  // All client-initiated appends open with a (client_id, seq) token. A
-  // token the dedup window has already executed short-circuits to the
-  // cached response, so a retry whose original *response* was lost returns
-  // the same LIds instead of appending twice. Under replication the
-  // short-circuit first drives a replay of any parked (invalid) writes:
-  // an append whose INV round failed recorded its dedup state but never
-  // acked, and its retry is what completes the round.
-  //
   // Replicated stripes run the Hermes round per landed batch: the batch
   // lands locally marked invalid, an INV carrying the payload (and the
-  // dedup token) goes to every peer, and only when all peers acked does
-  // the coordinator validate (local mark + one-way VAL) and ack. An ack
-  // therefore means every replica holds the records durably.
-  endpoint_.Handle(kAppend, [this](const net::NodeId&,
-                                   const std::string& payload)
-                                -> Result<std::string> {
-    metrics::ScopedLatencyTimer timer(AppendHist());
-    AppendCounter()->Add();
-    CHARIOTS_RETURN_IF_ERROR(replica_.CheckAppendServing());
-    BinaryReader r(payload);
-    std::string client_id;
-    uint64_t seq = 0;
-    CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&client_id));
-    CHARIOTS_RETURN_IF_ERROR(r.GetU64(&seq));
-    CHARIOTS_ASSIGN_OR_RETURN(std::optional<std::string> cached,
-                              dedup_.Lookup(client_id, seq));
-    if (cached.has_value()) {
-      CHARIOTS_RETURN_IF_ERROR(DriveReplication());
-      return *std::move(cached);
-    }
-    std::string rec_bytes;
-    CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&rec_bytes));
-    CHARIOTS_ASSIGN_OR_RETURN(LogRecord record,
-                              DecodeLogRecord(kInvalidLId, rec_bytes));
-    std::vector<ReplicatedEntry> batch;
-    LId lid = kInvalidLId;
-    {
-      ReplicationScope scope(&batch);
-      CHARIOTS_ASSIGN_OR_RETURN(lid, maintainer_.Append(record));
-    }
-    std::string response = EncodeLId(lid);
-    CHARIOTS_RETURN_IF_ERROR(
-        RunReplicationRound(std::move(batch), client_id, seq, response));
-    CHARIOTS_RETURN_IF_ERROR(dedup_.Record(client_id, seq, response));
-    return response;
-  });
+  // dedup token) goes to every peer at once, and only when all peers acked
+  // does the coordinator validate (local mark + one-way VAL) and ack. An
+  // ack therefore means every replica holds the records durably.
+  //
+  // Each handler below only lands its records and returns what the client
+  // gets back. StartWrite does the rest (admission, dedup, the replication
+  // sink around the landing, the round) and the handler returns as soon as
+  // the INVs are out; the round's last ack sends the reply. Client appends
+  // open with a (client_id, seq) token; kAppendAt carries none.
+  HandleWrite(kAppend, /*tokened=*/true,
+              [this](BinaryReader& r) -> Result<std::string> {
+                std::string rec_bytes;
+                CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&rec_bytes));
+                CHARIOTS_ASSIGN_OR_RETURN(
+                    LogRecord record, DecodeLogRecord(kInvalidLId, rec_bytes));
+                CHARIOTS_ASSIGN_OR_RETURN(LId lid, maintainer_.Append(record));
+                return EncodeLId(lid);
+              });
 
-  endpoint_.Handle(kAppendBatch, [this](const net::NodeId&,
-                                        const std::string& payload)
-                                     -> Result<std::string> {
-    metrics::ScopedLatencyTimer timer(AppendHist());
-    AppendCounter()->Add();
-    CHARIOTS_RETURN_IF_ERROR(replica_.CheckAppendServing());
-    BinaryReader r(payload);
-    std::string client_id;
-    uint64_t seq = 0;
-    CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&client_id));
-    CHARIOTS_RETURN_IF_ERROR(r.GetU64(&seq));
-    CHARIOTS_ASSIGN_OR_RETURN(std::optional<std::string> cached,
-                              dedup_.Lookup(client_id, seq));
-    if (cached.has_value()) {
-      CHARIOTS_RETURN_IF_ERROR(DriveReplication());
-      return *std::move(cached);
-    }
-    uint32_t n = 0;
-    CHARIOTS_RETURN_IF_ERROR(r.GetU32(&n));
-    std::vector<ReplicatedEntry> batch;
-    BinaryWriter out;
-    out.PutU32(n);
-    {
-      ReplicationScope scope(&batch);
-      for (uint32_t i = 0; i < n; ++i) {
-        std::string rec_bytes;
-        CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&rec_bytes));
-        CHARIOTS_ASSIGN_OR_RETURN(LogRecord record,
-                                  DecodeLogRecord(kInvalidLId, rec_bytes));
-        CHARIOTS_ASSIGN_OR_RETURN(LId lid, maintainer_.Append(record));
-        out.PutU64(lid);
-      }
-    }
-    std::string response = std::move(out).data();
-    CHARIOTS_RETURN_IF_ERROR(
-        RunReplicationRound(std::move(batch), client_id, seq, response));
-    CHARIOTS_RETURN_IF_ERROR(dedup_.Record(client_id, seq, response));
-    return response;
-  });
+  HandleWrite(kAppendBatch, /*tokened=*/true,
+              [this](BinaryReader& r) -> Result<std::string> {
+                uint32_t n = 0;
+                CHARIOTS_RETURN_IF_ERROR(r.GetU32(&n));
+                BinaryWriter out;
+                out.PutU32(n);
+                for (uint32_t i = 0; i < n; ++i) {
+                  std::string rec_bytes;
+                  CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&rec_bytes));
+                  CHARIOTS_ASSIGN_OR_RETURN(
+                      LogRecord record,
+                      DecodeLogRecord(kInvalidLId, rec_bytes));
+                  CHARIOTS_ASSIGN_OR_RETURN(LId lid,
+                                            maintainer_.Append(record));
+                  out.PutU64(lid);
+                }
+                return std::move(out).data();
+              });
 
-  endpoint_.Handle(kAppendAt, [this](const net::NodeId&,
-                                     const std::string& payload)
-                                  -> Result<std::string> {
-    metrics::ScopedLatencyTimer timer(AppendHist());
-    AppendCounter()->Add();
-    CHARIOTS_RETURN_IF_ERROR(replica_.CheckAppendServing());
-    BinaryReader r(payload);
-    LId lid = 0;
-    CHARIOTS_RETURN_IF_ERROR(r.GetU64(&lid));
-    std::string rec_bytes;
-    CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&rec_bytes));
-    CHARIOTS_ASSIGN_OR_RETURN(LogRecord record,
-                              DecodeLogRecord(lid, rec_bytes));
-    std::vector<ReplicatedEntry> batch;
-    {
-      ReplicationScope scope(&batch);
-      CHARIOTS_RETURN_IF_ERROR(maintainer_.AppendAt(lid, record));
-    }
-    CHARIOTS_RETURN_IF_ERROR(RunReplicationRound(std::move(batch), "", 0, ""));
-    return std::string();
-  });
+  HandleWrite(kAppendAt, /*tokened=*/false,
+              [this](BinaryReader& r) -> Result<std::string> {
+                LId lid = 0;
+                CHARIOTS_RETURN_IF_ERROR(r.GetU64(&lid));
+                std::string rec_bytes;
+                CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&rec_bytes));
+                CHARIOTS_ASSIGN_OR_RETURN(LogRecord record,
+                                          DecodeLogRecord(lid, rec_bytes));
+                CHARIOTS_RETURN_IF_ERROR(maintainer_.AppendAt(lid, record));
+                return std::string();
+              });
 
-  endpoint_.Handle(kAppendOrdered, [this](const net::NodeId&,
-                                          const std::string& payload)
-                                       -> Result<std::string> {
-    metrics::ScopedLatencyTimer timer(AppendHist());
-    AppendCounter()->Add();
-    CHARIOTS_RETURN_IF_ERROR(replica_.CheckAppendServing());
-    BinaryReader r(payload);
-    std::string client_id;
-    uint64_t seq = 0;
-    CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&client_id));
-    CHARIOTS_RETURN_IF_ERROR(r.GetU64(&seq));
-    CHARIOTS_ASSIGN_OR_RETURN(std::optional<std::string> cached,
-                              dedup_.Lookup(client_id, seq));
-    if (cached.has_value()) {
-      CHARIOTS_RETURN_IF_ERROR(DriveReplication());
-      return *std::move(cached);
-    }
-    LId min_lid = 0;
-    CHARIOTS_RETURN_IF_ERROR(r.GetU64(&min_lid));
-    std::string rec_bytes;
-    CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&rec_bytes));
-    CHARIOTS_ASSIGN_OR_RETURN(LogRecord record,
-                              DecodeLogRecord(kInvalidLId, rec_bytes));
-    std::vector<ReplicatedEntry> batch;
-    LId lid = kInvalidLId;
-    {
-      ReplicationScope scope(&batch);
-      CHARIOTS_ASSIGN_OR_RETURN(lid,
-                                maintainer_.AppendOrdered(record, min_lid));
-    }
-    // Caching a deferred (kInvalidLId) response is deliberate: a retry must
-    // not re-buffer the record — the first buffered copy will land.
-    std::string response = EncodeLId(lid);
-    CHARIOTS_RETURN_IF_ERROR(
-        RunReplicationRound(std::move(batch), client_id, seq, response));
-    CHARIOTS_RETURN_IF_ERROR(dedup_.Record(client_id, seq, response));
-    return response;
-  });
+  // Caching a deferred (kInvalidLId) response is deliberate: a retry must
+  // not re-buffer the record — the first buffered copy will land.
+  HandleWrite(kAppendOrdered, /*tokened=*/true,
+              [this](BinaryReader& r) -> Result<std::string> {
+                LId min_lid = 0;
+                CHARIOTS_RETURN_IF_ERROR(r.GetU64(&min_lid));
+                std::string rec_bytes;
+                CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&rec_bytes));
+                CHARIOTS_ASSIGN_OR_RETURN(
+                    LogRecord record, DecodeLogRecord(kInvalidLId, rec_bytes));
+                CHARIOTS_ASSIGN_OR_RETURN(
+                    LId lid, maintainer_.AppendOrdered(record, min_lid));
+                return EncodeLId(lid);
+              });
 
   // Read responses open with (fence epoch, head of log): the client's
   // read-through cache keys its invalidation off them — an epoch bump for
@@ -831,7 +754,7 @@ void MaintainerServer::InstallHandlers() {
       return std::string();  // position is occupied — nothing to repair
     }
     CHARIOTS_RETURN_IF_ERROR(status);
-    CHARIOTS_RETURN_IF_ERROR(RunReplicationRound(std::move(batch), "", 0, ""));
+    CHARIOTS_RETURN_IF_ERROR(AwaitReplicationRound(std::move(batch)));
     return std::string();
   });
 
@@ -878,9 +801,119 @@ void MaintainerServer::InstallHandlers() {
   });
 }
 
-Status MaintainerServer::RunReplicationRound(
-    std::vector<ReplicatedEntry> batch, const std::string& client_id,
-    uint64_t seq, const std::string& response) {
+void MaintainerServer::HandleWrite(uint16_t type, bool tokened,
+                                   LandFn land) {
+  endpoint_.HandleAsync(type, [this, tokened, land = std::move(land)](
+                                  const net::NodeId&,
+                                  const std::string& payload,
+                                  net::RpcEndpoint::Reply reply) {
+    AppendCounter()->Add();
+    // flstore.append_ns spans the request to its reply, which leaves from
+    // the round's last INV ack rather than from this handler.
+    net::RpcEndpoint::Reply timed =
+        [reply = std::move(reply),
+         start = SystemClock::Default()->NowNanos()](
+            Result<std::string> result) {
+          AppendHist()->Record(static_cast<uint64_t>(
+              SystemClock::Default()->NowNanos() - start));
+          reply(std::move(result));
+        };
+    Status status = StartWrite(tokened, land, payload, timed);
+    if (!status.ok()) timed(status);
+  });
+}
+
+Status MaintainerServer::StartWrite(bool tokened, const LandFn& land,
+                                    const std::string& payload,
+                                    const net::RpcEndpoint::Reply& reply) {
+  CHARIOTS_RETURN_IF_ERROR(replica_.CheckAppendServing());
+  BinaryReader r(payload);
+  WriteKey key;
+  if (tokened) {
+    CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&key.first));
+    CHARIOTS_RETURN_IF_ERROR(r.GetU64(&key.second));
+    // A retry of a write whose round is still open waits for that round:
+    // appending again would land the record twice.
+    {
+      std::lock_guard<std::mutex> lock(writes_mu_);
+      auto open = open_writes_.find(key);
+      if (open != open_writes_.end()) {
+        open->second.push_back(reply);
+        return Status::OK();
+      }
+    }
+    // A token the dedup window has already executed short-circuits to the
+    // cached response, so a retry whose original *response* was lost
+    // returns the same LIds instead of appending twice. Under replication
+    // the short-circuit first drives a replay of any parked (invalid)
+    // writes: an append whose INV round failed recorded its dedup state
+    // but never acked, and its retry is what completes the round.
+    CHARIOTS_ASSIGN_OR_RETURN(std::optional<std::string> cached,
+                              dedup_.Lookup(key.first, key.second));
+    if (cached.has_value()) {
+      CHARIOTS_RETURN_IF_ERROR(DriveReplication());
+      reply(*std::move(cached));
+      return Status::OK();
+    }
+  }
+  std::vector<ReplicatedEntry> batch;
+  Result<std::string> landed = [&] {
+    ReplicationScope scope(&batch);
+    return land(r);
+  }();
+  if (!landed.ok()) {
+    // Records that landed before the failure still replicate (unacked), so
+    // they cannot hold the replicated floor back like a parked write.
+    if (!batch.empty()) {
+      RunReplicationRound(std::move(batch), "", 0, "",
+                          [](Status, const net::NodeId&) {});
+    }
+    return landed.status();
+  }
+  std::string response = *std::move(landed);
+  // Only a round that can outlive this handler needs the entry a retry
+  // joins. Without peers the round completes before RunReplicationRound
+  // returns, and peers change only on this strand (kPromote, kReconfigure).
+  const bool joinable = tokened && replica_.replicates();
+  if (joinable) {
+    std::lock_guard<std::mutex> lock(writes_mu_);
+    open_writes_[key].push_back(reply);
+  }
+  RunReplicationRound(
+      std::move(batch), key.first, key.second, response,
+      [this, tokened, joinable, key, response, reply](
+          Status status, const net::NodeId& parked) {
+        Result<std::string> result =
+            status.ok() ? Result<std::string>(response) : status;
+        // A parked write remembers its response too, so the retry that
+        // replays it acks with the same LIds. Record before closing the
+        // round: a retry arriving in between must find either the open
+        // round or the dedup entry.
+        if (tokened && (status.ok() || !parked.empty())) {
+          Status recorded = dedup_.Record(key.first, key.second, response);
+          if (status.ok() && !recorded.ok()) result = recorded;
+        }
+        if (!joinable) {
+          reply(std::move(result));
+          return;
+        }
+        std::vector<net::RpcEndpoint::Reply> replies;
+        {
+          std::lock_guard<std::mutex> lock(writes_mu_);
+          auto open = open_writes_.find(key);
+          replies = std::move(open->second);
+          open_writes_.erase(open);
+        }
+        for (const net::RpcEndpoint::Reply& waiting : replies) waiting(result);
+      });
+  return Status::OK();
+}
+
+void MaintainerServer::RunReplicationRound(std::vector<ReplicatedEntry> batch,
+                                           const std::string& client_id,
+                                           uint64_t seq,
+                                           const std::string& response,
+                                           ReplicaGroup::RoundDone done) {
   Clock* clock =
       options_.clock != nullptr ? options_.clock : SystemClock::Default();
   const int64_t round_start = clock->NowNanos();
@@ -888,40 +921,65 @@ Status MaintainerServer::RunReplicationRound(
   LId top = BatchTop(batch);
   flightrec::Record(flightrec::EventType::kReplInv, 0, maintainer_.index(),
                     top == kInvalidLId ? 0 : top, batch.size());
-  net::NodeId unreachable;
-  Status status = replica_.InvalidateBroadcast(std::move(batch), client_id,
-                                               seq, response, &unreachable);
-  // Failed rounds count toward the SLO too: a round that times out against
-  // a gray peer is exactly the latency the watchdog exists to catch.
-  repl_round_ns_.Record(
-      static_cast<uint64_t>(clock->NowNanos() - round_start));
-  if (!status.ok()) {
-    if (!unreachable.empty()) {
-      // Park the write: the batch stays applied-but-invalid, the dedup
-      // token remembers its response, and the suspect report lets the
-      // controller evict the dead peer — after which a retry of the same
-      // token (or the reconfigure itself) replays the round and acks with
-      // the same LIds. No fencing: a dead *replica* must not take the
-      // coordinator down with it.
-      if (!client_id.empty()) {
-        (void)dedup_.Record(client_id, seq, response);
-      }
-      SuspectPeer(unreachable);
-    }
-    return status;
-  }
-  // Every peer acked: the batch is durable everywhere. Validate it locally,
-  // advance the floor, and flip it readable on the peers.
-  for (LId lid : lids) maintainer_.MarkValid(lid);
-  NoteReplicated(top);
-  if (!lids.empty() && replica_.replicates()) {
-    replica_.ValidateBroadcast(
-        lids, replicated_floor_.load(std::memory_order_acquire));
-  }
-  flightrec::Record(flightrec::EventType::kReplVal, 0, maintainer_.index(),
-                    top == kInvalidLId ? 0 : top,
-                    static_cast<uint64_t>(clock->NowNanos() - round_start));
-  return Status::OK();
+  replica_.InvalidateBroadcast(
+      std::move(batch), client_id, seq, response,
+      [this, clock, round_start, lids = std::move(lids), top,
+       done = std::move(done)](Status status,
+                               const net::NodeId& unreachable) {
+        // Failed rounds count toward the SLO too: a round that times out
+        // against a gray peer is exactly the latency the watchdog exists
+        // to catch.
+        repl_round_ns_.Record(
+            static_cast<uint64_t>(clock->NowNanos() - round_start));
+        if (!status.ok()) {
+          // Our own shutdown fails in-flight INVs too; that says nothing
+          // about the peer.
+          if (unreachable.empty() || stop_.load()) {
+            done(status, net::NodeId());
+            return;
+          }
+          // Park the write: the batch stays applied-but-invalid, and the
+          // suspect report lets the controller evict the dead peer — after
+          // which a retry of the same token (or the reconfigure itself)
+          // replays the round. No fencing: a dead *replica* must not take
+          // the coordinator down with it.
+          SuspectPeer(unreachable);
+          done(status, unreachable);
+          return;
+        }
+        // Every peer acked: the batch is durable everywhere. Validate it
+        // locally, advance the floor, and flip it readable on the peers.
+        for (LId lid : lids) maintainer_.MarkValid(lid);
+        NoteReplicated(top);
+        if (!lids.empty() && replica_.replicates()) {
+          replica_.ValidateBroadcast(
+              lids, replicated_floor_.load(std::memory_order_acquire));
+        }
+        flightrec::Record(
+            flightrec::EventType::kReplVal, 0, maintainer_.index(),
+            top == kInvalidLId ? 0 : top,
+            static_cast<uint64_t>(clock->NowNanos() - round_start));
+        done(Status::OK(), net::NodeId());
+      });
+}
+
+Status MaintainerServer::AwaitReplicationRound(
+    std::vector<ReplicatedEntry> batch) {
+  struct Latch {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::optional<Status> status;
+  };
+  auto latch = std::make_shared<Latch>();
+  RunReplicationRound(std::move(batch), "", 0, "",
+                      [latch](Status status, const net::NodeId&) {
+                        std::lock_guard<std::mutex> lock(latch->mu);
+                        latch->status = std::move(status);
+                        latch->cv.notify_all();
+                      });
+  std::unique_lock<std::mutex> lock(latch->mu);
+  latch->cv.wait(lock, [&] { return latch->status.has_value(); });
+  return *latch->status;
 }
 
 Status MaintainerServer::DriveReplication() {
@@ -946,8 +1004,7 @@ Status MaintainerServer::DriveReplication() {
     entries.push_back(ReplicatedEntry{lid, std::move(bytes)});
   }
   size_t count = entries.size();
-  CHARIOTS_RETURN_IF_ERROR(
-      RunReplicationRound(std::move(entries), "", 0, ""));
+  CHARIOTS_RETURN_IF_ERROR(AwaitReplicationRound(std::move(entries)));
   ReplaysCounter()->Add(count);
   return Status::OK();
 }
@@ -957,10 +1014,10 @@ void MaintainerServer::SuspectPeer(const net::NodeId& suspect) {
   w.PutU32(maintainer_.index());
   w.PutBytes(suspect);
   std::string payload = std::move(w).data();
-  // One-way on the repl endpoint: the main endpoint's inbox is busy running
-  // the append handler this report originates from, and the controller's
-  // follow-up (kReconfigure) must be able to reach us. Every controller
-  // replica gets the report; only the leader acts on it.
+  // One-way: the report runs on a delivery thread and must not wait for the
+  // controller, whose follow-up (kReconfigure) comes back to our main
+  // endpoint. Every controller replica gets the report; only the leader
+  // acts on it.
   for (const net::NodeId& ctrl : ControllerTargets()) {
     (void)repl_endpoint_.Notify(ctrl, kSuspect, payload);
   }
@@ -968,7 +1025,19 @@ void MaintainerServer::SuspectPeer(const net::NodeId& suspect) {
 
 void MaintainerServer::NoteReplicated(LId top_lid) {
   if (top_lid == kInvalidLId) return;
-  AdvanceReplicatedFloor(top_lid + 1);
+  LId acked = acked_floor_.load(std::memory_order_relaxed);
+  while (acked < top_lid + 1 &&
+         !acked_floor_.compare_exchange_weak(acked, top_lid + 1,
+                                             std::memory_order_relaxed)) {
+  }
+  // Rounds overlap, so a round above this one may still be open or parked:
+  // the floor stops at the first position not yet validated. Every landed
+  // position is marked invalid before its round starts (landing runs on the
+  // inbox strand), so reading the invalid window after validating our own
+  // batch can only under-count.
+  AdvanceReplicatedFloor(
+      std::min(acked_floor_.load(std::memory_order_relaxed),
+               maintainer_.FirstInvalid()));
 }
 
 void MaintainerServer::AdvanceReplicatedFloor(LId floor) {
@@ -1112,6 +1181,7 @@ ControllerServer::~ControllerServer() { Stop(); }
 Status ControllerServer::Start() {
   CHARIOTS_RETURN_IF_ERROR(controller_.Open());
   RegisterControllerMetrics();
+  net::RegisterRpcMetrics();
   RegisterHealthMetrics();
   flightrec::RegisterFlightRecorderMetrics();
   // Election churn: a healthy cluster elects rarely; a flapping leader (or

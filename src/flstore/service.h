@@ -2,10 +2,15 @@
 #define CHARIOTS_FLSTORE_SERVICE_H_
 
 #include <atomic>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/executor.h"
 #include "common/lease.h"
 #include "common/metrics.h"
@@ -122,9 +127,10 @@ Result<StripeEpoch> DecodeEpoch(std::string_view data);
 /// Hosts a LogMaintainer on the RPC fabric: serves appends/reads, runs the
 /// HL gossip timer, publishes tag postings to the indexers, and — when the
 /// stripe is replicated — runs the Hermes invalidate/validate broadcast for
-/// every landed record before acking, serves linearizable reads of valid
-/// positions from any role, heartbeats the controller, and obeys epoch
-/// fencing (see ReplicaGroup for the protocol).
+/// every landed record before acking (the ack leaves from the last INV ack,
+/// so rounds overlap), serves linearizable reads of valid positions from
+/// any role, heartbeats the controller, and obeys epoch fencing (see
+/// ReplicaGroup for the protocol).
 class MaintainerServer {
  public:
   struct Options {
@@ -215,8 +221,9 @@ class MaintainerServer {
   void HeartbeatOnce();
   void OnLanded(const LogRecord& record, LId lid);
   void PublishPostings(const LogRecord& record, LId lid);
-  /// Advances the replicated floor past `top_lid` (the highest position of
-  /// a batch every peer just acked; kInvalidLId = empty batch, no-op).
+  /// Notes that every peer acked a batch topped by `top_lid` (kInvalidLId =
+  /// empty batch, no-op) and advances the replicated floor over the
+  /// contiguous validated prefix: never past a position still invalid.
   void NoteReplicated(LId top_lid);
   /// Folds a floor learned from a VAL piggyback (replica side).
   void AdvanceReplicatedFloor(LId floor);
@@ -225,23 +232,48 @@ class MaintainerServer {
   /// record not yet validated everywhere can still be junk-filled by a
   /// failover, so clients must not cache it as permanent (read_cache.h).
   LId CacheableHl() const;
-  /// One Hermes write round for a landed batch: INV-broadcast it (carrying
-  /// the dedup token so a replica can answer a retry after failover), and on
-  /// all-acks validate locally, advance the floor, and VAL-broadcast. On a
-  /// transport failure the batch stays parked (applied-but-invalid), the
-  /// dedup token is recorded so a retry completes the round instead of
-  /// re-appending, and the dead peer is reported to the controller.
-  Status RunReplicationRound(std::vector<ReplicatedEntry> batch,
-                             const std::string& client_id, uint64_t seq,
-                             const std::string& response);
+  /// Lands one append-side request's records (the replication sink is
+  /// armed around it) and returns what the client gets back once they
+  /// replicate. Reads the request past its dedup token.
+  using LandFn = std::function<Result<std::string>(BinaryReader& r)>;
+  /// (client_id, seq) dedup token of a client write.
+  using WriteKey = std::pair<std::string, uint64_t>;
+
+  /// Registers an append-side handler: StartWrite on the inbox strand, the
+  /// reply from the replication round's completion.
+  void HandleWrite(uint16_t type, bool tokened, LandFn land);
+  /// Admission, dedup and landing for one append-side request, then starts
+  /// its replication round and returns — freeing the inbox strand and the
+  /// worker. `reply` goes out once, when the round completes, or now for a
+  /// dedup hit; a retry of a token whose round is still open joins that
+  /// round's reply instead of appending again. On an error return the
+  /// caller replies with it (records that landed before the error still
+  /// replicate, unacked).
+  Status StartWrite(bool tokened, const LandFn& land,
+                    const std::string& payload,
+                    const net::RpcEndpoint::Reply& reply);
+  /// One Hermes write round for a landed batch: INV-broadcast it to every
+  /// peer at once (carrying the dedup token so a replica can answer a
+  /// retry after failover), and from the last ack validate locally,
+  /// advance the floor, VAL-broadcast, then run `done`. On a transport
+  /// failure the batch stays parked (applied-but-invalid), the dead peer
+  /// is reported to the controller, and `done` names it — the caller
+  /// records the dedup token so a retry completes the round instead of
+  /// re-appending.
+  void RunReplicationRound(std::vector<ReplicatedEntry> batch,
+                           const std::string& client_id, uint64_t seq,
+                           const std::string& response,
+                           ReplicaGroup::RoundDone done);
+  /// RunReplicationRound without a token, waited for — replay, promotion
+  /// and repair only, which are off the steady append path.
+  Status AwaitReplicationRound(std::vector<ReplicatedEntry> batch);
   /// Re-broadcasts every invalid (parked) position to the current peers and
   /// validates on success — the write replay that completes in-flight
   /// writes after a replica eviction (called from kReconfigure and from
   /// retried appends that hit the dedup window).
   Status DriveReplication();
   /// Fire-and-forget dead-peer report to every controller replica (no-op
-  /// when none is configured). Sent on the repl endpoint: the main
-  /// endpoint's inbox may be busy running the very append that failed.
+  /// when none is configured), sent from the failed round's completion.
   void SuspectPeer(const net::NodeId& suspect);
   /// The controller replicas this node talks to (options_.controllers, or
   /// the single legacy options_.controller).
@@ -256,18 +288,24 @@ class MaintainerServer {
   Options options_;
   Executor* const executor_;
   net::RpcEndpoint endpoint_;
-  /// Dedicated endpoint for outbound replication calls. The main endpoint's
-  /// inbox delivers one message at a time, and an invalidate is issued from
-  /// *inside* an append handler — waiting for its response on the same
-  /// endpoint would deadlock behind the very handler that is waiting.
+  /// Dedicated endpoint (`<node>#repl`) for outbound replication traffic:
+  /// INV rounds, promotion fetches and suspect reports.
   net::RpcEndpoint repl_endpoint_;
   DedupWindow dedup_;
   ReplicaGroup replica_;
-  /// One past the highest position validated everywhere (monotonic). On the
-  /// coordinator it advances when every peer acks an INV; on replicas it
-  /// follows the VAL piggyback. Only meaningful while
+  /// One past the highest position validated everywhere, with every
+  /// position below it validated too (monotonic). On the coordinator it
+  /// advances as INV rounds complete, over the contiguous prefix only; on
+  /// replicas it follows the VAL piggyback. Only meaningful while
   /// replica_.in_replica_set(); see CacheableHl().
   std::atomic<LId> replicated_floor_{0};
+  /// One past the highest position of any all-acked round; the floor trails
+  /// it while a lower round is open or parked.
+  std::atomic<LId> acked_floor_{0};
+  /// Client writes whose round is open, with every reply waiting on it
+  /// (the original request and any retries of its token).
+  std::mutex writes_mu_;
+  std::map<WriteKey, std::vector<net::RpcEndpoint::Reply>> open_writes_;
   std::atomic<bool> stop_{false};
   Executor::TimerToken gossip_token_;
   Executor::TimerToken heartbeat_token_;

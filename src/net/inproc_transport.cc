@@ -324,10 +324,14 @@ void InProcTransport::Deliver(const std::shared_ptr<Inbox>& inbox,
     ++dropped_;
     return;
   }
-  inbox->handler(std::move(msg));
+  // Counted at hand-off, so a handler that signals a waiter never lets it
+  // observe its own message as undelivered.
   DeliveredCounter()->Add();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++delivered_;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++delivered_;
+  }
+  inbox->handler(std::move(msg));
 }
 
 void InProcTransport::SetLink(const std::string& src_prefix,

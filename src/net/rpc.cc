@@ -1,6 +1,10 @@
 #include "net/rpc.h"
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <vector>
 
 #include "common/flight_recorder.h"
 #include "common/logging.h"
@@ -48,6 +52,22 @@ metrics::Counter* CallTimeoutCounter() {
   return c;
 }
 
+// How long one call may wait: the per-call timeout, capped by the overall
+// deadline.
+int64_t WaitNanos(const CallOptions& options) {
+  int64_t wait = std::chrono::nanoseconds(options.timeout).count();
+  if (!options.deadline.IsInfinite()) {
+    wait = std::min(wait, options.deadline.RemainingNanos());
+  }
+  return wait;
+}
+
+metrics::Counter* BlockingWaitsOnWorkerCounter() {
+  static metrics::Counter* c = metrics::Registry::Default().GetCounter(
+      "net.rpc.blocking_waits_on_worker");
+  return c;
+}
+
 metrics::Counter* HandledCounter() {
   static metrics::Counter* c =
       metrics::Registry::Default().GetCounter("net.rpc.requests_handled");
@@ -64,14 +84,29 @@ metrics::Counter* HandlerErrorCounter() {
 
 const trace::TraceContext& CurrentRpcTrace() { return t_current_rpc_trace; }
 
+void RegisterRpcMetrics() {
+  CallCounter();
+  CallErrorCounter();
+  CallTimeoutCounter();
+  BlockingWaitsOnWorkerCounter();
+  HandledCounter();
+  HandlerErrorCounter();
+}
+
 RpcEndpoint::RpcEndpoint(Transport* transport, NodeId node)
     : transport_(transport), node_(std::move(node)) {}
 
 RpcEndpoint::~RpcEndpoint() { Stop(); }
 
-void RpcEndpoint::Handle(uint16_t type, RpcHandler handler) {
+void RpcEndpoint::HandleAsync(uint16_t type, AsyncHandler handler) {
   std::lock_guard<std::mutex> lock(mu_);
   handlers_[type] = std::move(handler);
+}
+
+void RpcEndpoint::Handle(uint16_t type, RpcHandler handler) {
+  HandleAsync(type, [handler = std::move(handler)](
+                        const NodeId& from, const std::string& payload,
+                        Reply reply) { reply(handler(from, payload)); });
 }
 
 void RpcEndpoint::HandleOneWay(uint16_t type, OneWayHandler handler) {
@@ -84,46 +119,44 @@ Status RpcEndpoint::Start() {
     std::lock_guard<std::mutex> lock(mu_);
     if (started_) return Status::FailedPrecondition("endpoint started");
     started_ = true;
+    timer_gate_ = SerialGate();
   }
   return transport_->Register(node_,
                               [this](Message msg) { OnMessage(std::move(msg)); });
 }
 
 void RpcEndpoint::Stop() {
+  std::unordered_map<uint64_t, PendingCall> stopped;
+  SerialGate gate;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!started_) return;
     started_ = false;
-    for (auto& [_, call] : pending_) {
-      std::lock_guard<std::mutex> cl(call->mu);
-      call->done = true;
-      call->status = Status::Unavailable("endpoint stopped");
-      call->cv.notify_all();
-    }
-    pending_.clear();
+    stopped.swap(pending_);
+    armed_at_ = -1;
+    gate = timer_gate_;
   }
+  // Waits out a running timeout sweep; later timer firings no-op. The
+  // transport binding goes next, which fences inline response delivery.
+  gate.Close();
   (void)transport_->Unregister(node_);
+  for (auto& [_, call] : stopped) {
+    Complete(call, Status::Unavailable("endpoint stopped"),
+             CallErrorCounter());
+  }
 }
 
 void RpcEndpoint::OnMessage(Message msg) {
   if (msg.is_response) {
-    std::shared_ptr<PendingCall> call;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = pending_.find(msg.rpc_id);
-      if (it == pending_.end()) return;  // late response; already timed out
-      call = it->second;
-      pending_.erase(it);
-    }
-    std::lock_guard<std::mutex> cl(call->mu);
-    call->done = true;
+    std::optional<PendingCall> call = Take(msg.rpc_id);
+    if (!call.has_value()) return;  // late response; already timed out
     if (msg.error_code != 0) {
-      call->status =
-          Status(static_cast<StatusCode>(msg.error_code), msg.payload);
+      Complete(*call,
+               Status(static_cast<StatusCode>(msg.error_code), msg.payload),
+               CallErrorCounter());
     } else {
-      call->response = std::move(msg.payload);
+      Complete(*call, std::move(msg.payload), nullptr);
     }
-    call->cv.notify_all();
     return;
   }
 
@@ -142,56 +175,81 @@ void RpcEndpoint::OnMessage(Message msg) {
     return;
   }
 
-  RpcHandler handler;
+  AsyncHandler handler;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = handlers_.find(msg.type);
     if (it != handlers_.end()) handler = it->second;
   }
-
-  Message reply;
-  reply.from = node_;
-  reply.to = msg.from;
-  reply.type = msg.type;
-  reply.rpc_id = msg.rpc_id;
-  reply.is_response = true;
-  if (!handler) {
-    reply.error_code = static_cast<uint8_t>(StatusCode::kNotSupported);
-    reply.payload = "no handler for opcode";
-  } else {
-    HandledCounter()->Add();
-    flightrec::Record(flightrec::EventType::kRpcStart, msg.type, 0, msg.rpc_id,
-                      msg.payload.size());
-    ScopedRpcTrace scoped_trace(std::move(msg.trace));
-    Result<std::string> result = handler(msg.from, msg.payload);
+  // The reply holds the transport, not the endpoint: it may run after the
+  // handler returned, on any thread, even after Stop().
+  Message skeleton;
+  skeleton.from = node_;
+  skeleton.to = msg.from;
+  skeleton.type = msg.type;
+  skeleton.rpc_id = msg.rpc_id;
+  skeleton.is_response = true;
+  Reply reply = [transport = transport_, response = std::move(skeleton)](
+                    Result<std::string> result) mutable {
     if (result.ok()) {
-      reply.payload = std::move(result).value();
+      response.payload = std::move(result).value();
     } else {
       HandlerErrorCounter()->Add();
-      reply.error_code = static_cast<uint8_t>(result.status().code());
-      reply.payload = result.status().message();
+      response.error_code = static_cast<uint8_t>(result.status().code());
+      response.payload = result.status().message();
     }
-    flightrec::Record(flightrec::EventType::kRpcEnd, msg.type,
-                      reply.error_code, msg.rpc_id, reply.payload.size());
+    flightrec::Record(flightrec::EventType::kRpcEnd, response.type,
+                      response.error_code, response.rpc_id,
+                      response.payload.size());
+    (void)transport->Send(std::move(response));
+  };
+  if (!handler) {
+    reply(Status::NotSupported("no handler for opcode"));
+    return;
   }
-  (void)transport_->Send(std::move(reply));
+  HandledCounter()->Add();
+  flightrec::Record(flightrec::EventType::kRpcStart, msg.type, 0, msg.rpc_id,
+                    msg.payload.size());
+  ScopedRpcTrace scoped_trace(std::move(msg.trace));
+  handler(msg.from, msg.payload, std::move(reply));
 }
 
-Result<std::string> RpcEndpoint::Call(const NodeId& to, uint16_t type,
-                                      std::string payload,
-                                      const CallOptions& options) {
+void RpcEndpoint::CallAsync(const NodeId& to, uint16_t type,
+                            std::string payload, const CallOptions& options,
+                            Completion done) {
   if (options.deadline.Expired()) {
-    return Deadline::ExceededError("rpc to " + to);
+    done(Deadline::ExceededError("rpc to " + to));
+    return;
   }
   CallCounter()->Add();
-  metrics::ScopedLatencyTimer latency(metrics::Registry::Default().GetHistogram(
-      "net.rpc.call_latency_ns." + ChannelOf(to)));
-  auto call = std::make_shared<PendingCall>();
+  const int64_t start_nanos = SystemClock::Default()->NowNanos();
+  const int64_t wait = WaitNanos(options);
   uint64_t rpc_id = next_rpc_id_.fetch_add(1, std::memory_order_relaxed);
+  bool started = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!started_) return Status::FailedPrecondition("endpoint not started");
-    pending_.emplace(rpc_id, call);
+    started = started_;
+    if (started) {
+      auto dest = latency_by_dest_.find(to);
+      if (dest == latency_by_dest_.end()) {
+        dest = latency_by_dest_
+                   .emplace(to, metrics::Registry::Default().GetHistogram(
+                                    "net.rpc.call_latency_ns." + ChannelOf(to)))
+                   .first;
+      }
+      PendingCall& call = pending_[rpc_id];
+      call.done = std::move(done);
+      call.to = &dest->first;
+      call.deadline = options.deadline;
+      call.expires_at = Executor::Default()->clock()->NowNanos() + wait;
+      call.start_nanos = start_nanos;
+      call.latency = dest->second;
+      ArmLocked(call.expires_at);
+    }
+  }
+  if (!started) {
+    done(Status::FailedPrecondition("endpoint not started"));
+    return;
   }
 
   Message msg;
@@ -202,43 +260,96 @@ Result<std::string> RpcEndpoint::Call(const NodeId& to, uint16_t type,
   msg.payload = std::move(payload);
   msg.trace = options.trace;
   Status send_status = transport_->Send(std::move(msg));
-  if (!send_status.ok()) {
-    CallErrorCounter()->Add();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      pending_.erase(rpc_id);
-    }
-    if (send_status.IsNotFound()) {
-      // The destination has no binding right now (crashed, restarting, or
-      // not yet up). To the caller that is a transient reachability
-      // failure, not a data-level NotFound — report it retryable.
-      return Status::Unavailable("destination not reachable: " + to);
-    }
-    return send_status;
+  if (send_status.ok()) return;
+  std::optional<PendingCall> call = Take(rpc_id);
+  if (!call.has_value()) return;  // stopped meanwhile; already failed
+  if (send_status.IsNotFound()) {
+    // The destination has no binding right now (crashed, restarting, or
+    // not yet up). To the caller that is a transient reachability
+    // failure, not a data-level NotFound — report it retryable.
+    send_status = Status::Unavailable("destination not reachable: " + to);
   }
+  Complete(*call, send_status, CallErrorCounter());
+}
 
-  auto wait = std::chrono::nanoseconds(options.timeout);
-  if (!options.deadline.IsInfinite()) {
-    wait = std::min(
-        wait, std::chrono::nanoseconds(options.deadline.RemainingNanos()));
-  }
-  std::unique_lock<std::mutex> cl(call->mu);
-  if (!call->cv.wait_for(cl, wait, [&] { return call->done; })) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      pending_.erase(rpc_id);
+std::optional<RpcEndpoint::PendingCall> RpcEndpoint::Take(uint64_t rpc_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = pending_.find(rpc_id);
+  if (it == pending_.end()) return std::nullopt;
+  PendingCall call = std::move(it->second);
+  pending_.erase(it);
+  return call;
+}
+
+void RpcEndpoint::Complete(PendingCall& call, Result<std::string> result,
+                           metrics::Counter* counter) {
+  call.latency->Record(static_cast<uint64_t>(
+      SystemClock::Default()->NowNanos() - call.start_nanos));
+  if (counter != nullptr) counter->Add();
+  call.done(std::move(result));
+}
+
+void RpcEndpoint::TimeOut(PendingCall& call) {
+  Status status = call.deadline.Expired()
+                      ? Deadline::ExceededError("rpc to " + *call.to)
+                      : Status::TimedOut("rpc to " + *call.to + " timed out");
+  Complete(call, std::move(status), CallTimeoutCounter());
+}
+
+void RpcEndpoint::ArmLocked(int64_t at) {
+  if (armed_at_ >= 0 && armed_at_ <= at) return;
+  armed_at_ = at;
+  // One-shot and never cancelled: a superseded firing finds nothing due
+  // and re-arms for the current head. The timer lane keeps timeouts live
+  // when every worker is busy.
+  (void)Executor::Default()->ScheduleAt(
+      at, timer_gate_.Wrap([this] { ExpireDue(); }), Executor::Lane::kTimer);
+}
+
+void RpcEndpoint::ExpireDue() {
+  // A sweep scans every pending call; it runs about once per timeout
+  // period, and only calls in flight are pending.
+  std::vector<PendingCall> expired;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_at_ = -1;
+    const int64_t now = Executor::Default()->clock()->NowNanos();
+    int64_t next = -1;
+    for (auto it = pending_.begin(); it != pending_.end();) {
+      if (it->second.expires_at <= now) {
+        expired.push_back(std::move(it->second));
+        it = pending_.erase(it);
+        continue;
+      }
+      if (next < 0 || it->second.expires_at < next) {
+        next = it->second.expires_at;
+      }
+      ++it;
     }
-    CallTimeoutCounter()->Add();
-    if (options.deadline.Expired()) {
-      return Deadline::ExceededError("rpc to " + to);
-    }
-    return Status::TimedOut("rpc to " + to + " timed out");
+    if (next >= 0) ArmLocked(next);
   }
-  if (!call->status.ok()) {
-    CallErrorCounter()->Add();
-    return call->status;
-  }
-  return std::move(call->response);
+  for (PendingCall& call : expired) TimeOut(call);
+}
+
+Result<std::string> RpcEndpoint::Call(const NodeId& to, uint16_t type,
+                                      std::string payload,
+                                      const CallOptions& options) {
+  struct Waiter {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::optional<Result<std::string>> result;
+  };
+  if (Executor::OnWorkerThread()) BlockingWaitsOnWorkerCounter()->Add();
+  auto waiter = std::make_shared<Waiter>();
+  CallAsync(to, type, std::move(payload), options,
+            [waiter](Result<std::string> result) {
+              std::lock_guard<std::mutex> lock(waiter->mu);
+              waiter->result.emplace(std::move(result));
+              waiter->cv.notify_all();
+            });
+  std::unique_lock<std::mutex> lock(waiter->mu);
+  waiter->cv.wait(lock, [&] { return waiter->result.has_value(); });
+  return std::move(*waiter->result);
 }
 
 Status RpcEndpoint::Notify(const NodeId& to, uint16_t type,

@@ -3,13 +3,15 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <unordered_map>
 
+#include "common/executor.h"
+#include "common/metrics.h"
 #include "common/result.h"
 #include "common/retry.h"
 #include "common/status.h"
@@ -31,20 +33,36 @@ struct CallOptions {
 
 /// Trace context of the RPC request currently being handled on this thread.
 /// Handlers run on the transport delivery thread, so a handler (or code it
-/// calls synchronously) reads the inbound trace here; inactive when the
-/// request carried none.
+/// calls synchronously, before it returns) reads the inbound trace here;
+/// inactive when the request carried none.
 const trace::TraceContext& CurrentRpcTrace();
 
 /// Request/response layer over a Transport. One endpoint per logical node.
 ///
 /// Server side: register per-opcode handlers, then Start(). Handlers run on
-/// the transport delivery thread; they return the response payload or an
-/// error Status (which travels back as an error response).
+/// the transport delivery thread. A HandleAsync handler gets a Reply it may
+/// invoke later, from any thread, so it can return (freeing the node's
+/// inbox and its executor worker) while the work it started completes
+/// elsewhere. Handle() is the synchronous special case.
 ///
-/// Client side: Call() blocks for the response with a timeout; Notify() is
+/// Client side: CallAsync() sends and returns at once; its completion runs
+/// on the thread that delivers the response (inline, never queued behind
+/// the caller's own handlers), or on the shared executor's timer lane when
+/// the call times out (timeouts run in real time, whatever clock the
+/// transport uses). Call() blocks on that same completion. Notify() is
 /// fire-and-forget.
 class RpcEndpoint {
  public:
+  /// Completion of an outbound call, and the reply to an inbound one: the
+  /// response payload or the error Status (which travels back as an error
+  /// response).
+  using Completion = std::function<void(Result<std::string>)>;
+  /// Sends the response to one inbound request. Invoke exactly once, from
+  /// any thread, during or after the handler; it stays valid after the
+  /// endpoint stops (the response then goes out through the transport).
+  using Reply = Completion;
+  using AsyncHandler = std::function<void(
+      const NodeId& from, const std::string& payload, Reply reply)>;
   using RpcHandler =
       std::function<Result<std::string>(const NodeId& from,
                                         const std::string& payload)>;
@@ -58,7 +76,12 @@ class RpcEndpoint {
   RpcEndpoint(const RpcEndpoint&) = delete;
   RpcEndpoint& operator=(const RpcEndpoint&) = delete;
 
-  /// Registers a request handler for `type`. Must precede Start().
+  /// Registers a request handler for `type` that replies through `reply`,
+  /// possibly after returning. Must precede Start().
+  void HandleAsync(uint16_t type, AsyncHandler handler);
+
+  /// Registers a request handler for `type` whose return value is the
+  /// reply. Must precede Start().
   void Handle(uint16_t type, RpcHandler handler);
 
   /// Registers a one-way handler for `type`. Must precede Start().
@@ -67,13 +90,22 @@ class RpcEndpoint {
   /// Binds to the transport and begins serving.
   Status Start();
 
-  /// Unbinds; outstanding Calls fail with Unavailable.
+  /// Unbinds; outstanding calls complete with kUnavailable.
   void Stop();
 
-  /// Sends a request and blocks for the response (bounded by the per-call
-  /// timeout and deadline). An unreachable destination surfaces as
-  /// kUnavailable and an expired budget as kTimedOut — both retryable; all
-  /// other codes come from the remote handler.
+  /// Sends a request; `done` runs exactly once with the response or the
+  /// error (bounded by the per-call timeout and deadline). An unreachable
+  /// destination surfaces as kUnavailable and an expired budget as
+  /// kTimedOut — both retryable; all other codes come from the remote
+  /// handler. `done` may run before CallAsync returns (e.g. a failed send)
+  /// and must never wait for another message: it runs on a delivery or
+  /// timer thread.
+  void CallAsync(const NodeId& to, uint16_t type, std::string payload,
+                 const CallOptions& options, Completion done);
+
+  /// Blocking form of CallAsync. Called from an executor worker it parks
+  /// that worker for the round trip, which `net.rpc.blocking_waits_on_worker`
+  /// counts.
   Result<std::string> Call(const NodeId& to, uint16_t type,
                            std::string payload, const CallOptions& options);
 
@@ -93,25 +125,49 @@ class RpcEndpoint {
 
  private:
   struct PendingCall {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status status;
-    std::string response;
+    Completion done;
+    const NodeId* to = nullptr;  ///< key in latency_by_dest_ (never erased)
+    Deadline deadline;
+    int64_t expires_at = 0;   ///< on the shared executor's clock
+    int64_t start_nanos = 0;  ///< steady clock, for call_latency_ns
+    metrics::Histogram* latency = nullptr;
   };
 
   void OnMessage(Message msg);
+  /// Removes call `rpc_id` if still pending. Only the remover completes it,
+  /// so a response racing its timeout completes the call once.
+  std::optional<PendingCall> Take(uint64_t rpc_id);
+  /// Records the call's latency, bumps `counter` (if any) and runs `done`.
+  static void Complete(PendingCall& call, Result<std::string> result,
+                       metrics::Counter* counter);
+  /// Completes a taken call as timed out (or past its overall deadline).
+  static void TimeOut(PendingCall& call);
+  /// Arms the timeout timer for `at` unless one fires no later. Caller
+  /// holds mu_.
+  void ArmLocked(int64_t at);
+  /// Timer body: times out every call whose deadline passed.
+  void ExpireDue();
 
   Transport* const transport_;
   const NodeId node_;
 
   std::mutex mu_;
   bool started_ = false;
-  std::unordered_map<uint16_t, RpcHandler> handlers_;
+  std::unordered_map<uint16_t, AsyncHandler> handlers_;
   std::unordered_map<uint16_t, OneWayHandler> oneway_handlers_;
-  std::unordered_map<uint64_t, std::shared_ptr<PendingCall>> pending_;
+  std::unordered_map<uint64_t, PendingCall> pending_;
+  int64_t armed_at_ = -1;  ///< earliest armed timer (-1 = none)
+  /// Fences timer bodies against Stop(); replaced by each Start().
+  SerialGate timer_gate_;
+  /// net.rpc.call_latency_ns.<channel> by destination, so a call costs no
+  /// name building or registry lookup. Entries are never erased.
+  std::unordered_map<NodeId, metrics::Histogram*> latency_by_dest_;
   std::atomic<uint64_t> next_rpc_id_{1};
 };
+
+/// Registers the net.rpc.* call families (blocking_waits_on_worker
+/// included) so they export at zero before the first call.
+void RegisterRpcMetrics();
 
 }  // namespace chariots::net
 

@@ -10,8 +10,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "common/clock.h"
+#include "common/executor.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "net/inproc_transport.h"
 #include "net/message.h"
@@ -378,6 +384,162 @@ TEST_F(RpcTest, StopFailsPendingCalls) {
   ASSERT_TRUE(client.Start().ok());
   auto r = client.Call("nobody", 1, "");
   EXPECT_FALSE(r.ok());  // NotFound from transport
+}
+
+TEST_F(RpcTest, AsyncHandlerRepliesAfterReturning) {
+  // The handler parks its Reply and returns; the reply goes out later from
+  // another thread. Meanwhile the server's inbox keeps serving.
+  RpcEndpoint server(&transport_, "server");
+  std::mutex mu;
+  std::vector<RpcEndpoint::Reply> parked;
+  server.HandleAsync(1, [&](const NodeId&, const std::string& payload,
+                            RpcEndpoint::Reply reply) {
+    std::lock_guard<std::mutex> lock(mu);
+    parked.push_back([reply, payload](Result<std::string>) {
+      reply("late:" + payload);
+    });
+  });
+  server.Handle(2, [](const NodeId&, const std::string&)
+                       -> Result<std::string> { return std::string("now"); });
+  ASSERT_TRUE(server.Start().ok());
+  RpcEndpoint client(&transport_, "client");
+  ASSERT_TRUE(client.Start().ok());
+
+  CountDownLatch answered(1);
+  Result<std::string> late = Status::Aborted("pending");
+  CallOptions options;
+  options.timeout = 5s;
+  client.CallAsync("server", 1, "a", options, [&](Result<std::string> r) {
+    late = std::move(r);
+    answered.CountDown();
+  });
+  auto now = client.Call("server", 2, "");
+  ASSERT_TRUE(now.ok()) << now.status();
+  EXPECT_EQ(*now, "now");
+  EXPECT_FALSE(answered.WaitFor(10ms));
+
+  std::thread replier([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_EQ(parked.size(), 1u);
+    parked[0](std::string());
+  });
+  replier.join();
+  ASSERT_TRUE(answered.WaitFor(1s));
+  ASSERT_TRUE(late.ok()) << late.status();
+  EXPECT_EQ(*late, "late:a");
+}
+
+TEST_F(RpcTest, CallAsyncTimeoutRacesLateResponse) {
+  // Replies land around each call's timeout: whichever of the response and
+  // the timer comes first completes the call, exactly once; the loser is
+  // dropped.
+  RpcEndpoint server(&transport_, "server");
+  std::mutex mu;
+  std::vector<std::pair<int64_t, RpcEndpoint::Reply>> due;
+  server.HandleAsync(1, [&](const NodeId&, const std::string&,
+                            RpcEndpoint::Reply reply) {
+    std::lock_guard<std::mutex> lock(mu);
+    int64_t delay_us = static_cast<int64_t>(due.size() % 5) * 500;
+    due.emplace_back(SystemClock::Default()->NowNanos() + delay_us * 1000,
+                     std::move(reply));
+  });
+  ASSERT_TRUE(server.Start().ok());
+  RpcEndpoint client(&transport_, "client");
+  ASSERT_TRUE(client.Start().ok());
+
+  std::atomic<bool> stop{false};
+  std::thread replier([&] {
+    while (!stop.load()) {
+      std::vector<RpcEndpoint::Reply> ready;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        int64_t now = SystemClock::Default()->NowNanos();
+        for (auto& [at, reply] : due) {
+          if (reply && at <= now) ready.push_back(std::move(reply));
+        }
+      }
+      for (auto& reply : ready) reply(std::string("ok"));
+      std::this_thread::sleep_for(100us);
+    }
+  });
+
+  constexpr int kCalls = 200;
+  std::vector<std::atomic<int>> completions(kCalls);
+  std::atomic<int> ok{0}, timed_out{0};
+  CallOptions options;
+  options.timeout = 1ms;
+  for (int i = 0; i < kCalls; ++i) {
+    client.CallAsync("server", 1, "", options, [&, i](Result<std::string> r) {
+      completions[i].fetch_add(1);
+      if (r.ok()) {
+        ok.fetch_add(1);
+      } else if (r.status().IsTimedOut()) {
+        timed_out.fetch_add(1);
+      }
+    });
+  }
+  for (int spin = 0; ok.load() + timed_out.load() < kCalls && spin < 2000;
+       ++spin) {
+    std::this_thread::sleep_for(1ms);
+  }
+  std::this_thread::sleep_for(10ms);  // late replies still arriving
+  stop.store(true);
+  replier.join();
+  EXPECT_EQ(ok.load() + timed_out.load(), kCalls);
+  for (int i = 0; i < kCalls; ++i) {
+    EXPECT_EQ(completions[i].load(), 1) << "call " << i;
+  }
+}
+
+TEST_F(RpcTest, StopCompletesPendingAsyncCalls) {
+  RpcEndpoint server(&transport_, "server");
+  std::vector<RpcEndpoint::Reply> parked;
+  CountDownLatch handled(1);
+  server.HandleAsync(1, [&](const NodeId&, const std::string&,
+                            RpcEndpoint::Reply reply) {
+    parked.push_back(std::move(reply));
+    handled.CountDown();
+  });
+  ASSERT_TRUE(server.Start().ok());
+  RpcEndpoint client(&transport_, "client");
+  ASSERT_TRUE(client.Start().ok());
+  CountDownLatch done(1);
+  Status status;
+  client.CallAsync("server", 1, "", CallOptions{}, [&](Result<std::string> r) {
+    status = r.status();
+    done.CountDown();
+  });
+  ASSERT_TRUE(handled.WaitFor(1s));
+  client.Stop();
+  ASSERT_TRUE(done.WaitFor(1s));
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  // A reply after the caller left goes nowhere, harmlessly.
+  for (auto& reply : parked) reply(std::string("late"));
+}
+
+TEST_F(RpcTest, BlockingCallOnExecutorWorkerIsCounted) {
+  metrics::Counter* waits = metrics::Registry::Default().GetCounter(
+      "net.rpc.blocking_waits_on_worker");
+  RpcEndpoint server(&transport_, "server");
+  server.Handle(1, [](const NodeId&, const std::string& payload)
+                       -> Result<std::string> { return payload; });
+  ASSERT_TRUE(server.Start().ok());
+  RpcEndpoint client(&transport_, "client");
+  ASSERT_TRUE(client.Start().ok());
+
+  uint64_t before = waits->Value();
+  ASSERT_TRUE(client.Call("server", 1, "x").ok());
+  EXPECT_EQ(waits->Value(), before) << "a caller's own thread is no worker";
+
+  Executor exec({.num_threads = 2, .name = "blk"});
+  CountDownLatch done(1);
+  ASSERT_TRUE(exec.Submit([&] {
+    EXPECT_TRUE(client.Call("server", 1, "y").ok());
+    done.CountDown();
+  }));
+  ASSERT_TRUE(done.WaitFor(5s));
+  EXPECT_EQ(waits->Value(), before + 1);
+  exec.Shutdown();
 }
 
 // ---------------------------------------------------------- TcpTransport

@@ -6,18 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/codec.h"
 #include "common/executor.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "flstore/client.h"
 #include "flstore/replica_group.h"
@@ -63,6 +67,7 @@ constexpr int64_t kMttrDeadlineNanos = 8'600'000;  // 8.6 ms
 constexpr char kController[] = "dc0/controller";
 constexpr char kPrimary[] = "dc0/maintainer/0";
 constexpr char kBackup[] = "dc0/maintainer/0-backup";
+constexpr char kBackup2[] = "dc0/maintainer/0-backup2";
 
 /// Wiring knobs for a ReplicatedCluster.
 struct ClusterConfig {
@@ -84,10 +89,12 @@ struct ClusterConfig {
   /// Maintainer tail-cache bounds (read path, DESIGN.md §11).
   uint64_t tail_cache_bytes = 4ull << 20;
   uint64_t tail_cache_records = 4096;
+  /// Replication factor: 2 (coordinator + kBackup) or 3 (+ kBackup2).
+  int rf = 2;
 };
 
-/// One replicated stripe (coordinator + one replica) plus a controller,
-/// wired over the in-process transport.
+/// One replicated stripe (coordinator + one replica, or two at rf 3) plus a
+/// controller, wired over the in-process transport.
 class ReplicatedCluster {
  public:
   using Config = ClusterConfig;
@@ -97,7 +104,7 @@ class ReplicatedCluster {
     ClusterInfo info;
     info.journal = EpochJournal(1, config.batch);
     info.maintainers = {kPrimary};
-    info.replicas = {{kBackup}};
+    info.replicas = {Replicas(config)};
     info.fence_epochs = {1};
     ControllerServerOptions cso;
     cso.controller.clock = config.clock;
@@ -112,6 +119,12 @@ class ReplicatedCluster {
         &transport_, MaintainerOpts(config),
         ServerOpts(config, kBackup, ReplicaRole::kReplica));
     EXPECT_TRUE(backup_->Start().ok());
+    if (config.rf > 2) {
+      backup2_ = std::make_unique<MaintainerServer>(
+          &transport_, MaintainerOpts(config),
+          ServerOpts(config, kBackup2, ReplicaRole::kReplica));
+      EXPECT_TRUE(backup2_->Start().ok());
+    }
     primary_ = std::make_unique<MaintainerServer>(
         &transport_, MaintainerOpts(config),
         ServerOpts(config, kPrimary, ReplicaRole::kCoordinator));
@@ -130,8 +143,14 @@ class ReplicatedCluster {
   std::unique_ptr<ControllerServer> controller_;
   std::unique_ptr<MaintainerServer> primary_;
   std::unique_ptr<MaintainerServer> backup_;
+  std::unique_ptr<MaintainerServer> backup2_;  ///< rf 3 only
 
  private:
+  static std::vector<net::NodeId> Replicas(const Config& config) {
+    if (config.rf > 2) return {kBackup, kBackup2};
+    return {kBackup};
+  }
+
   static MaintainerOptions MaintainerOpts(const Config& config) {
     MaintainerOptions mo;
     mo.index = 0;
@@ -153,7 +172,7 @@ class ReplicatedCluster {
     so.replica.epoch = 1;
     // The coordinator drives the INV/VAL broadcast to its peers; replicas
     // learn the membership only if promoted.
-    if (role == ReplicaRole::kCoordinator) so.replica.peers = {kBackup};
+    if (role == ReplicaRole::kCoordinator) so.replica.peers = Replicas(config);
     if (config.heartbeats) {
       so.controller = kController;
       so.heartbeat_interval_nanos = config.heartbeat_interval_nanos;
@@ -947,6 +966,376 @@ TEST(ReplicationTest, DeadReplicaIsEvictedAndParkedWriteReplays) {
     stored.insert(cluster.primary_->maintainer().Read(l)->body);
   }
   EXPECT_EQ(stored.count("r1"), 1u);
+}
+
+// ------------------------------------------------ completion-driven rounds
+
+/// Outcome of one CallAsync, captured for tests that drive virtual time.
+struct AsyncResult {
+  std::atomic<bool> done{false};
+  Result<std::string> result = Status::Aborted("pending");
+  int64_t at_nanos = 0;  ///< virtual time of completion
+};
+
+/// Sends a kAppend through `probe` without blocking; `out` fills in when
+/// the reply lands.
+void AppendAsync(net::RpcEndpoint& probe, const std::string& client_id,
+                 uint64_t seq, const std::string& body, const Clock& clock,
+                 AsyncResult* out) {
+  net::CallOptions options;
+  options.timeout = 5s;
+  probe.CallAsync(kPrimary, kAppend, AppendPayload(client_id, seq, Rec(body)),
+                  options, [out, &clock](Result<std::string> result) {
+                    out->result = std::move(result);
+                    out->at_nanos = clock.NowNanos();
+                    out->done.store(true);
+                  });
+}
+
+/// Steps virtual time in `step` increments (draining the workers after
+/// each) until every result is in or `limit` passes.
+void AdvanceUntilDone(Executor& exec, std::vector<AsyncResult*> results,
+                      int64_t step, int64_t limit) {
+  exec.WaitIdle();
+  for (int64_t elapsed = 0; elapsed < limit; elapsed += step) {
+    bool all = true;
+    for (AsyncResult* r : results) all = all && r->done.load();
+    if (all) return;
+    exec.AdvanceBy(step);
+    exec.WaitIdle();
+  }
+}
+
+/// The cacheable HL a read response piggybacks (DESIGN.md §11).
+LId CacheableHlVia(net::RpcEndpoint& probe, Executor& exec, LId lid) {
+  AsyncResult read;
+  net::CallOptions options;
+  options.timeout = 5s;
+  probe.CallAsync(kPrimary, kRead, LidPayload(lid), options,
+                  [&read](Result<std::string> result) {
+                    read.result = std::move(result);
+                    read.done.store(true);
+                  });
+  AdvanceUntilDone(exec, {&read}, 1'000'000, 10'000'000);
+  EXPECT_TRUE(read.result.ok()) << read.result.status();
+  if (!read.result.ok()) return kInvalidLId;
+  BinaryReader r(*read.result);
+  uint64_t epoch = 0;
+  LId hl = 0;
+  EXPECT_TRUE(r.GetU64(&epoch).ok());
+  EXPECT_TRUE(r.GetU64(&hl).ok());
+  return hl;
+}
+
+LId DecodeLidResponse(const Result<std::string>& response) {
+  BinaryReader r(*response);
+  LId lid = kInvalidLId;
+  EXPECT_TRUE(r.GetU64(&lid).ok());
+  return lid;
+}
+
+// Hermes acks when the LAST INV ack is in: with 5 ms each way to each of
+// two replicas, an append acks after one round trip (10 ms virtual), not
+// one per replica (20 ms) — and two clients' appends overlap instead of
+// queueing behind each other's round.
+TEST(ReplicationTest, InvRoundCostsOneRoundTripNotOnePerReplica) {
+  ManualClock clock;
+  Executor exec({.num_threads = 2, .name = "vt-inv", .manual_clock = &clock});
+  {
+    ReplicatedCluster::Config config;
+    config.clock = &clock;
+    config.executor = &exec;
+    config.rf = 3;
+    ReplicatedCluster cluster(config);
+    constexpr int64_t kLink = 5'000'000;
+    net::LinkOptions slow;
+    slow.latency_nanos = kLink;
+    // Coordinator <-> replicas only; clients reach the coordinator at once.
+    cluster.transport_.SetLink(std::string(kPrimary) + "#repl", kBackup, slow);
+    cluster.transport_.SetLink(kBackup, std::string(kPrimary) + "#repl", slow);
+    net::RpcEndpoint probe_a(&cluster.transport_, "dc0/probe-a");
+    net::RpcEndpoint probe_b(&cluster.transport_, "dc0/probe-b");
+    ASSERT_TRUE(probe_a.Start().ok());
+    ASSERT_TRUE(probe_b.Start().ok());
+
+    AsyncResult one;
+    int64_t t0 = clock.NowNanos();
+    AppendAsync(probe_a, "dc0/probe-a", 1, "one", clock, &one);
+    AdvanceUntilDone(exec, {&one}, 1'000'000, 100'000'000);
+    ASSERT_TRUE(one.done.load());
+    ASSERT_TRUE(one.result.ok()) << one.result.status();
+    EXPECT_EQ(one.at_nanos - t0, 2 * kLink)
+        << "one INV round = one round trip to the slowest replica";
+
+    AsyncResult a, b;
+    t0 = clock.NowNanos();
+    AppendAsync(probe_a, "dc0/probe-a", 2, "a", clock, &a);
+    AppendAsync(probe_b, "dc0/probe-b", 1, "b", clock, &b);
+    AdvanceUntilDone(exec, {&a, &b}, 1'000'000, 100'000'000);
+    ASSERT_TRUE(a.result.ok()) << a.result.status();
+    ASSERT_TRUE(b.result.ok()) << b.result.status();
+    EXPECT_EQ(a.at_nanos - t0, 2 * kLink);
+    EXPECT_EQ(b.at_nanos - t0, 2 * kLink);
+    EXPECT_LT(std::abs(a.at_nanos - b.at_nanos), 2 * kLink)
+        << "the second client's round must overlap the first's";
+    EXPECT_NE(DecodeLidResponse(a.result), DecodeLidResponse(b.result));
+    EXPECT_EQ(cluster.backup2_->maintainer().count(), 3u);
+
+    probe_a.Stop();
+    probe_b.Stop();
+    cluster.primary_->Stop();
+    cluster.backup_->Stop();
+    cluster.backup2_->Stop();
+    cluster.controller_->Stop();
+  }
+  exec.Shutdown();
+}
+
+// Overlapping rounds and the contiguous floor: round A's INV is held back,
+// round B (a higher LId) acks first. The cacheable HL must not pass A while
+// A is open, and passes both once A completes.
+TEST(ReplicationTest, AckedRoundAboveOpenRoundDoesNotLiftTheFloor) {
+  ManualClock clock;
+  Executor exec({.num_threads = 2, .name = "vt-floor", .manual_clock = &clock});
+  {
+    ReplicatedCluster::Config config;
+    config.clock = &clock;
+    config.executor = &exec;
+    ReplicatedCluster cluster(config);
+    net::RpcEndpoint probe(&cluster.transport_, "dc0/probe");
+    ASSERT_TRUE(probe.Start().ok());
+    constexpr int64_t kHold = 50'000'000;
+    cluster.transport_.faults().DelayNth(
+        FaultSchedule::Both(FaultSchedule::TypeIs(kInvalidate),
+                            FaultSchedule::ToPrefix(kBackup)),
+        /*nth=*/1, kHold);
+
+    AsyncResult a, b;
+    AppendAsync(probe, "dc0/probe", 1, "a", clock, &a);
+    exec.WaitIdle();
+    AppendAsync(probe, "dc0/probe", 2, "b", clock, &b);
+    AdvanceUntilDone(exec, {&b}, 1'000'000, 10'000'000);
+    ASSERT_TRUE(b.done.load()) << "round B must not wait behind round A";
+    ASSERT_TRUE(b.result.ok()) << b.result.status();
+    EXPECT_FALSE(a.done.load());
+    const LId lid_a = cluster.primary_->maintainer().FirstInvalid();
+    const LId lid_b = DecodeLidResponse(b.result);
+    ASSERT_LT(lid_a, lid_b);
+    EXPECT_LE(CacheableHlVia(probe, exec, lid_b), lid_a)
+        << "an acked round above an open one lifted the cacheable HL";
+
+    AdvanceUntilDone(exec, {&a}, 1'000'000, 2 * kHold);
+    ASSERT_TRUE(a.result.ok()) << a.result.status();
+    EXPECT_EQ(DecodeLidResponse(a.result), lid_a);
+    EXPECT_GT(CacheableHlVia(probe, exec, lid_b), lid_b);
+    EXPECT_EQ(cluster.primary_->maintainer().InvalidCount(), 0u);
+
+    probe.Stop();
+    cluster.primary_->Stop();
+    cluster.backup_->Stop();
+    cluster.controller_->Stop();
+  }
+  exec.Shutdown();
+}
+
+// A retry of a token whose round is still open joins that round: the same
+// LId comes back to both, and the record lands once.
+TEST(ReplicationTest, RetryWhileRoundOpenReturnsSameLidOnce) {
+  ManualClock clock;
+  Executor exec({.num_threads = 2, .name = "vt-retry", .manual_clock = &clock});
+  {
+    ReplicatedCluster::Config config;
+    config.clock = &clock;
+    config.executor = &exec;
+    ReplicatedCluster cluster(config);
+    net::RpcEndpoint probe(&cluster.transport_, "dc0/probe");
+    ASSERT_TRUE(probe.Start().ok());
+    constexpr int64_t kHold = 50'000'000;
+    cluster.transport_.faults().DelayNth(FaultSchedule::TypeIs(kInvalidate),
+                                         /*nth=*/1, kHold);
+
+    AsyncResult first, retry;
+    AppendAsync(probe, "dc0/probe", 7, "once", clock, &first);
+    exec.WaitIdle();
+    AppendAsync(probe, "dc0/probe", 7, "once", clock, &retry);
+    exec.WaitIdle();
+    EXPECT_FALSE(first.done.load());
+    EXPECT_FALSE(retry.done.load()) << "the retry must wait for the open round";
+    AdvanceUntilDone(exec, {&first, &retry}, 1'000'000, 2 * kHold);
+    ASSERT_TRUE(first.result.ok()) << first.result.status();
+    ASSERT_TRUE(retry.result.ok()) << retry.result.status();
+    EXPECT_EQ(*retry.result, *first.result);
+    EXPECT_EQ(cluster.primary_->maintainer().count(), 1u);
+    EXPECT_EQ(cluster.backup_->maintainer().count(), 1u);
+
+    probe.Stop();
+    cluster.primary_->Stop();
+    cluster.backup_->Stop();
+    cluster.controller_->Stop();
+  }
+  exec.Shutdown();
+}
+
+// Mixed outcomes in one round: one peer unreachable, the other rejecting
+// our epoch. The rejection wins — the coordinator fences instead of parking
+// the write behind a suspect report.
+TEST(ReplicationTest, EpochRejectionFencesEvenWithAnUnreachablePeer) {
+  ReplicatedCluster::Config config;
+  config.rf = 3;
+  ReplicatedCluster cluster(config);
+  cluster.backup_->Stop();  // first peer: unreachable
+  ASSERT_TRUE(cluster.backup2_->replica().AcceptRemoteEpoch(2).ok());
+
+  net::RpcEndpoint probe(&cluster.transport_, "dc0/probe");
+  ASSERT_TRUE(probe.Start().ok());
+  auto result = probe.Call(kPrimary, kAppend,
+                           AppendPayload("dc0/probe", 1, Rec("split")), 1s);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(result.status().message().find("NOT_COORDINATOR"),
+            std::string::npos)
+      << result.status();
+  EXPECT_TRUE(cluster.primary_->replica().fenced());
+  auto parked = cluster.primary_->dedup().Lookup("dc0/probe", 1);
+  ASSERT_TRUE(parked.ok());
+  EXPECT_FALSE(parked->has_value()) << "a fenced round must not park";
+}
+
+// The "no parked worker" gate: steady RF=3 appends from two clients never
+// block an executor worker on the network — the INV round completes from
+// its last ack, not from a waiting handler.
+TEST(ReplicationTest, SteadyAppendsNeverParkAWorker) {
+  ReplicatedCluster::Config config;
+  config.rf = 3;
+  ReplicatedCluster cluster(config);
+  auto a = cluster.NewClient("a");
+  auto b = cluster.NewClient("b");
+  metrics::Counter* waits = metrics::Registry::Default().GetCounter(
+      "net.rpc.blocking_waits_on_worker");
+  const uint64_t before = waits->Value();
+  std::atomic<int> acked{0};
+  auto run = [&](FLStoreClient* client, const std::string& name) {
+    for (int i = 0; i < 500; ++i) {
+      if (client->Append(Rec(name + std::to_string(i))).ok()) ++acked;
+    }
+  };
+  std::thread ta(run, a.get(), "a");
+  std::thread tb(run, b.get(), "b");
+  ta.join();
+  tb.join();
+  EXPECT_EQ(acked.load(), 1000);
+  EXPECT_EQ(waits->Value() - before, 0u);
+  EXPECT_EQ(cluster.backup2_->maintainer().count(), 1000u);
+}
+
+// Crash matrix (tools/run_crash_matrix.sh): the coordinator dies with two
+// clients' rounds open at once. Per seed, each round is held either before
+// its INV reaches the replica or after (the replica applied it, its ack is
+// late). Failover must lose no acked record and land each write exactly
+// once: a replayed write answers its retry from the mirrored dedup entry,
+// a never-delivered one is appended fresh.
+TEST(ReplicationTest, KillCoordinatorWithOverlappingRoundsReplaysExactlyOnce) {
+  uint64_t seed = ScenarioSeed(9200);
+  Random rng(seed);
+  const int n_pre = 1 + static_cast<int>(rng.Uniform(4));
+  // 0: both INVs held; 1: both acks held; 2: one of each.
+  const int mode = static_cast<int>(rng.Uniform(3));
+
+  ReplicatedCluster::Config config;
+  config.heartbeats = true;
+  config.lease_nanos = 60'000'000;
+  config.monitor_interval_nanos = 10'000'000;
+  ReplicatedCluster cluster(config);
+
+  ClientOptions copts;
+  copts.retry.seed = seed;
+  copts.retry.attempt_timeout = 200ms;
+  copts.failover_attempts = 30;
+  auto w1 = cluster.NewClient("w1", copts);
+  copts.retry.seed = seed + 1;
+  auto w2 = cluster.NewClient("w2", copts);
+
+  std::map<LId, std::string> acked_at;
+  for (int i = 0; i < n_pre; ++i) {
+    std::string body = "pre-" + std::to_string(i);
+    auto lid = w1->Append(Rec(body));
+    ASSERT_TRUE(lid.ok()) << lid.status();
+    acked_at[*lid] = body;
+  }
+
+  // Rules count only messages sent after they are installed, so the next
+  // matching message is the first open round's.
+  constexpr int64_t kHold = 2'000'000'000;  // outlives the failover
+  constexpr uint64_t first_open = 1;
+  auto inv_to_replica = FaultSchedule::Both(FaultSchedule::TypeIs(kInvalidate),
+                                            FaultSchedule::ToPrefix(kBackup));
+  auto inv_ack = [](const net::Message& m) {
+    return m.type == kInvalidate && m.is_response;
+  };
+  size_t applied_on_replica = 0;  // open rounds whose INV got through
+  if (mode == 0) {
+    cluster.transport_.faults().DelayNth(inv_to_replica, first_open, kHold, 2);
+  } else if (mode == 1) {
+    cluster.transport_.faults().DelayNth(inv_ack, first_open, kHold, 2);
+    applied_on_replica = 2;
+  } else {
+    cluster.transport_.faults().DelayNth(inv_to_replica, first_open, kHold);
+    cluster.transport_.faults().DelayNth(inv_ack, first_open, kHold);
+    applied_on_replica = 1;
+  }
+
+  std::mutex mu;
+  Result<LId> r1 = Status::Aborted("pending"), r2 = Status::Aborted("pending");
+  std::thread t1([&] {
+    auto lid = w1->Append(Rec("open-1"));
+    std::lock_guard<std::mutex> lock(mu);
+    r1 = lid;
+  });
+  std::thread t2([&] {
+    auto lid = w2->Append(Rec("open-2"));
+    std::lock_guard<std::mutex> lock(mu);
+    r2 = lid;
+  });
+  // Both rounds open: two landed-invalid positions on the coordinator, and
+  // the replica holding the ones whose INV was let through (after the pre
+  // writes' VALs drain).
+  auto settled = [&] {
+    return cluster.primary_->maintainer().InvalidCount() == 2 &&
+           cluster.backup_->maintainer().InvalidCount() == applied_on_replica;
+  };
+  for (int spin = 0; !settled() && spin < 2000; ++spin) {
+    std::this_thread::sleep_for(1ms);
+  }
+  const bool open = settled();
+  EXPECT_TRUE(open) << "coordinator invalid "
+                    << cluster.primary_->maintainer().InvalidCount()
+                    << ", replica invalid "
+                    << cluster.backup_->maintainer().InvalidCount();
+  cluster.primary_->Stop();
+  t1.join();
+  t2.join();
+  if (!open) return;
+
+  ASSERT_TRUE(r1.ok()) << r1.status();
+  ASSERT_TRUE(r2.ok()) << r2.status();
+  acked_at[*r1] = "open-1";
+  acked_at[*r2] = "open-2";
+  EXPECT_EQ(cluster.controller_->controller().GetInfo().maintainers[0],
+            kBackup);
+
+  LogMaintainer& survivor = cluster.backup_->maintainer();
+  std::multiset<std::string> stored;
+  for (LId lid : survivor.StoredLids()) stored.insert(survivor.Read(lid)->body);
+  for (const auto& [lid, body] : acked_at) {
+    auto rec = survivor.Read(lid);
+    ASSERT_TRUE(rec.ok()) << "acked lid " << lid << " lost: " << rec.status();
+    EXPECT_EQ(rec->body, body) << "acked record replaced at lid " << lid;
+    EXPECT_EQ(stored.count(body), 1u) << body << " must land exactly once";
+  }
+  EXPECT_EQ(survivor.InvalidCount(), 0u);
+  // Each write the replica had applied was replayed, and its retry was
+  // answered from the dedup entry its INV mirrored.
+  EXPECT_GE(cluster.backup_->dedup().hits(), applied_on_replica);
 }
 
 }  // namespace

@@ -28,7 +28,8 @@ NUM_SEEDS="${1:-200}"
 JOBS="${CHARIOTS_MATRIX_JOBS:-$(nproc 2>/dev/null || echo 2)}"
 
 # Seed-sensitive scenarios only: the seeded kill-coordinator failover and
-# mid-invalidate replay drills, the fault-injection recovery paths (torn
+# mid-invalidate replay drills, the kill with two INV rounds open at once
+# (overlapping rounds must replay exactly once), the fault-injection recovery paths (torn
 # frames, failed fsync, torn sidecar), and the control-plane drills — the
 # controller-kill class (leader dies mid-plan; restart/follower resumes
 # from the meta WAL) and the partition class (seeded symmetric and
@@ -36,7 +37,7 @@ JOBS="${CHARIOTS_MATRIX_JOBS:-$(nproc 2>/dev/null || echo 2)}"
 # partition converges to one layout). The deterministic promotion/fencing
 # tests run once in ctest.
 SWEEP=(
-  "$BUILD_DIR/tests/replication_test --gtest_filter=*KillPrimaryMidAppend*:*KillCoordinatorMidInvalidate*"
+  "$BUILD_DIR/tests/replication_test --gtest_filter=*KillPrimaryMidAppend*:*KillCoordinatorMidInvalidate*:*KillCoordinatorWithOverlappingRounds*"
   "$BUILD_DIR/tests/recovery_test --gtest_filter=TombstoneTest.Torn*:TombstoneTest.Failed*:TombstoneTest.Dedup*"
   "$BUILD_DIR/tests/storage_test --gtest_filter=*Seeded*:*Fault*:*Torn*:*Dropped*:*FailedWrite*:*FailedSync*"
   "$BUILD_DIR/tests/controller_ha_test --gtest_filter=*Durability*:*Partition*"

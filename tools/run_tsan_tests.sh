@@ -13,11 +13,13 @@
 # read_path_test (tail cache / client read-through cache / version index)
 # and the Hermes replication suite in replication_test — the INV/VAL
 # broadcast (per-position valid/invalid bits read under shared locks on
-# every read), read-spreading across coordinator and replicas, the
-# synchronous kSuspect fast-path failover, and the seeded
-# kill-coordinator/kill-primary drills — whose lock-free HL reads,
-# shared-lock read paths, and cross-node promotion races are exactly the
-# code TSan is for.
+# every read), INV rounds completed from whichever thread delivers the
+# last ack (overlapping rounds, retries joining an open round),
+# read-spreading across coordinator and replicas, the synchronous
+# kSuspect fast-path failover, and the seeded kill-coordinator/kill-primary
+# drills — whose lock-free HL reads, shared-lock read paths, and
+# cross-node promotion races are exactly the code TSan is for. net_test
+# races RpcEndpoint::CallAsync timeouts against late responses.
 #
 # Uses a separate build dir (build-<sanitizer>) so the regular build is
 # untouched.
