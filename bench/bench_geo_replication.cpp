@@ -36,7 +36,6 @@ double RunGroup(uint32_t n, int64_t wan_latency_nanos,
     ChariotsConfig config;
     config.dc_id = d;
     config.num_datacenters = n;
-    config.batcher_flush_nanos = 200'000;
     dcs.push_back(std::make_unique<Datacenter>(config, &fabric));
     (void)dcs.back()->Start();
   }

@@ -30,7 +30,6 @@ void RunMix(double put_fraction, const char* label,
     ChariotsConfig config;
     config.dc_id = d;
     config.num_datacenters = 2;
-    config.batcher_flush_nanos = 100'000;
     dcs.push_back(std::make_unique<Datacenter>(config, &fabric));
     (void)dcs.back()->Start();
   }
@@ -104,8 +103,8 @@ int main() {
   RunMix(0.5, "mixed_50_50", &report);
   RunMix(0.95, "put_heavy", &report);
   std::printf("\nExpected shape: get-heavy mixes are faster (index lookup "
-              "+ local read); puts pay the full pipeline (batcher flush + "
-              "token) for durability.\n");
+              "+ local read); puts pay the full pipeline (token step + "
+              "maintainer write) for durability.\n");
   if (!report.Write()) return 1;
   return 0;
 }

@@ -211,11 +211,12 @@ void BM_FlightRecorderRecord(benchmark::State& state) {
 BENCHMARK(BM_FlightRecorderRecord);
 
 void BM_QueueTokenAdmission(benchmark::State& state) {
-  flstore::EpochJournal journal(4, 1000);
   for (auto _ : state) {
     state.PauseTiming();
     geo::Token token(1);
-    geo::GeoQueue queue(0, &journal, [](uint32_t, geo::GeoRecord) {});
+    geo::GeoQueue queue(0, [](std::vector<geo::GeoRecord> run) {
+      benchmark::DoNotOptimize(run.data());
+    });
     for (geo::TOId t = 1; t <= 1000; ++t) {
       geo::GeoRecord r;
       r.host = 0;

@@ -34,7 +34,6 @@ void RunRtt(int64_t one_way_nanos, chariots::bench::BenchReport* report) {
     ChariotsConfig config;
     config.dc_id = d;
     config.num_datacenters = 2;
-    config.batcher_flush_nanos = 100'000;
     dcs.push_back(std::make_unique<Datacenter>(config, &fabric));
     (void)dcs.back()->Start();
   }

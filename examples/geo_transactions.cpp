@@ -31,7 +31,6 @@ int main() {
     ChariotsConfig config;
     config.dc_id = d;
     config.num_datacenters = 2;
-    config.batcher_flush_nanos = 200'000;
     dcs.push_back(std::make_unique<Datacenter>(config, &fabric));
     if (!dcs.back()->Start().ok()) return 1;
   }

@@ -3,68 +3,42 @@
 
 #include <atomic>
 #include <functional>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "chariots/filter_map.h"
 #include "chariots/record.h"
-#include "common/clock.h"
-#include "common/executor.h"
 
 namespace chariots::geo {
 
-/// A batcher (paper §6.2): buffers records received locally or from remote
-/// datacenters, one buffer per destination filter, and flushes a buffer to
-/// its filter when it reaches the size threshold (or on a timer so sparse
-/// traffic is not delayed indefinitely). Batchers are completely independent
-/// of each other — adding one requires no coordination. The flush timer is a
-/// periodic task on the shared executor, not a dedicated thread.
+/// A batcher (paper §6.2): receives records created locally or replicated
+/// from remote datacenters and routes each to the filter championing it.
+/// It holds nothing back: Submit hands the record straight to the filter's
+/// inbox, and the batch forms there while the filter is busy — its drain
+/// pops the whole inbox into one Accept (DESIGN.md §6.2). No size threshold
+/// and no flush timer, so no record waits for a clock. Batchers are
+/// completely independent of each other — adding one requires no
+/// coordination.
 class Batcher {
  public:
-  /// Delivers a flushed batch to filter `filter_id`.
-  using FlushFn =
+  /// Delivers records to filter `filter_id`.
+  using DeliverFn =
       std::function<void(uint32_t filter_id, std::vector<GeoRecord> batch)>;
 
-  Batcher(const FilterMap* filter_map, size_t flush_records,
-          int64_t flush_interval_nanos, FlushFn flush,
-          Executor* executor = nullptr);
-  ~Batcher();
+  Batcher(const FilterMap* filter_map, DeliverFn deliver);
 
   Batcher(const Batcher&) = delete;
   Batcher& operator=(const Batcher&) = delete;
 
-  /// Starts the background flush timer.
-  void Start();
-
-  /// Flushes everything and stops the timer.
-  void Stop();
-
-  /// Routes `record` into the buffer of its championing filter; flushes
-  /// that buffer if it reached the threshold.
+  /// Routes `record` to its championing filter. Thread-safe.
   void Submit(GeoRecord record);
 
-  /// Forces all buffers out immediately.
-  void FlushAll();
-
   uint64_t records_in() const { return records_in_.load(); }
-  uint64_t batches_out() const { return batches_out_.load(); }
 
  private:
-  void FlushLocked(uint32_t filter_id);
-
   const FilterMap* const filter_map_;
-  const size_t flush_records_;
-  const int64_t flush_interval_nanos_;
-  FlushFn flush_;
-  Executor* const executor_;
+  DeliverFn deliver_;
 
-  std::mutex mu_;
-  std::unordered_map<uint32_t, std::vector<GeoRecord>> buffers_;
-  std::atomic<bool> stop_{true};
-  Executor::TimerToken timer_token_;
   std::atomic<uint64_t> records_in_{0};
-  std::atomic<uint64_t> batches_out_{0};
 };
 
 }  // namespace chariots::geo

@@ -29,11 +29,6 @@ struct ChariotsConfig {
   /// FLStore striping batch (records per maintainer per round).
   uint64_t stripe_batch = 1000;
 
-  /// Batcher flush policy: flush a filter buffer at this many records or
-  /// after this much time, whichever first.
-  size_t batcher_flush_records = 64;
-  int64_t batcher_flush_nanos = 1'000'000;  // 1 ms
-
   /// Bounded-queue capacity between stages (backpressure depth).
   size_t stage_queue_capacity = 4096;
 
@@ -67,7 +62,7 @@ struct ChariotsConfig {
   std::string gc_archive_path;
 
   /// Executor that runs every pipeline task (filter strands, token chain,
-  /// batcher/GC/sender timers). Null means the process-wide
+  /// sender drains and GC/sender timers). Null means the process-wide
   /// Executor::Default(). Inject a virtual-time executor for deterministic
   /// tests.
   Executor* executor = nullptr;

@@ -6,6 +6,7 @@
 #include "common/codec.h"
 #include "common/flight_recorder.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "storage/file.h"
 
 namespace chariots::geo {
@@ -41,6 +42,7 @@ Datacenter::Datacenter(ChariotsConfig config, ReplicationFabric* fabric)
   incorporated_counter_ = registry.GetCounter(prefix + "records_incorporated");
   maintainer_append_hist_ =
       registry.GetHistogram("chariots.maintainer.append_ns");
+  batch_size_hist_ = registry.GetHistogram("chariots.batcher.batch_size");
 }
 
 Datacenter::~Datacenter() { Stop(); }
@@ -94,12 +96,7 @@ Status Datacenter::Start() {
   // Queues + token.
   queues_.reserve(kMaxQueues);
   for (uint32_t q = 0; q < config_.num_queues; ++q) {
-    queues_.push_back(std::make_unique<GeoQueue>(
-        q, &journal_,
-        [this](uint32_t m, GeoRecord r) {
-          r.trace.AddHop("queue", config_.dc_id);
-          RouteToMaintainer(m, std::move(r));
-        }));
+    queues_.push_back(MakeQueue(q));
   }
   queue_count_.store(queues_.size(), std::memory_order_release);
 
@@ -131,22 +128,9 @@ Status Datacenter::Start() {
   // Batchers.
   batchers_.reserve(kMaxBatchers);
   for (uint32_t b = 0; b < config_.num_batchers; ++b) {
-    batchers_.push_back(std::make_unique<Batcher>(
-        &filter_map_, config_.batcher_flush_records,
-        config_.batcher_flush_nanos,
-        [this](uint32_t filter_id, std::vector<GeoRecord> batch) {
-          DeliverToFilter(filter_id, std::move(batch));
-        },
-        executor_));
-    batchers_.back()->Start();
+    batchers_.push_back(MakeBatcher());
   }
   batcher_count_.store(batchers_.size(), std::memory_order_release);
-
-  // Token circulation: a self-rescheduling executor task.
-  token_done_ = std::make_unique<CountDownLatch>(1);
-  if (!executor_->Submit(token_gate_.Wrap([this] { TokenStep(); }))) {
-    token_done_->CountDown();
-  }
 
   // Replication: receiver first, then senders (sharded by destination).
   if (config_.num_datacenters > 1) {
@@ -185,6 +169,13 @@ Status Datacenter::Start() {
           config_.dc_id, shard, &local_buffer_, &atable_, fabric_, so));
       senders_.back()->Start();
     }
+  }
+
+  // Token circulation: a self-rescheduling executor task. Started after the
+  // senders, which the token task kicks.
+  token_done_ = std::make_unique<CountDownLatch>(1);
+  if (!executor_->Submit(token_gate_.Wrap([this] { TokenStep(); }))) {
+    token_done_->CountDown();
   }
 
   if (config_.gc_interval_nanos > 0) {
@@ -229,8 +220,7 @@ void Datacenter::Stop() {
   // teardown below starts dismantling.
   callback_gauges_.clear();
 
-  // Upstream first: batchers flush, filters drain, token drains queues.
-  for (auto& b : batchers_) b->Stop();
+  // Upstream first: filters drain, then the token drains the queues.
   for (auto& f : filters_) f->inbox->Close();
   // Final inline drain so nothing queued is lost, then seal each strand:
   // after Close() no drain task can touch the stage again.
@@ -438,6 +428,7 @@ void Datacenter::DrainFilter(FilterStage* stage) {
     flightrec::Record(flightrec::EventType::kQueueDeq,
                       static_cast<uint16_t>(stage->filter->id()),
                       config_.dc_id, stage->inbox->ApproxSize(), popped);
+    batch_size_hist_->Record(popped);
     if (batches.size() == 1) {
       stage->filter->Accept(std::move(batches.front()));
     } else {
@@ -455,15 +446,24 @@ void Datacenter::DrainFilter(FilterStage* stage) {
 }
 
 void Datacenter::TokenStep() {
+  // A failed write leaves the rest of its run unpublished. It is retried
+  // first, and no queue admits a new record until it is written.
+  bool stalled = !PersistRun();
   size_t appended = 0;
   size_t n = queue_count_.load(std::memory_order_acquire);
-  for (size_t q = 0; q < n; ++q) {
+  for (size_t q = 0; q < n && !stalled; ++q) {
     appended += queues_[q]->ProcessToken(&token_);
-    head_lid_.store(token_.next_lid, std::memory_order_release);
+    stalled = !PersistRun();
   }
   token_deferred_.store(token_.deferred.size(), std::memory_order_relaxed);
-  if (appended == 0) {
-    if (!running_.load(std::memory_order_relaxed)) {
+  if (stalled && !running_.load(std::memory_order_relaxed)) {
+    LOG_WARN << "dc" << config_.dc_id << ": stopping with "
+             << unpublished_.size() << " admitted records unwritten";
+    token_done_->CountDown();
+    return;
+  }
+  if (appended == 0 || stalled) {
+    if (!stalled && !running_.load(std::memory_order_relaxed)) {
       // Drain check: stop once no queue has pending input. Records still
       // deferred in the token have unsatisfiable dependencies (nothing new
       // is coming) and are abandoned, matching a shutdown mid-replication.
@@ -476,7 +476,8 @@ void Datacenter::TokenStep() {
         return;
       }
     }
-    // Idle: poll again in 100µs instead of monopolizing a worker.
+    // Idle, or waiting to retry a failed write: poll again in 100µs instead
+    // of monopolizing a worker.
     Executor::TimerToken t = executor_->ScheduleAfter(
         100'000, token_gate_.Wrap([this] { TokenStep(); }));
     if (!t.valid()) token_done_->CountDown();  // executor shutting down
@@ -488,58 +489,121 @@ void Datacenter::TokenStep() {
   }
 }
 
-void Datacenter::RouteToMaintainer(uint32_t maintainer_index,
-                                   GeoRecord record) {
-  flstore::LogRecord log_record = ToLogRecord(record);
-  Status s;
-  {
-    metrics::ScopedLatencyTimer timer(maintainer_append_hist_);
-    s = maintainers_[maintainer_index]->AppendAt(record.lid, log_record);
+void Datacenter::AcceptRun(std::vector<GeoRecord> run) {
+  unpublished_.reserve(unpublished_.size() + run.size());
+  for (GeoRecord& record : run) {
+    record.trace.AddHop("queue", config_.dc_id);
+    flstore::LogRecord log = ToLogRecord(record);
+    unpublished_.push_back(RunRecord{std::move(record), std::move(log)});
   }
-  if (!s.ok()) {
-    LOG_ERROR << "dc" << config_.dc_id << ": AppendAt(" << record.lid
-              << ") failed: " << s.ToString();
-    return;
+}
+
+bool Datacenter::PersistRun() {
+  if (unpublished_.empty()) return true;
+  // Group commit: one AppendAtBatch per maintainer over its records of the
+  // run, in LId order. The stored forms move into the batch and back.
+  std::vector<std::vector<size_t>> owned(maintainers_.size());
+  for (size_t i = 0; i < unpublished_.size(); ++i) {
+    if (unpublished_[i].written) continue;
+    owned[journal_.MaintainerFor(unpublished_[i].record.lid)].push_back(i);
   }
-  record.trace.AddHop("maintainer", config_.dc_id);
-  indexer_.AddRecord(log_record, record.lid);
+  std::vector<flstore::LId> lids;
+  std::vector<flstore::LogRecord> logs;
+  for (size_t m = 0; m < owned.size(); ++m) {
+    if (owned[m].empty()) continue;
+    lids.clear();
+    logs.clear();
+    for (size_t i : owned[m]) {
+      lids.push_back(unpublished_[i].record.lid);
+      logs.push_back(std::move(unpublished_[i].log));
+    }
+    Status s;
+    {
+      metrics::ScopedLatencyTimer timer(maintainer_append_hist_);
+      s = maintainers_[m]->AppendAtBatch(lids, logs);
+    }
+    for (size_t k = 0; k < owned[m].size(); ++k) {
+      RunRecord& entry = unpublished_[owned[m][k]];
+      entry.log = std::move(logs[k]);
+      entry.written = s.ok();
+    }
+    if (!s.ok()) {
+      LOG_EVERY_N_SEC(kError, 1)
+          << "dc" << config_.dc_id << ": maintainer " << m << " failed to "
+          << "write " << lids.size() << " records from lid " << lids.front()
+          << "; retrying: " << s.ToString();
+    }
+  }
+
+  // Publish the written prefix, in LId order. The token assigned the run's
+  // LIds consecutively above head_lid_, so the head moves only over
+  // records that are written and never past the first that is not.
+  size_t written = 0;
+  while (written < unpublished_.size() && unpublished_[written].written) {
+    ++written;
+  }
+  if (written == 0) return false;
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
-    lid_meta_.emplace_back(record.host, record.toid);
-    if (toid_to_lid_[record.host].empty()) {
-      toid_base_[record.host] = record.toid;
-    }
-    toid_to_lid_[record.host].push_back(record.lid);
-  }
-  // The token assigns consecutive LIds and routes synchronously in
-  // assignment order, so once `lid` is persisted the whole prefix is.
-  head_lid_.store(record.lid + 1, std::memory_order_release);
-  atable_.Advance(config_.dc_id, record.host, record.toid);
-  incorporated_.fetch_add(1, std::memory_order_relaxed);
-  incorporated_counter_->Add();
-  // Subscribers run before the append acknowledgment, so "append returned"
-  // implies every subscriber has seen the record.
-  for (const auto& subscriber : subscribers_) subscriber(record);
-  if (record.host == config_.dc_id) {
-    // The sender hop is stamped before encoding so the replicated copy
-    // carries the full local pipeline history to the remote datacenter.
-    record.trace.AddHop("sender", config_.dc_id);
-    local_buffer_.Put(record.toid, EncodeGeoRecord(record));
-    if (record.trace.active()) {
-      trace::TraceSink::Default().Record(std::move(record.trace));
-    }
-    if (record.on_committed) record.on_committed(record.toid, record.lid);
-  } else {
-    record.trace.AddHop("incorporated", config_.dc_id);
-    if (record.trace.active()) {
-      trace::TraceSink::Default().Record(std::move(record.trace));
+    for (size_t i = 0; i < written; ++i) {
+      const GeoRecord& record = unpublished_[i].record;
+      lid_meta_.emplace_back(record.host, record.toid);
+      if (toid_to_lid_[record.host].empty()) {
+        toid_base_[record.host] = record.toid;
+      }
+      toid_to_lid_[record.host].push_back(record.lid);
     }
   }
+  bool local = false;
+  for (size_t i = 0; i < written; ++i) {
+    GeoRecord& record = unpublished_[i].record;
+    std::string& stored = unpublished_[i].log.body;
+    record.trace.AddHop("maintainer", config_.dc_id);
+    for (const flstore::Tag& tag : record.tags) {
+      indexer_.Add(tag.key, tag.value, record.lid);
+    }
+    head_lid_.store(record.lid + 1, std::memory_order_release);
+    atable_.Advance(config_.dc_id, record.host, record.toid);
+    // Subscribers run before the append acknowledgment, so "append
+    // returned" implies every subscriber has seen the record.
+    for (const auto& subscriber : subscribers_) subscriber(record);
+    if (record.host == config_.dc_id) {
+      local = true;
+      // The sender hop is stamped before encoding so the replicated copy
+      // carries the full local pipeline history to the remote datacenter.
+      // An untraced record replicates the very bytes just stored.
+      record.trace.AddHop("sender", config_.dc_id);
+      local_buffer_.Put(record.toid, record.trace.active()
+                                         ? EncodeGeoRecord(record)
+                                         : std::move(stored));
+      if (record.trace.active()) {
+        trace::TraceSink::Default().Record(std::move(record.trace));
+      }
+      if (record.on_committed) record.on_committed(record.toid, record.lid);
+    } else {
+      record.trace.AddHop("incorporated", config_.dc_id);
+      if (record.trace.active()) {
+        trace::TraceSink::Default().Record(std::move(record.trace));
+      }
+    }
+  }
+  incorporated_.fetch_add(written, std::memory_order_relaxed);
+  incorporated_counter_->Add(written);
+  unpublished_.erase(unpublished_.begin(), unpublished_.begin() + written);
   {
     // Taking the lock orders this notify with the waiter's predicate check.
     std::lock_guard<std::mutex> lock(wait_mu_);
   }
   wait_cv_.notify_all();
+  if (local) {
+    // Every datacenter holds the records below the awareness floor, and no
+    // sender reads below its peer's acknowledgment: drop them now rather
+    // than at the next GC sweep, so the buffer stays the size of the
+    // replication lag.
+    local_buffer_.TruncateBelow(atable_.GlobalFloor(config_.dc_id) + 1);
+    for (auto& sender : senders_) sender->Kick();
+  }
+  return unpublished_.empty();
 }
 
 void Datacenter::SubmitToBatcher(GeoRecord record) {
@@ -669,7 +733,6 @@ Datacenter::Stats Datacenter::GetStats() const {
   size_t nb = batcher_count_.load(std::memory_order_acquire);
   for (size_t b = 0; b < nb; ++b) {
     stats.batcher_records_in += batchers_[b]->records_in();
-    stats.batches_flushed += batchers_[b]->batches_out();
   }
   size_t nf = filter_count_.load(std::memory_order_acquire);
   for (size_t f = 0; f < nf; ++f) {
@@ -712,7 +775,6 @@ std::string Datacenter::DebugString() const {
   row("appends_local", s.appends_local);
   row("records_incorporated", s.records_incorporated);
   row("batcher_records_in", s.batcher_records_in);
-  row("batches_flushed", s.batches_flushed);
   row("filter_forwarded", s.filter_forwarded);
   row("filter_duplicates", s.filter_duplicates);
   row("filter_buffered", s.filter_buffered);
@@ -777,14 +839,7 @@ Status Datacenter::AddBatcher() {
   if (batchers_.size() >= kMaxBatchers) {
     return Status::ResourceExhausted("batcher capacity reached");
   }
-  batchers_.push_back(std::make_unique<Batcher>(
-      &filter_map_, config_.batcher_flush_records,
-      config_.batcher_flush_nanos,
-      [this](uint32_t filter_id, std::vector<GeoRecord> batch) {
-        DeliverToFilter(filter_id, std::move(batch));
-      },
-      executor_));
-  batchers_.back()->Start();
+  batchers_.push_back(MakeBatcher());
   batcher_count_.store(batchers_.size(), std::memory_order_release);
   return Status::OK();
 }
@@ -794,15 +849,23 @@ Status Datacenter::AddQueue() {
     return Status::ResourceExhausted("queue capacity reached");
   }
   uint32_t id = static_cast<uint32_t>(queues_.size());
-  queues_.push_back(std::make_unique<GeoQueue>(
-      id, &journal_, [this](uint32_t m, GeoRecord r) {
-        r.trace.AddHop("queue", config_.dc_id);
-        RouteToMaintainer(m, std::move(r));
-      }));
+  queues_.push_back(MakeQueue(id));
   // Publishing the count both inserts the queue into the token circulation
   // and lets filters start routing records to it.
   queue_count_.store(queues_.size(), std::memory_order_release);
   return Status::OK();
+}
+
+std::unique_ptr<Batcher> Datacenter::MakeBatcher() {
+  return std::make_unique<Batcher>(
+      &filter_map_, [this](uint32_t filter_id, std::vector<GeoRecord> batch) {
+        DeliverToFilter(filter_id, std::move(batch));
+      });
+}
+
+std::unique_ptr<GeoQueue> Datacenter::MakeQueue(uint32_t id) {
+  return std::make_unique<GeoQueue>(
+      id, [this](std::vector<GeoRecord> run) { AcceptRun(std::move(run)); });
 }
 
 size_t Datacenter::num_batchers() const {

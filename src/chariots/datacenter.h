@@ -20,12 +20,15 @@
 #include "chariots/replication.h"
 #include "common/executor.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/queue.h"
 #include "common/trace.h"
 #include "common/watchdog.h"
 #include "flstore/indexer.h"
 #include "flstore/maintainer.h"
+
+namespace chariots {
+class CountDownLatch;
+}
 
 namespace chariots::geo {
 
@@ -35,15 +38,20 @@ namespace chariots::geo {
 /// garbage collection.
 ///
 /// Execution model (DESIGN.md §10): every stage runs as tasks on the shared
-/// executor instead of owning threads. Batcher flush timers are periodic
-/// timer tasks; each filter drains its bounded inbox on a serialized strand
-/// (one drain task at a time, scheduled on demand when batches arrive); the
-/// token circulates as a self-rescheduling task (immediately while work is
-/// flowing, on a 100µs timer when idle) so LId assignment still serializes
-/// through the token exactly as in the paper; appends to the log maintainers
-/// happen inside the token task (in-process FLStore); senders and GC are
-/// periodic timer tasks. Thread count is therefore a function of cores, not
-/// of topology width.
+/// executor instead of owning threads, and each runs when work arrives, not
+/// when a timer fires. Batchers hand records straight to their filter; each
+/// filter drains its bounded inbox on a serialized strand (one drain task at
+/// a time, scheduled on demand), so batches form while a filter is busy.
+/// The token circulates as a self-rescheduling task (immediately while work
+/// is flowing, on a 100µs timer when idle), so LId assignment serializes
+/// through the token exactly as in the paper. Each token step writes the
+/// run it admitted with one group-committed AppendAtBatch per maintainer
+/// (in-process FLStore) and only then publishes it — head, awareness,
+/// index, subscribers, acknowledgments — in LId order; a failed write holds
+/// the head at its first unwritten LId and is retried before anything new
+/// is admitted. A run holding local records kicks the senders; their 1 ms
+/// tick is left with rewinds and heartbeats. GC is a periodic timer task.
+/// Thread count is therefore a function of cores, not of topology width.
 class Datacenter {
  public:
   Datacenter(ChariotsConfig config, ReplicationFabric* fabric);
@@ -85,7 +93,8 @@ class Datacenter {
   Result<GeoRecord> Read(flstore::LId lid) const;
 
   /// The local log's gap-free head: every position < HeadLid() is persisted
-  /// (the token assigns LIds consecutively and appends synchronously).
+  /// (the token assigns LIds consecutively, and the head moves only over
+  /// written records).
   flstore::LId HeadLid() const;
 
   /// Reads up to `limit` records in [from, HeadLid()).
@@ -121,7 +130,6 @@ class Datacenter {
     uint64_t appends_local = 0;
     uint64_t records_incorporated = 0;
     uint64_t batcher_records_in = 0;
-    uint64_t batches_flushed = 0;
     uint64_t filter_forwarded = 0;
     uint64_t filter_duplicates = 0;
     uint64_t filter_buffered = 0;
@@ -201,8 +209,14 @@ class Datacenter {
   void ScheduleFilterDrain(FilterStage* stage);
   void DrainFilter(FilterStage* stage);
   void TokenStep();
-  void RouteToMaintainer(uint32_t maintainer_index, GeoRecord record);
+  /// Route target of every queue: takes a token step's admitted run.
+  void AcceptRun(std::vector<GeoRecord> run);
+  /// Writes the unwritten records of unpublished_ and publishes its written
+  /// prefix. True when nothing is left unpublished.
+  bool PersistRun();
   void SubmitToBatcher(GeoRecord record);
+  std::unique_ptr<Batcher> MakeBatcher();
+  std::unique_ptr<GeoQueue> MakeQueue(uint32_t id);
   /// Records buffered in the queues stage awaiting assignment.
   size_t PipelinePending() const;
   bool Congested() const;
@@ -252,6 +266,17 @@ class Datacenter {
   std::vector<std::unique_ptr<flstore::LogMaintainer>> maintainers_;
   flstore::Indexer indexer_;
 
+  /// An admitted record and its stored form.
+  struct RunRecord {
+    GeoRecord record;
+    flstore::LogRecord log;
+    bool written = false;
+  };
+  /// Admitted records not yet published, in LId order: the current token
+  /// step's run, or after a failed write the suffix from its first unwritten
+  /// LId. Token task only.
+  std::vector<RunRecord> unpublished_;
+
   LocalRecordBuffer local_buffer_;
   std::vector<std::unique_ptr<Sender>> senders_;
   std::unique_ptr<Receiver> receiver_;
@@ -273,6 +298,9 @@ class Datacenter {
   metrics::Counter* refused_counter_ = nullptr;
   metrics::Counter* incorporated_counter_ = nullptr;
   metrics::Histogram* maintainer_append_hist_ = nullptr;
+  /// Records per filter drain: the batch the batcher stage's records form
+  /// in a filter inbox (chariots.batcher.batch_size).
+  metrics::Histogram* batch_size_hist_ = nullptr;
   std::vector<metrics::ScopedCallbackGauge> callback_gauges_;
 
   std::vector<std::function<void(const GeoRecord&)>> subscribers_;

@@ -28,9 +28,8 @@ metrics::Histogram* ProcessTokenHist() {
 
 }  // namespace
 
-GeoQueue::GeoQueue(uint32_t id, const flstore::EpochJournal* journal,
-                   RouteFn route)
-    : id_(id), journal_(journal), route_(std::move(route)) {}
+GeoQueue::GeoQueue(uint32_t id, RouteFn route)
+    : id_(id), route_(std::move(route)) {}
 
 void GeoQueue::Enqueue(GeoRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -66,7 +65,7 @@ size_t GeoQueue::ProcessToken(Token* token) {
               return a.toid < b.toid;
             });
 
-  size_t appended_now = 0;
+  std::vector<GeoRecord> run;
   bool progress = true;
   std::vector<GeoRecord> rest;
   while (progress) {
@@ -87,17 +86,17 @@ size_t GeoQueue::ProcessToken(Token* token) {
       }
       r.lid = token->next_lid++;
       token->max_toid[r.host] = r.toid;
-      uint32_t maintainer = journal_->MaintainerFor(r.lid);
-      route_(maintainer, std::move(r));
-      ++appended_now;
+      run.push_back(std::move(r));
       progress = true;
     }
     work.swap(rest);
   }
 
   token->deferred = std::move(work);
+  const size_t appended_now = run.size();
   appended_.fetch_add(appended_now, std::memory_order_relaxed);
   AppendedCounter()->Add(appended_now);
+  if (!run.empty()) route_(std::move(run));
   return appended_now;
 }
 

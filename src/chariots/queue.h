@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "chariots/record.h"
-#include "flstore/striping.h"
+#include "flstore/types.h"
 
 namespace chariots::geo {
 
@@ -25,9 +25,9 @@ struct Token {
 };
 
 /// A queue (paper §6.2): buffers filtered records; when holding the token it
-/// appends every record whose causal dependencies are satisfied — assigning
+/// admits every record whose causal dependencies are satisfied — assigning
 /// consecutive LIds, so the log below `next_lid` is gap-free by construction
-/// — and defers the rest into the token.
+/// — routes them as one run, and defers the rest into the token.
 ///
 /// Admission rule for record r (host h, toid t, deps d[]):
 ///   * t ≤ token.max_toid[h]  → duplicate, dropped;
@@ -36,11 +36,11 @@ struct Token {
 ///   * otherwise deferred.
 class GeoQueue {
  public:
-  /// Routes an admitted record (lid filled in) to maintainer
-  /// `maintainer_index`.
-  using RouteFn = std::function<void(uint32_t maintainer_index, GeoRecord)>;
+  /// Receives the run a token step admitted: records with their LIds filled
+  /// in, consecutive and in LId order. Called at most once per step.
+  using RouteFn = std::function<void(std::vector<GeoRecord> run)>;
 
-  GeoQueue(uint32_t id, const flstore::EpochJournal* journal, RouteFn route);
+  GeoQueue(uint32_t id, RouteFn route);
 
   GeoQueue(const GeoQueue&) = delete;
   GeoQueue& operator=(const GeoQueue&) = delete;
@@ -48,8 +48,9 @@ class GeoQueue {
   /// Stashes a record until this queue next holds the token. Thread-safe.
   void Enqueue(GeoRecord record);
 
-  /// Runs the token protocol over everything pending + previously deferred.
-  /// Returns the number of records appended this turn.
+  /// Runs the token protocol over everything pending + previously deferred,
+  /// then routes the admitted run (if any) once. Returns the number of
+  /// records admitted this turn.
   size_t ProcessToken(Token* token);
 
   uint32_t id() const { return id_; }
@@ -61,7 +62,6 @@ class GeoQueue {
   bool Admissible(const Token& token, const GeoRecord& r) const;
 
   const uint32_t id_;
-  const flstore::EpochJournal* const journal_;
   RouteFn route_;
 
   mutable std::mutex mu_;

@@ -167,7 +167,23 @@ void Sender::Start() {
 void Sender::Stop() {
   bool expected = false;
   if (!stop_.compare_exchange_strong(expected, true)) return;
+  kick_gate_.Close();
   tick_token_.Cancel();
+}
+
+void Sender::Kick() {
+  if (stop_.load(std::memory_order_relaxed)) return;
+  if (kick_pending_.exchange(true, std::memory_order_acq_rel)) return;
+  // The gate's lock also serializes kicked drains with each other.
+  if (!executor_->Submit(kick_gate_.Wrap([this] {
+        // Cleared before draining: a record buffered mid-drain kicks a
+        // fresh task rather than being left for the periodic tick.
+        kick_pending_.store(false, std::memory_order_release);
+        while (Tick() > 0) {
+        }
+      }))) {
+    kick_pending_.store(false, std::memory_order_release);
+  }
 }
 
 size_t Sender::Tick() {
@@ -207,6 +223,12 @@ size_t Sender::Tick() {
       size_t n = buffer_->Read(batch.first_toid, options_.batch_records,
                                &batch.records);
       if (n > 0) {
+        // Counted before the hand-off: the destination may incorporate the
+        // batch before Send returns, and no observer may then find
+        // records_sent behind what the peer already holds. A failed send
+        // takes its count back.
+        records_sent_.fetch_add(n, std::memory_order_relaxed);
+        batches_sent_.fetch_add(1, std::memory_order_relaxed);
         Status s = fabric_->Send(self_, dest.dc,
                                  EncodeReplicationBatch(batch));
         if (s.ok()) {
@@ -214,10 +236,11 @@ size_t Sender::Tick() {
           dest.last_send_nanos = now;
           dest.last_heartbeat_nanos = now;
           shipped += n;
-          records_sent_.fetch_add(n, std::memory_order_relaxed);
-          batches_sent_.fetch_add(1, std::memory_order_relaxed);
           RecordsSentCounter()->Add(n);
           BatchesSentCounter()->Add();
+        } else {
+          records_sent_.fetch_sub(n, std::memory_order_relaxed);
+          batches_sent_.fetch_sub(1, std::memory_order_relaxed);
         }
         continue;
       }

@@ -76,7 +76,9 @@ class Sender {
  public:
   struct Options {
     size_t batch_records = 256;
-    int64_t tick_nanos = 1'000'000;         ///< send-loop cadence (1 ms)
+    /// Cadence of the periodic pass (1 ms): rewinds and heartbeats. New
+    /// records do not wait for it; Kick() ships them.
+    int64_t tick_nanos = 1'000'000;
     int64_t resend_nanos = 50'000'000;      ///< rewind if unacked (50 ms)
     /// Each consecutive rewind without ack progress doubles the rewind
     /// interval up to this cap; progress resets it to resend_nanos. Keeps a
@@ -96,7 +98,14 @@ class Sender {
   ~Sender();
 
   void Start();
+  /// Stops the tick and fences Kick: after Stop() returns no drain runs.
   void Stop();
+
+  /// Wakes the sender for newly buffered local records: schedules one drain
+  /// (Tick until it ships nothing) unless one is already pending. The
+  /// periodic tick then only has rewinds and heartbeats left to do. No-op
+  /// before Start() and after Stop(). Thread-safe.
+  void Kick();
 
   /// One pass over all destinations; returns records shipped. Exposed for
   /// deterministic tests (the periodic executor task just calls this until
@@ -130,6 +139,10 @@ class Sender {
   std::vector<DestState> dests_;
   std::atomic<bool> stop_{true};
   Executor::TimerToken tick_token_;
+  /// Fences kicked drains against Stop(); kick_pending_ collapses kicks
+  /// that arrive before the drain starts into one task.
+  SerialGate kick_gate_;
+  std::atomic<bool> kick_pending_{false};
   std::atomic<uint64_t> records_sent_{0};
   std::atomic<uint64_t> batches_sent_{0};
   std::atomic<uint64_t> rewinds_{0};

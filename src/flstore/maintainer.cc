@@ -320,31 +320,51 @@ std::vector<std::pair<LogRecord, LId>> LogMaintainer::DrainDeferredLocked() {
 }
 
 Status LogMaintainer::AppendAt(LId lid, const LogRecord& record) {
-  std::vector<std::pair<LogRecord, LId>> landed;
-  Status status = [&]() -> Status {
+  return AppendAtBatch({&lid, 1}, {&record, 1});
+}
+
+Status LogMaintainer::AppendAtBatch(std::span<const LId> lids,
+                                    std::span<const LogRecord> records) {
+  if (lids.size() != records.size()) {
+    return Status::InvalidArgument("one lid per record");
+  }
+  if (lids.empty()) return Status::OK();
+  const size_t n = lids.size();
+  // Encode before taking the lock: readers share mu_, and a batch encoded
+  // under it stalls them. The reserve is load-bearing: AppendEntry views
+  // alias the encoded strings.
+  std::vector<std::string> encoded;
+  encoded.reserve(n);
+  std::vector<storage::AppendEntry> entries;
+  entries.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    encoded.push_back(EncodeLogRecord(records[i]));
+    entries.push_back(storage::AppendEntry{lids[i], encoded.back()});
+  }
+  {
     std::lock_guard<std::shared_mutex> lock(mu_);
-    if (journal_.MaintainerFor(lid) != options_.index) {
-      return Status::OutOfRange("lid not owned by this maintainer");
+    for (LId lid : lids) {
+      if (journal_.MaintainerFor(lid) != options_.index) {
+        return Status::OutOfRange("lid not owned by this maintainer");
+      }
     }
-    std::string encoded = EncodeLogRecord(record);
-    storage::AppendEntry entry{lid, encoded};
     std::vector<storage::RecordLocation> locations;
-    CHARIOTS_RETURN_IF_ERROR(store_.AppendBatch({&entry, 1}, &locations));
-    IndexPutLocked(lid, locations[0]);
-    tail_cache_.Put(lid, std::move(encoded));
-    SlotRef ref = journal_.SlotFor(lid);
-    MarkFilledLocked(ref);
-    assign_next_[ref.epoch_index] =
-        std::max(assign_next_[ref.epoch_index], ref.slot + 1);
+    CHARIOTS_RETURN_IF_ERROR(store_.AppendBatch(entries, &locations));
+    for (size_t i = 0; i < n; ++i) {
+      IndexPutLocked(lids[i], locations[i]);
+      tail_cache_.Put(lids[i], std::move(encoded[i]));
+      SlotRef ref = journal_.SlotFor(lids[i]);
+      MarkFilledLocked(ref);
+      assign_next_[ref.epoch_index] =
+          std::max(assign_next_[ref.epoch_index], ref.slot + 1);
+    }
     gossip_[options_.index] = FirstUnfilledGlobalLocked();
     RefreshHlLocked();
-    landed.emplace_back(record, lid);
-    return Status::OK();
-  }();
-  if (status.ok() && observer_) {
-    for (auto& [rec, l] : landed) observer_(rec, l);
   }
-  return status;
+  if (observer_) {
+    for (size_t i = 0; i < n; ++i) observer_(records[i], lids[i]);
+  }
+  return Status::OK();
 }
 
 Result<std::vector<LId>> LogMaintainer::FillHoles(const LogRecord& junk) {

@@ -43,8 +43,9 @@ struct MaintainerOptions {
 ///  * Append() — *post-assignment*: the maintainer assigns the record the
 ///    next free position it owns. This is the scalable single-datacenter
 ///    FLStore path; no cross-maintainer coordination.
-///  * AppendAt() — pre-assigned LId, used by the Chariots queues stage
-///    (§6.2), which performs the causal assignment centrally per token.
+///  * AppendAtBatch() — pre-assigned LIds, used by the Chariots queues
+///    stage (§6.2), which performs the causal assignment centrally per
+///    token and writes each token step's run as one batch.
 ///
 /// Thread-safe. Transport-agnostic: MaintainerServer (service.h) exposes it
 /// over RPC and runs the gossip timer.
@@ -86,8 +87,18 @@ class LogMaintainer {
   Result<LId> AppendOrdered(const LogRecord& record, LId min_lid);
 
   /// Pre-assigned append. Fails with OutOfRange if `lid` is not owned by
-  /// this maintainer, AlreadyExists if occupied.
+  /// this maintainer, AlreadyExists if occupied. A batch of one over
+  /// AppendAtBatch.
   Status AppendAt(LId lid, const LogRecord& record);
+
+  /// Batched pre-assigned append: `records[i]` lands at `lids[i]`. Encodes
+  /// outside the lock, then persists the whole batch with one group-commit
+  /// store write and updates fill state and gossip once. All-or-nothing:
+  /// OutOfRange if any lid is not owned by this maintainer, AlreadyExists if
+  /// any is occupied or repeated, or the store's error — and in every such
+  /// case nothing is persisted.
+  Status AppendAtBatch(std::span<const LId> lids,
+                       std::span<const LogRecord> records);
 
   /// Fills every owned-but-unfilled position below this maintainer's
   /// assignment cursor with a copy of `junk` (paper §5.3's invalid records).

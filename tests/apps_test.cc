@@ -32,7 +32,6 @@ class AppsCluster {
       geo::ChariotsConfig config;
       config.dc_id = d;
       config.num_datacenters = n;
-      config.batcher_flush_nanos = 200'000;
       config.sender_resend_nanos = 20'000'000;
       dcs_.push_back(std::make_unique<geo::Datacenter>(config, fabric_.get()));
       EXPECT_TRUE(dcs_.back()->Start().ok());
@@ -306,7 +305,6 @@ TEST(StreamTest, PushProcessorDeliversAsRecordsLand) {
   geo::TransportFabric fabric(&transport);
   geo::ChariotsConfig config;
   config.num_datacenters = 1;
-  config.batcher_flush_nanos = 200'000;
   geo::Datacenter dc(config, &fabric);
   std::mutex mu;
   std::vector<std::string> pushed;

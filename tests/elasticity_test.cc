@@ -22,7 +22,6 @@ ChariotsConfig BaseConfig() {
   ChariotsConfig config;
   config.dc_id = 0;
   config.num_datacenters = 1;
-  config.batcher_flush_nanos = 200'000;
   return config;
 }
 

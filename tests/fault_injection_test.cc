@@ -1,19 +1,24 @@
 // Deterministic fault-injection tests: the retry/backoff/deadline
 // primitives, the scripted FaultSchedule on InProcTransport, exactly-once
 // FLStore appends under dropped/duplicated messages and maintainer
-// crash-restart, HL gossip convergence across a partition, and the
-// geo-replication pipeline's shed-and-retransmit behaviour.
+// crash-restart, HL gossip convergence across a partition, the
+// geo-replication pipeline's shed-and-retransmit behaviour, and the token's
+// retry of a failed maintainer write.
 //
 // Every probabilistic scenario is seeded (transport.Seed / channel seed) so
 // a failure replays exactly from the seed printed in the test name/output.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <iostream>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +34,7 @@
 #include "net/inproc_transport.h"
 #include "net/retrying_channel.h"
 #include "net/rpc.h"
+#include "storage/io_engine.h"
 
 namespace chariots {
 namespace {
@@ -493,7 +499,6 @@ class GeoFaultCluster {
       geo::ChariotsConfig config = base;
       config.dc_id = d;
       config.num_datacenters = n;
-      config.batcher_flush_nanos = 200'000;     // 0.2 ms
       config.sender_resend_nanos = 10'000'000;  // 10 ms
       config.sender_resend_max_nanos = 40'000'000;
       dcs_.push_back(
@@ -592,6 +597,115 @@ TEST(GeoFaultTest, CongestedPipelineRefusesAppendsWithoutConsumingToids) {
             static_cast<geo::TOId>(accepted));
   // Destruction must not deadlock on the deferred records (TokenLoop
   // abandons them at shutdown) — the test completing is the assertion.
+}
+
+// Fails the first `failures` vectored writes after Arm(), then recovers;
+// every other call goes to the engine $CHARIOTS_IO_ENGINE names. `on_fail`
+// runs inside each failed write, on the writer's thread.
+class FailingIoEngine : public storage::IoEngine {
+ public:
+  const char* name() const override { return "failing"; }
+
+  void Arm(int failures, std::function<void()> on_fail) {
+    on_fail_ = std::move(on_fail);
+    failures_.store(failures);
+  }
+
+  Status Appendv(int fd, std::span<const std::string_view> parts,
+                 bool sync) override {
+    if (failures_.load() > 0) {
+      failures_.fetch_sub(1);
+      on_fail_();
+      return Status::IOError("injected: write failed");
+    }
+    return inner_->Appendv(fd, parts, sync);
+  }
+
+  Status Fsync(int fd) override { return inner_->Fsync(fd); }
+
+  int failures_left() const { return failures_.load(); }
+
+ private:
+  storage::IoEngine* const inner_ = storage::IoEngineFromEnv();
+  std::atomic<int> failures_{0};
+  std::function<void()> on_fail_;
+};
+
+TEST(GeoFaultTest, FailedMaintainerWriteHoldsHeadAndRetriesInOrder) {
+  // A maintainer write that fails must not leave a hole under the head:
+  // the head stops at the first unwritten LId, nothing past it is acked,
+  // and the token retries the run's unwritten suffix — in LId order, before
+  // admitting anything new — until the disk recovers.
+  const fs::path dir =
+      fs::temp_directory_path() / "chariots_geo_failed_write";
+  fs::remove_all(dir);
+  FailingIoEngine engine;
+  geo::ChariotsConfig config;
+  config.num_maintainers = 2;
+  config.stripe_batch = 2;  // runs cross maintainers: partial writes happen
+  config.store_mode = storage::SyncMode::kFsyncEach;
+  config.store_dir = dir.string();
+  config.io_engine = &engine;
+  geo::DirectFabric fabric;
+  constexpr int kBefore = 5;
+  constexpr int kDuring = 20;
+  constexpr int kFailures = 6;
+
+  std::mutex mu;
+  std::vector<std::pair<geo::TOId, flstore::LId>> acks;
+  auto on_ack = [&](geo::TOId toid, flstore::LId lid) {
+    std::lock_guard<std::mutex> lock(mu);
+    acks.emplace_back(toid, lid);
+  };
+  auto acked = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return acks.size();
+  };
+  auto wait_acked = [&](size_t n) {
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (acked() < n && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    return acked() == n;
+  };
+  {
+    geo::Datacenter dc(config, &fabric);
+    ASSERT_TRUE(dc.Start().ok());
+    for (int i = 0; i < kBefore; ++i) dc.Append("before", {}, {}, on_ack);
+    ASSERT_TRUE(wait_acked(kBefore));
+    ASSERT_EQ(dc.HeadLid(), flstore::LId{kBefore});
+
+    // Snapshots taken inside each failed write, on the token task.
+    std::vector<std::pair<flstore::LId, size_t>> at_failure;
+    engine.Arm(kFailures, [&] { at_failure.emplace_back(dc.HeadLid(), acked()); });
+    for (int i = 0; i < kDuring; ++i) dc.Append("during", {}, {}, on_ack);
+    ASSERT_TRUE(wait_acked(kBefore + kDuring));
+    EXPECT_EQ(engine.failures_left(), 0);
+    ASSERT_EQ(at_failure.size(), size_t{kFailures});
+    for (const auto& [head, acks_then] : at_failure) {
+      EXPECT_EQ(head, flstore::LId{kBefore});  // the first unwritten LId
+      EXPECT_EQ(acks_then, size_t{kBefore});   // no ack arrived early
+    }
+    EXPECT_EQ(dc.HeadLid(), flstore::LId{kBefore + kDuring});
+    for (flstore::LId lid = 0; lid < dc.HeadLid(); ++lid) {
+      auto record = dc.Read(lid);
+      ASSERT_TRUE(record.ok()) << "lid " << lid;
+      EXPECT_EQ(record->toid, lid + 1);
+    }
+  }
+  // Every record acked exactly once, in TOId order, at consecutive LIds.
+  ASSERT_EQ(acks.size(), size_t{kBefore + kDuring});
+  for (size_t i = 0; i < acks.size(); ++i) {
+    EXPECT_EQ(acks[i].first, i + 1);
+    EXPECT_EQ(acks[i].second, i);
+  }
+  // The retried writes survive a restart with no hole.
+  {
+    geo::Datacenter dc(config, &fabric);
+    ASSERT_TRUE(dc.Start().ok());
+    EXPECT_EQ(dc.HeadLid(), flstore::LId{kBefore + kDuring});
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -214,6 +214,58 @@ TEST(MaintainerTest, AppendAtRejectsUnownedAndDuplicate) {
   EXPECT_EQ(m.AppendAt(0, Rec("y")).code(), StatusCode::kAlreadyExists);
 }
 
+TEST(MaintainerTest, AppendAtBatchIsAllOrNothing) {
+  LogMaintainer m(MemOptions(0, 2, 3));  // owns 0,1,2, 6,7,8, ...
+  ASSERT_TRUE(m.Open().ok());
+  std::vector<LogRecord> records = {Rec("a"), Rec("b"), Rec("x")};
+  // One LId of another maintainer rejects the whole batch.
+  std::vector<LId> lids = {0, 1, 3};
+  EXPECT_TRUE(m.AppendAtBatch(lids, records).IsOutOfRange());
+  // So does one occupied position, or one repeated within the batch.
+  ASSERT_TRUE(m.AppendAt(2, Rec("c")).ok());
+  lids = {0, 1, 2};
+  EXPECT_EQ(m.AppendAtBatch(lids, records).code(),
+            StatusCode::kAlreadyExists);
+  lids = {0, 1, 1};
+  EXPECT_EQ(m.AppendAtBatch(lids, records).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(m.count(), 1u);
+  EXPECT_TRUE(m.Read(0).status().IsNotFound());
+  EXPECT_TRUE(m.Read(1).status().IsNotFound());
+  EXPECT_EQ(m.FirstUnfilledGlobal(), 0u);
+  EXPECT_EQ(m.AppendAtBatch(std::vector<LId>{0}, std::vector<LogRecord>{})
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(MaintainerTest, AppendAtBatchAdvancesFillAndHeadOncePerBatch) {
+  LogMaintainer m(MemOptions(0, 1, 10));
+  ASSERT_TRUE(m.Open().ok());
+  // Out of LId order inside the batch: fill state and HL still land at the
+  // end of the batch, and they have already moved there when the first
+  // observer call runs — they advance once per batch, not per record.
+  std::vector<LId> lids = {2, 0, 1, 3};
+  std::vector<LogRecord> records = {Rec("c"), Rec("a"), Rec("b"), Rec("d")};
+  std::vector<std::pair<LId, LId>> seen;  // (lid, HL when observed)
+  m.SetAppendObserver([&](const LogRecord&, LId lid) {
+    seen.emplace_back(lid, m.HeadOfLog());
+  });
+  ASSERT_TRUE(m.AppendAtBatch(lids, records).ok());
+  EXPECT_EQ(seen, (std::vector<std::pair<LId, LId>>{
+                      {2, 4}, {0, 4}, {1, 4}, {3, 4}}));
+  EXPECT_EQ(m.FirstUnfilledGlobal(), 4u);
+  EXPECT_EQ(m.HeadOfLog(), 4u);
+  for (size_t i = 0; i < lids.size(); ++i) {
+    auto read = m.Read(lids[i]);
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(read->body, records[i].body);
+  }
+  // Post-assignment continues above the batch.
+  auto next = m.Append(Rec("e"));
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, 4u);
+}
+
 TEST(MaintainerTest, AppendOrderedDefersUntilBoundPassed) {
   LogMaintainer m(MemOptions(0, 1, 10));
   ASSERT_TRUE(m.Open().ok());

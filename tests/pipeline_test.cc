@@ -18,6 +18,7 @@
 #include "chariots/queue.h"
 #include "chariots/replication.h"
 #include "common/clock.h"
+#include "common/executor.h"
 
 namespace chariots::geo {
 namespace {
@@ -103,52 +104,32 @@ TEST(FilterMapTest, NextChampionedCrossesReassignment) {
 
 // ------------------------------------------------------------------ Batcher
 
-TEST(BatcherTest, FlushesAtThreshold) {
-  FilterMap map(2, 2);
-  std::map<uint32_t, size_t> received;
-  Batcher batcher(&map, 3, 1'000'000'000, [&](uint32_t f,
-                                              std::vector<GeoRecord> b) {
-    received[f] += b.size();
-  });
-  // 6 records for DC0 (filter 0): two flushes of 3.
-  for (TOId t = 1; t <= 6; ++t) batcher.Submit(Rec(0, t));
-  EXPECT_EQ(received[0], 6u);
-  EXPECT_EQ(batcher.batches_out(), 2u);
-  // 2 records for DC1 (filter 1): below threshold, still buffered.
-  batcher.Submit(Rec(1, 1));
-  batcher.Submit(Rec(1, 2));
-  EXPECT_EQ(received[1], 0u);
-  batcher.FlushAll();
-  EXPECT_EQ(received[1], 2u);
-}
-
-TEST(BatcherTest, TimerFlushesSparseTraffic) {
-  // Virtual time: the flush timer is a periodic executor task, so advancing
-  // the ManualClock fires it deterministically — no real sleeps, no polling.
+TEST(BatcherTest, SubmitReachesFilterWithoutTimer) {
+  // No size threshold and no flush timer: one record is delivered during
+  // the Submit call itself. Under a virtual-time executor whose clock never
+  // moves, nothing else could deliver it.
   ManualClock clock;
   Executor exec({.num_threads = 2, .name = "bt-virt", .manual_clock = &clock});
   FilterMap map(1, 1);
-  std::atomic<size_t> received{0};
-  Batcher batcher(
-      &map, 1000, 2'000'000 /* 2 ms */,
-      [&](uint32_t, std::vector<GeoRecord> b) { received += b.size(); },
-      &exec);
-  batcher.Start();
+  std::vector<TOId> received;
+  Batcher batcher(&map, [&](uint32_t f, std::vector<GeoRecord> b) {
+    EXPECT_EQ(f, 0u);
+    for (auto& r : b) received.push_back(r.toid);
+  });
   batcher.Submit(Rec(0, 1));
-  exec.AdvanceBy(1'000'000);  // 1 ms: below the interval, nothing flushes
-  EXPECT_EQ(received.load(), 0u);
-  exec.AdvanceBy(1'500'000);  // past the 2 ms interval: timer fires inline
-  EXPECT_EQ(received.load(), 1u);
-  batcher.Stop();
+  EXPECT_EQ(received, (std::vector<TOId>{1}));
+  EXPECT_EQ(batcher.records_in(), 1u);
+  exec.WaitIdle();
+  EXPECT_EQ(exec.tasks_run(), 0u);
+  EXPECT_EQ(clock.NowNanos(), 0);
 }
 
 TEST(BatcherTest, RoutesByChampion) {
   FilterMap map(2, 2);
   std::map<uint32_t, std::vector<TOId>> by_filter;
-  Batcher batcher(&map, 1, 1'000'000'000,
-                  [&](uint32_t f, std::vector<GeoRecord> b) {
-                    for (auto& r : b) by_filter[f].push_back(r.toid);
-                  });
+  Batcher batcher(&map, [&](uint32_t f, std::vector<GeoRecord> b) {
+    for (auto& r : b) by_filter[f].push_back(r.toid);
+  });
   batcher.Submit(Rec(0, 1));
   batcher.Submit(Rec(1, 1));
   batcher.Submit(Rec(0, 2));
@@ -156,27 +137,20 @@ TEST(BatcherTest, RoutesByChampion) {
   EXPECT_EQ(by_filter[1].size(), 1u);
 }
 
-TEST(BatcherTest, ConcurrentSubmitAndFlushAllDeliverExactlyOnce) {
-  // Regression for Submit flushing at most one filter per call: under a
-  // FlushAll race several buffers can sit at/over threshold; Submit now
-  // loops flushing every over-threshold buffer. Whatever the interleaving,
-  // each record must be delivered exactly once.
+TEST(BatcherTest, ConcurrentSubmitDeliversExactlyOnce) {
+  // Whatever the interleaving of concurrent producers, each record must be
+  // delivered exactly once.
   FilterMap map(4, 4);
   std::mutex mu;
   std::map<std::pair<uint32_t, TOId>, int> seen;
   std::atomic<uint64_t> delivered{0};
-  Batcher batcher(&map, 8, 1'000'000'000,
-                  [&](uint32_t, std::vector<GeoRecord> b) {
-                    std::lock_guard<std::mutex> lock(mu);
-                    for (auto& r : b) ++seen[{r.host, r.toid}];
-                    delivered += b.size();
-                  });
+  Batcher batcher(&map, [&](uint32_t, std::vector<GeoRecord> b) {
+    std::lock_guard<std::mutex> lock(mu);
+    for (auto& r : b) ++seen[{r.host, r.toid}];
+    delivered += b.size();
+  });
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 3000;
-  std::atomic<bool> stop{false};
-  std::thread flusher([&] {
-    while (!stop.load(std::memory_order_relaxed)) batcher.FlushAll();
-  });
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
@@ -186,9 +160,6 @@ TEST(BatcherTest, ConcurrentSubmitAndFlushAllDeliverExactlyOnce) {
     });
   }
   for (auto& t : producers) t.join();
-  stop.store(true);
-  flusher.join();
-  batcher.FlushAll();
   EXPECT_EQ(batcher.records_in(), uint64_t{kProducers} * kPerProducer);
   EXPECT_EQ(delivered.load(), uint64_t{kProducers} * kPerProducer);
   EXPECT_EQ(seen.size(), size_t{kProducers} * kPerProducer);
@@ -261,18 +232,23 @@ TEST(FilterTest, MisroutedRecordPassesThrough) {
 
 class QueueTest : public ::testing::Test {
  protected:
-  QueueTest() : journal_(2, 3), token_(2) {}
+  QueueTest() : token_(2) {}
 
   std::unique_ptr<GeoQueue> MakeQueue(uint32_t id = 0) {
-    return std::make_unique<GeoQueue>(
-        id, &journal_, [this](uint32_t m, GeoRecord r) {
-          routed_.emplace_back(m, std::move(r));
-        });
+    return std::make_unique<GeoQueue>(id, [this](std::vector<GeoRecord> run) {
+      // Each step routes one run: consecutive LIds, continuing the log.
+      EXPECT_FALSE(run.empty());
+      for (const GeoRecord& r : run) {
+        EXPECT_EQ(r.lid, routed_.size());
+        routed_.push_back(r);
+      }
+      ++runs_;
+    });
   }
 
-  flstore::EpochJournal journal_;
   Token token_;
-  std::vector<std::pair<uint32_t, GeoRecord>> routed_;
+  std::vector<GeoRecord> routed_;
+  int runs_ = 0;
 };
 
 TEST_F(QueueTest, AssignsConsecutiveLIdsInToidOrder) {
@@ -283,12 +259,9 @@ TEST_F(QueueTest, AssignsConsecutiveLIdsInToidOrder) {
   EXPECT_EQ(q->ProcessToken(&token_), 3u);
   EXPECT_EQ(token_.next_lid, 3u);
   ASSERT_EQ(routed_.size(), 3u);
-  std::set<flstore::LId> lids;
-  for (auto& [m, r] : routed_) {
-    lids.insert(r.lid);
-    EXPECT_EQ(m, journal_.MaintainerFor(r.lid));
-  }
-  EXPECT_EQ(lids, (std::set<flstore::LId>{0, 1, 2}));
+  EXPECT_EQ(runs_, 1);  // the whole admission is one run
+  EXPECT_EQ(routed_[0].toid, 1u);  // host 0 in TOId order
+  EXPECT_EQ(routed_[1].toid, 2u);
   EXPECT_EQ(token_.max_toid[0], 2u);
   EXPECT_EQ(token_.max_toid[1], 1u);
 }
@@ -301,8 +274,9 @@ TEST_F(QueueTest, HostOrderGapDefersRecord) {
   q->Enqueue(Rec(0, 1));
   EXPECT_EQ(q->ProcessToken(&token_), 2u);  // both land, in order
   EXPECT_TRUE(token_.deferred.empty());
-  EXPECT_EQ(routed_[0].second.toid, 1u);
-  EXPECT_EQ(routed_[1].second.toid, 2u);
+  EXPECT_EQ(runs_, 1);  // an empty admission routes nothing
+  EXPECT_EQ(routed_[0].toid, 1u);
+  EXPECT_EQ(routed_[1].toid, 2u);
 }
 
 TEST_F(QueueTest, CausalDependencyDefersUntilSatisfied) {
@@ -315,7 +289,7 @@ TEST_F(QueueTest, CausalDependencyDefersUntilSatisfied) {
   EXPECT_EQ(q->ProcessToken(&token_), 3u);
   // The dependent record must come after its dependency in LId order.
   flstore::LId dep_lid = 0, dependent_lid = 0;
-  for (auto& [m, r] : routed_) {
+  for (const GeoRecord& r : routed_) {
     if (r.host == 0 && r.toid == 2) dep_lid = r.lid;
     if (r.host == 1) dependent_lid = r.lid;
   }
@@ -354,7 +328,7 @@ TEST_F(QueueTest, TransitiveCausalChainSameToken) {
   EXPECT_EQ(q->ProcessToken(&token_), 3u);
   // LId order must embed the causal chain.
   std::map<std::pair<DatacenterId, TOId>, flstore::LId> lid_of;
-  for (auto& [m, r] : routed_) lid_of[{r.host, r.toid}] = r.lid;
+  for (const GeoRecord& r : routed_) lid_of[{r.host, r.toid}] = r.lid;
   flstore::LId lid_0_1 = lid_of[{0, 1}];
   flstore::LId lid_1_1 = lid_of[{1, 1}];
   flstore::LId lid_0_2 = lid_of[{0, 2}];
@@ -482,6 +456,32 @@ TEST_F(SenderReceiverTest, BatchSizeLimitsPerTick) {
   EXPECT_EQ(sender_->Tick(), 3u);
   EXPECT_EQ(sender_->Tick(), 1u);
   EXPECT_EQ(received_.size(), 10u);
+}
+
+TEST_F(SenderReceiverTest, KickShipsWithoutWaitingForTheTick) {
+  // Virtual time that never moves: only a kick can ship anything.
+  ManualClock clock;
+  Executor exec({.num_threads = 2, .name = "kick-virt", .manual_clock = &clock});
+  Sender::Options options;
+  options.executor = &exec;
+  Wire(options);
+  PutLocal(1);
+  sender_->Kick();  // not started: no-op
+  exec.WaitIdle();
+  EXPECT_TRUE(received_.empty());
+  sender_->Start();
+  PutLocal(2);
+  sender_->Kick();
+  sender_->Kick();  // collapses into the pending drain or runs an idle one
+  exec.WaitIdle();
+  ASSERT_EQ(received_.size(), 2u);
+  EXPECT_EQ(received_[1].toid, 2u);
+  EXPECT_EQ(clock.NowNanos(), 0);
+  sender_->Stop();
+  PutLocal(3);
+  sender_->Kick();  // stopped: fenced
+  exec.WaitIdle();
+  EXPECT_EQ(received_.size(), 2u);
 }
 
 TEST_F(SenderReceiverTest, ReceiverIgnoresGarbage) {

@@ -416,7 +416,6 @@ TEST(HyksosReadPathTest, ReplayBuildsVersionIndexIdempotently) {
   geo::ChariotsConfig config;
   config.dc_id = 0;
   config.num_datacenters = 1;
-  config.batcher_flush_nanos = 200'000;
   geo::Datacenter dc(config, &fabric);
   ASSERT_TRUE(dc.Start().ok());
 

@@ -5,12 +5,14 @@
 
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "chariots/client.h"
 #include "chariots/datacenter.h"
 #include "chariots/fabric.h"
+#include "common/metrics.h"
 #include "flstore/dedup.h"
 #include "net/inproc_transport.h"
 #include "storage/fault_injection.h"
@@ -424,7 +426,6 @@ class DatacenterRecoveryTest : public ::testing::Test {
     config.stripe_batch = 3;
     config.store_mode = storage::SyncMode::kBuffered;
     config.store_dir = (dir_ / ("dc" + std::to_string(dc_id))).string();
-    config.batcher_flush_nanos = 200'000;
     return config;
   }
 
@@ -470,6 +471,53 @@ TEST_F(DatacenterRecoveryTest, SingleDcRestartKeepsLogAndClocks) {
   EXPECT_EQ(r->first, last_toid + 1);
   EXPECT_EQ(r->second, 10u);  // next lid too
   dc.Stop();
+}
+
+TEST_F(DatacenterRecoveryTest, DurableAppendsGroupCommitPerTokenStep) {
+  // kFsyncEach syncs before every ack; group commit keeps that promise with
+  // one write per maintainer per token step, not one per record.
+  constexpr int kAppends = 1000;
+  DirectFabric fabric;
+  ChariotsConfig config = Config(0, 1);
+  config.store_mode = storage::SyncMode::kFsyncEach;
+  config.stripe_batch = 100;
+  metrics::Histogram* fsyncs = metrics::Registry::Default().GetHistogram(
+      "storage.log_store.fsync_ns");
+  std::mutex mu;
+  std::vector<std::pair<TOId, flstore::LId>> acks;
+  {
+    Datacenter dc(config, &fabric);
+    ASSERT_TRUE(dc.Start().ok());
+    const uint64_t before = fsyncs->count();
+    for (int i = 0; i < kAppends; ++i) {
+      dc.Append("r" + std::to_string(i + 1), {}, {},
+                [&](TOId toid, flstore::LId lid) {
+                  std::lock_guard<std::mutex> lock(mu);
+                  acks.emplace_back(toid, lid);
+                });
+    }
+    const auto deadline = std::chrono::steady_clock::now() + 30s;
+    size_t acked = 0;
+    while (acked < kAppends && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+      std::lock_guard<std::mutex> lock(mu);
+      acked = acks.size();
+    }
+    ASSERT_EQ(acked, size_t{kAppends});
+    const uint64_t synced = fsyncs->count() - before;
+    EXPECT_GE(synced, 1u);
+    EXPECT_LE(static_cast<double>(synced) / kAppends, 0.25)
+        << synced << " fsyncs for " << kAppends << " records";
+  }
+  Datacenter dc(config, &fabric);
+  ASSERT_TRUE(dc.Start().ok());
+  EXPECT_EQ(dc.HeadLid(), flstore::LId{kAppends});
+  for (const auto& [toid, lid] : acks) {
+    auto record = dc.Read(lid);
+    ASSERT_TRUE(record.ok()) << "acked lid " << lid << " lost";
+    EXPECT_EQ(record->toid, toid);
+    EXPECT_EQ(record->body, "r" + std::to_string(toid));
+  }
 }
 
 TEST_F(DatacenterRecoveryTest, RestartedReplicaRejoinsGroup) {
