@@ -13,7 +13,7 @@
 
 #include "bench_report.h"
 #include "flstore/maintainer.h"
-#include "sim/flstore_load.h"
+#include "maintainer_load.h"
 
 namespace {
 
@@ -48,8 +48,6 @@ uint64_t HlLagUnderSkew(uint64_t batch, uint64_t appends) {
 }  // namespace
 
 int main() {
-  using namespace chariots::sim;
-
   std::printf("=== Ablation: FLStore stripe batch size ===\n");
   std::printf("%-12s %-26s %-30s\n", "Batch", "Throughput (appends/s)",
               "Appended-above-HL under 2:1 skew");
@@ -58,12 +56,14 @@ int main() {
   chariots::bench::BenchReport report("ablation_batch_size");
   double best = 0;
   for (uint64_t batch : batches) {
-    FLStoreLoadOptions options;
-    options.num_maintainers = 4;
-    options.stripe_batch = batch;
-    options.maintainer_model = PrivateCloudMachine();
-    options.target_per_maintainer = 0;
-    double rate = RunFLStoreLoad(options).total_rate;
+    // Four maintainers, each appended to in closed loop.
+    chariots::bench::MaintainerLoad load =
+        chariots::bench::RunMaintainerLoad(4, batch, 0);
+    double rate = load.achieved_rps;
+    if (batch == 1000) {
+      // latency_ns is one AppendBatch at the default stripe batch.
+      for (int64_t nanos : load.batch_nanos) report.AddLatencyNanos(nanos);
+    }
     uint64_t lag = HlLagUnderSkew(batch, 30'000);
     std::printf("%-12llu %-26.0f %llu records\n",
                 static_cast<unsigned long long>(batch), rate,

@@ -8,12 +8,12 @@
 #include <memory>
 
 #include "apps/hyksos.h"
+#include "apps/workload.h"
 #include "bench_report.h"
 #include "chariots/fabric.h"
 #include "common/histogram.h"
 #include "common/random.h"
 #include "net/inproc_transport.h"
-#include "sim/workload.h"
 
 using namespace chariots;
 using namespace chariots::geo;
@@ -40,20 +40,20 @@ void RunMix(double put_fraction, const char* label,
   }
 
   // YCSB-style workload: zipfian hot keys, configurable mix.
-  sim::WorkloadOptions wo;
+  WorkloadOptions wo;
   wo.num_keys = 100;
-  wo.distribution = sim::KeyDistribution::kZipfian;
+  wo.distribution = KeyDistribution::kZipfian;
   wo.put_fraction = put_fraction;
   wo.value_bytes = 64;
-  sim::WorkloadGenerator gen(wo);
+  WorkloadGenerator gen(wo);
 
   Histogram put_lat, get_lat;
   const int kOps = chariots::bench::SmokeMode() ? 800 : 4000;
   auto bench_start = std::chrono::steady_clock::now();
   for (int i = 0; i < kOps; ++i) {
-    sim::Op op = gen.Next();
+    Op op = gen.Next();
     auto op_start = std::chrono::steady_clock::now();
-    if (op.type == sim::OpType::kPut) {
+    if (op.type == OpType::kPut) {
       (void)kv.Put(op.key, op.value);
     } else {
       (void)kv.Get(op.key);
@@ -62,7 +62,7 @@ void RunMix(double put_fraction, const char* label,
                         std::chrono::steady_clock::now() - op_start)
                         .count();
     report->AddLatencyNanos(op_nanos);
-    (op.type == sim::OpType::kPut ? put_lat : get_lat)
+    (op.type == OpType::kPut ? put_lat : get_lat)
         .Record(op_nanos / 1e3);
   }
   double secs = std::chrono::duration<double>(

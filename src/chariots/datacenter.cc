@@ -1,12 +1,11 @@
 #include "chariots/datacenter.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/codec.h"
 #include "common/flight_recorder.h"
+#include "common/latch.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "storage/file.h"
 
 namespace chariots::geo {
@@ -759,37 +758,6 @@ Datacenter::Stats Datacenter::GetStats() const {
   stats.head_lid = HeadLid();
   stats.gc_horizon = gc_horizon_.load();
   return stats;
-}
-
-std::string Datacenter::DebugString() const {
-  Stats s = GetStats();
-  std::string out;
-  char line[128];
-  std::snprintf(line, sizeof(line), "dc%u stats:\n", config_.dc_id);
-  out += line;
-  auto row = [&](const char* name, uint64_t value) {
-    std::snprintf(line, sizeof(line), "  %-22s %llu\n", name,
-                  static_cast<unsigned long long>(value));
-    out += line;
-  };
-  row("appends_local", s.appends_local);
-  row("records_incorporated", s.records_incorporated);
-  row("batcher_records_in", s.batcher_records_in);
-  row("filter_forwarded", s.filter_forwarded);
-  row("filter_duplicates", s.filter_duplicates);
-  row("filter_buffered", s.filter_buffered);
-  row("queue_duplicates", s.queue_duplicates);
-  row("records_sent", s.records_sent);
-  row("batches_sent", s.batches_sent);
-  row("sender_rewinds", s.sender_rewinds);
-  row("records_received", s.records_received);
-  row("records_deduped", s.records_deduped);
-  row("records_shed", s.records_shed);
-  row("appends_refused", s.appends_refused);
-  row("index_postings", s.index_postings);
-  row("head_lid", s.head_lid);
-  row("gc_horizon", s.gc_horizon);
-  return out;
 }
 
 void Datacenter::RegisterWatchdogProbes(Watchdog* wd) {

@@ -147,9 +147,6 @@ class Datacenter {
   };
   Stats GetStats() const;
 
-  /// Multi-line human-readable stats dump (ops/diagnostics).
-  std::string DebugString() const;
-
   /// Registers this datacenter's pipeline saturation probes on `wd`: one
   /// queue probe per filter inbox plus the pipeline-pending backlog vs the
   /// admission-control ceiling. Saturation probes are idle-safe (an empty

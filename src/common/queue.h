@@ -70,45 +70,6 @@ class BoundedQueue {
     return true;
   }
 
-  /// Moves every element of `*items` into the queue under one lock
-  /// acquisition per admitted chunk, blocking for space as needed. A batch
-  /// larger than the remaining capacity is admitted in capacity-sized chunks
-  /// so producers still see backpressure. On success `*items` is cleared.
-  /// Returns false if the queue closed before all items were admitted (items
-  /// not yet admitted are left in `*items`, already-admitted ones removed).
-  bool PushAll(std::vector<T>* items) {
-    size_t next = 0;
-    const size_t total = items->size();
-    while (next < total) {
-      size_t pushed;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        not_full_.wait(lock,
-                       [&] { return closed_ || items_.size() < capacity_; });
-        if (closed_) {
-          items->erase(items->begin(), items->begin() + next);
-          return false;
-        }
-        size_t room = capacity_ - items_.size();
-        pushed = std::min(room, total - next);
-        for (size_t i = 0; i < pushed; ++i) {
-          items_.push_back(std::move((*items)[next + i]));
-        }
-        NoteSizeLocked();
-      }
-      // One wakeup per admitted chunk; notify_all so several consumers can
-      // start draining a multi-item chunk concurrently.
-      if (pushed == 1) {
-        not_empty_.notify_one();
-      } else {
-        not_empty_.notify_all();
-      }
-      next += pushed;
-    }
-    items->clear();
-    return true;
-  }
-
   /// Blocks until an item is available or the queue is closed and drained.
   /// Returns nullopt only at end-of-stream.
   std::optional<T> Pop() {
@@ -242,14 +203,6 @@ class BoundedQueue {
   /// Highest depth ever observed after a push. Lock-free read.
   size_t high_watermark() const {
     return high_watermark_.load(std::memory_order_relaxed);
-  }
-
-  /// Fraction of capacity in use, in [0,1]. Cheap load signal for the
-  /// overload models in the simulation harness.
-  double fill_fraction() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return capacity_ == 0 ? 0.0
-                          : static_cast<double>(items_.size()) / capacity_;
   }
 
  private:

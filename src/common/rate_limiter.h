@@ -9,9 +9,8 @@
 
 namespace chariots {
 
-/// Token-bucket rate limiter. Used throughout the simulation substrate to
-/// model per-machine service rates ("a maintainer processes ~130K records/s")
-/// and per-link bandwidth ("a NIC moves ~1.25 GB/s").
+/// Token-bucket rate limiter: per-link bandwidth caps on the in-process
+/// transport, the CORFU sequencer's capacity, and paced bench clients.
 ///
 /// Thread-safe. Tokens accrue continuously at `rate_per_sec` up to
 /// `burst` tokens.
@@ -46,18 +45,6 @@ class TokenBucket {
     return false;
   }
 
-  /// Changes the steady-state rate (used by overload models and elasticity).
-  void set_rate(double rate_per_sec) {
-    std::lock_guard<std::mutex> lock(mu_);
-    Refill();
-    rate_ = rate_per_sec;
-  }
-
-  double rate() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return rate_;
-  }
-
  private:
   // Consumes n tokens (possibly going negative == a reservation) and returns
   // how long the caller must wait for the balance to be non-negative.
@@ -79,8 +66,8 @@ class TokenBucket {
     }
   }
 
-  mutable std::mutex mu_;
-  double rate_;
+  std::mutex mu_;
+  const double rate_;
   double burst_;
   Clock* clock_;
   double tokens_;

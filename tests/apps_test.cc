@@ -4,12 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <thread>
 
 #include "apps/hyksos.h"
 #include "apps/msgfutures.h"
 #include "apps/stream.h"
+#include "apps/workload.h"
 #include "chariots/fabric.h"
 #include "net/inproc_transport.h"
 
@@ -552,6 +555,64 @@ TEST(MsgFuturesTest, BankTransferInvariantUnderConcurrency) {
   }
   EXPECT_EQ(total0, 200);
   EXPECT_EQ(total1, 200);
+}
+
+// ------------------------------------------------- WorkloadGenerator
+
+TEST(WorkloadTest, MixFractionsRespected) {
+  WorkloadOptions options;
+  options.put_fraction = 0.3;
+  options.delete_fraction = 0.1;
+  options.get_txn_fraction = 0.1;
+  WorkloadGenerator gen(options);
+  std::map<OpType, int> counts;
+  constexpr int kOps = 20000;
+  for (int i = 0; i < kOps; ++i) ++counts[gen.Next().type];
+  EXPECT_NEAR(counts[OpType::kPut] / double(kOps), 0.3, 0.03);
+  EXPECT_NEAR(counts[OpType::kDelete] / double(kOps), 0.1, 0.02);
+  EXPECT_NEAR(counts[OpType::kGetTxn] / double(kOps), 0.1, 0.02);
+  EXPECT_NEAR(counts[OpType::kGet] / double(kOps), 0.5, 0.03);
+}
+
+TEST(WorkloadTest, ZipfianIsSkewedUniformIsNot) {
+  auto hottest_share = [](KeyDistribution dist) {
+    WorkloadOptions options;
+    options.num_keys = 100;
+    options.distribution = dist;
+    options.put_fraction = 1.0;
+    WorkloadGenerator gen(options);
+    std::map<std::string, int> counts;
+    for (int i = 0; i < 20000; ++i) ++counts[gen.Next().key];
+    int max = 0;
+    for (auto& [k, c] : counts) max = std::max(max, c);
+    return max / 20000.0;
+  };
+  double zipf = hottest_share(KeyDistribution::kZipfian);
+  double uniform = hottest_share(KeyDistribution::kUniform);
+  EXPECT_GT(zipf, 0.1);      // a genuinely hot key
+  EXPECT_LT(uniform, 0.03);  // ~1% each
+  EXPECT_GT(zipf, uniform * 3);
+}
+
+TEST(WorkloadTest, DeterministicForSeed) {
+  WorkloadOptions options;
+  WorkloadGenerator a(options), b(options);
+  for (int i = 0; i < 100; ++i) {
+    Op oa = a.Next();
+    Op ob = b.Next();
+    EXPECT_EQ(static_cast<int>(oa.type), static_cast<int>(ob.type));
+    EXPECT_EQ(oa.key, ob.key);
+  }
+}
+
+TEST(WorkloadTest, KeysInRange) {
+  WorkloadOptions options;
+  options.num_keys = 7;
+  options.distribution = KeyDistribution::kLatest;
+  WorkloadGenerator gen(options);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_LT(gen.NextKeyIndex(), 7u);
+  }
 }
 
 }  // namespace

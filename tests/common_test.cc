@@ -12,12 +12,12 @@
 #include "common/codec.h"
 #include "common/crc32c.h"
 #include "common/histogram.h"
+#include "common/latch.h"
 #include "common/queue.h"
 #include "common/random.h"
 #include "common/rate_limiter.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 
 namespace chariots {
 namespace {
@@ -325,14 +325,6 @@ TEST(TokenBucketTest, TryAcquireRespectsBalance) {
   EXPECT_FALSE(bucket.TryAcquire());
 }
 
-TEST(TokenBucketTest, SetRateTakesEffect) {
-  ManualClock clock;
-  TokenBucket bucket(1.0, 1.0, &clock);
-  EXPECT_EQ(bucket.rate(), 1.0);
-  bucket.set_rate(1000.0);
-  EXPECT_EQ(bucket.rate(), 1000.0);
-}
-
 // ----------------------------------------------------------- BoundedQueue
 
 TEST(BoundedQueueTest, FifoOrder) {
@@ -347,7 +339,6 @@ TEST(BoundedQueueTest, TryPushFailsWhenFull) {
   EXPECT_TRUE(q.TryPush(2));
   EXPECT_FALSE(q.TryPush(3));
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_DOUBLE_EQ(q.fill_fraction(), 1.0);
 }
 
 TEST(BoundedQueueTest, CloseDrainsThenEnds) {
@@ -382,12 +373,9 @@ TEST(BoundedQueueTest, PopForTimesOut) {
   EXPECT_FALSE(q.closed());
 }
 
-TEST(BoundedQueueTest, PushAllPopAllRoundTrip) {
+TEST(BoundedQueueTest, PopAllDrainsInOrder) {
   BoundedQueue<int> q(16);
-  std::vector<int> in = {1, 2, 3, 4, 5};
-  EXPECT_TRUE(q.PushAll(&in));
-  EXPECT_TRUE(in.empty());
-  EXPECT_EQ(q.size(), 5u);
+  for (int i = 1; i <= 5; ++i) EXPECT_TRUE(q.Push(i));
   std::vector<int> out;
   EXPECT_EQ(q.PopAll(&out), 5u);
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5}));
@@ -395,39 +383,12 @@ TEST(BoundedQueueTest, PushAllPopAllRoundTrip) {
 
 TEST(BoundedQueueTest, PopAllRespectsMaxItems) {
   BoundedQueue<int> q(16);
-  std::vector<int> in = {1, 2, 3, 4, 5};
-  EXPECT_TRUE(q.PushAll(&in));
+  for (int i = 1; i <= 5; ++i) EXPECT_TRUE(q.Push(i));
   std::vector<int> out;
   EXPECT_EQ(q.PopAll(&out, 2), 2u);
   EXPECT_EQ(out, (std::vector<int>{1, 2}));
   EXPECT_EQ(q.PopAll(&out, 10), 3u);
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5}));
-}
-
-TEST(BoundedQueueTest, PushAllLargerThanCapacityChunksWithBackpressure) {
-  BoundedQueue<int> q(4);
-  std::vector<int> in(100);
-  for (int i = 0; i < 100; ++i) in[i] = i;
-  std::vector<int> out;
-  std::thread consumer([&] {
-    std::vector<int> got;
-    while (q.PopAll(&got) > 0) {
-    }
-    out = std::move(got);
-  });
-  EXPECT_TRUE(q.PushAll(&in));  // must chunk: 100 items through capacity 4
-  q.Close();
-  consumer.join();
-  ASSERT_EQ(out.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(out[i], i);
-}
-
-TEST(BoundedQueueTest, PushAllFailsAfterClose) {
-  BoundedQueue<int> q(4);
-  q.Close();
-  std::vector<int> in = {1, 2};
-  EXPECT_FALSE(q.PushAll(&in));
-  EXPECT_EQ(in.size(), 2u);  // nothing admitted, nothing lost
 }
 
 TEST(BoundedQueueTest, PopAllReturnsZeroAtEndOfStream) {
@@ -449,11 +410,8 @@ TEST(BoundedQueueTest, BulkOpsConcurrentStress) {
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
-      std::vector<int> batch;
-      for (int i = 0; i < kPerProducer; i += 50) {
-        batch.clear();
-        for (int j = 0; j < 50; ++j) batch.push_back(p * kPerProducer + i + j);
-        ASSERT_TRUE(q.PushAll(&batch));
+      for (int i = 0; i < kPerProducer; ++i) {
+        ASSERT_TRUE(q.Push(p * kPerProducer + i));
       }
     });
   }
@@ -477,26 +435,7 @@ TEST(BoundedQueueTest, BulkOpsConcurrentStress) {
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
-// ------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(pool.Submit([&] { ++count; }));
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, DestructorDrains) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) pool.Submit([&] { ++count; });
-  }
-  EXPECT_EQ(count.load(), 50);
-}
+// --------------------------------------------------------- CountDownLatch
 
 TEST(CountDownLatchTest, ReleasesAtZero) {
   CountDownLatch latch(3);

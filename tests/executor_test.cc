@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
-#include "common/thread_pool.h"
+#include "common/latch.h"
 
 namespace chariots {
 namespace {
@@ -320,31 +320,6 @@ TEST(SerialGateTest, WrappedTaskOutlivesGateObject) {
   }
   task();  // must not crash; gate state is shared_ptr-owned
   EXPECT_EQ(runs, 0);
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool satellites
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolShutdownTest, SubmitAfterShutdownReturnsFalse) {
-  ThreadPool pool(2, "t-pool");
-  std::atomic<int> ran{0};
-  pool.Submit([&] { ran.fetch_add(1); });
-  pool.Shutdown();
-  EXPECT_FALSE(pool.Submit([&] { ran.fetch_add(1); }));
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPoolShutdownTest, PoolThreadsJoinCensus) {
-  int64_t before = RuntimeThreadCount();
-  {
-    ThreadPool pool(3, "t-census-pool");
-    for (int i = 0; i < 1000 && RuntimeThreadCount() < before + 3; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_EQ(RuntimeThreadCount(), before + 3);
-  }
-  EXPECT_EQ(RuntimeThreadCount(), before);
 }
 
 }  // namespace

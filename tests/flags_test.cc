@@ -46,6 +46,24 @@ TEST(FlagsTest, DefaultsWhenAbsent) {
   EXPECT_FALSE(f.Has("missing"));
 }
 
+TEST(FlagsTest, NumericValuesParseWhole) {
+  Flags f = Parse({"--port=7000", "--count", "18446744073709551615"});
+  EXPECT_EQ(f.GetInt("port", 0), 7000);
+  EXPECT_EQ(f.GetUint64("count", 0), 18446744073709551615ull);
+  EXPECT_EQ(Parse({"--delta=-5"}).GetInt("delta", 0), -5);
+}
+
+TEST(FlagsDeathTest, TrailingGarbageExits) {
+  Flags f = Parse({"--port=70o0"});
+  EXPECT_EXIT(f.GetInt("port", 0), testing::ExitedWithCode(2), "--port");
+  EXPECT_EXIT(f.GetUint64("port", 0), testing::ExitedWithCode(2), "--port");
+}
+
+TEST(FlagsDeathTest, EmptyValueExits) {
+  Flags f = Parse({"--port="});
+  EXPECT_EXIT(f.GetInt("port", 0), testing::ExitedWithCode(2), "--port");
+}
+
 TEST(FlagsTest, SplitList) {
   auto parts = Flags::Split("a:1,b:2,c:3");
   ASSERT_EQ(parts.size(), 3u);

@@ -17,8 +17,8 @@
 
 #include "common/clock.h"
 #include "common/executor.h"
+#include "common/latch.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "net/inproc_transport.h"
 #include "net/message.h"
 #include "net/rpc.h"
@@ -367,15 +367,18 @@ TEST_F(RpcTest, ConcurrentCallsCorrelate) {
   RpcEndpoint client(&transport_, "client");
   ASSERT_TRUE(client.Start().ok());
 
-  ThreadPool pool(8);
+  // 8 caller threads share one endpoint: 64 calls, 8 in flight at a time.
   std::atomic<int> ok{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.Submit([&, i] {
-      auto r = client.Call("server", 1, std::to_string(i));
-      if (r.ok() && *r == std::to_string(i)) ++ok;
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 8; ++t) {
+    callers.emplace_back([&, t] {
+      for (int i = t * 8; i < (t + 1) * 8; ++i) {
+        auto r = client.Call("server", 1, std::to_string(i));
+        if (r.ok() && *r == std::to_string(i)) ++ok;
+      }
     });
   }
-  pool.Wait();
+  for (auto& c : callers) c.join();
   EXPECT_EQ(ok.load(), 64);
 }
 

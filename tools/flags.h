@@ -4,7 +4,9 @@
 // Minimal --flag=value / --flag value command-line parsing for the
 // deployment tools. Positional arguments are collected in order.
 
+#include <charconv>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -39,16 +41,14 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
+  /// Numeric flags must parse whole: `--port=70o0` or `--port=` prints the
+  /// flag's name and exits 2 rather than running with a truncated value.
   int GetInt(const std::string& name, int fallback) const {
-    auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+    return GetNumber<int>(name, fallback);
   }
 
   uint64_t GetUint64(const std::string& name, uint64_t fallback) const {
-    auto it = values_.find(name);
-    return it == values_.end()
-               ? fallback
-               : std::strtoull(it->second.c_str(), nullptr, 10);
+    return GetNumber<uint64_t>(name, fallback);
   }
 
   bool GetBool(const std::string& name) const {
@@ -83,6 +83,21 @@ class Flags {
   }
 
  private:
+  template <typename T>
+  T GetNumber(const std::string& name, T fallback) const {
+    auto it = values_.find(name);
+    if (it == values_.end()) return fallback;
+    const std::string& v = it->second;
+    T value{};
+    auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), value);
+    if (ec != std::errc() || end != v.data() + v.size()) {
+      std::fprintf(stderr, "invalid value for --%s: '%s'\n", name.c_str(),
+                   v.c_str());
+      std::exit(2);
+    }
+    return value;
+  }
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

@@ -14,9 +14,7 @@ BUILD_DIR="$ROOT/${1:-build}"
 
 cmake --build "$BUILD_DIR" -j --target \
   bench_fig7_single_maintainer bench_fig8_flstore_scaling \
-  bench_fig9_timeseries bench_table2_pipeline_basic \
-  bench_table3_two_clients bench_table4_two_batchers \
-  bench_table5_two_per_stage bench_corfu_vs_flstore \
+  bench_pipeline_shapes bench_corfu_vs_flstore \
   bench_ablation_batch_size bench_ablation_gossip \
   bench_geo_replication bench_hyksos_kv bench_msgfutures_latency \
   bench_read_scaling bench_replicated_reads bench_io_engine bench_micro
@@ -49,8 +47,9 @@ out_dir = sys.argv[1]
 # Thread-budget check (DESIGN.md §10): every report carries the
 # chariots.runtime.threads census (current + peak). The smoke-topology
 # budget is the shared executor pool — max(2, min(8, cores)) workers plus
-# one timer, bounded by 2x cores (floored at 2) — plus up to 16 sim machine
-# threads (sim stages model dedicated hardware, one real thread each).
+# one timer, bounded by 2x cores (floored at 2) — plus 16 for benches that
+# run a private executor beside the shared one (bench_replicated_reads
+# starts 8 workers and a timer of its own: 14 threads on 4 cores).
 # A bench whose peak exceeds this has regressed to thread-per-loop.
 cores = max(2, os.cpu_count() or 1)
 thread_budget = int(os.environ.get("CHARIOTS_SMOKE_THREAD_BUDGET",
