@@ -56,6 +56,7 @@ class SerialGate {
   bool Run(const std::function<void()>& fn) const {
     std::lock_guard<std::mutex> lock(state_->mu);
     if (!state_->open) return false;
+    Held held;
     fn();
     return true;
   }
@@ -66,9 +67,17 @@ class SerialGate {
     std::shared_ptr<State> state = state_;
     return [state, fn = std::move(fn)] {
       std::lock_guard<std::mutex> lock(state->mu);
-      if (state->open) fn();
+      if (!state->open) return;
+      Held held;
+      fn();
     };
   }
+
+  /// True while the calling thread runs a Run/Wrap body of any gate. Such a
+  /// thread must not start a body of another gate in line: two threads
+  /// doing so in opposite orders deadlock. InProcTransport queues a request
+  /// sent from inside a gate instead of running it on the sending thread.
+  static bool HeldByCurrentThread() { return HeldDepth() > 0; }
 
   /// Closes the gate: blocks until the running body (if any) returns, then
   /// causes every future Run/Wrap body to no-op. Idempotent.
@@ -86,6 +95,15 @@ class SerialGate {
   struct State {
     std::mutex mu;
     bool open = true;
+  };
+  /// Gate bodies the calling thread is inside of.
+  static int& HeldDepth() {
+    thread_local int depth = 0;
+    return depth;
+  }
+  struct Held {
+    Held() { ++HeldDepth(); }
+    ~Held() { --HeldDepth(); }
   };
   std::shared_ptr<State> state_;
 };

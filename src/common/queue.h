@@ -117,35 +117,8 @@ class BoundedQueue {
     return item;
   }
 
-  /// Blocks until at least one item is available (or end-of-stream), then
-  /// drains up to `max_items` queued items into `*out` under one lock
-  /// acquisition. Returns the number of items appended; 0 only at
-  /// end-of-stream.
-  size_t PopAll(std::vector<T>* out,
-                size_t max_items = std::numeric_limits<size_t>::max()) {
-    size_t popped = 0;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-      if (items_.empty()) return 0;
-      popped = std::min(items_.size(), max_items);
-      out->reserve(out->size() + popped);
-      for (size_t i = 0; i < popped; ++i) {
-        out->push_back(std::move(items_.front()));
-        items_.pop_front();
-      }
-      NoteSizeLocked();
-    }
-    if (popped == 1) {
-      not_full_.notify_one();
-    } else {
-      not_full_.notify_all();
-    }
-    return popped;
-  }
-
-  /// Non-blocking PopAll: drains everything queued right now into `*out`
-  /// under one lock acquisition without waiting. Returns the number of items
+  /// Drains up to `max_items` of what is queued right now into `*out` under
+  /// one lock acquisition, without waiting. Returns the number of items
   /// appended (0 when empty — check closed() to distinguish end-of-stream).
   /// This is the drain primitive for executor tasks, which must never block.
   size_t TryPopAll(std::vector<T>* out,

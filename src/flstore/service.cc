@@ -99,6 +99,14 @@ metrics::Counter* ReplaysCounter() {
   return c;
 }
 
+// Threads that blocked on a replication round (promotion, reconfigure,
+// fill); the append path never does.
+metrics::Counter* RoundWaitsCounter() {
+  static metrics::Counter* c = metrics::Registry::Default().GetCounter(
+      "chariots.flstore.repl.blocking_waits");
+  return c;
+}
+
 metrics::Histogram* MttrHist() {
   static metrics::Histogram* h = metrics::Registry::Default().GetHistogram(
       "chariots.flstore.repl.mttr_ns");
@@ -146,8 +154,8 @@ Result<LId> DecodeLId(std::string_view data) {
 }
 
 /// Replication collector: while a handler runs a maintainer append, the
-/// observer appends every landed record here (handlers run on the transport
-/// delivery thread, so thread_local scoping keeps concurrent handlers from
+/// observer appends every landed record here (a handler runs on one thread
+/// and never nests, so thread_local scoping keeps concurrent handlers from
 /// mixing batches). Null outside an append handler.
 thread_local std::vector<ReplicatedEntry>* g_replication_sink = nullptr;
 
@@ -161,6 +169,28 @@ class ReplicationScope {
   ReplicationScope(const ReplicationScope&) = delete;
   ReplicationScope& operator=(const ReplicationScope&) = delete;
 };
+
+/// Blocks until the replication work `start` begins reports its outcome.
+/// Only queued handlers (promotion, reconfigure, fill) wait like this.
+Status WaitForRound(
+    const std::function<void(std::function<void(Status)>)>& start) {
+  struct Latch {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::optional<Status> status;
+  };
+  RoundWaitsCounter()->Add();
+  net::BlockingWaitScope blocking;
+  auto latch = std::make_shared<Latch>();
+  start([latch](Status status) {
+    std::lock_guard<std::mutex> lock(latch->mu);
+    latch->status = std::move(status);
+    latch->cv.notify_all();
+  });
+  std::unique_lock<std::mutex> lock(latch->mu);
+  latch->cv.wait(lock, [&] { return latch->status.has_value(); });
+  return *latch->status;
+}
 
 std::vector<LId> BatchLids(const std::vector<ReplicatedEntry>& batch) {
   std::vector<LId> lids;
@@ -380,6 +410,13 @@ void MaintainerServer::InstallHandlers() {
   // sink around the landing, the round) and the handler returns as soon as
   // the INVs are out; the round's last ack sends the reply. Client appends
   // open with a (client_id, seq) token; kAppendAt carries none.
+  //
+  // The data path — kAppend, kRead, kInvalidate, kValidate — never blocks,
+  // so it is registered kInline: on the in-process transport a request runs
+  // on the sending thread when the node's inbox is idle, and a whole
+  // append (INVs, acks, VALs) completes on the client's thread. Every
+  // other handler stays queued.
+  constexpr auto kInline = net::RpcEndpoint::Dispatch::kInline;
   HandleWrite(kAppend, /*tokened=*/true,
               [this](BinaryReader& r) -> Result<std::string> {
                 std::string rec_bytes;
@@ -388,7 +425,8 @@ void MaintainerServer::InstallHandlers() {
                     LogRecord record, DecodeLogRecord(kInvalidLId, rec_bytes));
                 CHARIOTS_ASSIGN_OR_RETURN(LId lid, maintainer_.Append(record));
                 return EncodeLId(lid);
-              });
+              },
+              kInline);
 
   HandleWrite(kAppendBatch, /*tokened=*/true,
               [this](BinaryReader& r) -> Result<std::string> {
@@ -460,7 +498,7 @@ void MaintainerServer::InstallHandlers() {
     w.PutU64(CacheableHl());
     w.PutBytes(EncodeLogRecord(record));
     return std::move(w).data();
-  });
+  }, kInline);
 
   endpoint_.Handle(kReadCommitted, [this](const net::NodeId&,
                                           const std::string& payload)
@@ -580,7 +618,7 @@ void MaintainerServer::InstallHandlers() {
           dedup_.Record(req.client_id, req.seq, req.response));
     }
     return std::string();
-  });
+  }, kInline);
 
   // Replica side of the VAL leg: flip the listed positions readable and
   // fold in the coordinator's validated floor. Only the exact current
@@ -594,7 +632,7 @@ void MaintainerServer::InstallHandlers() {
     ValidationsCounter()->Add(notice->lids.size());
     for (LId lid : notice->lids) maintainer_.MarkValid(lid);
     AdvanceReplicatedFloor(notice->floor);
-  });
+  }, kInline);
 
   // Promotion-replay source: a candidate coordinator pulling this node's
   // invalid window (positions applied here whose VAL never arrived —
@@ -801,8 +839,8 @@ void MaintainerServer::InstallHandlers() {
   });
 }
 
-void MaintainerServer::HandleWrite(uint16_t type, bool tokened,
-                                   LandFn land) {
+void MaintainerServer::HandleWrite(uint16_t type, bool tokened, LandFn land,
+                                   net::RpcEndpoint::Dispatch dispatch) {
   endpoint_.HandleAsync(type, [this, tokened, land = std::move(land)](
                                   const net::NodeId&,
                                   const std::string& payload,
@@ -820,7 +858,7 @@ void MaintainerServer::HandleWrite(uint16_t type, bool tokened,
         };
     Status status = StartWrite(tokened, land, payload, timed);
     if (!status.ok()) timed(status);
-  });
+  }, dispatch);
 }
 
 Status MaintainerServer::StartWrite(bool tokened, const LandFn& land,
@@ -845,14 +883,20 @@ Status MaintainerServer::StartWrite(bool tokened, const LandFn& land,
     // A token the dedup window has already executed short-circuits to the
     // cached response, so a retry whose original *response* was lost
     // returns the same LIds instead of appending twice. Under replication
-    // the short-circuit first drives a replay of any parked (invalid)
-    // writes: an append whose INV round failed recorded its dedup state
-    // but never acked, and its retry is what completes the round.
+    // the short-circuit first replays any parked (invalid) writes: an
+    // append whose INV round failed recorded its dedup state but never
+    // acked, and its retry is what completes the round. The reply leaves
+    // from the replay round's completion.
     CHARIOTS_ASSIGN_OR_RETURN(std::optional<std::string> cached,
                               dedup_.Lookup(key.first, key.second));
     if (cached.has_value()) {
-      CHARIOTS_RETURN_IF_ERROR(DriveReplication());
-      reply(*std::move(cached));
+      ReplayParked([reply, response = *std::move(cached)](Status replayed) {
+        if (replayed.ok()) {
+          reply(response);
+        } else {
+          reply(std::move(replayed));
+        }
+      });
       return Status::OK();
     }
   }
@@ -965,24 +1009,16 @@ void MaintainerServer::RunReplicationRound(std::vector<ReplicatedEntry> batch,
 
 Status MaintainerServer::AwaitReplicationRound(
     std::vector<ReplicatedEntry> batch) {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::optional<Status> status;
-  };
-  auto latch = std::make_shared<Latch>();
-  RunReplicationRound(std::move(batch), "", 0, "",
-                      [latch](Status status, const net::NodeId&) {
-                        std::lock_guard<std::mutex> lock(latch->mu);
-                        latch->status = std::move(status);
-                        latch->cv.notify_all();
-                      });
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->status.has_value(); });
-  return *latch->status;
+  return WaitForRound([&](std::function<void(Status)> done) {
+    RunReplicationRound(std::move(batch), "", 0, "",
+                        [done = std::move(done)](Status status,
+                                                 const net::NodeId&) {
+                          done(std::move(status));
+                        });
+  });
 }
 
-Status MaintainerServer::DriveReplication() {
+void MaintainerServer::ReplayParked(std::function<void(Status)> done) {
   if (!replica_.replicates()) {
     // No peers to replicate to. A coordinator whose last replica was just
     // evicted (or a solo node) validates its parked positions locally — the
@@ -992,21 +1028,33 @@ Status MaintainerServer::DriveReplication() {
         maintainer_.InvalidCount() > 0) {
       maintainer_.MarkAllValid();
     }
-    return Status::OK();
+    done(Status::OK());
+    return;
   }
-  if (maintainer_.InvalidCount() == 0) return Status::OK();
-  std::vector<std::pair<LId, std::string>> invalid =
-      maintainer_.InvalidEntries();
-  if (invalid.empty()) return Status::OK();
+  std::vector<std::pair<LId, std::string>> invalid;
+  if (maintainer_.InvalidCount() > 0) invalid = maintainer_.InvalidEntries();
+  if (invalid.empty()) {
+    done(Status::OK());
+    return;
+  }
   std::vector<ReplicatedEntry> entries;
   entries.reserve(invalid.size());
   for (auto& [lid, bytes] : invalid) {
     entries.push_back(ReplicatedEntry{lid, std::move(bytes)});
   }
-  size_t count = entries.size();
-  CHARIOTS_RETURN_IF_ERROR(AwaitReplicationRound(std::move(entries)));
-  ReplaysCounter()->Add(count);
-  return Status::OK();
+  const size_t count = entries.size();
+  RunReplicationRound(std::move(entries), "", 0, "",
+                      [count, done = std::move(done)](Status status,
+                                                      const net::NodeId&) {
+                        if (status.ok()) ReplaysCounter()->Add(count);
+                        done(std::move(status));
+                      });
+}
+
+Status MaintainerServer::DriveReplication() {
+  return WaitForRound([this](std::function<void(Status)> done) {
+    ReplayParked(std::move(done));
+  });
 }
 
 void MaintainerServer::SuspectPeer(const net::NodeId& suspect) {

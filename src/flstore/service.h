@@ -241,12 +241,15 @@ class MaintainerServer {
 
   /// Registers an append-side handler: StartWrite on the inbox strand, the
   /// reply from the replication round's completion.
-  void HandleWrite(uint16_t type, bool tokened, LandFn land);
+  void HandleWrite(uint16_t type, bool tokened, LandFn land,
+                   net::RpcEndpoint::Dispatch dispatch =
+                       net::RpcEndpoint::Dispatch::kQueued);
   /// Admission, dedup and landing for one append-side request, then starts
   /// its replication round and returns — freeing the inbox strand and the
-  /// worker. `reply` goes out once, when the round completes, or now for a
-  /// dedup hit; a retry of a token whose round is still open joins that
-  /// round's reply instead of appending again. On an error return the
+  /// worker. `reply` goes out once, when the round completes — for a dedup
+  /// hit, when the replay of parked writes completes; a retry of a token
+  /// whose round is still open joins that round's reply instead of
+  /// appending again. Never blocks. On an error return the
   /// caller replies with it (records that landed before the error still
   /// replicate, unacked).
   Status StartWrite(bool tokened, const LandFn& land,
@@ -264,13 +267,16 @@ class MaintainerServer {
                            const std::string& client_id, uint64_t seq,
                            const std::string& response,
                            ReplicaGroup::RoundDone done);
-  /// RunReplicationRound without a token, waited for — replay, promotion
-  /// and repair only, which are off the steady append path.
+  /// RunReplicationRound without a token, waited for — promotion and repair
+  /// only, which are queued handlers off the append path.
   Status AwaitReplicationRound(std::vector<ReplicatedEntry> batch);
   /// Re-broadcasts every invalid (parked) position to the current peers and
   /// validates on success — the write replay that completes in-flight
-  /// writes after a replica eviction (called from kReconfigure and from
-  /// retried appends that hit the dedup window).
+  /// writes after a replica eviction. `done` gets the outcome from the
+  /// round's completion (at once when nothing is parked). Retried appends
+  /// that hit the dedup window reply from it.
+  void ReplayParked(std::function<void(Status)> done);
+  /// ReplayParked, waited for (kReconfigure, kPromote).
   Status DriveReplication();
   /// Fire-and-forget dead-peer report to every controller replica (no-op
   /// when none is configured), sent from the failed round's completion.

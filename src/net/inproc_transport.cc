@@ -30,13 +30,26 @@ metrics::Counter* FaultDropCounter() {
   return c;
 }
 
+metrics::Counter* RequestsInlineCounter() {
+  static metrics::Counter* c =
+      metrics::Registry::Default().GetCounter("net.transport.requests_inline");
+  return c;
+}
+
+metrics::Counter* RequestsQueuedCounter() {
+  static metrics::Counter* c =
+      metrics::Registry::Default().GetCounter("net.transport.requests_queued");
+  return c;
+}
+
 }  // namespace
 
-/// Per-node delivery state. No thread: `ready` is drained by a strand task
-/// on the executor (one at a time, preserving per-node serial delivery for
-/// requests), `delayed` waits on the executor's timer service, and
-/// responses are delivered inline under `resp_gate` by whichever thread
-/// finds them due.
+/// Per-node delivery state. No thread: `ready` is drained under `gate`,
+/// one message at a time (preserving per-node serial delivery for
+/// requests), by whichever thread set `drain_scheduled` — a sender's
+/// trampoline or an executor worker. `delayed` waits on the executor's
+/// timer service, and responses are delivered inline under `resp_gate` by
+/// whichever thread finds them due.
 ///
 /// Two gates on purpose: requests serialize under `gate` (their handlers
 /// may block in nested Calls), responses under `resp_gate` (their handlers
@@ -49,12 +62,13 @@ metrics::Counter* FaultDropCounter() {
 struct InProcTransport::Inbox {
   NodeId node;
   MessageHandler handler;
+  InlineSafeFn inline_safe;  // null: every request is queued
   std::mutex mu;
   std::priority_queue<DelayedMessage, std::vector<DelayedMessage>,
                       std::greater<DelayedMessage>>
       delayed;
   std::deque<Message> ready;
-  bool drain_scheduled = false;
+  bool drain_scheduled = false;  // a trampoline or a worker owns `ready`
   bool stopped = false;
   int64_t armed_nanos = -1;  // earliest pending timer deadline (-1 = none)
   SerialGate gate;       // request strand
@@ -90,6 +104,12 @@ InProcTransport::~InProcTransport() {
 }
 
 Status InProcTransport::Register(const NodeId& node, MessageHandler handler) {
+  return RegisterInlineSafe(node, std::move(handler), nullptr);
+}
+
+Status InProcTransport::RegisterInlineSafe(const NodeId& node,
+                                           MessageHandler handler,
+                                           InlineSafeFn inline_safe) {
   std::lock_guard<std::mutex> lock(mu_);
   if (inboxes_.count(node) != 0) {
     return Status::AlreadyExists("node already registered: " + node);
@@ -97,6 +117,7 @@ Status InProcTransport::Register(const NodeId& node, MessageHandler handler) {
   auto inbox = std::make_shared<Inbox>();
   inbox->node = node;
   inbox->handler = std::move(handler);
+  inbox->inline_safe = std::move(inline_safe);
   inboxes_.emplace(node, std::move(inbox));
   return Status::OK();
 }
@@ -226,13 +247,52 @@ bool InProcTransport::Enqueue(const std::shared_ptr<Inbox>& inbox,
     return inbox->resp_gate.Run(
         [&] { Deliver(inbox, std::move(msg)); });
   }
+  // Run to completion here only if nothing could make this thread wait on
+  // the handler: inside a gate (a strand, a response) the handler would
+  // nest under it, and under a BlockingWaitScope the thread is about to
+  // stop draining. A running trampoline has released every gate by the
+  // time it drains what it claims.
+  const Trampoline& t = CurrentTrampoline();
+  const bool in_line = inbox->inline_safe && inbox->inline_safe(msg) &&
+                       t.blocking == 0 &&
+                       (t.running || !SerialGate::HeldByCurrentThread());
   {
     std::lock_guard<std::mutex> lock(inbox->mu);
     if (inbox->stopped) return false;
     inbox->ready.push_back(std::move(msg));
+    // A busy strand picks the message up in FIFO order, whoever runs it.
+    if (inbox->drain_scheduled) return true;
+    inbox->drain_scheduled = true;
   }
-  ScheduleDrain(inbox);
+  if (in_line) {
+    RunInline(inbox);
+  } else {
+    SubmitDrain(inbox);
+  }
   return true;
+}
+
+InProcTransport::Trampoline& InProcTransport::CurrentTrampoline() {
+  thread_local Trampoline trampoline;
+  return trampoline;
+}
+
+void InProcTransport::RunInline(const std::shared_ptr<Inbox>& inbox) {
+  Trampoline& t = CurrentTrampoline();
+  t.claims.push_back(Claim{this, inbox});
+  if (t.running) return;  // drained once the current handler returns
+  t.running = true;
+  while (!t.claims.empty()) {
+    Claim claim = std::move(t.claims.front());
+    t.claims.pop_front();
+    // A closed gate means the node stopped; its queue counted as dropped.
+    bool hand_off = false;
+    claim.inbox->gate.Run([&] {
+      hand_off = claim.transport->DrainReady(claim.inbox, /*in_line=*/true);
+    });
+    if (hand_off) claim.transport->SubmitDrain(claim.inbox);
+  }
+  t.running = false;
 }
 
 void InProcTransport::ScheduleDrain(const std::shared_ptr<Inbox>& inbox) {
@@ -241,29 +301,38 @@ void InProcTransport::ScheduleDrain(const std::shared_ptr<Inbox>& inbox) {
     if (inbox->drain_scheduled || inbox->stopped) return;
     inbox->drain_scheduled = true;
   }
+  SubmitDrain(inbox);
+}
+
+void InProcTransport::SubmitDrain(const std::shared_ptr<Inbox>& inbox) {
   if (!executor_->Submit(
-          inbox->gate.Wrap([this, inbox] { DrainReady(inbox); }))) {
+          inbox->gate.Wrap([this, inbox] { DrainReady(inbox, false); }))) {
     std::lock_guard<std::mutex> lock(inbox->mu);
     inbox->drain_scheduled = false;
   }
 }
 
-void InProcTransport::DrainReady(const std::shared_ptr<Inbox>& inbox) {
+bool InProcTransport::DrainReady(const std::shared_ptr<Inbox>& inbox,
+                                 bool in_line) {
   // Runs under inbox->gate (the strand). Re-checks emptiness under the lock
   // before clearing the flag, so a concurrent Enqueue either sees the flag
-  // set (and its message is picked up by this loop) or schedules a new
-  // drain after the flag clears.
+  // set (and its message is picked up by this loop) or claims a new drain
+  // after the flag clears. A stopped node's queue was counted as dropped
+  // and is not delivered.
   for (;;) {
     Message msg;
     {
       std::lock_guard<std::mutex> lock(inbox->mu);
-      if (inbox->ready.empty()) {
+      if (inbox->ready.empty() || inbox->stopped) {
         inbox->drain_scheduled = false;
-        return;
+        return false;
       }
+      // The drain stays claimed; the caller passes it to a worker.
+      if (in_line && !inbox->inline_safe(inbox->ready.front())) return true;
       msg = std::move(inbox->ready.front());
       inbox->ready.pop_front();
     }
+    (in_line ? RequestsInlineCounter() : RequestsQueuedCounter())->Add();
     Deliver(inbox, std::move(msg));
   }
 }
@@ -332,6 +401,22 @@ void InProcTransport::Deliver(const std::shared_ptr<Inbox>& inbox,
     ++delivered_;
   }
   inbox->handler(std::move(msg));
+}
+
+BlockingWaitScope::BlockingWaitScope() {
+  InProcTransport::Trampoline& t = InProcTransport::CurrentTrampoline();
+  if (!t.running) return;  // nothing claimed; sends may still run in line
+  active_ = true;
+  ++t.blocking;
+  std::deque<InProcTransport::Claim> claims;
+  claims.swap(t.claims);
+  for (InProcTransport::Claim& claim : claims) {
+    claim.transport->SubmitDrain(claim.inbox);
+  }
+}
+
+BlockingWaitScope::~BlockingWaitScope() {
+  if (active_) --InProcTransport::CurrentTrampoline().blocking;
 }
 
 void InProcTransport::SetLink(const std::string& src_prefix,

@@ -2,6 +2,7 @@
 #define CHARIOTS_NET_INPROC_TRANSPORT_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <queue>
@@ -32,14 +33,28 @@ struct LinkOptions {
 /// token-bucket bandwidth, and probabilistic drop for fault-injection tests.
 ///
 /// Execution model (DESIGN.md §10): there are no per-node inbox threads.
-/// Each registered node has an inbox *strand* on the shared executor that
-/// delivers its due messages one at a time (preserving the historical
-/// one-message-at-a-time contract RpcEndpoint relies on). Delayed messages
-/// (link latency, fault delays) wait on the executor's timer service, so a
-/// virtual-time executor makes simulated WANs run with zero real sleeps.
-/// RPC *responses* are delivered inline on the sending/timer thread, never
-/// through the worker pool — a worker blocked inside a handler waiting on a
-/// Call() is always unblocked even when every worker is busy.
+/// Each registered node has an inbox *strand* that delivers its due
+/// requests one at a time, in arrival order (preserving the historical
+/// one-message-at-a-time, FIFO-per-sender contract RpcEndpoint relies on).
+/// Who runs the strand:
+///  * the sending thread, run to completion, when the strand is idle, the
+///    node declared the request inline-safe (RegisterInlineSafe) and the
+///    sender is inside no SerialGate. The thread drains the strand through
+///    a thread-local trampoline: requests sent by the handlers it runs
+///    (inline-safe ones to idle strands) are claimed onto the same
+///    trampoline and drained one after another once the current handler
+///    returns, so handlers never nest. A claimed strand that reaches a
+///    request not declared inline-safe hands the rest to the executor, as
+///    does a BlockingWaitScope for every strand its thread has claimed;
+///  * otherwise an executor worker (the queued path).
+/// Delayed messages (link latency, fault delays) wait on the executor's
+/// timer service and then take the queued path, so a virtual-time executor
+/// makes simulated WANs run with zero real sleeps. RPC *responses* are
+/// delivered inline on the sending/timer thread, never through the worker
+/// pool — a worker blocked inside a handler waiting on a Call() is always
+/// unblocked even when every worker is busy.
+/// `net.transport.requests_inline` and `net.transport.requests_queued`
+/// count requests (one-way messages included) delivered each way.
 ///
 /// Link resolution: the most specific matching rule wins. Rules are keyed by
 /// (src_prefix, dst_prefix) where a node matches a prefix if its id starts
@@ -57,6 +72,8 @@ class InProcTransport : public Transport {
   ~InProcTransport() override;
 
   Status Register(const NodeId& node, MessageHandler handler) override;
+  Status RegisterInlineSafe(const NodeId& node, MessageHandler handler,
+                            InlineSafeFn inline_safe) override;
   Status Unregister(const NodeId& node) override;
   Status Send(Message msg) override;
 
@@ -106,20 +123,44 @@ class InProcTransport : public Transport {
     std::unique_ptr<TokenBucket> bandwidth;  // null if unlimited
   };
 
+  /// A strand the current thread claimed and will drain in line.
+  struct Claim {
+    InProcTransport* transport;
+    std::shared_ptr<Inbox> inbox;
+  };
+  /// The calling thread's run-to-completion state.
+  struct Trampoline {
+    bool running = false;      ///< draining claimed strands right now
+    int blocking = 0;          ///< open BlockingWaitScopes while running
+    std::deque<Claim> claims;  ///< claimed, not yet drained
+  };
+  static Trampoline& CurrentTrampoline();
+  friend class BlockingWaitScope;
+
   LinkRule* ResolveLink(const NodeId& from, const NodeId& to);
   /// Enqueues one already-inspected message on its inbox (immediate →
-  /// inline response delivery or ready queue + strand; future → timer).
-  /// Returns false if the destination stopped meanwhile.
+  /// inline response delivery, or ready queue + a strand run in line or
+  /// queued; future → timer). Returns false if the destination stopped
+  /// meanwhile.
   bool Enqueue(const std::shared_ptr<Inbox>& inbox, Message msg,
                int64_t deliver_at_nanos, uint64_t seq);
-  /// Inbox strand body: delivers ready messages one at a time.
-  void DrainReady(const std::shared_ptr<Inbox>& inbox);
+  /// Strand body, under inbox->gate: delivers ready messages one at a time
+  /// until the queue empties. `in_line` (a trampoline) also stops at a
+  /// request not declared inline-safe and returns true: the caller hands
+  /// the rest of the strand to the executor.
+  bool DrainReady(const std::shared_ptr<Inbox>& inbox, bool in_line);
+  /// Queues `inbox` on the current thread's trampoline — running it here
+  /// and now unless the thread is already draining one.
+  void RunInline(const std::shared_ptr<Inbox>& inbox);
   /// Timer callback (timer lane): moves due delayed messages out — requests
   /// to the ready queue/strand, responses delivered inline.
   void DrainDue(const std::shared_ptr<Inbox>& inbox);
   /// Schedules the strand if not already scheduled. Caller must not hold
   /// inbox->mu.
   void ScheduleDrain(const std::shared_ptr<Inbox>& inbox);
+  /// Submits a DrainReady task for a strand whose drain is already claimed
+  /// (drain_scheduled set). Caller must not hold inbox->mu.
+  void SubmitDrain(const std::shared_ptr<Inbox>& inbox);
   /// Arms the delayed-queue timer for the current head. Caller holds
   /// inbox->mu.
   void ArmLocked(const std::shared_ptr<Inbox>& inbox);

@@ -98,31 +98,53 @@ RpcEndpoint::RpcEndpoint(Transport* transport, NodeId node)
 
 RpcEndpoint::~RpcEndpoint() { Stop(); }
 
-void RpcEndpoint::HandleAsync(uint16_t type, AsyncHandler handler) {
+void RpcEndpoint::HandleAsync(uint16_t type, AsyncHandler handler,
+                              Dispatch dispatch) {
   std::lock_guard<std::mutex> lock(mu_);
   handlers_[type] = std::move(handler);
+  if (dispatch == Dispatch::kInline) {
+    inline_requests_.insert(type);
+  } else {
+    inline_requests_.erase(type);
+  }
 }
 
-void RpcEndpoint::Handle(uint16_t type, RpcHandler handler) {
+void RpcEndpoint::Handle(uint16_t type, RpcHandler handler,
+                         Dispatch dispatch) {
   HandleAsync(type, [handler = std::move(handler)](
                         const NodeId& from, const std::string& payload,
-                        Reply reply) { reply(handler(from, payload)); });
+                        Reply reply) { reply(handler(from, payload)); },
+              dispatch);
 }
 
-void RpcEndpoint::HandleOneWay(uint16_t type, OneWayHandler handler) {
+void RpcEndpoint::HandleOneWay(uint16_t type, OneWayHandler handler,
+                               Dispatch dispatch) {
   std::lock_guard<std::mutex> lock(mu_);
   oneway_handlers_[type] = std::move(handler);
+  if (dispatch == Dispatch::kInline) {
+    inline_oneway_.insert(type);
+  } else {
+    inline_oneway_.erase(type);
+  }
 }
 
 Status RpcEndpoint::Start() {
+  InlineSafeFn inline_safe;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (started_) return Status::FailedPrecondition("endpoint started");
     started_ = true;
     timer_gate_ = SerialGate();
+    if (!inline_requests_.empty() || !inline_oneway_.empty()) {
+      inline_safe = [requests = inline_requests_,
+                     oneway = inline_oneway_](const Message& msg) {
+        return (msg.rpc_id == 0 ? oneway : requests).count(msg.type) != 0;
+      };
+    }
   }
-  return transport_->Register(node_,
-                              [this](Message msg) { OnMessage(std::move(msg)); });
+  return transport_->RegisterInlineSafe(
+      node_, [this](Message msg) { OnMessage(std::move(msg)); },
+      std::move(inline_safe));
 }
 
 void RpcEndpoint::Stop() {
@@ -340,6 +362,7 @@ Result<std::string> RpcEndpoint::Call(const NodeId& to, uint16_t type,
     std::optional<Result<std::string>> result;
   };
   if (Executor::OnWorkerThread()) BlockingWaitsOnWorkerCounter()->Add();
+  BlockingWaitScope blocking;
   auto waiter = std::make_shared<Waiter>();
   CallAsync(to, type, std::move(payload), options,
             [waiter](Result<std::string> result) {

@@ -9,6 +9,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/executor.h"
 #include "common/metrics.h"
@@ -32,18 +33,21 @@ struct CallOptions {
 };
 
 /// Trace context of the RPC request currently being handled on this thread.
-/// Handlers run on the transport delivery thread, so a handler (or code it
+/// A handler runs on one thread from start to return, so it (or code it
 /// calls synchronously, before it returns) reads the inbound trace here;
 /// inactive when the request carried none.
 const trace::TraceContext& CurrentRpcTrace();
 
 /// Request/response layer over a Transport. One endpoint per logical node.
 ///
-/// Server side: register per-opcode handlers, then Start(). Handlers run on
-/// the transport delivery thread. A HandleAsync handler gets a Reply it may
-/// invoke later, from any thread, so it can return (freeing the node's
-/// inbox and its executor worker) while the work it started completes
-/// elsewhere. Handle() is the synchronous special case.
+/// Server side: register per-opcode handlers, then Start(). A handler runs
+/// on the transport delivery thread; one registered Dispatch::kInline may
+/// instead run on the thread that sent the request, when the transport
+/// supports it (InProcTransport, while the node's inbox is idle). A
+/// HandleAsync handler gets a Reply it may invoke later, from any thread,
+/// so it can return (freeing the node's inbox and its thread) while the
+/// work it started completes elsewhere. Handle() is the synchronous
+/// special case.
 ///
 /// Client side: CallAsync() sends and returns at once; its completion runs
 /// on the thread that delivers the response (inline, never queued behind
@@ -69,6 +73,11 @@ class RpcEndpoint {
   /// One-way message handler (no response is sent).
   using OneWayHandler =
       std::function<void(const NodeId& from, std::string payload)>;
+  /// Where a request may be handled. kInline declares that the handler
+  /// never blocks — no blocking Call(), no wait on another message — so the
+  /// transport may run it on the sending thread (Transport::
+  /// RegisterInlineSafe). kQueued handlers always run on a delivery thread.
+  enum class Dispatch { kQueued, kInline };
 
   RpcEndpoint(Transport* transport, NodeId node);
   ~RpcEndpoint();
@@ -78,14 +87,17 @@ class RpcEndpoint {
 
   /// Registers a request handler for `type` that replies through `reply`,
   /// possibly after returning. Must precede Start().
-  void HandleAsync(uint16_t type, AsyncHandler handler);
+  void HandleAsync(uint16_t type, AsyncHandler handler,
+                   Dispatch dispatch = Dispatch::kQueued);
 
   /// Registers a request handler for `type` whose return value is the
   /// reply. Must precede Start().
-  void Handle(uint16_t type, RpcHandler handler);
+  void Handle(uint16_t type, RpcHandler handler,
+              Dispatch dispatch = Dispatch::kQueued);
 
   /// Registers a one-way handler for `type`. Must precede Start().
-  void HandleOneWay(uint16_t type, OneWayHandler handler);
+  void HandleOneWay(uint16_t type, OneWayHandler handler,
+                    Dispatch dispatch = Dispatch::kQueued);
 
   /// Binds to the transport and begins serving.
   Status Start();
@@ -105,7 +117,9 @@ class RpcEndpoint {
 
   /// Blocking form of CallAsync. Called from an executor worker it parks
   /// that worker for the round trip, which `net.rpc.blocking_waits_on_worker`
-  /// counts.
+  /// counts. The wait runs under a BlockingWaitScope: called from inside a
+  /// handler that runs in line, it first hands the thread's claimed
+  /// deliveries to the executor.
   Result<std::string> Call(const NodeId& to, uint16_t type,
                            std::string payload, const CallOptions& options);
 
@@ -155,6 +169,9 @@ class RpcEndpoint {
   bool started_ = false;
   std::unordered_map<uint16_t, AsyncHandler> handlers_;
   std::unordered_map<uint16_t, OneWayHandler> oneway_handlers_;
+  /// Opcodes registered Dispatch::kInline, per direction.
+  std::unordered_set<uint16_t> inline_requests_;
+  std::unordered_set<uint16_t> inline_oneway_;
   std::unordered_map<uint64_t, PendingCall> pending_;
   int64_t armed_at_ = -1;  ///< earliest armed timer (-1 = none)
   /// Fences timer bodies against Stop(); replaced by each Start().

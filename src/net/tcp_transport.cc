@@ -167,8 +167,10 @@ Status TcpTransport::EnsureIoThreads() {
     ::epoll_ctl(io->epfd, EPOLL_CTL_ADD, io->wakeup_fd, &ev);
     io_threads_.push_back(std::move(io));
   }
-  for (size_t i = 0; i < io_threads_.size(); ++i) {
-    io_threads_[i]->thread = std::thread([this, i] { ReactorLoop(i); });
+  // The thread gets its IoThread directly: Shutdown joins it while holding
+  // io_mu_, so it must never need io_mu_ itself.
+  for (auto& io : io_threads_) {
+    io->thread = std::thread([this, raw = io.get()] { ReactorLoop(raw); });
   }
   return Status::OK();
 }
@@ -422,13 +424,8 @@ Status TcpTransport::WriteFrame(const std::shared_ptr<Conn>& conn,
   return Status::OK();
 }
 
-void TcpTransport::ReactorLoop(size_t index) {
-  IoThread* io;
-  {
-    std::lock_guard<std::mutex> lock(io_mu_);
-    io = io_threads_[index].get();
-  }
-  ScopedRuntimeThread census("tcp/io" + std::to_string(index));
+void TcpTransport::ReactorLoop(IoThread* io) {
+  ScopedRuntimeThread census("tcp/io" + std::to_string(io->index));
   std::vector<epoll_event> events(64);
   // Connections closed during the current batch are parked here so a stale
   // event later in the same batch cannot dereference freed memory.

@@ -74,7 +74,7 @@ class TcpTransport : public Transport {
   struct Conn;
   struct IoThread;
 
-  void ReactorLoop(size_t index);
+  void ReactorLoop(IoThread* io);
   /// Accept-ready on the listener (reactor thread 0 only).
   void AcceptReady();
   /// Drains the socket and dispatches every complete frame (reactor only).

@@ -373,31 +373,33 @@ TEST(BoundedQueueTest, PopForTimesOut) {
   EXPECT_FALSE(q.closed());
 }
 
-TEST(BoundedQueueTest, PopAllDrainsInOrder) {
+TEST(BoundedQueueTest, TryPopAllDrainsInOrder) {
   BoundedQueue<int> q(16);
   for (int i = 1; i <= 5; ++i) EXPECT_TRUE(q.Push(i));
   std::vector<int> out;
-  EXPECT_EQ(q.PopAll(&out), 5u);
+  EXPECT_EQ(q.TryPopAll(&out), 5u);
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(q.TryPopAll(&out), 0u) << "empty: returns at once";
 }
 
-TEST(BoundedQueueTest, PopAllRespectsMaxItems) {
+TEST(BoundedQueueTest, TryPopAllRespectsMaxItems) {
   BoundedQueue<int> q(16);
   for (int i = 1; i <= 5; ++i) EXPECT_TRUE(q.Push(i));
   std::vector<int> out;
-  EXPECT_EQ(q.PopAll(&out, 2), 2u);
+  EXPECT_EQ(q.TryPopAll(&out, 2), 2u);
   EXPECT_EQ(out, (std::vector<int>{1, 2}));
-  EXPECT_EQ(q.PopAll(&out, 10), 3u);
+  EXPECT_EQ(q.TryPopAll(&out, 10), 3u);
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
-TEST(BoundedQueueTest, PopAllReturnsZeroAtEndOfStream) {
+TEST(BoundedQueueTest, TryPopAllDrainsAClosedQueue) {
   BoundedQueue<int> q(4);
   q.Push(7);
   q.Close();
   std::vector<int> out;
-  EXPECT_EQ(q.PopAll(&out), 1u);
-  EXPECT_EQ(q.PopAll(&out), 0u);
+  EXPECT_EQ(q.TryPopAll(&out), 1u);
+  EXPECT_EQ(q.TryPopAll(&out), 0u);
+  EXPECT_TRUE(q.closed()) << "closed + empty is end-of-stream";
   EXPECT_EQ(out, (std::vector<int>{7}));
 }
 
@@ -419,7 +421,15 @@ TEST(BoundedQueueTest, BulkOpsConcurrentStress) {
   for (int c = 0; c < 2; ++c) {
     consumers.emplace_back([&] {
       std::vector<int> got;
-      while (q.PopAll(&got) > 0) {
+      for (;;) {
+        // Read closed() before draining: a queue closed before an empty
+        // drain holds nothing more.
+        const bool closed = q.closed();
+        if (q.TryPopAll(&got) == 0) {
+          if (closed) return;
+          std::this_thread::yield();
+          continue;
+        }
         for (int v : got) sum.fetch_add(v, std::memory_order_relaxed);
         popped.fetch_add(static_cast<int>(got.size()),
                          std::memory_order_relaxed);

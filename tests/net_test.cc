@@ -1,5 +1,6 @@
 // Tests for the message/RPC substrate: in-process transport (latency,
-// bandwidth, partitions), RPC request/response, and the TCP transport.
+// bandwidth, partitions, run-to-completion delivery), RPC request/response,
+// and the TCP transport.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "common/latch.h"
 #include "common/metrics.h"
 #include "net/inproc_transport.h"
+#include "net/fault_schedule.h"
 #include "net/message.h"
 #include "net/rpc.h"
 #include "net/tcp_transport.h"
@@ -281,6 +283,219 @@ TEST(InProcTransportTest, UnregisterStopsDelivery) {
   m.to = "n";
   EXPECT_TRUE(t.Send(m).IsNotFound());
   EXPECT_TRUE(t.Unregister("n").IsNotFound());
+}
+
+// ------------------------------------------- run-to-completion delivery
+
+/// Requests of this type are not declared inline-safe below.
+constexpr uint16_t kQueuedType = 2;
+
+InlineSafeFn AllButQueuedType() {
+  return [](const Message& m) { return m.type != kQueuedType; };
+}
+
+Message Request(const NodeId& from, const NodeId& to, uint16_t type,
+                std::string payload) {
+  Message m;
+  m.from = from;
+  m.to = to;
+  m.type = type;
+  m.payload = std::move(payload);
+  return m;
+}
+
+uint64_t CounterValue(const std::string& name) {
+  return metrics::Registry::Default().GetCounter(name)->Value();
+}
+
+TEST(InProcTransportTest, InlineSafeRequestRunsOnTheSendingThread) {
+  InProcTransport t;
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  CountDownLatch delivered(3);
+  auto record = [&](Message) {
+    std::lock_guard<std::mutex> lock(mu);
+    ran_on.push_back(std::this_thread::get_id());
+    delivered.CountDown();
+  };
+  ASSERT_TRUE(t.RegisterInlineSafe("sink", record, AllButQueuedType()).ok());
+  const uint64_t inline_before = CounterValue("net.transport.requests_inline");
+  const uint64_t queued_before = CounterValue("net.transport.requests_queued");
+
+  // Idle strand, inline-safe type, no gate held: handled before Send returns.
+  ASSERT_TRUE(t.Send(Request("src", "sink", 1, "a")).ok());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_EQ(ran_on.size(), 1u);
+    EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  }
+  // A type the node did not declare, and a sender inside a SerialGate, take
+  // the queued path.
+  ASSERT_TRUE(t.Send(Request("src", "sink", kQueuedType, "b")).ok());
+  SerialGate gate;
+  gate.Run([&] { ASSERT_TRUE(t.Send(Request("src", "sink", 1, "c")).ok()); });
+  ASSERT_TRUE(delivered.WaitFor(5s));
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_NE(ran_on[1], std::this_thread::get_id());
+  EXPECT_NE(ran_on[2], std::this_thread::get_id());
+  EXPECT_EQ(CounterValue("net.transport.requests_inline") - inline_before, 1u);
+  EXPECT_EQ(CounterValue("net.transport.requests_queued") - queued_before, 2u);
+}
+
+// Per-(from, to) FIFO holds while the strand changes hands: slow requests
+// of the queued type keep a worker on the strand (later inline-safe
+// requests queue behind it), and pauses let it go idle, so the next
+// requests run on the sender.
+TEST(InProcTransportTest, FifoPerSenderAcrossQueuedAndInlineDelivery) {
+  InProcTransport t;
+  constexpr int kMessages = 400;
+  std::mutex mu;
+  std::vector<int> order;
+  CountDownLatch latch(kMessages);
+  ASSERT_TRUE(t.RegisterInlineSafe(
+                   "sink",
+                   [&](Message m) {
+                     if (m.type == kQueuedType) {
+                       std::this_thread::sleep_for(200us);
+                     }
+                     std::lock_guard<std::mutex> lock(mu);
+                     order.push_back(std::stoi(m.payload));
+                     latch.CountDown();
+                   },
+                   AllButQueuedType())
+                  .ok());
+  const uint64_t inline_before = CounterValue("net.transport.requests_inline");
+  const uint64_t queued_before = CounterValue("net.transport.requests_queued");
+  for (int i = 0; i < kMessages; ++i) {
+    const uint16_t type = i % 20 == 0 ? kQueuedType : 1;
+    ASSERT_TRUE(t.Send(Request("src", "sink", type, std::to_string(i))).ok());
+    if (i % 20 == 10) std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(latch.WaitFor(10s));
+  std::lock_guard<std::mutex> lock(mu);
+  for (int i = 0; i < kMessages; ++i) ASSERT_EQ(order[i], i);
+  EXPECT_GT(CounterValue("net.transport.requests_inline"), inline_before);
+  EXPECT_GT(CounterValue("net.transport.requests_queued"), queued_before);
+}
+
+// A handler running in line sends to its own node: the strand is busy (it
+// is draining it), so the new requests queue behind and the same drain
+// delivers them after the handler returns; the first one it may not run in
+// line goes, with the rest, to a worker.
+TEST(InProcTransportTest, InlineHandlerSendingToItsOwnNodeDoesNotDeadlock) {
+  InProcTransport t;
+  std::mutex mu;
+  std::vector<std::pair<std::string, std::thread::id>> got;
+  CountDownLatch latch(4);
+  ASSERT_TRUE(
+      t.RegisterInlineSafe(
+           "self",
+           [&](Message m) {
+             if (m.payload == "first") {
+               EXPECT_TRUE(t.Send(Request("self", "self", 1, "again")).ok());
+               EXPECT_TRUE(
+                   t.Send(Request("self", "self", kQueuedType, "queued")).ok());
+               EXPECT_TRUE(t.Send(Request("self", "self", 1, "after")).ok());
+             }
+             std::lock_guard<std::mutex> lock(mu);
+             got.emplace_back(m.payload, std::this_thread::get_id());
+             latch.CountDown();
+           },
+           AllButQueuedType())
+          .ok());
+  ASSERT_TRUE(t.Send(Request("src", "self", 1, "first")).ok());
+  ASSERT_TRUE(latch.WaitFor(5s));
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[0].first, "first");
+  EXPECT_EQ(got[1].first, "again");
+  EXPECT_EQ(got[2].first, "queued");
+  EXPECT_EQ(got[3].first, "after");
+  EXPECT_EQ(got[0].second, std::this_thread::get_id());
+  EXPECT_EQ(got[1].second, std::this_thread::get_id());
+  EXPECT_NE(got[2].second, std::this_thread::get_id());
+}
+
+// Link and fault rules see inline-safe requests exactly as before: a
+// delayed request waits for virtual time and then takes the queued path, a
+// duplicate is delivered twice, and a request arriving inside an outage
+// window vanishes.
+TEST(InProcTransportTest, FaultsApplyToInlineSafeRequestsInVirtualTime) {
+  ManualClock clock;
+  Executor exec({.num_threads = 2, .name = "vt-inl", .manual_clock = &clock});
+  {
+    InProcTransport t(nullptr, &exec);
+    std::atomic<int> got{0};
+    ASSERT_TRUE(t.RegisterInlineSafe("sink", [&](Message) { ++got; },
+                                     AllButQueuedType())
+                    .ok());
+    t.faults().DelayNth(FaultSchedule::TypeIs(3), 1, 10'000'000);
+    t.faults().DuplicateNth(FaultSchedule::TypeIs(4), 1);
+
+    const uint64_t queued_before =
+        CounterValue("net.transport.requests_queued");
+    ASSERT_TRUE(t.Send(Request("src", "sink", 3, "delayed")).ok());
+    exec.WaitIdle();
+    EXPECT_EQ(got.load(), 0) << "a delayed request ran before its time";
+    exec.AdvanceBy(10'000'000);
+    exec.WaitIdle();
+    EXPECT_EQ(got.load(), 1);
+    EXPECT_EQ(CounterValue("net.transport.requests_queued") - queued_before,
+              1u);
+
+    ASSERT_TRUE(t.Send(Request("src", "sink", 4, "twice")).ok());
+    exec.WaitIdle();
+    EXPECT_EQ(got.load(), 3);
+
+    const int64_t now = clock.NowNanos();
+    t.faults().CrashWindow("sink", now, now + 5'000'000);
+    const uint64_t dropped_before = t.messages_dropped();
+    ASSERT_TRUE(t.Send(Request("src", "sink", 1, "down")).ok());
+    exec.WaitIdle();
+    EXPECT_EQ(got.load(), 3);
+    EXPECT_EQ(t.messages_dropped(), dropped_before + 1);
+    exec.AdvanceBy(5'000'000);
+    ASSERT_TRUE(t.Send(Request("src", "sink", 1, "up")).ok());
+    exec.WaitIdle();
+    EXPECT_EQ(got.load(), 4);
+  }
+  exec.Shutdown();
+}
+
+// Unregister while a sender's thread delivers in line: once Unregister
+// returns, the handler never runs again and later sends fail.
+TEST(InProcTransportTest, UnregisterRacesInlineDelivery) {
+  InProcTransport t;
+  std::atomic<bool> unregistered{false};
+  std::atomic<int> delivered{0};
+  std::atomic<int> late{0};
+  ASSERT_TRUE(t.RegisterInlineSafe(
+                   "sink",
+                   [&](Message) {
+                     if (unregistered.load()) ++late;
+                     ++delivered;
+                   },
+                   AllButQueuedType())
+                  .ok());
+  std::atomic<bool> refused{false};
+  std::vector<std::thread> senders;
+  for (int s = 0; s < 2; ++s) {
+    senders.emplace_back([&, s] {
+      const NodeId from = "src" + std::to_string(s);
+      for (int i = 0; i < 200'000; ++i) {
+        if (!t.Send(Request(from, "sink", 1, "x")).ok()) {
+          refused = true;
+          return;
+        }
+      }
+    });
+  }
+  while (delivered.load() < 1000) std::this_thread::yield();
+  ASSERT_TRUE(t.Unregister("sink").ok());
+  unregistered = true;
+  for (auto& sender : senders) sender.join();
+  EXPECT_TRUE(refused.load());
+  EXPECT_EQ(late.load(), 0);
 }
 
 // -------------------------------------------------------------------- RPC
@@ -545,6 +760,46 @@ TEST_F(RpcTest, BlockingCallOnExecutorWorkerIsCounted) {
   exec.Shutdown();
 }
 
+// A handler declared inline-safe that blocks anyway (a nested Call) still
+// completes at once: the Call hands the claimed delivery it depends on to
+// the executor and sends its own request queued, instead of leaving both to
+// the thread that is about to wait.
+TEST_F(RpcTest, BlockingCallInsideAnInlineHandlerCompletes) {
+  CountDownLatch noticed(1);
+  RpcEndpoint peer(&transport_, "peer");
+  peer.HandleOneWay(
+      3, [&](const NodeId&, std::string) { noticed.CountDown(); },
+      RpcEndpoint::Dispatch::kInline);
+  RpcEndpoint backend(&transport_, "backend");
+  backend.Handle(1, [&](const NodeId&, const std::string& payload)
+                        -> Result<std::string> {
+    if (!noticed.WaitFor(5s)) return Status::TimedOut("notice never ran");
+    return "backend:" + payload;
+  });
+  RpcEndpoint front(&transport_, "front");
+  front.Handle(
+      1,
+      [&](const NodeId&, const std::string& payload) -> Result<std::string> {
+        // Claimed by this thread's trampoline, not yet run...
+        EXPECT_TRUE(front.Notify("peer", 3, "").ok());
+        // ...and the backend's reply waits for it.
+        return front.Call("backend", 1, payload, 10s);
+      },
+      RpcEndpoint::Dispatch::kInline);
+  RpcEndpoint client(&transport_, "client");
+  ASSERT_TRUE(peer.Start().ok());
+  ASSERT_TRUE(backend.Start().ok());
+  ASSERT_TRUE(front.Start().ok());
+  ASSERT_TRUE(client.Start().ok());
+
+  const auto start = std::chrono::steady_clock::now();
+  auto result = client.Call("front", 1, "x", 20s);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(*result, "backend:x");
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 2s)
+      << "the nested Call waited for work its own thread had claimed";
+}
+
 // ---------------------------------------------------------- TcpTransport
 
 TEST(TcpTransportTest, LoopbackRoundTrip) {
@@ -639,6 +894,15 @@ TEST(TcpTransportTest, SurvivesGarbageBytes) {
   m.payload = "real";
   ASSERT_TRUE(client_side.Send(m).ok());
   EXPECT_TRUE(latch.WaitFor(2s));
+}
+
+// Destroying a transport right after its reactor thread was spawned: the
+// shutdown must not wait on a reactor that has not started running yet.
+TEST(TcpTransportTest, ShutdownRightAfterListenDoesNotHang) {
+  for (int i = 0; i < 200; ++i) {
+    TcpTransport t;
+    ASSERT_TRUE(t.Listen(0).ok());
+  }
 }
 
 TEST(TcpTransportTest, OversizedFrameRejected) {

@@ -1228,6 +1228,128 @@ TEST(ReplicationTest, SteadyAppendsNeverParkAWorker) {
   EXPECT_EQ(cluster.backup2_->maintainer().count(), 1000u);
 }
 
+// The hand-off gate: on an idle RF=3 stripe, a client thread's appends and
+// reads run to completion on that thread — kAppend, both INVs and acks,
+// both VALs, kRead — and no data-path request waits for an executor
+// worker.
+TEST(ReplicationTest, DataPathRequestsRunOnTheCallersThread) {
+  ReplicatedCluster::Config config;
+  config.rf = 3;
+  ReplicatedCluster cluster(config);
+  ClientOptions copts;
+  copts.read_cache_bytes = 0;  // every read is an RPC
+  auto client = cluster.NewClient("a", copts);
+  metrics::Counter* queued = metrics::Registry::Default().GetCounter(
+      "net.transport.requests_queued");
+  metrics::Counter* in_line = metrics::Registry::Default().GetCounter(
+      "net.transport.requests_inline");
+  constexpr int kOps = 200;
+  const uint64_t queued_before = queued->Value();
+  const uint64_t inline_before = in_line->Value();
+  std::vector<LId> lids;
+  for (int i = 0; i < kOps; ++i) {
+    auto lid = client->Append(Rec("r" + std::to_string(i)));
+    ASSERT_TRUE(lid.ok()) << lid.status();
+    lids.push_back(*lid);
+  }
+  for (int i = 0; i < kOps; ++i) {
+    auto record = client->Read(lids[i]);
+    ASSERT_TRUE(record.ok()) << record.status();
+    EXPECT_EQ(record->body, "r" + std::to_string(i));
+  }
+  const uint64_t queued_requests = queued->Value() - queued_before;
+  EXPECT_EQ(queued_requests, 0u)
+      << static_cast<double>(queued_requests) / (2 * kOps)
+      << " queued requests per op";
+  // kAppend + 2 INVs + 2 VALs per append, one kRead per read.
+  EXPECT_GE(in_line->Value() - inline_before, 6u * kOps);
+  EXPECT_EQ(cluster.backup2_->maintainer().count(), static_cast<size_t>(kOps));
+}
+
+// A retried append whose token the dedup window holds replays the parked
+// write and replies from the replay round's completion: the handler
+// returns while the round is open, and no thread blocks on it. (A blocking
+// replay would park a worker until virtual time advanced, and the
+// WaitIdle below would never return.)
+TEST(ReplicationTest, DedupRetryReplaysParkedWriteWithoutWaiting) {
+  ManualClock clock;
+  Executor exec(
+      {.num_threads = 2, .name = "vt-replay", .manual_clock = &clock});
+  {
+    ReplicatedCluster::Config config;
+    config.clock = &clock;
+    config.executor = &exec;
+    config.rf = 3;
+    ReplicatedCluster cluster(config);
+    net::RpcEndpoint probe(&cluster.transport_, "dc0/probe");
+    ASSERT_TRUE(probe.Start().ok());
+
+    // Park: one replica is down, so the round fails and the write stays
+    // applied-but-invalid with its dedup entry recorded.
+    cluster.backup_->Stop();
+    AsyncResult parked;
+    AppendAsync(probe, "dc0/probe", 1, "parked", clock, &parked);
+    AdvanceUntilDone(exec, {&parked}, 1'000'000, 10'000'000);
+    ASSERT_TRUE(parked.done.load());
+    ASSERT_FALSE(parked.result.ok());
+    ASSERT_EQ(cluster.primary_->maintainer().InvalidCount(), 1u);
+    const LId lid = cluster.primary_->maintainer().FirstInvalid();
+
+    // Reconfigure under a new epoch while the replica is still down: its
+    // replay fails too, and the write stays parked.
+    BinaryWriter w;
+    w.PutU64(1);  // ctrl_epoch
+    w.PutU64(2);  // fencing epoch
+    w.PutU32(2);
+    w.PutBytes(kBackup);
+    w.PutBytes(kBackup2);
+    AsyncResult reconfigured;
+    net::CallOptions options;
+    options.timeout = 5s;
+    probe.CallAsync(kPrimary, kReconfigure, std::move(w).data(), options,
+                    [&reconfigured](Result<std::string> result) {
+                      reconfigured.result = std::move(result);
+                      reconfigured.done.store(true);
+                    });
+    AdvanceUntilDone(exec, {&reconfigured}, 1'000'000, 10'000'000);
+    ASSERT_TRUE(reconfigured.result.ok()) << reconfigured.result.status();
+    ASSERT_EQ(cluster.primary_->replica().epoch(), 2u);
+    ASSERT_EQ(cluster.primary_->maintainer().InvalidCount(), 1u);
+
+    // The replica comes back behind a slow link; retry the same token.
+    ASSERT_TRUE(cluster.backup_->Restart().ok());
+    constexpr int64_t kLink = 5'000'000;
+    net::LinkOptions slow;
+    slow.latency_nanos = kLink;
+    cluster.transport_.SetLink(std::string(kPrimary) + "#repl",
+                               "dc0/maintainer/0-", slow);
+    metrics::Counter* waits = metrics::Registry::Default().GetCounter(
+        "chariots.flstore.repl.blocking_waits");
+    const uint64_t waits_before = waits->Value();
+    AsyncResult retry;
+    const int64_t t0 = clock.NowNanos();
+    AppendAsync(probe, "dc0/probe", 1, "parked", clock, &retry);
+    exec.WaitIdle();
+    EXPECT_FALSE(retry.done.load()) << "the replay round is still open";
+    AdvanceUntilDone(exec, {&retry}, 1'000'000, 100'000'000);
+    ASSERT_TRUE(retry.result.ok()) << retry.result.status();
+    EXPECT_EQ(DecodeLidResponse(retry.result), lid);
+    EXPECT_EQ(retry.at_nanos - t0, kLink)
+        << "one INV leg; acks are not delayed";
+    EXPECT_EQ(waits->Value(), waits_before);
+    EXPECT_EQ(cluster.primary_->maintainer().InvalidCount(), 0u);
+    EXPECT_EQ(cluster.primary_->maintainer().count(), 1u);
+    EXPECT_EQ(cluster.backup_->maintainer().Read(lid)->body, "parked");
+
+    probe.Stop();
+    cluster.primary_->Stop();
+    cluster.backup_->Stop();
+    cluster.backup2_->Stop();
+    cluster.controller_->Stop();
+  }
+  exec.Shutdown();
+}
+
 // Crash matrix (tools/run_crash_matrix.sh): the coordinator dies with two
 // clients' rounds open at once. Per seed, each round is held either before
 // its INV reaches the replica or after (the replica applied it, its ack is

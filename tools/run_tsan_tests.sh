@@ -19,7 +19,17 @@
 # kSuspect fast-path failover, and the seeded kill-coordinator/kill-primary
 # drills — whose lock-free HL reads, shared-lock read paths, and
 # cross-node promotion races are exactly the code TSan is for. net_test
-# races RpcEndpoint::CallAsync timeouts against late responses.
+# races RpcEndpoint::CallAsync timeouts against late responses, and the
+# inproc run-to-completion path: requests handled on the sending thread's
+# trampoline while workers drain the same strand (FIFO across the
+# hand-over), self-sends, a blocking Call() inside an in-line handler,
+# and Unregister racing in-line delivery. replication_test runs whole
+# FLStore appends and reads on client threads (the hand-off gate) and the
+# non-blocking dedup-retry replay; fault_injection_test drives the same
+# path under seeded drops, duplicates and delays.
+#
+#   tools/run_tsan_tests.sh thread net_test replication_test \
+#       executor_test fault_injection_test      # run-to-completion focus
 #
 # Uses a separate build dir (build-<sanitizer>) so the regular build is
 # untouched.
