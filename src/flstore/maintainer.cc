@@ -4,24 +4,13 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 
 namespace chariots::flstore {
-
-namespace {
-
-metrics::Gauge* ReadIndexEntriesGauge() {
-  static metrics::Gauge* g = metrics::Registry::Default().GetGauge(
-      "chariots.flstore.read_index.entries");
-  return g;
-}
-
-}  // namespace
 
 LogMaintainer::LogMaintainer(MaintainerOptions options)
     : options_(options),
       journal_(options.journal),
-      store_(HookedStoreOptions(std::move(options.store))),
+      store_(std::move(options.store)),
       tail_cache_(TailCacheOptions{options.tail_cache_bytes,
                                    options.tail_cache_records}) {
   size_t epochs = journal_.num_epochs();
@@ -32,40 +21,8 @@ LogMaintainer::LogMaintainer(MaintainerOptions options)
       std::max<size_t>(journal_.MaxMaintainers(), options.index + 1), 0);
 }
 
-storage::LogStoreOptions LogMaintainer::HookedStoreOptions(
-    storage::LogStoreOptions store) {
-  // The hooks run under the store lock while Open() holds mu_ exclusively,
-  // so plain read_index_ mutation is safe. They must not call back into the
-  // store (see LogStoreOptions).
-  store.on_recovered_record = [this](uint64_t lid,
-                                     const storage::RecordLocation& loc) {
-    IndexPutLocked(lid, loc);
-  };
-  store.on_recovered_tombstone = [this](uint64_t lid) {
-    IndexEraseLocked(lid);
-  };
-  return store;
-}
-
-void LogMaintainer::IndexPutLocked(LId lid,
-                                   const storage::RecordLocation& loc) {
-  auto [it, inserted] = read_index_.insert_or_assign(lid, loc);
-  (void)it;
-  if (inserted) ReadIndexEntriesGauge()->Add(1);
-}
-
-void LogMaintainer::IndexEraseLocked(LId lid) {
-  if (read_index_.erase(lid) != 0) ReadIndexEntriesGauge()->Add(-1);
-}
-
-void LogMaintainer::IndexClearLocked() {
-  ReadIndexEntriesGauge()->Add(-static_cast<int64_t>(read_index_.size()));
-  read_index_.clear();
-}
-
 Status LogMaintainer::Open() {
   std::lock_guard<std::shared_mutex> lock(mu_);
-  IndexClearLocked();  // the recovery-scan hooks repopulate it
   CHARIOTS_RETURN_IF_ERROR(store_.Open());
   RebuildStateLocked();
   return Status::OK();
@@ -76,10 +33,9 @@ Status LogMaintainer::Close() {
   CHARIOTS_RETURN_IF_ERROR(store_.Close());
   // Crash semantics: buffered ordered appends that never landed are lost
   // (the client never got an LId for them, so it retries), and knowledge of
-  // peers is stale on restart — gossip repopulates it. The read index and
-  // tail cache die with the process image.
+  // peers is stale on restart — gossip repopulates it. The tail cache dies
+  // with the process image.
   deferred_.clear();
-  IndexClearLocked();
   tail_cache_.Clear();
   invalid_.clear();
   std::fill(gossip_.begin(), gossip_.end(), 0);
@@ -91,15 +47,15 @@ void LogMaintainer::RebuildStateLocked() {
   std::fill(assign_next_.begin(), assign_next_.end(), 0);
   std::fill(filled_contig_.begin(), filled_contig_.end(), 0);
   for (auto& pending : filled_pending_) pending.clear();
-  // Rebuild fill/assignment state from the read index, which mirrors the
-  // store exactly (populated by the recovery-scan hooks or the append
-  // path) — no second pass over the store.
-  for (const auto& [lid, loc] : read_index_) {
+  // Rebuild fill/assignment state from the store's own index (built by the
+  // recovery scan, kept by the append path) — no second pass over the
+  // segments. Ascending order keeps filled_pending_ empty.
+  store_.ForEachLid([this](LId lid) {
     SlotRef ref = journal_.SlotFor(lid);
     MarkFilledLocked(ref);
     assign_next_[ref.epoch_index] =
         std::max(assign_next_[ref.epoch_index], ref.slot + 1);
-  }
+  });
   gossip_[options_.index] = FirstUnfilledGlobalLocked();
   RefreshHlLocked();
 }
@@ -203,8 +159,7 @@ Status LogMaintainer::AppendBatchLocked(const LogRecord* records, size_t n,
     encoded.push_back(EncodeLogRecord(records[i]));
     entries.push_back(storage::AppendEntry{(*lids)[i], encoded.back()});
   }
-  std::vector<storage::RecordLocation> locations;
-  Status status = store_.AppendBatch(entries, &locations);
+  Status status = store_.AppendBatch(entries);
   if (!status.ok()) {
     for (auto it = runs.rbegin(); it != runs.rend(); ++it) {
       assign_next_[it->epoch_index] = it->first_slot;
@@ -213,7 +168,6 @@ Status LogMaintainer::AppendBatchLocked(const LogRecord* records, size_t n,
     return status;
   }
   for (size_t i = 0; i < n; ++i) {
-    IndexPutLocked((*lids)[i], locations[i]);
     tail_cache_.Put((*lids)[i], std::move(encoded[i]));
   }
 
@@ -348,10 +302,8 @@ Status LogMaintainer::AppendAtBatch(std::span<const LId> lids,
         return Status::OutOfRange("lid not owned by this maintainer");
       }
     }
-    std::vector<storage::RecordLocation> locations;
-    CHARIOTS_RETURN_IF_ERROR(store_.AppendBatch(entries, &locations));
+    CHARIOTS_RETURN_IF_ERROR(store_.AppendBatch(entries));
     for (size_t i = 0; i < n; ++i) {
-      IndexPutLocked(lids[i], locations[i]);
       tail_cache_.Put(lids[i], std::move(encoded[i]));
       SlotRef ref = journal_.SlotFor(lids[i]);
       MarkFilledLocked(ref);
@@ -403,17 +355,14 @@ Result<LogRecord> LogMaintainer::Read(LId lid) const {
     if (journal_.MaintainerFor(lid) != options_.index) {
       return Status::OutOfRange("lid not owned by this maintainer");
     }
-    if (read_index_.find(lid) == read_index_.end()) {
-      return Status::NotFound("no record at lid");
-    }
   }
   // Lock released: the hot path below never holds mu_, so readers contend
   // with neither appends nor each other.
   if (std::optional<std::string> cached = tail_cache_.Get(lid)) {
     return DecodeLogRecord(lid, *cached);
   }
-  // Cold read straight off the store (pread under its shared lock). A
-  // concurrent Remove may have won the race — surface its NotFound.
+  // Cold read straight off the store (pread under its shared lock); its
+  // NotFound is the answer for a gap, a GC'd or a removed record.
   CHARIOTS_ASSIGN_OR_RETURN(std::string payload, store_.Get(lid));
   return DecodeLogRecord(lid, payload);
 }
@@ -473,16 +422,8 @@ Status LogMaintainer::TruncateBelow(LId horizon,
                                     const std::string& archive_path) {
   std::lock_guard<std::shared_mutex> lock(mu_);
   CHARIOTS_RETURN_IF_ERROR(store_.TruncateBelow(horizon, archive_path));
-  // GC drops whole segments; prune index entries the store no longer has.
-  for (auto it = read_index_.begin(); it != read_index_.end();) {
-    if (it->first < horizon && !store_.Contains(it->first)) {
-      tail_cache_.Invalidate(it->first);
-      ReadIndexEntriesGauge()->Add(-1);
-      it = read_index_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // GC'd records must not be served from the cache.
+  tail_cache_.InvalidateBelow(horizon);
   return Status::OK();
 }
 
@@ -494,7 +435,6 @@ std::vector<LId> LogMaintainer::StoredLids() const {
 Status LogMaintainer::Remove(LId lid) {
   std::lock_guard<std::shared_mutex> lock(mu_);
   CHARIOTS_RETURN_IF_ERROR(store_.Remove(lid));
-  IndexEraseLocked(lid);
   tail_cache_.Invalidate(lid);
   invalid_.erase(lid);
   RebuildStateLocked();
@@ -550,30 +490,6 @@ std::vector<std::pair<LId, std::string>> LogMaintainer::InvalidEntries()
     entries.emplace_back(lid, EncodeLogRecord(*record));
   }
   return entries;
-}
-
-Status LogMaintainer::VerifyReadIndex() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  std::vector<LId> lids = store_.ListLids();
-  if (lids.size() != read_index_.size()) {
-    return Status::Internal("read index / store size mismatch");
-  }
-  for (LId lid : lids) {
-    auto it = read_index_.find(lid);
-    if (it == read_index_.end()) {
-      return Status::Internal("stored lid missing from read index");
-    }
-    CHARIOTS_ASSIGN_OR_RETURN(storage::RecordLocation loc, store_.Locate(lid));
-    if (!(loc == it->second)) {
-      return Status::Internal("read index location disagrees with store");
-    }
-  }
-  return Status::OK();
-}
-
-uint64_t LogMaintainer::ReadIndexEntries() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return read_index_.size();
 }
 
 uint64_t LogMaintainer::count() const {

@@ -9,7 +9,6 @@
 #include <set>
 #include <shared_mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -110,12 +109,11 @@ class LogMaintainer {
   Result<std::vector<LId>> FillHoles(const LogRecord& junk);
 
   /// Raw read: the record at `lid` regardless of gaps before it. Memory
-  /// speed on the hot tail: ownership + presence are answered from the
-  /// in-memory read index under a shared lock (concurrent readers never
-  /// serialize against each other), the payload comes from the tail cache
-  /// when present, and only a cold read falls through to the segment store
-  /// (pread under the store's own shared lock — the maintainer lock is NOT
-  /// held across disk I/O).
+  /// speed on the hot tail: ownership is checked under a shared lock
+  /// (concurrent readers never serialize against each other), the payload
+  /// comes from the tail cache when present, and only a cold read falls
+  /// through to the segment store's index (pread under the store's own
+  /// shared lock — the maintainer lock is NOT held across disk I/O).
   Result<LogRecord> Read(LId lid) const;
 
   /// Gap-safe read (paper §5.4): fails with Unavailable if `lid >=
@@ -199,13 +197,6 @@ class LogMaintainer {
   /// payload cannot be read back are skipped (they never landed here).
   std::vector<std::pair<LId, std::string>> InvalidEntries() const;
 
-  /// Asserts the read index and the segment store agree exactly (same lid
-  /// set, same locations). Recovery/diagnostic check; O(n).
-  Status VerifyReadIndex() const;
-
-  /// Read-index size (test/diagnostic helper).
-  uint64_t ReadIndexEntries() const;
-
   /// Tail-cache occupancy (test/diagnostic helpers).
   uint64_t TailCacheBytes() const { return tail_cache_.bytes(); }
   uint64_t TailCacheEntries() const { return tail_cache_.entries(); }
@@ -246,12 +237,6 @@ class LogMaintainer {
   /// Re-derives the lock-free HL snapshot from gossip_. Must be called
   /// after every mutation of gossip_.
   void RefreshHlLocked();
-  void IndexPutLocked(LId lid, const storage::RecordLocation& loc);
-  void IndexEraseLocked(LId lid);
-  void IndexClearLocked();
-  /// Store options with recovery observers attached, so the read index is
-  /// rebuilt in the same single pass as segment recovery (no second scan).
-  storage::LogStoreOptions HookedStoreOptions(storage::LogStoreOptions store);
   Result<LId> AppendLocked(const LogRecord& record);
   void MarkFilledLocked(SlotRef ref);
   LId FirstUnfilledGlobalLocked() const;
@@ -265,13 +250,8 @@ class LogMaintainer {
   /// it shared; appends, gossip ingestion, and recovery take it exclusive.
   mutable std::shared_mutex mu_;
   EpochJournal journal_;
+  /// Holds the maintainer's only LId → location index.
   storage::LogStore store_;
-  /// LId → payload location, in lockstep with the store: populated by the
-  /// append path, rebuilt by the recovery-scan hooks, pruned by Remove and
-  /// TruncateBelow. Guarded by mu_. Answers presence/ownership without
-  /// touching the store and feeds RebuildStateLocked without a ListLids
-  /// pass.
-  std::unordered_map<LId, storage::RecordLocation> read_index_;
   /// Recently appended payloads (own internal lock; see read_cache.h).
   TailCache tail_cache_;
   /// Lock-free HL snapshot (min over gossip_), kept fresh by

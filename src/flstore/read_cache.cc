@@ -110,6 +110,15 @@ void TailCache::Invalidate(LId lid) {
   EraseLocked(lid);
 }
 
+void TailCache::InvalidateBelow(LId horizon) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<LId> doomed;
+  for (const auto& [lid, _] : map_) {
+    if (lid < horizon) doomed.push_back(lid);
+  }
+  for (LId lid : doomed) EraseLocked(lid);
+}
+
 void TailCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   TailBytes()->Add(-static_cast<int64_t>(bytes_));

@@ -19,6 +19,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/metrics.h"
 #include "flstore/types.h"
@@ -59,6 +60,9 @@ class TailCache {
 
   /// Drops one entry (hole repair / tombstone) — a later Get misses.
   void Invalidate(LId lid);
+
+  /// Drops every entry below `horizon` (garbage collection).
+  void InvalidateBelow(LId horizon);
 
   /// Drops everything. Called on close and at epoch-fence transitions
   /// (promotion), so a node changing roles never serves a stale tail.

@@ -49,6 +49,29 @@ metrics::Counter* TornTailsCounter() {
       "storage.log_store.torn_tails_truncated");
   return c;
 }
+
+metrics::Gauge* IndexBytesGauge() {
+  static metrics::Gauge* g = metrics::Registry::Default().GetGauge(
+      "chariots.storage.log_store.index_bytes");
+  return g;
+}
+
+/// Heap bytes of one std::map node: the red-black tree header (colour and
+/// three links) plus the value.
+template <typename Map>
+constexpr int64_t kMapNodeBytes =
+    32 + static_cast<int64_t>(sizeof(typename Map::value_type));
+
+/// Reserves room for one more element, growing by a quarter instead of the
+/// library's doubling so a vector's slack stays under 25% of its size (plus
+/// the first step). Returns the capacity added, in elements.
+template <typename T>
+int64_t GrowForOne(std::vector<T>* v) {
+  const size_t before = v->capacity();
+  if (v->size() < before) return 0;
+  v->reserve(before + before / 4 + 64);
+  return static_cast<int64_t>(v->capacity() - before);
+}
 }  // namespace
 
 LogStore::LogStore(LogStoreOptions options)
@@ -58,7 +81,9 @@ LogStore::LogStore(LogStoreOptions options)
       engine_(options_.io_engine != nullptr ? options_.io_engine
                                             : IoEngineFromEnv()) {}
 
-LogStore::~LogStore() = default;
+LogStore::~LogStore() {
+  IndexBytesGauge()->Add(-static_cast<int64_t>(index_bytes_));
+}
 
 std::string LogStore::SegmentPath(uint64_t segment_id) const {
   char buf[64];
@@ -89,7 +114,11 @@ Status LogStore::Open() {
   }
   std::sort(ids.begin(), ids.end());
   for (size_t i = 0; i < ids.size(); ++i) {
-    CHARIOTS_RETURN_IF_ERROR(RecoverSegment(ids[i], i + 1 == ids.size()));
+    Status status = RecoverSegment(ids[i], i + 1 == ids.size());
+    if (!status.ok()) {
+      ResetLocked();
+      return status;
+    }
   }
   next_segment_id_ = ids.empty() ? 0 : ids.back() + 1;
 
@@ -97,11 +126,16 @@ Status LogStore::Open() {
   if (segments_.empty() ||
       segments_.rbegin()->second.file.size() >= options_.segment_bytes) {
     Segment seg;
-    seg.path = SegmentPath(next_segment_id_);
-    CHARIOTS_ASSIGN_OR_RETURN(
-        seg.file,
-        FaultInjectingFile::OpenAppendable(seg.path, options_.disk_faults));
-    segments_.emplace(next_segment_id_, std::move(seg));
+    seg.id = next_segment_id_;
+    seg.path = SegmentPath(seg.id);
+    Result<FaultInjectingFile> file =
+        FaultInjectingFile::OpenAppendable(seg.path, options_.disk_faults);
+    if (!file.ok()) {
+      ResetLocked();
+      return file.status();
+    }
+    seg.file = std::move(*file);
+    segments_.emplace(seg.id, std::move(seg));
     ++next_segment_id_;
   }
   open_ = true;
@@ -111,8 +145,16 @@ Status LogStore::Open() {
 Status LogStore::Close() {
   std::lock_guard<std::shared_mutex> lock(mu_);
   if (!open_) return Status::OK();
+  ResetLocked();
+  return Status::OK();
+}
+
+void LogStore::ResetLocked() {
+  dense_starts_.clear();
   segments_.clear();  // File destructors release the fds
-  index_.clear();
+  overflow_.clear();
+  dense_next_ = 0;
+  AddIndexBytesLocked(-static_cast<int64_t>(index_bytes_));
   mem_.clear();
   next_segment_id_ = 0;
   max_lid_ = 0;
@@ -121,7 +163,113 @@ Status LogStore::Close() {
   arena_.clear();
   last_sync_nanos_ = 0;
   open_ = false;
-  return Status::OK();
+}
+
+void LogStore::AddIndexBytesLocked(int64_t delta) {
+  if (delta == 0) return;
+  index_bytes_ += delta;
+  IndexBytesGauge()->Add(delta);
+}
+
+LogStore::IndexEntry* LogStore::FindDenseLocked(uint64_t lid,
+                                                const Segment** owner) const {
+  if (lid >= dense_next_) return nullptr;
+  auto it = dense_starts_.upper_bound(lid);
+  if (it == dense_starts_.begin()) return nullptr;
+  Segment* seg = std::prev(it)->second;
+  std::vector<IndexEntry>& v = seg->entries;
+  const uint64_t first = v.front().lid;
+  const uint64_t last = v.back().lid;
+  if (lid > last) return nullptr;
+  // A segment's lids are mostly consecutive (or evenly striped), so
+  // interpolating usually lands on the entry: one cache miss where a
+  // binary search over a large segment takes a dozen. Otherwise search the
+  // side of the guess the lid is on.
+  auto guess = v.begin();
+  if (last != first) {
+    guess += static_cast<std::ptrdiff_t>(static_cast<double>(lid - first) /
+                                         static_cast<double>(last - first) *
+                                         static_cast<double>(v.size() - 1));
+  }
+  auto e = guess;
+  if (guess->lid != lid) {
+    auto lo = guess->lid < lid ? guess + 1 : v.begin();
+    auto hi = guess->lid < lid ? v.end() : guess;
+    e = std::lower_bound(
+        lo, hi, lid,
+        [](const IndexEntry& entry, uint64_t l) { return entry.lid < l; });
+    if (e == v.end() || e->lid != lid) return nullptr;
+  }
+  *owner = seg;
+  return &*e;
+}
+
+std::optional<RecordLocation> LogStore::LookupLocked(uint64_t lid) const {
+  if (auto it = overflow_.find(lid); it != overflow_.end()) return it->second;
+  const Segment* seg = nullptr;
+  const IndexEntry* e = FindDenseLocked(lid, &seg);
+  if (e == nullptr || e->offset == 0) return std::nullopt;
+  return RecordLocation{seg->id, e->offset, e->length};
+}
+
+void LogStore::IndexInsertLocked(Segment& seg, uint64_t lid, uint64_t offset,
+                                 uint32_t length) {
+  if (lid >= dense_next_ && offset <= UINT32_MAX) {
+    if (seg.entries.empty()) {
+      dense_starts_.emplace(lid, &seg);
+      AddIndexBytesLocked(kMapNodeBytes<decltype(dense_starts_)>);
+    }
+    AddIndexBytesLocked(GrowForOne(&seg.entries) *
+                        static_cast<int64_t>(sizeof(IndexEntry)));
+    seg.entries.push_back(
+        IndexEntry{lid, static_cast<uint32_t>(offset), length});
+    dense_next_ = lid + 1;
+    return;
+  }
+  overflow_.emplace(lid, RecordLocation{seg.id, offset, length});
+  AddIndexBytesLocked(kMapNodeBytes<decltype(overflow_)>);
+  AddIndexBytesLocked(GrowForOne(&seg.overflow_lids) *
+                      static_cast<int64_t>(sizeof(uint64_t)));
+  seg.overflow_lids.push_back(lid);
+}
+
+bool LogStore::IndexEraseLocked(uint64_t lid) {
+  if (auto it = overflow_.find(lid); it != overflow_.end()) {
+    overflow_.erase(it);
+    AddIndexBytesLocked(-kMapNodeBytes<decltype(overflow_)>);
+    return true;
+  }
+  const Segment* seg = nullptr;
+  IndexEntry* e = FindDenseLocked(lid, &seg);
+  if (e == nullptr || e->offset == 0) return false;
+  e->offset = 0;
+  return true;
+}
+
+void LogStore::DropSegmentIndexLocked(Segment& seg,
+                                      std::vector<uint64_t>* killed) {
+  for (const IndexEntry& e : seg.entries) {
+    if (e.offset == 0) continue;
+    killed->push_back(e.lid);
+    --count_;
+  }
+  for (uint64_t lid : seg.overflow_lids) {
+    auto it = overflow_.find(lid);
+    if (it == overflow_.end() || it->second.segment_id != seg.id) continue;
+    killed->push_back(lid);
+    --count_;
+    overflow_.erase(it);
+    AddIndexBytesLocked(-kMapNodeBytes<decltype(overflow_)>);
+  }
+  if (!seg.entries.empty()) {
+    dense_starts_.erase(seg.entries.front().lid);
+    AddIndexBytesLocked(-kMapNodeBytes<decltype(dense_starts_)>);
+  }
+  AddIndexBytesLocked(
+      -static_cast<int64_t>(seg.entries.capacity() * sizeof(IndexEntry) +
+                            seg.overflow_lids.capacity() * sizeof(uint64_t)));
+  seg.entries = {};
+  seg.overflow_lids = {};
 }
 
 Status LogStore::RecoverSegment(uint64_t segment_id, bool is_last) {
@@ -131,14 +279,17 @@ Status LogStore::RecoverSegment(uint64_t segment_id, bool is_last) {
       FaultInjectingFile file,
       FaultInjectingFile::OpenAppendable(path, options_.disk_faults));
 
-  Segment seg;
+  Segment& seg = segments_[segment_id];
+  seg.id = segment_id;
   seg.path = path;
+  seg.file = std::move(file);
   uint64_t offset = 0;
-  const uint64_t file_size = file.size();
+  const uint64_t file_size = seg.file.size();
   std::string header;
   std::string body;
   while (offset + kFrameHeaderBytes <= file_size) {
-    CHARIOTS_RETURN_IF_ERROR(file.ReadAt(offset, kFrameHeaderBytes, &header));
+    CHARIOTS_RETURN_IF_ERROR(
+        seg.file.ReadAt(offset, kFrameHeaderBytes, &header));
     BinaryReader hr(header);
     uint32_t stored_crc = 0, len = 0;
     uint64_t lid = 0;
@@ -152,7 +303,7 @@ Status LogStore::RecoverSegment(uint64_t segment_id, bool is_last) {
     bool bad = frame_end > file_size || type > kFrameTombstone;
     if (!bad) {
       CHARIOTS_RETURN_IF_ERROR(
-          file.ReadAt(offset + kFrameHeaderBytes, len, &body));
+          seg.file.ReadAt(offset + kFrameHeaderBytes, len, &body));
       BinaryWriter check;
       check.PutU8(type);
       check.PutU32(len);
@@ -165,29 +316,21 @@ Status LogStore::RecoverSegment(uint64_t segment_id, bool is_last) {
         LOG_WARN << "truncating torn tail of " << path << " at offset "
                  << offset;
         TornTailsCounter()->Add();
-        CHARIOTS_RETURN_IF_ERROR(file.Truncate(offset));
+        CHARIOTS_RETURN_IF_ERROR(seg.file.Truncate(offset));
         break;
       }
       return Status::Corruption("bad frame in non-final segment " + path);
     }
 
+    // A later frame for a lid supersedes an earlier one: a tombstone kills
+    // the data before it, and a lid may be rewritten after a tombstone whose
+    // segment was garbage collected.
+    if (IndexEraseLocked(lid)) --count_;
     if (type == kFrameTombstone) {
-      // A later tombstone kills an earlier data frame for the same lid.
-      auto it = index_.find(lid);
-      if (it != index_.end()) {
-        index_.erase(it);
-        --count_;
-      }
       seg.tombstones.push_back(lid);
-      if (options_.on_recovered_tombstone) options_.on_recovered_tombstone(lid);
     } else {
-      // Later frames win (a lid may be rewritten after a tombstone whose
-      // segment was garbage collected).
-      RecordLocation loc{segment_id, offset + kFrameHeaderBytes, len};
-      auto [it, inserted] = index_.insert_or_assign(lid, loc);
-      (void)it;
-      if (inserted) ++count_;
-      if (options_.on_recovered_record) options_.on_recovered_record(lid, loc);
+      IndexInsertLocked(seg, lid, offset + kFrameHeaderBytes, len);
+      ++count_;
       seg.min_lid = std::min(seg.min_lid, lid);
       seg.max_lid = std::max(seg.max_lid, lid);
       ++seg.records;
@@ -195,15 +338,13 @@ Status LogStore::RecoverSegment(uint64_t segment_id, bool is_last) {
     }
     offset = frame_end;
   }
-  if (offset < file.size() && is_last) {
+  if (offset < seg.file.size() && is_last) {
     // Trailing partial header.
     LOG_WARN << "truncating partial frame header of " << path;
-    CHARIOTS_RETURN_IF_ERROR(file.Truncate(offset));
-  } else if (offset < file.size()) {
+    CHARIOTS_RETURN_IF_ERROR(seg.file.Truncate(offset));
+  } else if (offset < seg.file.size()) {
     return Status::Corruption("trailing garbage in non-final segment " + path);
   }
-  seg.file = std::move(file);
-  segments_.emplace(segment_id, std::move(seg));
   return Status::OK();
 }
 
@@ -212,11 +353,12 @@ Status LogStore::RotateIfNeededLocked() {
   if (active.file.size() < options_.segment_bytes) return Status::OK();
   RotationsCounter()->Add();
   Segment seg;
-  seg.path = SegmentPath(next_segment_id_);
+  seg.id = next_segment_id_;
+  seg.path = SegmentPath(seg.id);
   CHARIOTS_ASSIGN_OR_RETURN(
       seg.file,
       FaultInjectingFile::OpenAppendable(seg.path, options_.disk_faults));
-  segments_.emplace(next_segment_id_, std::move(seg));
+  segments_.emplace(seg.id, std::move(seg));
   ++next_segment_id_;
   return Status::OK();
 }
@@ -240,49 +382,22 @@ Status LogStore::Append(uint64_t lid, std::string_view payload) {
   return AppendBatch({&entry, 1});
 }
 
-Status LogStore::AppendBatch(std::span<const AppendEntry> entries,
-                             std::vector<RecordLocation>* locations) {
-  if (locations != nullptr) locations->clear();
-  if (entries.empty()) return Status::OK();
-  std::lock_guard<std::shared_mutex> lock(mu_);
-  if (!open_) return Status::FailedPrecondition("LogStore not open");
-
-  if (options_.mode == SyncMode::kMemoryOnly) {
-    for (const AppendEntry& e : entries) {
-      if (mem_.count(e.lid) != 0) {
-        return Status::AlreadyExists("lid already present");
-      }
-    }
-    if (entries.size() > 1) {
-      std::unordered_set<uint64_t> seen;
-      seen.reserve(entries.size());
-      for (const AppendEntry& e : entries) {
-        if (!seen.insert(e.lid).second) {
-          return Status::AlreadyExists("duplicate lid within batch");
-        }
-      }
-    }
-    for (const AppendEntry& e : entries) {
-      mem_.emplace(e.lid, std::string(e.payload));
-      mem_bytes_ += e.payload.size();
-      ++count_;
-      max_lid_ = std::max(max_lid_, e.lid);
-      if (locations != nullptr) {
-        locations->push_back(
-            RecordLocation{0, 0, static_cast<uint32_t>(e.payload.size())});
-      }
-    }
-    return Status::OK();
-  }
-
-  // Validate the whole batch before writing a single byte, so a rejected
-  // batch leaves the store untouched.
+Status LogStore::ValidateBatchLocked(
+    std::span<const AppendEntry> entries) const {
   for (const AppendEntry& e : entries) {
-    if (index_.count(e.lid) != 0) {
-      return Status::AlreadyExists("lid already present");
-    }
+    bool live = options_.mode == SyncMode::kMemoryOnly
+                    ? mem_.count(e.lid) != 0
+                    : LookupLocked(e.lid).has_value();
+    if (live) return Status::AlreadyExists("lid already present");
   }
-  if (entries.size() > 1) {
+  // A strictly increasing batch (every group commit, every in-order run)
+  // cannot repeat a lid; only other orders pay for a set.
+  bool increasing =
+      std::adjacent_find(entries.begin(), entries.end(),
+                         [](const AppendEntry& a, const AppendEntry& b) {
+                           return a.lid >= b.lid;
+                         }) == entries.end();
+  if (!increasing) {
     std::unordered_set<uint64_t> seen;
     seen.reserve(entries.size());
     for (const AppendEntry& e : entries) {
@@ -291,9 +406,28 @@ Status LogStore::AppendBatch(std::span<const AppendEntry> entries,
       }
     }
   }
+  return Status::OK();
+}
+
+Status LogStore::AppendBatch(std::span<const AppendEntry> entries) {
+  if (entries.empty()) return Status::OK();
+  std::lock_guard<std::shared_mutex> lock(mu_);
+  if (!open_) return Status::FailedPrecondition("LogStore not open");
+  // Validate the whole batch before writing a single byte, so a rejected
+  // batch leaves the store untouched.
+  CHARIOTS_RETURN_IF_ERROR(ValidateBatchLocked(entries));
+
+  if (options_.mode == SyncMode::kMemoryOnly) {
+    for (const AppendEntry& e : entries) {
+      mem_.emplace(e.lid, std::string(e.payload));
+      mem_bytes_ += e.payload.size();
+      ++count_;
+      max_lid_ = std::max(max_lid_, e.lid);
+    }
+    return Status::OK();
+  }
 
   CHARIOTS_RETURN_IF_ERROR(RotateIfNeededLocked());
-  uint64_t segment_id = segments_.rbegin()->first;
   Segment& seg = segments_.rbegin()->second;
 
   // Zero-copy group commit (DESIGN.md §15): only the fixed-size frame
@@ -332,10 +466,8 @@ Status LogStore::AppendBatch(std::span<const AppendEntry> entries,
 
   uint64_t offset = base;
   for (const AppendEntry& e : entries) {
-    RecordLocation loc{segment_id, offset + kFrameHeaderBytes,
-                       static_cast<uint32_t>(e.payload.size())};
-    index_[e.lid] = loc;
-    if (locations != nullptr) locations->push_back(loc);
+    IndexInsertLocked(seg, e.lid, offset + kFrameHeaderBytes,
+                      static_cast<uint32_t>(e.payload.size()));
     offset += kFrameHeaderBytes + e.payload.size();
     seg.min_lid = std::min(seg.min_lid, e.lid);
     seg.max_lid = std::max(seg.max_lid, e.lid);
@@ -357,8 +489,7 @@ Status LogStore::Remove(uint64_t lid) {
     --count_;
     return Status::OK();
   }
-  auto it = index_.find(lid);
-  if (it == index_.end()) return Status::NotFound("no record at lid");
+  if (!LookupLocked(lid)) return Status::NotFound("no record at lid");
   CHARIOTS_RETURN_IF_ERROR(RotateIfNeededLocked());
   Segment& seg = segments_.rbegin()->second;
   CHARIOTS_RETURN_IF_ERROR(
@@ -367,7 +498,7 @@ Status LogStore::Remove(uint64_t lid) {
     CHARIOTS_RETURN_IF_ERROR(seg.file.Sync());
   }
   seg.tombstones.push_back(lid);
-  index_.erase(it);
+  IndexEraseLocked(lid);
   --count_;
   return Status::OK();
 }
@@ -380,16 +511,15 @@ Result<std::string> LogStore::Get(uint64_t lid) const {
     if (it == mem_.end()) return Status::NotFound("no record at lid");
     return it->second;
   }
-  auto it = index_.find(lid);
-  if (it == index_.end()) return Status::NotFound("no record at lid");
-  const RecordLocation& loc = it->second;
-  auto seg_it = segments_.find(loc.segment_id);
+  std::optional<RecordLocation> loc = LookupLocked(lid);
+  if (!loc) return Status::NotFound("no record at lid");
+  auto seg_it = segments_.find(loc->segment_id);
   if (seg_it == segments_.end()) {
     return Status::Internal("index points at missing segment");
   }
   std::string payload;
   CHARIOTS_RETURN_IF_ERROR(
-      seg_it->second.file.ReadAt(loc.offset, loc.length, &payload));
+      seg_it->second.file.ReadAt(loc->offset, loc->length, &payload));
   return payload;
 }
 
@@ -401,15 +531,15 @@ Result<RecordLocation> LogStore::Locate(uint64_t lid) const {
     if (it == mem_.end()) return Status::NotFound("no record at lid");
     return RecordLocation{0, 0, static_cast<uint32_t>(it->second.size())};
   }
-  auto it = index_.find(lid);
-  if (it == index_.end()) return Status::NotFound("no record at lid");
-  return it->second;
+  std::optional<RecordLocation> loc = LookupLocked(lid);
+  if (!loc) return Status::NotFound("no record at lid");
+  return *loc;
 }
 
 bool LogStore::Contains(uint64_t lid) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   if (options_.mode == SyncMode::kMemoryOnly) return mem_.count(lid) != 0;
-  return index_.count(lid) != 0;
+  return LookupLocked(lid).has_value();
 }
 
 Status LogStore::Sync() {
@@ -468,20 +598,12 @@ Status LogStore::TruncateBelow(uint64_t horizon,
     // tombstone are live again and need no marker.
     std::vector<uint64_t> keep_tombstones;
     for (uint64_t t : seg.tombstones) {
-      if (index_.count(t) == 0) keep_tombstones.push_back(t);
+      if (!LookupLocked(t)) keep_tombstones.push_back(t);
     }
     // Drop index entries pointing into this segment. The lids become dead;
     // an older (superseded) frame for one of them may survive in another
     // segment, so they also need tombstones to stay dead across recovery.
-    for (auto idx = index_.begin(); idx != index_.end();) {
-      if (idx->second.segment_id == it->first) {
-        keep_tombstones.push_back(idx->first);
-        idx = index_.erase(idx);
-        --count_;
-      } else {
-        ++idx;
-      }
-    }
+    DropSegmentIndexLocked(seg, &keep_tombstones);
     seg.file.Close();
     CHARIOTS_RETURN_IF_ERROR(RemoveFile(seg.path));
     it = segments_.erase(it);
@@ -510,18 +632,39 @@ uint64_t LogStore::max_lid() const {
   return max_lid_;
 }
 
-std::vector<uint64_t> LogStore::ListLids() const {
+void LogStore::ForEachLid(const std::function<void(uint64_t)>& fn) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  std::vector<uint64_t> out;
   if (options_.mode == SyncMode::kMemoryOnly) {
-    out.reserve(mem_.size());
-    for (const auto& [lid, _] : mem_) out.push_back(lid);
-  } else {
-    out.reserve(index_.size());
-    for (const auto& [lid, _] : index_) out.push_back(lid);
+    std::vector<uint64_t> lids;
+    lids.reserve(mem_.size());
+    for (const auto& [lid, _] : mem_) lids.push_back(lid);
+    std::sort(lids.begin(), lids.end());
+    for (uint64_t lid : lids) fn(lid);
+    return;
   }
-  std::sort(out.begin(), out.end());
+  // Dense entries ascend across segments; merge the overflow map in.
+  auto over = overflow_.begin();
+  for (const auto& [_, seg] : dense_starts_) {
+    for (const IndexEntry& e : seg->entries) {
+      if (e.offset == 0) continue;
+      for (; over != overflow_.end() && over->first < e.lid; ++over) {
+        fn(over->first);
+      }
+      fn(e.lid);
+    }
+  }
+  for (; over != overflow_.end(); ++over) fn(over->first);
+}
+
+std::vector<uint64_t> LogStore::ListLids() const {
+  std::vector<uint64_t> out;
+  ForEachLid([&out](uint64_t lid) { out.push_back(lid); });
   return out;
+}
+
+uint64_t LogStore::IndexBytes() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return index_bytes_;
 }
 
 uint64_t LogStore::SizeBytes() const {

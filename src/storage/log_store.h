@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -46,10 +47,6 @@ enum class SyncPolicy {
 };
 
 /// Where a record's payload lives: segment id + payload offset + length.
-/// Exposed so the layer above (the log maintainer) can keep its own
-/// in-memory LId → location index in lockstep with the store — populated by
-/// the append path and rebuilt during the recovery scan, never by a second
-/// pass over the store.
 struct RecordLocation {
   uint64_t segment_id = 0;
   uint64_t offset = 0;  ///< payload offset within the segment file
@@ -80,13 +77,6 @@ struct LogStoreOptions {
   /// engine) — this is how the test suites and crash matrix rerun the whole
   /// storage layer under io_uring without any per-test wiring.
   IoEngine* io_engine = nullptr;
-  /// Recovery observers, fired frame-by-frame during Open()'s segment scan
-  /// (in scan order, so a later tombstone/rewrite for a lid supersedes an
-  /// earlier observation). Both run under the store lock: they must not
-  /// call back into the store. Used by the maintainer to rebuild its read
-  /// index in the same single pass as segment recovery.
-  std::function<void(uint64_t lid, const RecordLocation&)> on_recovered_record;
-  std::function<void(uint64_t lid)> on_recovered_tombstone;
 };
 
 /// One record of a batched append: position + payload. The payload view must
@@ -113,6 +103,13 @@ struct AppendEntry {
 /// Recovery scans segments in id order rebuilding the index; a damaged frame
 /// in the *last* segment is treated as a torn write and the tail is
 /// truncated; damage anywhere else is reported as Corruption.
+///
+/// The LId index is dense (DESIGN.md §11): each segment keeps its data
+/// frames' (lid, offset, length) in file order, 16 B per record, for every
+/// frame appended above the highest lid indexed so far — group commits and
+/// each striped maintainer's runs. Any other lid (hole fill, rewrite after a
+/// tombstone, out-of-order landing) goes to a small overflow map. No record
+/// costs a heap node of its own on the in-order path.
 class LogStore {
  public:
   explicit LogStore(LogStoreOptions options);
@@ -140,13 +137,9 @@ class LogStore {
   /// present or duplicated within the batch — nothing is written in that
   /// case), encodes all frames into one reusable arena buffer, issues a
   /// single file write, and applies the sync policy once for the whole
-  /// batch. Takes the store lock exactly once. When `locations` is
-  /// non-null it receives one entry per record, in batch order, describing
-  /// where the payload landed (kMemoryOnly: a synthesized location whose
-  /// length is the payload size) — the maintainer feeds these straight into
-  /// its read index.
-  Status AppendBatch(std::span<const AppendEntry> entries,
-                     std::vector<RecordLocation>* locations = nullptr);
+  /// batch. Takes the store lock exactly once. A strictly increasing batch
+  /// is checked for repeats in one scan; any other order pays for a set.
+  Status AppendBatch(std::span<const AppendEntry> entries);
 
   /// Removes the record at `lid` by appending a tombstone frame (the log is
   /// append-only; the data frame stays on disk but is dead after recovery).
@@ -158,8 +151,7 @@ class LogStore {
   Result<std::string> Get(uint64_t lid) const;
 
   /// Where the record at `lid` lives; NotFound if absent. kMemoryOnly
-  /// stores synthesize {0, 0, payload size}. Used to assert agreement
-  /// between the maintainer's read index and the store.
+  /// stores synthesize {0, 0, payload size}.
   Result<RecordLocation> Locate(uint64_t lid) const;
 
   bool Contains(uint64_t lid) const;
@@ -170,7 +162,8 @@ class LogStore {
   /// Garbage-collects whole segments whose records all have lid < `horizon`.
   /// If `archive_path` is non-empty, eligible segments are first appended to
   /// the cold-storage archive file (paper §6.1: users may archive rather
-  /// than discard). Records in partially-eligible segments are kept.
+  /// than discard). Records in partially-eligible segments are kept. Index
+  /// work is proportional to the dropped segments' own records.
   Status TruncateBelow(uint64_t horizon, const std::string& archive_path = "");
 
   /// Number of live records.
@@ -179,16 +172,36 @@ class LogStore {
   /// Largest lid ever appended (0 if empty — check count() first).
   uint64_t max_lid() const;
 
-  /// Sorted list of live lids (test/diagnostic helper; O(n log n)).
+  /// Calls `fn` for every live lid in ascending order, under the store's
+  /// shared lock: `fn` must not call back into the store.
+  void ForEachLid(const std::function<void(uint64_t)>& fn) const;
+
+  /// Sorted list of live lids (test/diagnostic helper).
   std::vector<uint64_t> ListLids() const;
+
+  /// Heap bytes held by the LId index: dense entries (by capacity), the
+  /// overflow map and the per-segment lookup nodes. 0 in kMemoryOnly. The
+  /// process-wide sum is the gauge chariots.storage.log_store.index_bytes.
+  uint64_t IndexBytes() const;
 
   /// Total bytes across live segment files (kMemoryOnly: payload bytes).
   uint64_t SizeBytes() const;
 
  private:
+  /// One data frame in a segment's dense index. `offset` is the payload's
+  /// offset in the segment file; 0 marks the entry dead (tombstoned, or
+  /// superseded by an overflow entry) — no payload starts at 0, a frame
+  /// header precedes it.
+  struct IndexEntry {
+    uint64_t lid = 0;
+    uint32_t offset = 0;
+    uint32_t length = 0;
+  };
+
   struct Segment {
     FaultInjectingFile file;
     std::string path;
+    uint64_t id = 0;
     uint64_t min_lid = UINT64_MAX;
     uint64_t max_lid = 0;
     uint64_t records = 0;
@@ -196,9 +209,32 @@ class LogStore {
     /// the active segment before dropping this one, so a dead data frame
     /// surviving in another segment can never resurrect on recovery.
     std::vector<uint64_t> tombstones;
+    /// Dense index: data frames in file order, lids strictly increasing
+    /// within the segment and above every earlier segment's entries.
+    std::vector<IndexEntry> entries;
+    /// Lids whose overflow_ entry was placed in this segment, so dropping
+    /// the segment touches only its own records. May hold stale lids.
+    std::vector<uint64_t> overflow_lids;
   };
 
   Status RecoverSegment(uint64_t segment_id, bool is_last);
+  /// Drops all in-memory state (Close, failed Open).
+  void ResetLocked();
+  /// AlreadyExists if any lid of the batch is live or repeats in it.
+  Status ValidateBatchLocked(std::span<const AppendEntry> entries) const;
+  /// The dense entry (live or dead) for `lid`, or null; `*owner` receives
+  /// its segment.
+  IndexEntry* FindDenseLocked(uint64_t lid, const Segment** owner) const;
+  std::optional<RecordLocation> LookupLocked(uint64_t lid) const;
+  /// Indexes a data frame of `seg` whose lid is not live.
+  void IndexInsertLocked(Segment& seg, uint64_t lid, uint64_t offset,
+                         uint32_t length);
+  /// Kills `lid`'s live index entry; false if it had none.
+  bool IndexEraseLocked(uint64_t lid);
+  /// Drops the index entries of a segment that GC is deleting; the lids
+  /// that were live die and are appended to `*killed`.
+  void DropSegmentIndexLocked(Segment& seg, std::vector<uint64_t>* killed);
+  void AddIndexBytesLocked(int64_t delta);
   Status RotateIfNeededLocked();
   bool WantSyncLocked();
   std::string SegmentPath(uint64_t segment_id) const;
@@ -213,7 +249,15 @@ class LogStore {
   mutable std::shared_mutex mu_;
   bool open_ = false;
   std::map<uint64_t, Segment> segments_;        // by segment id
-  std::unordered_map<uint64_t, RecordLocation> index_;  // lid -> location
+  /// First dense lid of each segment with entries -> that segment (node
+  /// addresses in segments_ are stable).
+  std::map<uint64_t, Segment*> dense_starts_;
+  /// Live records the dense index cannot hold: lids below dense_next_, or a
+  /// payload offset beyond 4 GiB. Checked before the dense entries.
+  std::map<uint64_t, RecordLocation> overflow_;
+  /// Lowest lid the dense index accepts next (last dense lid + 1).
+  uint64_t dense_next_ = 0;
+  uint64_t index_bytes_ = 0;
   std::unordered_map<uint64_t, std::string> mem_;  // kMemoryOnly payloads
   uint64_t next_segment_id_ = 0;
   uint64_t max_lid_ = 0;

@@ -9,10 +9,15 @@
 // by kFlightRec decodes and covers the breach window — all with ZERO real
 // sleeps (virtual clock + AdvanceBy).
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -29,7 +34,9 @@
 #include "flstore/service.h"
 #include "net/fault_schedule.h"
 #include "net/inproc_transport.h"
+#include "net/metrics_http.h"
 #include "net/rpc.h"
+#include "storage/log_store.h"
 
 namespace chariots::flstore {
 namespace {
@@ -432,6 +439,60 @@ TEST(ObservabilityMetricsTest, PrometheusHistogramsExportCumulativeBuckets) {
     prev_cum = cumulative;
   }
   EXPECT_EQ(stats.buckets.back().second, stats.count);
+}
+
+/// One HTTP GET against localhost:`port`; returns the whole response.
+std::string HttpGet(int port, const std::string& path) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return "";
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  std::string response;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+    std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
+    if (::send(fd, request.data(), request.size(), 0) ==
+        static_cast<ssize_t>(request.size())) {
+      char buf[4096];
+      ssize_t n;
+      while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+        response.append(buf, static_cast<size_t>(n));
+      }
+    }
+  }
+  ::close(fd);
+  return response;
+}
+
+// The segment store's index size is served on /metrics, summed over the
+// process's stores.
+TEST(ObservabilityMetricsTest, MetricsEndpointExportsStoreIndexBytes) {
+  namespace fs = std::filesystem;
+  fs::path dir = fs::temp_directory_path() / "chariots_obs_index_bytes";
+  fs::remove_all(dir);
+  storage::LogStoreOptions options;
+  options.dir = dir.string();
+  storage::LogStore store(options);
+  ASSERT_TRUE(store.Open().ok());
+  for (uint64_t lid = 0; lid < 100; ++lid) {
+    ASSERT_TRUE(store.Append(lid, "record").ok());
+  }
+  ASSERT_GT(store.IndexBytes(), 0u);
+
+  net::MetricsHttpServer server;
+  ASSERT_TRUE(server.Start(0).ok());
+  std::string body = HttpGet(server.port(), "/metrics");
+  server.Stop();
+  const std::string name = "chariots_storage_log_store_index_bytes";
+  EXPECT_NE(body.find("# TYPE " + name + " gauge"), std::string::npos)
+      << body;
+  size_t line = body.find("\n" + name + " ");
+  ASSERT_NE(line, std::string::npos) << body;
+  uint64_t exported = std::stoull(body.substr(line + name.size() + 2));
+  EXPECT_GE(exported, store.IndexBytes());
+  ASSERT_TRUE(store.Close().ok());
+  fs::remove_all(dir);
 }
 
 // --------------------------------------------------- end-to-end SLO drill

@@ -8,10 +8,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/metrics.h"
 #include "common/random.h"
+#include "flstore/maintainer.h"
 #include "storage/archive.h"
 #include "storage/fault_injection.h"
 #include "storage/format.h"
@@ -131,6 +134,29 @@ TEST_F(LogStoreTest, AppendBatchRejectsExistingOrDuplicateLidAtomically) {
   EXPECT_FALSE(store.Contains(7));
   EXPECT_FALSE(store.Contains(8));
   EXPECT_EQ(store.count(), 1u);
+}
+
+TEST_F(LogStoreTest, NonMonotonicBatchWithDuplicateIsRejectedWhole) {
+  LogStore store(Options());
+  ASSERT_TRUE(store.Open().ok());
+  ASSERT_TRUE(store.Append(10, "ten").ok());
+  const uint64_t bytes = store.SizeBytes();
+  // Out of order, so the one-scan check does not apply: the set catches it.
+  std::vector<AppendEntry> dup = {{12, "a"}, {3, "b"}, {12, "c"}};
+  EXPECT_EQ(store.AppendBatch(dup).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(store.count(), 1u);
+  EXPECT_EQ(store.ListLids(), (std::vector<uint64_t>{10}));
+  EXPECT_EQ(store.SizeBytes(), bytes);
+  EXPECT_FALSE(store.Contains(3));
+  EXPECT_FALSE(store.Contains(12));
+  // The same batch without the repeat lands, out of order, and recovers.
+  std::vector<AppendEntry> ok = {{12, "a"}, {3, "b"}};
+  ASSERT_TRUE(store.AppendBatch(ok).ok());
+  ASSERT_TRUE(store.Close().ok());
+  ASSERT_TRUE(store.Open().ok());
+  EXPECT_EQ(store.ListLids(), (std::vector<uint64_t>{3, 10, 12}));
+  EXPECT_EQ(*store.Get(3), "b");
+  EXPECT_EQ(*store.Get(12), "a");
 }
 
 TEST_F(LogStoreTest, BatchEqualsSinglesOnDisk) {
@@ -441,6 +467,88 @@ TEST_F(LogStoreTest, ArchiveDetectsCorruption) {
     f.put('\x7f');
   }
   EXPECT_TRUE(ArchiveReader::Count(archive).status().IsCorruption());
+}
+
+TEST_F(LogStoreTest, RewriteOfTombstonedLidSurvivesGcOfEarlierSegment) {
+  // 40-byte payloads make 57-byte frames: three data frames per 128-byte
+  // segment, so lids 0-2, 3-5 and 6-8 each fill one.
+  LogStore store(Options(SyncMode::kBuffered, 128));
+  ASSERT_TRUE(store.Open().ok());
+  for (uint64_t lid = 0; lid < 10; ++lid) {
+    ASSERT_TRUE(store.Append(lid, std::string(40, 'o')).ok());
+  }
+  // Remove lid 2 and write it again: the rewrite lands beside lid 9, in a
+  // later segment than the dead frame it replaces.
+  ASSERT_TRUE(store.Remove(2).ok());
+  ASSERT_TRUE(store.Append(2, std::string(40, 'n')).ok());
+  for (uint64_t lid = 10; lid < 16; ++lid) {
+    ASSERT_TRUE(store.Append(lid, std::string(40, 'o')).ok());
+  }
+  ASSERT_EQ(store.Locate(2)->segment_id, store.Locate(9)->segment_id);
+  // GC the segments holding lids 0-8 — among them the dead frame of lid 2.
+  ASSERT_TRUE(store.TruncateBelow(9).ok());
+  const std::vector<uint64_t> survivors = {2, 9, 10, 11, 12, 13, 14, 15};
+  EXPECT_EQ(store.ListLids(), survivors);
+  EXPECT_EQ(*store.Get(2), std::string(40, 'n'));
+  ASSERT_TRUE(store.Close().ok());
+  ASSERT_TRUE(store.Open().ok());
+  EXPECT_EQ(store.ListLids(), survivors);
+  EXPECT_EQ(store.count(), survivors.size());
+  EXPECT_EQ(*store.Get(2), std::string(40, 'n'));
+  EXPECT_FALSE(store.Contains(0));
+}
+
+metrics::Gauge* IndexBytesGauge() {
+  return metrics::Registry::Default().GetGauge(
+      "chariots.storage.log_store.index_bytes");
+}
+
+// The dense index's structural claim: in-order appends cost at most 24 B
+// of index per record (16 B entries, under 25% growth slack), and the gauge
+// tracks the store's figure exactly, back to zero on close.
+TEST_F(LogStoreTest, InOrderIndexCostsAtMost24BytesPerRecord) {
+  constexpr uint64_t kRecords = 100'000;
+  const int64_t gauge_before = IndexBytesGauge()->Value();
+  LogStore store(Options());
+  ASSERT_TRUE(store.Open().ok());
+  std::vector<AppendEntry> batch;
+  for (uint64_t lid = 0; lid < kRecords; lid += 64) {
+    batch.clear();
+    for (uint64_t l = lid; l < std::min(lid + 64, kRecords); ++l) {
+      batch.push_back({l, "r"});
+    }
+    ASSERT_TRUE(store.AppendBatch(batch).ok());
+  }
+  ASSERT_EQ(store.count(), kRecords);
+  EXPECT_LE(store.IndexBytes(), 24 * kRecords);
+  EXPECT_GE(store.IndexBytes(), 16 * kRecords);
+  EXPECT_EQ(IndexBytesGauge()->Value() - gauge_before,
+            static_cast<int64_t>(store.IndexBytes()));
+  ASSERT_TRUE(store.Close().ok());
+  EXPECT_EQ(store.IndexBytes(), 0u);
+  EXPECT_EQ(IndexBytesGauge()->Value(), gauge_before);
+}
+
+// Maintainer 1 of four owns every fourth run of 1000 LIds; its store sees
+// each run in order, so striping does not dilute the index.
+TEST_F(LogStoreTest, StripedMaintainerIndexCostsAtMost24BytesPerRecord) {
+  constexpr uint64_t kRecords = 25'000;
+  const int64_t gauge_before = IndexBytesGauge()->Value();
+  flstore::MaintainerOptions o;
+  o.index = 1;
+  o.journal = flstore::EpochJournal(4, 1000);
+  o.store = Options();
+  flstore::LogMaintainer m(o);
+  ASSERT_TRUE(m.Open().ok());
+  std::vector<flstore::LogRecord> batch(100);
+  for (uint64_t i = 0; i < kRecords; i += batch.size()) {
+    ASSERT_TRUE(m.AppendBatch(batch).ok());
+  }
+  ASSERT_EQ(m.count(), kRecords);
+  EXPECT_EQ(m.StoredLids().back(), (kRecords / 1000 - 1) * 4000 + 1999);
+  const int64_t index_bytes = IndexBytesGauge()->Value() - gauge_before;
+  EXPECT_GE(index_bytes, static_cast<int64_t>(16 * kRecords));
+  EXPECT_LE(index_bytes, static_cast<int64_t>(24 * kRecords));
 }
 
 TEST_F(LogStoreTest, TruncateBelowMemoryOnly) {
@@ -808,6 +916,139 @@ TEST_P(IoEngineTest, DroppedSyncComposesWithEngine) {
   LogStore store(Options());
   ASSERT_TRUE(store.Open().ok());
   EXPECT_EQ(store.ListLids(), (std::vector<uint64_t>{1}));
+}
+
+// Model check of the store's index: a seeded random sequence of in-order and
+// out-of-order batches, rejected batches, removals, GC with and without an
+// archive and close/reopen runs against a std::map, with small segments so
+// it rotates often. After every step each lookup must agree with the map.
+TEST_P(IoEngineTest, StoreIndexAgreesWithModelUnderRandomOperations) {
+  constexpr uint64_t kSeed = 1917;
+  Random rng(kSeed);
+  LogStoreOptions o = Options();
+  o.segment_bytes = 512;
+  LogStore store(o);
+  ASSERT_TRUE(store.Open().ok());
+  std::map<uint64_t, std::string> model;
+  uint64_t next = 0;  // one past the highest lid ever appended
+  uint64_t version = 0;
+  uint64_t gc_dropped = 0;
+  auto payload = [&](uint64_t lid) {  // unique per write, varied length
+    std::string p = std::to_string(lid);
+    p += '.';
+    p += std::to_string(++version);
+    p.append(rng.Uniform(24), 'x');
+    return p;
+  };
+  auto append = [&](const std::vector<uint64_t>& lids) {
+    std::vector<std::string> payloads;
+    for (uint64_t lid : lids) payloads.push_back(payload(lid));
+    std::vector<AppendEntry> entries;
+    for (size_t i = 0; i < lids.size(); ++i) {
+      entries.push_back({lids[i], payloads[i]});
+    }
+    ASSERT_TRUE(store.AppendBatch(entries).ok());
+    for (size_t i = 0; i < lids.size(); ++i) {
+      model[lids[i]] = payloads[i];
+      next = std::max(next, lids[i] + 1);
+    }
+  };
+  auto check = [&]() {
+    ASSERT_EQ(store.count(), model.size());
+    std::vector<uint64_t> lids;
+    for (const auto& [lid, _] : model) lids.push_back(lid);
+    ASSERT_EQ(store.ListLids(), lids);
+    for (uint64_t lid = 0; lid <= next; ++lid) {
+      auto it = model.find(lid);
+      const bool live = it != model.end();
+      ASSERT_EQ(store.Contains(lid), live) << lid;
+      Result<RecordLocation> loc = store.Locate(lid);
+      Result<std::string> got = store.Get(lid);
+      ASSERT_EQ(loc.ok(), live) << lid;
+      ASSERT_EQ(got.ok(), live) << lid;
+      if (live) {
+        ASSERT_EQ(*got, it->second) << lid;
+        ASSERT_EQ(loc->length, it->second.size()) << lid;
+      } else {
+        ASSERT_TRUE(got.status().IsNotFound()) << lid;
+      }
+    }
+  };
+
+  for (int step = 0; step < 300; ++step) {
+    SCOPED_TRACE("seed " + std::to_string(kSeed) + " step " +
+                 std::to_string(step));
+    switch (rng.Uniform(8)) {
+      case 0:
+      case 1:
+      case 2: {  // in order, leaving an occasional hole
+        std::vector<uint64_t> lids;
+        uint64_t lid = next;
+        for (uint64_t n = 1 + rng.Uniform(8); n > 0; --n) {
+          lids.push_back(lid);
+          lid += 1 + (rng.OneIn(0.2) ? rng.Uniform(3) : 0);
+        }
+        append(lids);
+        break;
+      }
+      case 3: {  // out of order: hole fills and rewrites, maybe one new lid
+        std::vector<uint64_t> lids;
+        for (uint64_t lid = 0; lid < next; ++lid) {
+          if (model.count(lid) == 0 && rng.OneIn(0.3)) lids.push_back(lid);
+        }
+        if (rng.OneIn(0.5)) lids.push_back(next + rng.Uniform(3));
+        for (size_t i = lids.size(); i > 1; --i) {
+          std::swap(lids[i - 1], lids[rng.Uniform(i)]);
+        }
+        if (lids.size() > 6) lids.resize(6);
+        if (!lids.empty()) append(lids);
+        break;
+      }
+      case 4: {  // remove a live lid, and miss an absent one
+        if (!model.empty()) {
+          auto it = std::next(model.begin(), rng.Uniform(model.size()));
+          ASSERT_TRUE(store.Remove(it->first).ok());
+          model.erase(it);
+        }
+        ASSERT_TRUE(store.Remove(next + 5).IsNotFound());
+        break;
+      }
+      case 5: {  // GC: every lid at or above the horizon survives
+        const uint64_t horizon = rng.Uniform(next + 1);
+        std::string archive;
+        if (rng.OneIn(0.5)) archive = (dir_ / "cold.archive").string();
+        ASSERT_TRUE(store.TruncateBelow(horizon, archive).ok());
+        for (auto it = model.begin(); it != model.end();) {
+          if (it->first >= horizon || store.Contains(it->first)) {
+            ++it;
+            continue;
+          }
+          ++gc_dropped;
+          it = model.erase(it);
+        }
+        break;
+      }
+      case 6: {  // crash-free restart: everything comes back from disk
+        ASSERT_TRUE(store.Close().ok());
+        ASSERT_TRUE(store.Open().ok());
+        break;
+      }
+      case 7: {  // a batch touching a live lid is rejected whole
+        if (model.empty()) break;
+        std::vector<AppendEntry> entries = {
+            {next, "new"},
+            {std::next(model.begin(), rng.Uniform(model.size()))->first,
+             "dup"}};
+        ASSERT_EQ(store.AppendBatch(entries).code(),
+                  StatusCode::kAlreadyExists);
+        break;
+      }
+    }
+    check();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // The walk really exercised GC.
+  EXPECT_GT(gc_dropped, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, IoEngineTest,
