@@ -3,13 +3,14 @@
 // memory store and its stage widths set through ChariotsConfig; one client
 // thread per paper client machine keeps kInFlight 512 B appends in flight
 // through Datacenter::Append and frees a slot from on_committed. The
-// paper's rows read these counters over the measured window:
+// paper's rows read these counters over the measured window (registry
+// counters are process-global; one Datacenter runs at a time here):
 //
 //   Client      acknowledged appends (on_committed), per client thread
-//   Batcher     Stats::batcher_records_in     (ChariotsConfig::num_batchers)
-//   Filter      Stats::filter_forwarded       (num_filters)
-//   Maintainer  Stats::records_incorporated   (num_queues: LId assignment)
-//   Store       HeadLid()                     (num_maintainers)
+//   Batcher     chariots.batcher.records_in       (num_batchers)
+//   Filter      chariots.filter.forwarded         (num_filters)
+//   Maintainer  chariots.dc0.records_incorporated (num_queues: LId assignment)
+//   Store       HeadLid()                         (num_maintainers)
 //
 // Append latency is Append() to on_committed. Figure 9 is the same
 // counters sampled every period during the Table-4 run.
@@ -35,6 +36,7 @@
 #include "chariots/datacenter.h"
 #include "chariots/fabric.h"
 #include "common/clock.h"
+#include "common/metrics.h"
 
 namespace {
 
@@ -84,13 +86,16 @@ struct Sample {
   uint64_t batcher = 0, filter = 0, assigned = 0, stored = 0;
 };
 
+uint64_t CounterValue(const char* name) {
+  return metrics::Registry::Default().GetCounter(name)->Value();
+}
+
 Sample Take(const Datacenter& dc,
             const std::vector<std::unique_ptr<Client>>& clients) {
   Sample s;
-  Datacenter::Stats stats = dc.GetStats();
-  s.batcher = stats.batcher_records_in;
-  s.filter = stats.filter_forwarded;
-  s.assigned = stats.records_incorporated;
+  s.batcher = CounterValue("chariots.batcher.records_in");
+  s.filter = CounterValue("chariots.filter.forwarded");
+  s.assigned = CounterValue("chariots.dc0.records_incorporated");
   s.stored = dc.HeadLid();
   for (const auto& c : clients) s.clients.push_back(c->acked.load());
   s.nanos = NowNanos();

@@ -21,7 +21,6 @@ Batcher::Batcher(const FilterMap* filter_map, DeliverFn deliver)
     : filter_map_(filter_map), deliver_(std::move(deliver)) {}
 
 void Batcher::Submit(GeoRecord record) {
-  records_in_.fetch_add(1, std::memory_order_relaxed);
   RecordsInCounter()->Add();
   uint32_t filter_id = filter_map_->FilterFor(record.host, record.toid);
   std::vector<GeoRecord> batch;

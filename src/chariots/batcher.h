@@ -1,7 +1,6 @@
 #ifndef CHARIOTS_CHARIOTS_BATCHER_H_
 #define CHARIOTS_CHARIOTS_BATCHER_H_
 
-#include <atomic>
 #include <functional>
 #include <vector>
 
@@ -32,13 +31,9 @@ class Batcher {
   /// Routes `record` to its championing filter. Thread-safe.
   void Submit(GeoRecord record);
 
-  uint64_t records_in() const { return records_in_.load(); }
-
  private:
   const FilterMap* const filter_map_;
   DeliverFn deliver_;
-
-  std::atomic<uint64_t> records_in_{0};
 };
 
 }  // namespace chariots::geo

@@ -102,17 +102,7 @@ Status Datacenter::Start() {
   // Filters, each with a bounded inbox drained on an executor strand.
   filters_.reserve(kMaxFilters);
   for (uint32_t f = 0; f < config_.num_filters; ++f) {
-    auto stage = std::make_unique<FilterStage>();
-    stage->inbox = std::make_unique<BoundedQueue<std::vector<GeoRecord>>>(
-        config_.stage_queue_capacity);
-    stage->filter = std::make_unique<Filter>(
-        f, &filter_map_, [this](GeoRecord r) {
-          r.trace.AddHop("filter", config_.dc_id);
-          uint64_t i = queue_rr_.fetch_add(1, std::memory_order_relaxed);
-          size_t n = queue_count_.load(std::memory_order_acquire);
-          queues_[i % n]->Enqueue(std::move(r));
-        });
-    filters_.push_back(std::move(stage));
+    filters_.push_back(MakeFilterStage(f));
   }
   // After a restart the filters resume their champion streams where the
   // recovered log left off.
@@ -332,7 +322,6 @@ Status Datacenter::RecoverFromStorage() {
   gc_horizon_.store(ckpt_horizon);
   next_toid_.store(ckpt_next_toid);
   bool local_base_set = false;
-  uint64_t replayed = 0;
   for (flstore::LId lid : lids) {
     if (lid < ckpt_horizon) continue;  // partially-GC'd cold segment
     uint32_t m = journal_.MaintainerFor(lid);
@@ -347,7 +336,6 @@ Status Datacenter::RecoverFromStorage() {
     indexer_.AddRecord(log_record, lid);
     if (lid >= ckpt_next_lid) {
       atable_.Advance(config_.dc_id, record.host, record.toid);
-      ++replayed;
       if (record.host == config_.dc_id) {
         TOId expected =
             next_toid_.load(std::memory_order_relaxed);
@@ -373,7 +361,6 @@ Status Datacenter::RecoverFromStorage() {
   token_.max_toid = atable_.KnowledgeVector();
   token_.next_lid = resume_lid;
   head_lid_.store(resume_lid, std::memory_order_release);
-  incorporated_.store(replayed);
   if (!lids.empty() || ckpt_next_lid > 0) {
     LOG_INFO << "dc" << config_.dc_id << ": recovered " << lids.size()
              << " records; log resumes at lid " << resume_lid
@@ -542,6 +529,9 @@ bool Datacenter::PersistRun() {
     ++written;
   }
   if (written == 0) return false;
+  // Counted before the records become visible, so a reader that sees one
+  // (WaitForToid, HeadLid) finds it counted.
+  incorporated_counter_->Add(written);
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
     for (size_t i = 0; i < written; ++i) {
@@ -586,8 +576,6 @@ bool Datacenter::PersistRun() {
       }
     }
   }
-  incorporated_.fetch_add(written, std::memory_order_relaxed);
-  incorporated_counter_->Add(written);
   unpublished_.erase(unpublished_.begin(), unpublished_.begin() + written);
   {
     // Taking the lock orders this notify with the waiter's predicate check.
@@ -657,7 +645,6 @@ Result<TOId> Datacenter::TryAppend(
   // Check admission before consuming a TOId: a refused append must leave no
   // trace, or the TOId sequence would grow holes that never fill.
   if (Congested()) {
-    appends_refused_.fetch_add(1, std::memory_order_relaxed);
     refused_counter_->Add();
     return Status::Unavailable("pipeline congested; retry with backoff");
   }
@@ -725,41 +712,6 @@ bool Datacenter::WaitForToid(DatacenterId dc, TOId toid,
                            });
 }
 
-Datacenter::Stats Datacenter::GetStats() const {
-  Stats stats;
-  stats.appends_local = next_toid_.load();
-  stats.records_incorporated = incorporated_.load();
-  size_t nb = batcher_count_.load(std::memory_order_acquire);
-  for (size_t b = 0; b < nb; ++b) {
-    stats.batcher_records_in += batchers_[b]->records_in();
-  }
-  size_t nf = filter_count_.load(std::memory_order_acquire);
-  for (size_t f = 0; f < nf; ++f) {
-    stats.filter_forwarded += filters_[f]->filter->forwarded();
-    stats.filter_duplicates += filters_[f]->filter->duplicates_dropped();
-    stats.filter_buffered += filters_[f]->filter->buffered();
-  }
-  size_t nq = queue_count_.load(std::memory_order_acquire);
-  for (size_t q = 0; q < nq; ++q) {
-    stats.queue_duplicates += queues_[q]->duplicates_dropped();
-  }
-  for (const auto& s : senders_) {
-    stats.records_sent += s->records_sent();
-    stats.batches_sent += s->batches_sent();
-    stats.sender_rewinds += s->rewinds();
-  }
-  if (receiver_ != nullptr) {
-    stats.records_received = receiver_->records_received();
-    stats.records_deduped = receiver_->records_deduped();
-    stats.records_shed = receiver_->records_shed();
-  }
-  stats.appends_refused = appends_refused_.load(std::memory_order_relaxed);
-  stats.index_postings = indexer_.posting_count();
-  stats.head_lid = HeadLid();
-  stats.gc_horizon = gc_horizon_.load();
-  return stats;
-}
-
 void Datacenter::RegisterWatchdogProbes(Watchdog* wd) {
   std::string prefix = "dc" + std::to_string(config_.dc_id) + ".";
   size_t n = filter_count_.load(std::memory_order_acquire);
@@ -784,17 +736,8 @@ Status Datacenter::SplitFilterChampionship(DatacenterId host, TOId from_toid,
     }
     // Grow the filter stage if the reassignment references new filters.
     while (f >= filters_.size()) {
-      auto stage = std::make_unique<FilterStage>();
-      stage->inbox = std::make_unique<BoundedQueue<std::vector<GeoRecord>>>(
-          config_.stage_queue_capacity);
-      uint32_t id = static_cast<uint32_t>(filters_.size());
-      stage->filter = std::make_unique<Filter>(
-          id, &filter_map_, [this](GeoRecord r) {
-            r.trace.AddHop("filter", config_.dc_id);
-            uint64_t i = queue_rr_.fetch_add(1, std::memory_order_relaxed);
-            queues_[i % queues_.size()]->Enqueue(std::move(r));
-          });
-      filters_.push_back(std::move(stage));
+      filters_.push_back(
+          MakeFilterStage(static_cast<uint32_t>(filters_.size())));
       // No thread to start: the stage's drain strand is scheduled on demand
       // when the first batch arrives.
       filter_count_.store(filters_.size(), std::memory_order_release);
@@ -829,6 +772,23 @@ std::unique_ptr<Batcher> Datacenter::MakeBatcher() {
       &filter_map_, [this](uint32_t filter_id, std::vector<GeoRecord> batch) {
         DeliverToFilter(filter_id, std::move(batch));
       });
+}
+
+std::unique_ptr<Datacenter::FilterStage> Datacenter::MakeFilterStage(
+    uint32_t id) {
+  auto stage = std::make_unique<FilterStage>();
+  stage->inbox = std::make_unique<BoundedQueue<std::vector<GeoRecord>>>(
+      config_.stage_queue_capacity);
+  stage->filter = std::make_unique<Filter>(
+      id, &filter_map_, [this](GeoRecord r) {
+        r.trace.AddHop("filter", config_.dc_id);
+        // Bounded by the published queue count: AddQueue may be filling
+        // the next slot right now.
+        uint64_t i = queue_rr_.fetch_add(1, std::memory_order_relaxed);
+        size_t n = queue_count_.load(std::memory_order_acquire);
+        queues_[i % n]->Enqueue(std::move(r));
+      });
+  return stage;
 }
 
 std::unique_ptr<GeoQueue> Datacenter::MakeQueue(uint32_t id) {

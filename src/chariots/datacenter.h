@@ -126,27 +126,6 @@ class Datacenter {
   /// (or the timeout passes). Convenience for tests and examples.
   bool WaitForToid(DatacenterId dc, TOId toid, int64_t timeout_nanos) const;
 
-  struct Stats {
-    uint64_t appends_local = 0;
-    uint64_t records_incorporated = 0;
-    uint64_t batcher_records_in = 0;
-    uint64_t filter_forwarded = 0;
-    uint64_t filter_duplicates = 0;
-    uint64_t filter_buffered = 0;
-    uint64_t queue_duplicates = 0;
-    uint64_t records_sent = 0;
-    uint64_t batches_sent = 0;
-    uint64_t sender_rewinds = 0;
-    uint64_t records_received = 0;
-    uint64_t records_deduped = 0;
-    uint64_t records_shed = 0;
-    uint64_t appends_refused = 0;
-    uint64_t index_postings = 0;
-    flstore::LId head_lid = 0;
-    flstore::LId gc_horizon = 0;
-  };
-  Stats GetStats() const;
-
   /// Registers this datacenter's pipeline saturation probes on `wd`: one
   /// queue probe per filter inbox plus the pipeline-pending backlog vs the
   /// admission-control ceiling. Saturation probes are idle-safe (an empty
@@ -213,6 +192,7 @@ class Datacenter {
   bool PersistRun();
   void SubmitToBatcher(GeoRecord record);
   std::unique_ptr<Batcher> MakeBatcher();
+  std::unique_ptr<FilterStage> MakeFilterStage(uint32_t id);
   std::unique_ptr<GeoQueue> MakeQueue(uint32_t id);
   /// Records buffered in the queues stage awaiting assignment.
   size_t PipelinePending() const;
@@ -302,13 +282,11 @@ class Datacenter {
 
   std::vector<std::function<void(const GeoRecord&)>> subscribers_;
   std::atomic<TOId> next_toid_{0};
-  std::atomic<uint64_t> appends_refused_{0};
   /// Deferred-record count inside the token, mirrored after each
   /// circulation so admission control can read it off-thread.
   std::atomic<size_t> token_deferred_{0};
   std::atomic<flstore::LId> head_lid_{0};
   std::atomic<flstore::LId> gc_horizon_{0};
-  std::atomic<uint64_t> incorporated_{0};
   std::atomic<bool> running_{false};
 
   mutable std::mutex wait_mu_;

@@ -18,6 +18,12 @@ metrics::Counter* DuplicatesCounter() {
   return c;
 }
 
+metrics::Counter* MisroutedCounter() {
+  static metrics::Counter* c =
+      metrics::Registry::Default().GetCounter("chariots.filter.misrouted");
+  return c;
+}
+
 metrics::Histogram* AcceptLatencyHist() {
   static metrics::Histogram* h =
       metrics::Registry::Default().GetHistogram("chariots.filter.accept_ns");
@@ -39,10 +45,7 @@ void Filter::Accept(std::vector<GeoRecord> batch) {
     }
   }
   ForwardedCounter()->Add(out.size());
-  for (GeoRecord& record : out) {
-    forwarded_.fetch_add(1, std::memory_order_relaxed);
-    forward_(std::move(record));
-  }
+  for (GeoRecord& record : out) forward_(std::move(record));
 }
 
 void Filter::ProcessLocked(GeoRecord record, std::vector<GeoRecord>* out) {
@@ -51,7 +54,7 @@ void Filter::ProcessLocked(GeoRecord record, std::vector<GeoRecord>* out) {
   // queues re-check order and uniqueness against the token, so liveness is
   // preserved without inter-filter coordination.
   if (filter_map_->FilterFor(record.host, record.toid) != id_) {
-    misrouted_.fetch_add(1, std::memory_order_relaxed);
+    MisroutedCounter()->Add();
     out->push_back(std::move(record));
     return;
   }
@@ -62,17 +65,15 @@ void Filter::ProcessLocked(GeoRecord record, std::vector<GeoRecord>* out) {
   }
 
   if (record.toid < state.next_expected) {
-    duplicates_.fetch_add(1, std::memory_order_relaxed);
     DuplicatesCounter()->Add();
     return;
   }
   if (record.toid > state.next_expected) {
     // Out of order: buffer (idempotently — a duplicate of a buffered record
     // is also dropped).
-    auto [it, inserted] = state.buffer.try_emplace(record.toid,
-                                                   std::move(record));
-    (void)it;
-    if (!inserted) duplicates_.fetch_add(1, std::memory_order_relaxed);
+    if (!state.buffer.try_emplace(record.toid, std::move(record)).second) {
+      DuplicatesCounter()->Add();
+    }
     return;
   }
 

@@ -1,7 +1,6 @@
 #ifndef CHARIOTS_CHARIOTS_FILTER_H_
 #define CHARIOTS_CHARIOTS_FILTER_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -38,9 +37,6 @@ class Filter {
   void SeedHost(DatacenterId host, TOId last_seen_toid);
 
   uint32_t id() const { return id_; }
-  uint64_t forwarded() const { return forwarded_.load(); }
-  uint64_t duplicates_dropped() const { return duplicates_.load(); }
-  uint64_t misrouted() const { return misrouted_.load(); }
   /// Records buffered waiting for an earlier TOId.
   size_t buffered() const;
 
@@ -60,9 +56,6 @@ class Filter {
 
   mutable std::mutex mu_;
   std::unordered_map<DatacenterId, HostState> hosts_;
-  std::atomic<uint64_t> forwarded_{0};
-  std::atomic<uint64_t> duplicates_{0};
-  std::atomic<uint64_t> misrouted_{0};
 };
 
 }  // namespace chariots::geo

@@ -76,7 +76,6 @@ size_t GeoQueue::ProcessToken(Token* token) {
       if (r.host < token->max_toid.size() &&
           r.toid <= token->max_toid[r.host]) {
         // Already in the log somewhere: retransmission duplicate.
-        duplicates_.fetch_add(1, std::memory_order_relaxed);
         DuplicatesCounter()->Add();
         continue;
       }
@@ -94,7 +93,6 @@ size_t GeoQueue::ProcessToken(Token* token) {
 
   token->deferred = std::move(work);
   const size_t appended_now = run.size();
-  appended_.fetch_add(appended_now, std::memory_order_relaxed);
   AppendedCounter()->Add(appended_now);
   if (!run.empty()) route_(std::move(run));
   return appended_now;

@@ -1,7 +1,6 @@
 #ifndef CHARIOTS_CHARIOTS_QUEUE_H_
 #define CHARIOTS_CHARIOTS_QUEUE_H_
 
-#include <atomic>
 #include <functional>
 #include <mutex>
 #include <vector>
@@ -55,8 +54,6 @@ class GeoQueue {
 
   uint32_t id() const { return id_; }
   size_t pending() const;
-  uint64_t appended() const { return appended_.load(); }
-  uint64_t duplicates_dropped() const { return duplicates_.load(); }
 
  private:
   bool Admissible(const Token& token, const GeoRecord& r) const;
@@ -66,8 +63,6 @@ class GeoQueue {
 
   mutable std::mutex mu_;
   std::vector<GeoRecord> pending_;
-  std::atomic<uint64_t> appended_{0};
-  std::atomic<uint64_t> duplicates_{0};
 };
 
 }  // namespace chariots::geo

@@ -23,6 +23,12 @@ metrics::Counter* BatchesSentCounter() {
   return c;
 }
 
+metrics::Counter* HeartbeatsSentCounter() {
+  static metrics::Counter* c = metrics::Registry::Default().GetCounter(
+      "chariots.sender.heartbeats_sent");
+  return c;
+}
+
 metrics::Counter* RewindsCounter() {
   static metrics::Counter* c =
       metrics::Registry::Default().GetCounter("chariots.sender.rewinds");
@@ -211,7 +217,6 @@ size_t Sender::Tick() {
       dest.sent_upto = acked;
       dest.resend_interval_nanos = std::min(dest.resend_interval_nanos * 2,
                                             options_.resend_max_nanos);
-      rewinds_.fetch_add(1, std::memory_order_relaxed);
       RewindsCounter()->Add();
     }
 
@@ -225,22 +230,17 @@ size_t Sender::Tick() {
       if (n > 0) {
         // Counted before the hand-off: the destination may incorporate the
         // batch before Send returns, and no observer may then find
-        // records_sent behind what the peer already holds. A failed send
-        // takes its count back.
-        records_sent_.fetch_add(n, std::memory_order_relaxed);
-        batches_sent_.fetch_add(1, std::memory_order_relaxed);
-        Status s = fabric_->Send(self_, dest.dc,
-                                 EncodeReplicationBatch(batch));
-        if (s.ok()) {
+        // records_sent behind what the peer already holds. So the counters
+        // count what was offered to the fabric; a failed send is offered
+        // again from the same TOId and counted again.
+        RecordsSentCounter()->Add(n);
+        BatchesSentCounter()->Add();
+        if (fabric_->Send(self_, dest.dc, EncodeReplicationBatch(batch))
+                .ok()) {
           dest.sent_upto += n;
           dest.last_send_nanos = now;
           dest.last_heartbeat_nanos = now;
           shipped += n;
-          RecordsSentCounter()->Add(n);
-          BatchesSentCounter()->Add();
-        } else {
-          records_sent_.fetch_sub(n, std::memory_order_relaxed);
-          batches_sent_.fetch_sub(1, std::memory_order_relaxed);
         }
         continue;
       }
@@ -251,9 +251,9 @@ size_t Sender::Tick() {
     if (now - dest.last_heartbeat_nanos > options_.heartbeat_nanos) {
       ReplicationBatch hb;
       hb.atable = atable_->Encode();
+      HeartbeatsSentCounter()->Add();
       if (fabric_->Send(self_, dest.dc, EncodeReplicationBatch(hb)).ok()) {
         dest.last_heartbeat_nanos = now;
-        batches_sent_.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
@@ -282,7 +282,6 @@ void Receiver::OnMessage(DatacenterId from, std::string payload) {
                << s.ToString();
     }
   }
-  batches_received_.fetch_add(1, std::memory_order_relaxed);
   for (const std::string& encoded : batch->records) {
     Result<GeoRecord> record = DecodeGeoRecord(encoded);
     if (!record.ok()) {
@@ -290,20 +289,17 @@ void Receiver::OnMessage(DatacenterId from, std::string payload) {
                                 << ": undecodable record in batch";
       continue;
     }
-    records_received_.fetch_add(1, std::memory_order_relaxed);
     RecordsReceivedCounter()->Add();
     // Knowledge-vector dedup: row self only advances when a record is
     // incorporated into the local log, so anything at or below it is a
     // retransmitted duplicate — drop it before it costs pipeline work.
     if (atable_->Get(self_, record->host) >= record->toid) {
-      records_deduped_.fetch_add(1, std::memory_order_relaxed);
       RecordsDedupedCounter()->Add();
       continue;
     }
     if (!submit_(std::move(record).value())) {
       // Pipeline congested: shed. The sender's rewind re-ships this record
       // once the backlog (and our awareness row) stops advancing.
-      records_shed_.fetch_add(1, std::memory_order_relaxed);
       RecordsShedCounter()->Add();
     }
   }

@@ -112,11 +112,6 @@ class Sender {
   /// it reports idle).
   size_t Tick();
 
-  uint64_t records_sent() const { return records_sent_.load(); }
-  uint64_t batches_sent() const { return batches_sent_.load(); }
-  /// Retransmission rewinds performed (ack stalls detected).
-  uint64_t rewinds() const { return rewinds_.load(); }
-
  private:
   struct DestState {
     DatacenterId dc;
@@ -143,9 +138,6 @@ class Sender {
   /// that arrive before the drain starts into one task.
   SerialGate kick_gate_;
   std::atomic<bool> kick_pending_{false};
-  std::atomic<uint64_t> records_sent_{0};
-  std::atomic<uint64_t> batches_sent_{0};
-  std::atomic<uint64_t> rewinds_{0};
 };
 
 /// The receiving half: decodes replication batches from peers, merges the
@@ -170,21 +162,10 @@ class Receiver {
   /// Fabric handler.
   void OnMessage(DatacenterId from, std::string payload);
 
-  uint64_t records_received() const { return records_received_.load(); }
-  uint64_t batches_received() const { return batches_received_.load(); }
-  /// Records dropped because the knowledge vector already covered them.
-  uint64_t records_deduped() const { return records_deduped_.load(); }
-  /// Records refused by the pipeline under congestion.
-  uint64_t records_shed() const { return records_shed_.load(); }
-
  private:
   const DatacenterId self_;
   AwarenessTable* const atable_;
   SubmitFn submit_;
-  std::atomic<uint64_t> records_received_{0};
-  std::atomic<uint64_t> batches_received_{0};
-  std::atomic<uint64_t> records_deduped_{0};
-  std::atomic<uint64_t> records_shed_{0};
 };
 
 }  // namespace chariots::geo

@@ -28,19 +28,9 @@ namespace chariots::metrics {
 ///
 /// Naming scheme (DESIGN.md §9): dot-separated, lowercase,
 /// `<subsystem>[.<instance>].<what>[_<unit>]`, e.g.
-/// `chariots.dc0.batcher.records_in`, `net.rpc.call_latency_ns`,
+/// `chariots.batcher.records_in`, `chariots.dc0.appends`,
 /// `storage.fsync_latency_ns`. Units are spelled in the name (`_ns`,
 /// `_bytes`) so exporters need no side table.
-///
-/// Compile-out: building with -DCHARIOTS_DISABLE_METRICS turns every write
-/// operation into an inline no-op (reads return zeros) so the overhead of
-/// instrumentation can be measured (acceptance: <= 5% on bench_micro).
-
-#if defined(CHARIOTS_DISABLE_METRICS)
-#define CHARIOTS_METRICS_ENABLED 0
-#else
-#define CHARIOTS_METRICS_ENABLED 1
-#endif
 
 /// Monotonic counter. Increments hash the calling thread onto one of a few
 /// cache-line-padded shards; Value() sums them (reads are rare).
@@ -51,11 +41,7 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void Add(uint64_t n = 1) {
-#if CHARIOTS_METRICS_ENABLED
     shards_[ShardIndex()].value.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   uint64_t Value() const {
@@ -94,29 +80,13 @@ class Gauge {
   Gauge(const Gauge&) = delete;
   Gauge& operator=(const Gauge&) = delete;
 
-  void Set(int64_t v) {
-#if CHARIOTS_METRICS_ENABLED
-    value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
-  }
-  void Add(int64_t n) {
-#if CHARIOTS_METRICS_ENABLED
-    value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
-  }
+  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
+  void Add(int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
   void MaxOf(int64_t v) {
-#if CHARIOTS_METRICS_ENABLED
     int64_t seen = value_.load(std::memory_order_relaxed);
     while (v > seen &&
            !value_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
     }
-#else
-    (void)v;
-#endif
   }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
@@ -152,15 +122,11 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void Record(uint64_t value) {
-#if CHARIOTS_METRICS_ENABLED
     buckets_[BucketFor(value)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
     AtomicMin(&min_, value);
     AtomicMax(&max_, value);
-#else
-    (void)value;
-#endif
   }
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "chariots/client.h"
 #include "chariots/datacenter.h"
@@ -107,6 +109,46 @@ TEST(ElasticityTest, EveryStageGrownUnderConcurrentWriters) {
   writer.join();
 
   // Everything appended landed exactly once, in order.
+  ASSERT_TRUE(dc.WaitForToid(0, appended.load(), kWaitNanos));
+  auto log = dc.ReadRange(0, appended.load() + 10);
+  ASSERT_EQ(log.size(), static_cast<size_t>(appended.load()));
+  for (size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].toid, i + 1);
+  }
+  dc.Stop();
+}
+
+TEST(ElasticityTest, AddQueueAfterFilterSplitUnderConcurrentWriters) {
+  // A filter added by SplitFilterChampionship routes records into the
+  // queues while AddQueue grows them. Like the filters built at Start, it
+  // must pick a queue below the published queue count, never a slot that
+  // AddQueue is still filling.
+  DirectFabric fabric;
+  Datacenter dc(BaseConfig(), &fabric);
+  ASSERT_TRUE(dc.Start().ok());
+  // From the second record on, filter 1 champions every other TOId.
+  ASSERT_TRUE(dc.SplitFilterChampionship(0, 2, {0, 1}).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> appended{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&] {
+      ChariotsClient client(&dc);
+      while (!stop.load()) {
+        if (client.Append("w").ok()) ++appended;
+      }
+    });
+  }
+  for (int q = 0; q < 8; ++q) {
+    std::this_thread::sleep_for(5ms);
+    EXPECT_TRUE(dc.AddQueue().ok());
+  }
+  std::this_thread::sleep_for(5ms);
+  stop.store(true);
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(dc.num_queues(), 9u);
+
   ASSERT_TRUE(dc.WaitForToid(0, appended.load(), kWaitNanos));
   auto log = dc.ReadRange(0, appended.load() + 10);
   ASSERT_EQ(log.size(), static_cast<size_t>(appended.load()));

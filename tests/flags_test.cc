@@ -9,8 +9,9 @@ namespace {
 
 Flags Parse(std::vector<const char*> argv) {
   argv.insert(argv.begin(), "prog");
-  return Flags(static_cast<int>(argv.size()),
-               const_cast<char**>(argv.data()));
+  return Flags(static_cast<int>(argv.size()), const_cast<char**>(argv.data()),
+               {"role", "index", "listen", "fsync", "controller", "port",
+                "count", "delta", "io_engine", "store-dir"});
 }
 
 TEST(FlagsTest, EqualsForm) {
@@ -62,6 +63,27 @@ TEST(FlagsDeathTest, TrailingGarbageExits) {
 TEST(FlagsDeathTest, EmptyValueExits) {
   Flags f = Parse({"--port="});
   EXPECT_EXIT(f.GetInt("port", 0), testing::ExitedWithCode(2), "--port");
+}
+
+TEST(FlagsTest, UnderscoreAndDashSpellOneFlag) {
+  // Declared as io_engine, given as io-engine: one flag, either lookup.
+  Flags dashed = Parse({"--io-engine=uring"});
+  EXPECT_EQ(dashed.Get("io_engine"), "uring");
+  EXPECT_EQ(dashed.Get("io-engine"), "uring");
+  EXPECT_TRUE(dashed.Has("io_engine"));
+  // Declared as store-dir, given as store_dir.
+  Flags underscored = Parse({"--store_dir", "/data", "--port=7"});
+  EXPECT_EQ(underscored.Get("store-dir"), "/data");
+  EXPECT_EQ(underscored.Get("store_dir"), "/data");
+  EXPECT_EQ(underscored.GetInt("port", 0), 7);
+}
+
+TEST(FlagsDeathTest, UndeclaredFlagExits) {
+  // A typo must not run the tool on the flag's default.
+  EXPECT_EXIT(Parse({"--io-enigne=uring"}), testing::ExitedWithCode(2),
+              "unknown flag --io-enigne");
+  EXPECT_EXIT(Parse({"--role=x", "--verbose"}), testing::ExitedWithCode(2),
+              "unknown flag --verbose");
 }
 
 TEST(FlagsTest, SplitList) {

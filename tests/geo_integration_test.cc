@@ -27,6 +27,10 @@ using namespace std::chrono_literals;
 
 constexpr int64_t kWaitNanos = 5'000'000'000;  // 5 s
 
+uint64_t CounterValue(const char* name) {
+  return metrics::Registry::Default().GetCounter(name)->Value();
+}
+
 /// A replication group of N datacenters over a simulated WAN.
 class GeoCluster {
  public:
@@ -437,23 +441,43 @@ TEST(GeoIntegrationTest, SessionGuarantees) {
 }
 
 TEST(GeoIntegrationTest, StatsReflectPipelineActivity) {
+  // Registry deltas over the run. The per-dc counters are per datacenter;
+  // the stage counters are process-global, so the batcher and filter deltas
+  // sum dc0's 10 appends and dc1's 10 replicated copies. Only dc0 ships
+  // records and only dc1 receives them.
+  const uint64_t appends0 = CounterValue("chariots.dc0.appends");
+  const uint64_t incorporated0 =
+      CounterValue("chariots.dc0.records_incorporated");
+  const uint64_t incorporated1 =
+      CounterValue("chariots.dc1.records_incorporated");
+  const uint64_t batcher_in = CounterValue("chariots.batcher.records_in");
+  const uint64_t forwarded = CounterValue("chariots.filter.forwarded");
+  const uint64_t sent = CounterValue("chariots.sender.records_sent");
+  const uint64_t received = CounterValue("chariots.receiver.records_received");
   GeoCluster cluster(2);
   ChariotsClient a(&cluster.dc(0));
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(a.Append("x", {{"t", "v"}}).ok());
   }
   ASSERT_TRUE(cluster.AwaitConvergence());
-  Datacenter::Stats s = cluster.dc(0).GetStats();
-  EXPECT_EQ(s.appends_local, 10u);
-  EXPECT_EQ(s.records_incorporated, 10u);
-  EXPECT_GE(s.batcher_records_in, 10u);
-  EXPECT_GE(s.filter_forwarded, 10u);
-  EXPECT_EQ(s.head_lid, 10u);
-  EXPECT_EQ(s.index_postings, 10u);
-  EXPECT_GE(s.records_sent, 10u);
-  Datacenter::Stats s1 = cluster.dc(1).GetStats();
-  EXPECT_GE(s1.records_received, 10u);  // retransmissions possible
-  EXPECT_EQ(s1.records_incorporated, 10u);  // but incorporation exact
+  EXPECT_EQ(CounterValue("chariots.dc0.appends") - appends0, 10u);
+  EXPECT_EQ(CounterValue("chariots.dc0.records_incorporated") - incorporated0,
+            10u);
+  EXPECT_GE(CounterValue("chariots.batcher.records_in") - batcher_in, 20u);
+  EXPECT_GE(CounterValue("chariots.filter.forwarded") - forwarded, 20u);
+  EXPECT_EQ(cluster.dc(0).HeadLid(), 10u);
+  flstore::IndexQuery tagged;
+  tagged.key = "t";
+  tagged.value_equals = "v";
+  tagged.limit = 100;
+  EXPECT_EQ(cluster.dc(0).Lookup(tagged).size(), 10u);
+  EXPECT_GE(CounterValue("chariots.sender.records_sent") - sent, 10u);
+  // Retransmissions possible...
+  EXPECT_GE(CounterValue("chariots.receiver.records_received") - received,
+            10u);
+  // ...but incorporation exact.
+  EXPECT_EQ(CounterValue("chariots.dc1.records_incorporated") - incorporated1,
+            10u);
 }
 
 TEST(GeoIntegrationTest, NewRecordWakesTheSenderBeforeItsTick) {

@@ -19,9 +19,16 @@
 #include "chariots/replication.h"
 #include "common/clock.h"
 #include "common/executor.h"
+#include "common/metrics.h"
 
 namespace chariots::geo {
 namespace {
+
+// Stage counters live in the process-global registry: tests read the
+// change across the code under test.
+uint64_t CounterValue(const char* name) {
+  return metrics::Registry::Default().GetCounter(name)->Value();
+}
 
 GeoRecord Rec(DatacenterId host, TOId toid, DepVector deps = {},
               std::string body = "") {
@@ -116,9 +123,10 @@ TEST(BatcherTest, SubmitReachesFilterWithoutTimer) {
     EXPECT_EQ(f, 0u);
     for (auto& r : b) received.push_back(r.toid);
   });
+  const uint64_t records_in = CounterValue("chariots.batcher.records_in");
   batcher.Submit(Rec(0, 1));
   EXPECT_EQ(received, (std::vector<TOId>{1}));
-  EXPECT_EQ(batcher.records_in(), 1u);
+  EXPECT_EQ(CounterValue("chariots.batcher.records_in") - records_in, 1u);
   exec.WaitIdle();
   EXPECT_EQ(exec.tasks_run(), 0u);
   EXPECT_EQ(clock.NowNanos(), 0);
@@ -151,6 +159,7 @@ TEST(BatcherTest, ConcurrentSubmitDeliversExactlyOnce) {
   });
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 3000;
+  const uint64_t records_in = CounterValue("chariots.batcher.records_in");
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
@@ -160,7 +169,8 @@ TEST(BatcherTest, ConcurrentSubmitDeliversExactlyOnce) {
     });
   }
   for (auto& t : producers) t.join();
-  EXPECT_EQ(batcher.records_in(), uint64_t{kProducers} * kPerProducer);
+  EXPECT_EQ(CounterValue("chariots.batcher.records_in") - records_in,
+            uint64_t{kProducers} * kPerProducer);
   EXPECT_EQ(delivered.load(), uint64_t{kProducers} * kPerProducer);
   EXPECT_EQ(seen.size(), size_t{kProducers} * kPerProducer);
   for (const auto& [key, count] : seen) {
@@ -177,9 +187,10 @@ TEST(FilterTest, ForwardsInOrderAndDropsDuplicates) {
   std::vector<GeoRecord> batch;
   for (TOId t = 1; t <= 3; ++t) batch.push_back(Rec(0, t));
   batch.push_back(Rec(0, 2));  // duplicate
+  const uint64_t dups = CounterValue("chariots.filter.duplicates_dropped");
   filter.Accept(std::move(batch));
   EXPECT_EQ(forwarded, (std::vector<TOId>{1, 2, 3}));
-  EXPECT_EQ(filter.duplicates_dropped(), 1u);
+  EXPECT_EQ(CounterValue("chariots.filter.duplicates_dropped") - dups, 1u);
 }
 
 TEST(FilterTest, BuffersOutOfOrderUntilGapFills) {
@@ -198,8 +209,9 @@ TEST(FilterTest, DuplicateOfBufferedRecordDropped) {
   FilterMap map(1, 1);
   std::vector<TOId> forwarded;
   Filter filter(0, &map, [&](GeoRecord r) { forwarded.push_back(r.toid); });
+  const uint64_t dups = CounterValue("chariots.filter.duplicates_dropped");
   filter.Accept({Rec(0, 5), Rec(0, 5)});
-  EXPECT_EQ(filter.duplicates_dropped(), 1u);
+  EXPECT_EQ(CounterValue("chariots.filter.duplicates_dropped") - dups, 1u);
 }
 
 TEST(FilterTest, StrideChampionSkipsOthersToids) {
@@ -223,8 +235,9 @@ TEST(FilterTest, MisroutedRecordPassesThrough) {
   FilterMap map(2, 2);
   std::vector<TOId> forwarded;
   Filter filter(0, &map, [&](GeoRecord r) { forwarded.push_back(r.toid); });
+  const uint64_t misrouted = CounterValue("chariots.filter.misrouted");
   filter.Accept({Rec(1, 1)});  // championed by filter 1
-  EXPECT_EQ(filter.misrouted(), 1u);
+  EXPECT_EQ(CounterValue("chariots.filter.misrouted") - misrouted, 1u);
   EXPECT_EQ(forwarded.size(), 1u);  // liveness preserved
 }
 
@@ -301,8 +314,9 @@ TEST_F(QueueTest, DuplicateDroppedAgainstToken) {
   q->Enqueue(Rec(0, 1));
   q->ProcessToken(&token_);
   q->Enqueue(Rec(0, 1));  // resent copy
+  const uint64_t dups = CounterValue("chariots.queue.duplicates_dropped");
   EXPECT_EQ(q->ProcessToken(&token_), 0u);
-  EXPECT_EQ(q->duplicates_dropped(), 1u);
+  EXPECT_EQ(CounterValue("chariots.queue.duplicates_dropped") - dups, 1u);
   EXPECT_TRUE(token_.deferred.empty());
 }
 
@@ -361,6 +375,8 @@ class SenderReceiverTest : public ::testing::Test {
   void Wire(Sender::Options options = {}) {
     receiver_ = std::make_unique<Receiver>(
         1, &atable1_, [this](GeoRecord r) {
+          sent_when_received_.push_back(
+              CounterValue("chariots.sender.records_sent"));
           received_.push_back(std::move(r));
           // A real datacenter incorporates via the pipeline; the test
           // incorporates instantly and advances its own awareness row.
@@ -392,6 +408,8 @@ class SenderReceiverTest : public ::testing::Test {
   std::unique_ptr<Receiver> receiver_;
   std::unique_ptr<Sender> sender_;
   std::vector<GeoRecord> received_;
+  /// chariots.sender.records_sent as each record reached the receiver.
+  std::vector<uint64_t> sent_when_received_;
 };
 
 TEST_F(SenderReceiverTest, ShipsNewRecordsOnTick) {
@@ -419,6 +437,8 @@ TEST_F(SenderReceiverTest, AckStopsRetransmission) {
   Sender::Options options;
   options.resend_nanos = 0;  // rewind to acked on every tick
   Wire(options);
+  const uint64_t rewinds = CounterValue("chariots.sender.rewinds");
+  const uint64_t deduped = CounterValue("chariots.receiver.records_deduped");
   PutLocal(1);
   (void)sender_->Tick();
   ASSERT_EQ(received_.size(), 1u);
@@ -427,9 +447,9 @@ TEST_F(SenderReceiverTest, AckStopsRetransmission) {
   // row, so the receiver drops the retransmission as a duplicate before it
   // would reach the pipeline.
   (void)sender_->Tick();
-  EXPECT_GE(sender_->rewinds(), 1u);
+  EXPECT_GE(CounterValue("chariots.sender.rewinds") - rewinds, 1u);
   EXPECT_EQ(received_.size(), 1u);
-  EXPECT_EQ(receiver_->records_deduped(), 1u);
+  EXPECT_EQ(CounterValue("chariots.receiver.records_deduped") - deduped, 1u);
   // Ack arrives: DC1's awareness of DC0 reaches toid 1.
   atable0_.Advance(1, 0, 1);
   EXPECT_EQ(sender_->Tick(), 0u);
@@ -441,9 +461,31 @@ TEST_F(SenderReceiverTest, HeartbeatCarriesAwarenessWhenIdle) {
   options.heartbeat_nanos = 0;  // heartbeat on every idle tick
   Wire(options);
   atable0_.Advance(0, 1, 7);  // something worth telling DC1
+  const uint64_t heartbeats = CounterValue("chariots.sender.heartbeats_sent");
+  const uint64_t batches = CounterValue("chariots.sender.batches_sent");
   EXPECT_EQ(sender_->Tick(), 0u);  // no records shipped...
-  EXPECT_GE(sender_->batches_sent(), 1u);  // ...but a heartbeat went out
+  // ...but a heartbeat went out, counted apart from the record batches.
+  EXPECT_GE(CounterValue("chariots.sender.heartbeats_sent") - heartbeats, 1u);
+  EXPECT_EQ(CounterValue("chariots.sender.batches_sent"), batches);
   EXPECT_EQ(atable1_.Get(0, 1), 7u);
+}
+
+TEST_F(SenderReceiverTest, RecordsSentCountsABatchBeforeThePeerHoldsIt) {
+  // DirectFabric delivers inside Send, so the receiver takes each record
+  // before Send returns. By then records_sent must already count it: no
+  // reader may find the sender behind what its peer holds.
+  Wire();
+  const uint64_t sent = CounterValue("chariots.sender.records_sent");
+  for (TOId t = 1; t <= 3; ++t) PutLocal(t);
+  EXPECT_EQ(sender_->Tick(), 3u);
+  ASSERT_EQ(sent_when_received_.size(), 3u);
+  for (uint64_t at_receipt : sent_when_received_) {
+    EXPECT_EQ(at_receipt - sent, 3u);
+  }
+  PutLocal(4);
+  EXPECT_EQ(sender_->Tick(), 1u);
+  ASSERT_EQ(sent_when_received_.size(), 4u);
+  EXPECT_EQ(sent_when_received_.back() - sent, 4u);
 }
 
 TEST_F(SenderReceiverTest, BatchSizeLimitsPerTick) {

@@ -309,7 +309,9 @@ int RunGeo(const Flags& flags, const std::vector<std::string>& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"geo", "dc-id", "controller", "controllers", "maintainers",
+               "indexers", "out", "events"});
   const std::vector<std::string>& args = flags.positional();
   if (args.empty()) return Usage();
   if (flags.Has("geo")) return RunGeo(flags, args);

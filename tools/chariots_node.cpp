@@ -113,8 +113,8 @@ bool WireRoutes(net::TcpTransport* transport, const Deployment& d) {
 // Starts the HTTP observability endpoint when --metrics_port is given.
 // Returns false on bind failure (fatal: the operator asked for it).
 bool MaybeStartMetrics(const Flags& flags, net::MetricsHttpServer* server) {
-  if (!flags.Has("metrics_port") && !flags.Has("metrics-port")) return true;
-  int port = flags.GetInt("metrics_port", flags.GetInt("metrics-port", 0));
+  if (!flags.Has("metrics_port")) return true;
+  int port = flags.GetInt("metrics_port", 0);
   Status s = server->Start(port);
   if (!s.ok()) {
     std::fprintf(stderr, "metrics endpoint: %s\n", s.ToString().c_str());
@@ -131,17 +131,15 @@ bool MaybeStartMetrics(const Flags& flags, net::MetricsHttpServer* server) {
 // and /healthz); --breach_dump persists a flight-recorder snapshot at every
 // watchdog breach; --crash_dump arms the fatal-signal flight-recorder dump.
 int64_t WatchdogIntervalNanos(const Flags& flags) {
-  return static_cast<int64_t>(
-             flags.GetInt("watchdog_ms", flags.GetInt("watchdog-ms", 0))) *
-         1'000'000;
+  return static_cast<int64_t>(flags.GetInt("watchdog_ms", 0)) * 1'000'000;
 }
 
 std::string BreachDumpPath(const Flags& flags) {
-  return flags.Get("breach_dump", flags.Get("breach-dump"));
+  return flags.Get("breach_dump");
 }
 
 void ArmCrashDump(const Flags& flags) {
-  std::string path = flags.Get("crash_dump", flags.Get("crash-dump"));
+  std::string path = flags.Get("crash_dump");
   if (!path.empty()) flightrec::InstallCrashDump(path);
 }
 
@@ -149,15 +147,14 @@ void ArmCrashDump(const Flags& flags) {
 // the process-wide shared executor (0 = O(cores) default); --io_threads
 // sizes the TCP reactor. Must run before the first Executor::Default().
 net::TcpTransport::Options RuntimeOptions(const Flags& flags) {
-  if (flags.Has("executor_threads") || flags.Has("executor-threads")) {
+  if (flags.Has("executor_threads")) {
     Executor::Options eo;
-    eo.num_threads = static_cast<size_t>(flags.GetInt(
-        "executor_threads", flags.GetInt("executor-threads", 0)));
+    eo.num_threads =
+        static_cast<size_t>(flags.GetInt("executor_threads", 0));
     Executor::ConfigureDefault(eo);
   }
   net::TcpTransport::Options to;
-  to.io_threads = static_cast<size_t>(
-      flags.GetInt("io_threads", flags.GetInt("io-threads", 1)));
+  to.io_threads = static_cast<size_t>(flags.GetInt("io_threads", 1));
   if (to.io_threads == 0) to.io_threads = 1;
   return to;
 }
@@ -174,7 +171,8 @@ int Usage() {
       "datacenter role (one whole geo replica per process):\n"
       "  --dc-id=N --datacenters=H:P,H:P,...  (this process at index N)\n"
       "  --listen=PORT --store-dir=PATH --batch=N\n"
-      "  --batchers/--filters/--queues/--maintainers=N  stage widths\n"
+      "  --batchers/--filters/--queues/--maintainers-per-dc=N  stage\n"
+      "                             widths\n"
       "FLStore roles:\n"
       "  --listen=PORT              port to serve on\n"
       "  --metrics_port=PORT        HTTP observability endpoint (any role):\n"
@@ -267,7 +265,7 @@ int RunDatacenter(const Flags& flags) {
                             ? storage::SyncMode::kFsyncEach
                             : storage::SyncMode::kBuffered;
     config.io_engine = storage::ResolveIoEngine(
-        flags.Get("io_engine", flags.Get("io-engine", "sync")));
+        flags.Get("io_engine", "sync"));
     std::printf("storage io engine: %s\n", config.io_engine->name());
   }
   net::MetricsHttpServer metrics_http;
@@ -308,7 +306,19 @@ int RunDatacenter(const Flags& flags) {
 }
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"role", "executor_threads", "io_threads", "metrics_port",
+               "watchdog_ms", "breach_dump", "crash_dump",
+               // datacenter role
+               "dc-id", "datacenters", "batchers", "filters", "queues",
+               "maintainers-per-dc",
+               // FLStore roles
+               "maintainers", "indexers", "controller", "controller_replicas",
+               "ctrl_index", "ctrl_tick_ms", "meta_wal_dir", "index",
+               "gossip-ms", "read_cache_bytes", "tail_cache_records",
+               "disk_fault_schedule", "fault_seed",
+               // shared by the datacenter and FLStore roles
+               "listen", "batch", "store-dir", "fsync", "io_engine"});
   std::string role = flags.Get("role");
   if (role.empty()) return Usage();
   std::signal(SIGINT, HandleSignal);
@@ -319,8 +329,7 @@ int main(int argc, char** argv) {
   d.maintainer_addrs = Flags::Split(flags.Get("maintainers"));
   d.indexer_addrs = Flags::Split(flags.Get("indexers"));
   d.controller_addr = flags.Get("controller");
-  d.controller_addrs = Flags::Split(flags.Get(
-      "controller_replicas", flags.Get("controller-replicas")));
+  d.controller_addrs = Flags::Split(flags.Get("controller_replicas"));
   d.batch = flags.GetInt("batch", 1000);
   if (d.maintainer_addrs.empty()) {
     std::fprintf(stderr, "--maintainers required\n");
@@ -360,8 +369,8 @@ int main(int argc, char** argv) {
     ControllerServerOptions co;
     net::NodeId ctrl_node = "ctrl/0";
     if (!d.controller_addrs.empty()) {
-      uint32_t ctrl_index = static_cast<uint32_t>(
-          flags.GetInt("ctrl_index", flags.GetInt("ctrl-index", 0)));
+      uint32_t ctrl_index =
+          static_cast<uint32_t>(flags.GetInt("ctrl_index", 0));
       if (ctrl_index >= d.controller_addrs.size()) {
         std::fprintf(stderr, "--ctrl_index out of range\n");
         return Usage();
@@ -380,14 +389,12 @@ int main(int argc, char** argv) {
     // Replicated controllers need the monitor ticking to elect and to beat;
     // a single controller keeps the pre-HA default (suspect fast path only)
     // unless asked.
-    int tick_ms = flags.GetInt(
-        "ctrl_tick_ms",
-        flags.GetInt("ctrl-tick-ms", d.controller_addrs.empty() ? 0 : 50));
+    int tick_ms =
+        flags.GetInt("ctrl_tick_ms", d.controller_addrs.empty() ? 0 : 50);
     co.monitor_interval_nanos = static_cast<int64_t>(tick_ms) * 1'000'000;
     co.watchdog_interval_nanos = WatchdogIntervalNanos(flags);
     co.breach_dump_path = BreachDumpPath(flags);
-    std::string meta_wal_dir =
-        flags.Get("meta_wal_dir", flags.Get("meta-wal-dir"));
+    std::string meta_wal_dir = flags.Get("meta_wal_dir");
     if (!meta_wal_dir.empty()) {
       Status made = storage::CreateDirIfMissing(meta_wal_dir);
       if (!made.ok()) {
@@ -433,8 +440,8 @@ int main(int argc, char** argv) {
                           ? storage::SyncMode::kFsyncEach
                           : storage::SyncMode::kBuffered;
     }
-    mo.store.io_engine = storage::ResolveIoEngine(
-        flags.Get("io_engine", flags.Get("io-engine", "sync")));
+    mo.store.io_engine =
+        storage::ResolveIoEngine(flags.Get("io_engine", "sync"));
     std::printf("storage io engine: %s\n", mo.store.io_engine->name());
     MaintainerServer::Options so;
     so.node = "m" + std::to_string(index) + "/node";
@@ -447,17 +454,13 @@ int main(int argc, char** argv) {
         static_cast<int64_t>(flags.GetInt("gossip-ms", 2)) * 1'000'000;
     so.watchdog_interval_nanos = WatchdogIntervalNanos(flags);
     so.breach_dump_path = BreachDumpPath(flags);
-    mo.tail_cache_bytes = flags.GetUint64(
-        "read_cache_bytes",
-        flags.GetUint64("read-cache-bytes", mo.tail_cache_bytes));
-    mo.tail_cache_records = flags.GetUint64(
-        "tail_cache_records",
-        flags.GetUint64("tail-cache-records", mo.tail_cache_records));
-    std::string fault_spec = flags.Get("disk_fault_schedule",
-                                       flags.Get("disk-fault-schedule"));
+    mo.tail_cache_bytes =
+        flags.GetUint64("read_cache_bytes", mo.tail_cache_bytes);
+    mo.tail_cache_records =
+        flags.GetUint64("tail_cache_records", mo.tail_cache_records);
+    std::string fault_spec = flags.Get("disk_fault_schedule");
     if (!fault_spec.empty()) {
-      uint64_t fault_seed =
-          flags.GetUint64("fault_seed", flags.GetUint64("fault-seed", 1));
+      uint64_t fault_seed = flags.GetUint64("fault_seed", 1);
       disk_faults = std::make_unique<storage::DiskFaultSchedule>(fault_seed);
       Status parsed = disk_faults->AddFromSpec(fault_spec);
       if (!parsed.ok()) {

@@ -4,19 +4,30 @@
 // Minimal --flag=value / --flag value command-line parsing for the
 // deployment tools. Positional arguments are collected in order.
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace chariots::tools {
 
 class Flags {
  public:
-  Flags(int argc, char** argv) {
+  /// `declared` is every flag the tool reads. `_` and `-` in a flag name
+  /// are the same character, so `--io_engine` and `--io-engine` are one
+  /// flag. A flag outside `declared` prints its name and exits 2: a typo
+  /// must not run the tool on a default.
+  Flags(int argc, char** argv,
+        std::initializer_list<std::string_view> declared) {
+    std::set<std::string> known;
+    for (std::string_view name : declared) known.insert(Normalize(name));
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
       if (arg.rfind("--", 0) != 0) {
@@ -25,19 +36,25 @@ class Flags {
       }
       arg = arg.substr(2);
       size_t eq = arg.find('=');
+      std::string given = arg.substr(0, eq);
+      std::string name = Normalize(given);
+      if (known.count(name) == 0) {
+        std::fprintf(stderr, "unknown flag --%s\n", given.c_str());
+        std::exit(2);
+      }
       if (eq != std::string::npos) {
-        values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+        values_[name] = arg.substr(eq + 1);
       } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[arg] = argv[++i];
+        values_[name] = argv[++i];
       } else {
-        values_[arg] = "true";  // bare boolean flag
+        values_[name] = "true";  // bare boolean flag
       }
     }
   }
 
   std::string Get(const std::string& name,
                   const std::string& fallback = "") const {
-    auto it = values_.find(name);
+    auto it = values_.find(Normalize(name));
     return it == values_.end() ? fallback : it->second;
   }
 
@@ -55,7 +72,9 @@ class Flags {
     return Get(name) == "true";
   }
 
-  bool Has(const std::string& name) const { return values_.count(name) > 0; }
+  bool Has(const std::string& name) const {
+    return values_.count(Normalize(name)) > 0;
+  }
 
   const std::vector<std::string>& positional() const { return positional_; }
 
@@ -83,9 +102,15 @@ class Flags {
   }
 
  private:
+  static std::string Normalize(std::string_view name) {
+    std::string out(name);
+    std::replace(out.begin(), out.end(), '_', '-');
+    return out;
+  }
+
   template <typename T>
   T GetNumber(const std::string& name, T fallback) const {
-    auto it = values_.find(name);
+    auto it = values_.find(Normalize(name));
     if (it == values_.end()) return fallback;
     const std::string& v = it->second;
     T value{};

@@ -132,6 +132,19 @@ for path in paths:
                 f"{path}: failover_mttr_ms "
                 f"{extra.get('failover_mttr_ms', 0):.2f} not under the "
                 "86 ms lease baseline — the suspect fast path regressed")
+    # The pipeline-shapes rows are registry counter deltas (EXPERIMENTS.md,
+    # Tables 2-5). GetCounter creates a misspelt name at zero, so a row
+    # reading 0 means the bench reads a counter no stage increments.
+    if path.endswith("BENCH_pipeline_shapes.json"):
+        rates = {s.get("name"): s.get("rate_rps", 0) for s in stages}
+        for table in ("table2", "table3", "table4", "table5"):
+            for row in ("Batcher", "Filter", "Maintainer"):
+                name = f"{table}.{row}"
+                if not rates.get(name, 0) > 0:
+                    failures.append(
+                        f"{path}: stage {name} reads "
+                        f"{rates.get(name, 'nothing')}: a misspelt "
+                        "counter name, or a stage that passed no records")
     # The I/O engine bench must prove the zero-copy datapath (ISSUE 10):
     # ~1 user-space copy per payload byte on the encode path, the sync
     # engine honestly counting its flatten pass, and — when the kernel has
