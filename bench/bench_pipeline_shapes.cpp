@@ -34,7 +34,6 @@
 
 #include "bench_report.h"
 #include "chariots/datacenter.h"
-#include "chariots/fabric.h"
 #include "common/clock.h"
 #include "common/metrics.h"
 
@@ -149,12 +148,11 @@ double RunDeployment(const Deployment& d,
   // Drop records every datacenter holds (here: all of them) so a long run
   // does not keep its whole log in memory.
   config.gc_interval_nanos = 50'000'000;
-  DirectFabric fabric;
   std::vector<std::unique_ptr<Client>> clients;
   for (uint32_t c = 0; c < d.clients; ++c) {
     clients.push_back(std::make_unique<Client>());
   }
-  Datacenter dc(config, &fabric);
+  Datacenter dc(config);
   if (Status s = dc.Start(); !s.ok()) {
     std::fprintf(stderr, "%s: start failed: %s\n", d.name,
                  s.ToString().c_str());

@@ -12,17 +12,15 @@
 
 #include "chariots/client.h"
 #include "chariots/datacenter.h"
-#include "chariots/fabric.h"
 
 using namespace chariots;
 using namespace chariots::geo;
 
 int main() {
-  DirectFabric fabric;
   ChariotsConfig config;
   config.dc_id = 0;
   config.num_datacenters = 1;
-  Datacenter dc(config, &fabric);
+  Datacenter dc(config);
   if (!dc.Start().ok()) return 1;
 
   std::atomic<bool> stop{false};

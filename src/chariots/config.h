@@ -24,13 +24,9 @@ struct ChariotsConfig {
   uint32_t num_filters = 1;
   uint32_t num_queues = 1;
   uint32_t num_maintainers = 1;
-  uint32_t num_senders = 1;
 
   /// FLStore striping batch (records per maintainer per round).
   uint64_t stripe_batch = 1000;
-
-  /// Bounded-queue capacity between stages (backpressure depth).
-  size_t stage_queue_capacity = 4096;
 
   /// Storage mode for the log maintainers. kMemoryOnly by default (benches);
   /// set dir to a base directory to persist (per-maintainer subdirs).
@@ -41,8 +37,8 @@ struct ChariotsConfig {
   /// default ($CHARIOTS_IO_ENGINE or sync — see storage/io_engine.h).
   storage::IoEngine* io_engine = nullptr;
 
-  /// Sender batch size (records per replication message) and resend timer.
-  size_t sender_batch_records = 256;
+  /// Sender resend timer: rewind to the last acknowledged TOId after this
+  /// long without ack progress.
   int64_t sender_resend_nanos = 50'000'000;  // 50 ms
   /// Cap for the sender's exponential retransmit backoff (the interval
   /// doubles from sender_resend_nanos on every ack stall, resets on

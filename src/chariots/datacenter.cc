@@ -20,7 +20,7 @@ std::vector<DatacenterId> OtherDatacenters(uint32_t self, uint32_t n) {
 }
 }  // namespace
 
-Datacenter::Datacenter(ChariotsConfig config, ReplicationFabric* fabric)
+Datacenter::Datacenter(ChariotsConfig config, TransportFabric* fabric)
     : config_(config),
       fabric_(fabric),
       executor_(config.executor != nullptr ? config.executor
@@ -66,30 +66,17 @@ Status Datacenter::Start() {
   if (config_.stripe_batch == 0) {
     return Status::InvalidArgument("stripe_batch must be positive");
   }
+  if (config_.num_datacenters > 1 && fabric_ == nullptr) {
+    return Status::InvalidArgument("replication needs a fabric");
+  }
   if (running_.exchange(true)) {
     return Status::FailedPrecondition("datacenter already running");
   }
-
-  // Log maintainers (FLStore stage).
-  for (uint32_t m = 0; m < config_.num_maintainers; ++m) {
-    flstore::MaintainerOptions mo;
-    mo.index = m;
-    mo.journal = journal_;
-    mo.store.mode = config_.store_mode;
-    mo.store.io_engine = config_.io_engine;
-    if (!config_.store_dir.empty()) {
-      mo.store.dir =
-          config_.store_dir + "/maintainer-" + std::to_string(m);
-    }
-    maintainers_.push_back(std::make_unique<flstore::LogMaintainer>(mo));
-    CHARIOTS_RETURN_IF_ERROR(maintainers_.back()->Open());
-  }
-
-  // Whole-datacenter restart: rebuild replica clocks, awareness, index,
-  // GC metadata, and the sender buffer from the persisted log before any
-  // pipeline thread starts.
-  if (!config_.store_dir.empty()) {
-    CHARIOTS_RETURN_IF_ERROR(RecoverFromStorage());
+  // A datacenter whose log fails to open or recover stays stopped, so no
+  // Stop() writes a checkpoint over state it never loaded.
+  if (Status s = OpenLog(); !s.ok()) {
+    running_.store(false);
+    return s;
   }
 
   // Queues + token.
@@ -121,7 +108,7 @@ Status Datacenter::Start() {
   }
   batcher_count_.store(batchers_.size(), std::memory_order_release);
 
-  // Replication: receiver first, then senders (sharded by destination).
+  // Replication: receiver first, then the sender.
   if (config_.num_datacenters > 1) {
     receiver_ = std::make_unique<Receiver>(
         config_.dc_id, &atable_, [this](GeoRecord r) {
@@ -138,30 +125,18 @@ Status Datacenter::Start() {
           receiver_->OnMessage(from, std::move(payload));
         }));
 
-    std::vector<DatacenterId> others =
-        OtherDatacenters(config_.dc_id, config_.num_datacenters);
-    uint32_t num_senders =
-        std::max<uint32_t>(1, std::min<uint32_t>(config_.num_senders,
-                                                 others.size()));
-    std::vector<std::vector<DatacenterId>> shards(num_senders);
-    for (size_t i = 0; i < others.size(); ++i) {
-      shards[i % num_senders].push_back(others[i]);
-    }
     Sender::Options so;
-    so.batch_records = config_.sender_batch_records;
     so.resend_nanos = config_.sender_resend_nanos;
     so.resend_max_nanos = config_.sender_resend_max_nanos;
     so.executor = executor_;
-    for (auto& shard : shards) {
-      if (shard.empty()) continue;
-      senders_.push_back(std::make_unique<Sender>(
-          config_.dc_id, shard, &local_buffer_, &atable_, fabric_, so));
-      senders_.back()->Start();
-    }
+    sender_ = std::make_unique<Sender>(
+        config_.dc_id, OtherDatacenters(config_.dc_id, config_.num_datacenters),
+        &local_buffer_, &atable_, fabric_, so);
+    sender_->Start();
   }
 
   // Token circulation: a self-rescheduling executor task. Started after the
-  // senders, which the token task kicks.
+  // sender, which the token task kicks.
   token_done_ = std::make_unique<CountDownLatch>(1);
   if (!executor_->Submit(token_gate_.Wrap([this] { TokenStep(); }))) {
     token_done_->CountDown();
@@ -226,7 +201,7 @@ void Datacenter::Stop() {
              << ": token drain timed out; records may be left in queues";
   }
   token_gate_.Close();
-  for (auto& s : senders_) s->Stop();
+  if (sender_ != nullptr) sender_->Stop();
   if (receiver_ != nullptr) (void)fabric_->Unregister(config_.dc_id);
   gc_token_.Cancel();
   // Clean shutdown: sync the log and leave a fresh recovery point.
@@ -235,6 +210,28 @@ void Datacenter::Stop() {
     LOG_WARN << "dc" << config_.dc_id << ": checkpoint on stop failed: "
              << s.ToString();
   }
+}
+
+Status Datacenter::OpenLog() {
+  // Log maintainers (FLStore stage).
+  for (uint32_t m = 0; m < config_.num_maintainers; ++m) {
+    flstore::MaintainerOptions mo;
+    mo.index = m;
+    mo.journal = journal_;
+    mo.store.mode = config_.store_mode;
+    mo.store.io_engine = config_.io_engine;
+    if (!config_.store_dir.empty()) {
+      mo.store.dir =
+          config_.store_dir + "/maintainer-" + std::to_string(m);
+    }
+    maintainers_.push_back(std::make_unique<flstore::LogMaintainer>(mo));
+    CHARIOTS_RETURN_IF_ERROR(maintainers_.back()->Open());
+  }
+  // Whole-datacenter restart: rebuild replica clocks, awareness, index,
+  // the TOId map, and the sender buffer from the persisted log before any
+  // pipeline task starts.
+  if (config_.store_dir.empty()) return Status::OK();
+  return RecoverFromStorage();
 }
 
 namespace {
@@ -267,8 +264,10 @@ Status Datacenter::RecoverFromStorage() {
   flstore::LId ckpt_horizon = 0;
   std::string raw;
   std::string path = config_.store_dir + "/checkpoint";
-  if (storage::FileExists(path) &&
-      storage::ReadFileToString(path, &raw).ok()) {
+  if (storage::FileExists(path)) {
+    // An unreadable checkpoint is an error, not an absent one: GC may have
+    // removed the records that would otherwise restore next_toid_.
+    CHARIOTS_RETURN_IF_ERROR(storage::ReadFileToString(path, &raw));
     BinaryReader r(raw);
     uint32_t magic = 0, version = 0;
     CHARIOTS_RETURN_IF_ERROR(r.GetU32(&magic));
@@ -315,10 +314,9 @@ Status Datacenter::RecoverFromStorage() {
   }
   lids.resize(straggler_start);
 
-  // 4. Replay the surviving records: rebuild GC metadata + index for all
+  // 4. Replay the surviving records: rebuild the TOId map + index for all
   //    of them, replica clocks only for those past the checkpoint, and the
   //    sender buffer for local records.
-  meta_base_ = ckpt_horizon;
   gc_horizon_.store(ckpt_horizon);
   next_toid_.store(ckpt_next_toid);
   bool local_base_set = false;
@@ -328,7 +326,6 @@ Status Datacenter::RecoverFromStorage() {
     CHARIOTS_ASSIGN_OR_RETURN(flstore::LogRecord log_record,
                               maintainers_[m]->Read(lid));
     CHARIOTS_ASSIGN_OR_RETURN(GeoRecord record, FromLogRecord(log_record));
-    lid_meta_.emplace_back(record.host, record.toid);
     if (toid_to_lid_[record.host].empty()) {
       toid_base_[record.host] = record.toid;
     }
@@ -536,7 +533,6 @@ bool Datacenter::PersistRun() {
     std::lock_guard<std::mutex> lock(meta_mu_);
     for (size_t i = 0; i < written; ++i) {
       const GeoRecord& record = unpublished_[i].record;
-      lid_meta_.emplace_back(record.host, record.toid);
       if (toid_to_lid_[record.host].empty()) {
         toid_base_[record.host] = record.toid;
       }
@@ -588,7 +584,7 @@ bool Datacenter::PersistRun() {
     // than at the next GC sweep, so the buffer stays the size of the
     // replication lag.
     local_buffer_.TruncateBelow(atable_.GlobalFloor(config_.dc_id) + 1);
-    for (auto& sender : senders_) sender->Kick();
+    if (sender_ != nullptr) sender_->Kick();
   }
   return unpublished_.empty();
 }
@@ -667,7 +663,9 @@ std::vector<GeoRecord> Datacenter::ReadRange(flstore::LId from,
                                              size_t limit) const {
   std::vector<GeoRecord> out;
   flstore::LId head = HeadLid();
-  for (flstore::LId lid = from; lid < head && out.size() < limit; ++lid) {
+  // Positions below the horizon are collected: start at the first live one.
+  for (flstore::LId lid = std::max(from, gc_horizon());
+       lid < head && out.size() < limit; ++lid) {
     Result<GeoRecord> r = Read(lid);
     if (r.ok()) out.push_back(std::move(r).value());
   }
@@ -721,7 +719,7 @@ void Datacenter::RegisterWatchdogProbes(Watchdog* wd) {
     // inbox_depth gauge.
     wd->AddQueueProbe(prefix + "filter" + std::to_string(f) + ".inbox",
                       [inbox] { return inbox->ApproxSize(); },
-                      config_.stage_queue_capacity);
+                      kFilterInboxCapacity);
   }
   wd->AddQueueProbe(prefix + "pipeline_pending",
                     [this] { return static_cast<uint64_t>(PipelinePending()); },
@@ -778,7 +776,7 @@ std::unique_ptr<Datacenter::FilterStage> Datacenter::MakeFilterStage(
     uint32_t id) {
   auto stage = std::make_unique<FilterStage>();
   stage->inbox = std::make_unique<BoundedQueue<std::vector<GeoRecord>>>(
-      config_.stage_queue_capacity);
+      kFilterInboxCapacity);
   stage->filter = std::make_unique<Filter>(
       id, &filter_map_, [this](GeoRecord r) {
         r.trace.AddHop("filter", config_.dc_id);
@@ -808,25 +806,25 @@ Status Datacenter::RunGcOnce() {
   flstore::LId horizon;
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
+    // A record (h, t) is collectable iff t <= GlobalFloor(h) (paper §6.1).
+    // Per-host TOIds ascend with LId, so the first record the horizon must
+    // stop at is the lowest-LId (h, GlobalFloor(h) + 1) over all hosts, or
+    // the end of the published prefix if no host has one. Every candidate
+    // is at or above the old horizon, so it never moves backwards.
     horizon = gc_horizon_.load();
-    while (!lid_meta_.empty() && horizon >= meta_base_ &&
-           horizon - meta_base_ < lid_meta_.size()) {
-      auto [host, toid] = lid_meta_[horizon - meta_base_];
-      if (!atable_.GcEligible(host, toid)) break;
-      ++horizon;
-    }
-    // Drop metadata below the new horizon. Per-host TOId order respects
-    // lid order, so each dropped record is the front of its host's
-    // toid->lid map.
-    while (meta_base_ < horizon && !lid_meta_.empty()) {
-      auto [host, toid] = lid_meta_.front();
-      (void)toid;
-      if (!toid_to_lid_[host].empty()) {
-        toid_to_lid_[host].pop_front();
-        ++toid_base_[host];
+    for (const auto& lids : toid_to_lid_) horizon += lids.size();
+    for (DatacenterId h = 0; h < toid_to_lid_.size(); ++h) {
+      TOId blocker = atable_.GlobalFloor(h) + 1;
+      size_t idx = blocker > toid_base_[h] ? blocker - toid_base_[h] : 0;
+      if (idx < toid_to_lid_[h].size()) {
+        horizon = std::min(horizon, toid_to_lid_[h][idx]);
       }
-      lid_meta_.pop_front();
-      ++meta_base_;
+    }
+    for (DatacenterId h = 0; h < toid_to_lid_.size(); ++h) {
+      while (!toid_to_lid_[h].empty() && toid_to_lid_[h].front() < horizon) {
+        toid_to_lid_[h].pop_front();
+        ++toid_base_[h];
+      }
     }
     gc_horizon_.store(horizon);
   }

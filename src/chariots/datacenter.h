@@ -49,12 +49,15 @@ namespace chariots::geo {
 /// (in-process FLStore) and only then publishes it — head, awareness,
 /// index, subscribers, acknowledgments — in LId order; a failed write holds
 /// the head at its first unwritten LId and is retried before anything new
-/// is admitted. A run holding local records kicks the senders; their 1 ms
+/// is admitted. A run holding local records kicks the sender; its 1 ms
 /// tick is left with rewinds and heartbeats. GC is a periodic timer task.
 /// Thread count is therefore a function of cores, not of topology width.
 class Datacenter {
  public:
-  Datacenter(ChariotsConfig config, ReplicationFabric* fabric);
+  /// `fabric` carries replication between datacenters; a single-datacenter
+  /// deployment (num_datacenters == 1) needs none.
+  explicit Datacenter(ChariotsConfig config,
+                      TransportFabric* fabric = nullptr);
   ~Datacenter();
 
   Datacenter(const Datacenter&) = delete;
@@ -97,7 +100,7 @@ class Datacenter {
   /// written records).
   flstore::LId HeadLid() const;
 
-  /// Reads up to `limit` records in [from, HeadLid()).
+  /// Reads up to `limit` records in [max(from, gc_horizon()), HeadLid()).
   std::vector<GeoRecord> ReadRange(flstore::LId from, size_t limit) const;
 
   /// Tag lookup against the local index.
@@ -173,8 +176,8 @@ class Datacenter {
   flstore::LId gc_horizon() const { return gc_horizon_.load(); }
 
  private:
-  friend class DatacenterTestPeer;
-
+  /// Opens the log maintainers, then recovers from them if persistent.
+  Status OpenLog();
   /// Rebuilds all volatile state from the persisted log + checkpoint after
   /// a whole-datacenter restart (paper §1: datacenter-level fault
   /// tolerance). Runs in Start() before the pipeline threads exist.
@@ -199,7 +202,7 @@ class Datacenter {
   bool Congested() const;
 
   ChariotsConfig config_;
-  ReplicationFabric* const fabric_;
+  TransportFabric* const fabric_;
   Executor* const executor_;
 
   flstore::EpochJournal journal_;
@@ -227,6 +230,8 @@ class Datacenter {
   /// the stage without reallocating under concurrent readers; readers bound
   /// their index by filter_count_.
   static constexpr size_t kMaxFilters = 256;
+  /// Batches a filter inbox holds before its producers drain it inline.
+  static constexpr size_t kFilterInboxCapacity = 4096;
   std::vector<std::unique_ptr<FilterStage>> filters_;
   std::atomic<size_t> filter_count_{0};
   std::atomic<uint64_t> queue_rr_{0};
@@ -255,14 +260,12 @@ class Datacenter {
   std::vector<RunRecord> unpublished_;
 
   LocalRecordBuffer local_buffer_;
-  std::vector<std::unique_ptr<Sender>> senders_;
+  std::unique_ptr<Sender> sender_;
   std::unique_ptr<Receiver> receiver_;
 
-  // GC bookkeeping: (host, toid) per lid, from lid meta_base_.
-  mutable std::mutex meta_mu_;
-  std::deque<std::pair<DatacenterId, TOId>> lid_meta_;
-  flstore::LId meta_base_ = 0;
   // TOId -> LId per host (dense, toids start at 1); bases advance with GC.
+  // Together the deques hold every published LId in [gc_horizon_, head).
+  mutable std::mutex meta_mu_;
   std::vector<std::deque<flstore::LId>> toid_to_lid_;
   std::vector<TOId> toid_base_;
   Executor::TimerToken gc_token_;

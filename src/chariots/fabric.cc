@@ -4,37 +4,6 @@
 
 namespace chariots::geo {
 
-// ---------------------------------------------------------------- direct
-
-Status DirectFabric::RegisterReceiver(DatacenterId dc, Handler handler) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!handlers_.emplace(dc, std::move(handler)).second) {
-    return Status::AlreadyExists("datacenter already registered");
-  }
-  return Status::OK();
-}
-
-Status DirectFabric::Unregister(DatacenterId dc) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (handlers_.erase(dc) == 0) return Status::NotFound("datacenter");
-  return Status::OK();
-}
-
-Status DirectFabric::Send(DatacenterId from, DatacenterId to,
-                          std::string payload) {
-  Handler handler;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = handlers_.find(to);
-    if (it == handlers_.end()) return Status::NotFound("datacenter");
-    handler = it->second;
-  }
-  handler(from, std::move(payload));
-  return Status::OK();
-}
-
-// ------------------------------------------------------------- transport
-
 namespace {
 constexpr uint16_t kReplicationOpcode = 100;
 }  // namespace

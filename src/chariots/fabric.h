@@ -12,53 +12,26 @@
 
 namespace chariots::geo {
 
-/// Inter-datacenter message fabric: moves opaque replication payloads
-/// between datacenters. Implementations differ in realism; the Chariots
-/// logic above is identical.
-class ReplicationFabric {
+/// Inter-datacenter message fabric over a net::Transport (in-process
+/// simulated WAN or TCP): each datacenter is the node "geo/dc<N>/receiver";
+/// replication payloads travel as one-way messages, so latency, bandwidth
+/// caps, partitions and message loss configured on the transport all apply
+/// to replication traffic. A zero-latency InProcTransport stands in for a
+/// perfect network in tests.
+class TransportFabric {
  public:
   using Handler = std::function<void(DatacenterId from, std::string payload)>;
 
-  virtual ~ReplicationFabric() = default;
+  explicit TransportFabric(net::Transport* transport);
+  ~TransportFabric();
 
   /// Binds the receiving side of datacenter `dc`.
-  virtual Status RegisterReceiver(DatacenterId dc, Handler handler) = 0;
-  virtual Status Unregister(DatacenterId dc) = 0;
+  Status RegisterReceiver(DatacenterId dc, Handler handler);
+  Status Unregister(DatacenterId dc);
 
   /// Ships `payload` from `from` to `to`. Best-effort: loss surfaces as a
   /// missing delivery, not an error.
-  virtual Status Send(DatacenterId from, DatacenterId to,
-                      std::string payload) = 0;
-};
-
-/// Synchronous in-process fabric: Send() invokes the destination handler on
-/// the caller thread. Zero latency; useful for unit tests and benches where
-/// WAN behaviour is out of scope.
-class DirectFabric : public ReplicationFabric {
- public:
-  Status RegisterReceiver(DatacenterId dc, Handler handler) override;
-  Status Unregister(DatacenterId dc) override;
-  Status Send(DatacenterId from, DatacenterId to,
-              std::string payload) override;
-
- private:
-  std::mutex mu_;
-  std::unordered_map<DatacenterId, Handler> handlers_;
-};
-
-/// Fabric over a net::Transport (in-process simulated WAN or TCP): each
-/// datacenter is the node "geo/dc<N>"; payloads travel as one-way messages,
-/// so latency, bandwidth caps, partitions and message loss configured on the
-/// transport all apply to replication traffic.
-class TransportFabric : public ReplicationFabric {
- public:
-  explicit TransportFabric(net::Transport* transport);
-  ~TransportFabric() override;
-
-  Status RegisterReceiver(DatacenterId dc, Handler handler) override;
-  Status Unregister(DatacenterId dc) override;
-  Status Send(DatacenterId from, DatacenterId to,
-              std::string payload) override;
+  Status Send(DatacenterId from, DatacenterId to, std::string payload);
 
   /// The transport node id used for datacenter `dc`.
   static std::string NodeFor(DatacenterId dc);

@@ -141,7 +141,7 @@ size_t LocalRecordBuffer::size() const {
 
 Sender::Sender(DatacenterId self, std::vector<DatacenterId> destinations,
                const LocalRecordBuffer* buffer, const AwarenessTable* atable,
-               ReplicationFabric* fabric, Options options, Clock* clock)
+               TransportFabric* fabric, Options options, Clock* clock)
     : self_(self),
       buffer_(buffer),
       atable_(atable),

@@ -69,9 +69,7 @@ class LocalRecordBuffer {
 /// datacenter, with the awareness table piggybacked. Retransmits from the
 /// last *acknowledged* TOId — acknowledgement is simply the peer's awareness
 /// row coming back — so datacenter-level failures and partitions heal
-/// automatically. One Sender instance can own several destinations; a
-/// deployment scales by giving each destination (or destination shard) its
-/// own sender.
+/// automatically. A datacenter runs one Sender that owns every destination.
 class Sender {
  public:
   struct Options {
@@ -94,7 +92,7 @@ class Sender {
   /// automatically drives the backoff/heartbeat arithmetic too).
   Sender(DatacenterId self, std::vector<DatacenterId> destinations,
          const LocalRecordBuffer* buffer, const AwarenessTable* atable,
-         ReplicationFabric* fabric, Options options, Clock* clock = nullptr);
+         TransportFabric* fabric, Options options, Clock* clock = nullptr);
   ~Sender();
 
   void Start();
@@ -125,7 +123,7 @@ class Sender {
   const DatacenterId self_;
   const LocalRecordBuffer* const buffer_;
   const AwarenessTable* const atable_;
-  ReplicationFabric* const fabric_;
+  TransportFabric* const fabric_;
   const Options options_;
   Executor* const executor_;
   Clock* const clock_;

@@ -6,6 +6,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -165,7 +166,11 @@ Status WriteStringToFileAtomic(const std::string& data,
     CHARIOTS_RETURN_IF_ERROR(file.Append(data));
     CHARIOTS_RETURN_IF_ERROR(file.Sync());
   }
-  return RenameFile(tmp, path);
+  CHARIOTS_RETURN_IF_ERROR(RenameFile(tmp, path));
+  size_t slash = path.find_last_of('/');
+  return SyncDir(slash == std::string::npos
+                     ? "."
+                     : path.substr(0, std::max<size_t>(slash, 1)));
 }
 
 Result<std::vector<std::string>> ListDir(const std::string& dir) {
@@ -178,6 +183,15 @@ Result<std::vector<std::string>> ListDir(const std::string& dir) {
   }
   ::closedir(d);
   return names;
+}
+
+Status SyncDir(const std::string& dir) {
+  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return Status::IOError(ErrnoMessage("open", dir));
+  Status s;
+  if (::fsync(fd) != 0) s = Status::IOError(ErrnoMessage("fsync", dir));
+  ::close(fd);
+  return s;
 }
 
 bool FileExists(const std::string& path) {

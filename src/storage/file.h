@@ -73,10 +73,14 @@ Status RemoveFile(const std::string& path);
 Status RenameFile(const std::string& from, const std::string& to);
 /// Reads a whole (small) file into `out`.
 Status ReadFileToString(const std::string& path, std::string* out);
-/// Writes `data` to `path` atomically (temp file + fsync + rename).
+/// Writes `data` to `path` atomically (temp file + fsync + rename + fsync
+/// of the parent directory).
 Status WriteStringToFileAtomic(const std::string& data,
                                const std::string& path);
 Result<std::vector<std::string>> ListDir(const std::string& dir);
+/// Makes the entries of `dir` durable (fsync on the directory): a file
+/// created in or renamed into it survives a power loss only after this.
+Status SyncDir(const std::string& dir);
 bool FileExists(const std::string& path);
 
 }  // namespace chariots::storage

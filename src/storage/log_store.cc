@@ -130,9 +130,10 @@ Status LogStore::Open() {
     seg.path = SegmentPath(seg.id);
     Result<FaultInjectingFile> file =
         FaultInjectingFile::OpenAppendable(seg.path, options_.disk_faults);
-    if (!file.ok()) {
+    Status synced = file.ok() ? SyncDir(options_.dir) : file.status();
+    if (!synced.ok()) {
       ResetLocked();
-      return file.status();
+      return synced;
     }
     seg.file = std::move(*file);
     segments_.emplace(seg.id, std::move(seg));
@@ -358,6 +359,9 @@ Status LogStore::RotateIfNeededLocked() {
   CHARIOTS_ASSIGN_OR_RETURN(
       seg.file,
       FaultInjectingFile::OpenAppendable(seg.path, options_.disk_faults));
+  // A segment whose records are synced is still lost with its directory
+  // entry: make the entry durable before the first append lands in it.
+  CHARIOTS_RETURN_IF_ERROR(SyncDir(options_.dir));
   segments_.emplace(seg.id, std::move(seg));
   ++next_segment_id_;
   return Status::OK();

@@ -11,7 +11,6 @@
 
 #include "chariots/client.h"
 #include "chariots/datacenter.h"
-#include "chariots/fabric.h"
 #include "net/inproc_transport.h"
 
 namespace chariots::geo {
@@ -42,8 +41,7 @@ void AppendAndVerify(Datacenter& dc, ChariotsClient& client, int n,
 }
 
 TEST(ElasticityTest, AddBatcherMidTraffic) {
-  DirectFabric fabric;
-  Datacenter dc(BaseConfig(), &fabric);
+  Datacenter dc(BaseConfig());
   ASSERT_TRUE(dc.Start().ok());
   ChariotsClient client(&dc);
   AppendAndVerify(dc, client, 20, 0);
@@ -55,8 +53,7 @@ TEST(ElasticityTest, AddBatcherMidTraffic) {
 }
 
 TEST(ElasticityTest, AddQueueMidTraffic) {
-  DirectFabric fabric;
-  Datacenter dc(BaseConfig(), &fabric);
+  Datacenter dc(BaseConfig());
   ASSERT_TRUE(dc.Start().ok());
   ChariotsClient client(&dc);
   AppendAndVerify(dc, client, 20, 0);
@@ -68,8 +65,7 @@ TEST(ElasticityTest, AddQueueMidTraffic) {
 }
 
 TEST(ElasticityTest, SplitFilterChampionshipMidTraffic) {
-  DirectFabric fabric;
-  Datacenter dc(BaseConfig(), &fabric);
+  Datacenter dc(BaseConfig());
   ASSERT_TRUE(dc.Start().ok());
   ChariotsClient client(&dc);
   AppendAndVerify(dc, client, 10, 0);
@@ -84,8 +80,7 @@ TEST(ElasticityTest, SplitFilterChampionshipMidTraffic) {
 }
 
 TEST(ElasticityTest, EveryStageGrownUnderConcurrentWriters) {
-  DirectFabric fabric;
-  Datacenter dc(BaseConfig(), &fabric);
+  Datacenter dc(BaseConfig());
   ASSERT_TRUE(dc.Start().ok());
 
   std::atomic<bool> stop{false};
@@ -123,8 +118,7 @@ TEST(ElasticityTest, AddQueueAfterFilterSplitUnderConcurrentWriters) {
   // queues while AddQueue grows them. Like the filters built at Start, it
   // must pick a queue below the published queue count, never a slot that
   // AddQueue is still filling.
-  DirectFabric fabric;
-  Datacenter dc(BaseConfig(), &fabric);
+  Datacenter dc(BaseConfig());
   ASSERT_TRUE(dc.Start().ok());
   // From the second record on, filter 1 champions every other TOId.
   ASSERT_TRUE(dc.SplitFilterChampionship(0, 2, {0, 1}).ok());
@@ -159,9 +153,8 @@ TEST(ElasticityTest, AddQueueAfterFilterSplitUnderConcurrentWriters) {
 }
 
 TEST(ElasticityTest, CapacityLimitsReported) {
-  DirectFabric fabric;
   ChariotsConfig config = BaseConfig();
-  Datacenter dc(config, &fabric);
+  Datacenter dc(config);
   ASSERT_TRUE(dc.Start().ok());
   EXPECT_FALSE(dc.SplitFilterChampionship(0, 10, {100000}).ok());
   dc.Stop();

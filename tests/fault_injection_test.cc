@@ -656,7 +656,6 @@ TEST(GeoFaultTest, FailedMaintainerWriteHoldsHeadAndRetriesInOrder) {
   config.store_mode = storage::SyncMode::kFsyncEach;
   config.store_dir = dir.string();
   config.io_engine = &engine;
-  geo::DirectFabric fabric;
   constexpr int kBefore = 5;
   constexpr int kDuring = 20;
   constexpr int kFailures = 6;
@@ -679,7 +678,7 @@ TEST(GeoFaultTest, FailedMaintainerWriteHoldsHeadAndRetriesInOrder) {
     return acked() == n;
   };
   {
-    geo::Datacenter dc(config, &fabric);
+    geo::Datacenter dc(config);
     ASSERT_TRUE(dc.Start().ok());
     for (int i = 0; i < kBefore; ++i) dc.Append("before", {}, {}, on_ack);
     ASSERT_TRUE(wait_acked(kBefore));
@@ -711,7 +710,7 @@ TEST(GeoFaultTest, FailedMaintainerWriteHoldsHeadAndRetriesInOrder) {
   }
   // The retried writes survive a restart with no hole.
   {
-    geo::Datacenter dc(config, &fabric);
+    geo::Datacenter dc(config);
     ASSERT_TRUE(dc.Start().ok());
     EXPECT_EQ(dc.HeadLid(), flstore::LId{kBefore + kDuring});
   }

@@ -388,25 +388,31 @@ TEST(GeoIntegrationTest, SubscribersSeeEveryRecordInLidOrder) {
 }
 
 TEST(GeoIntegrationTest, ConfigValidationRejectsBadShapes) {
-  DirectFabric fabric;
   {
     ChariotsConfig config;
     config.dc_id = 3;
     config.num_datacenters = 2;
-    Datacenter dc(config, &fabric);
+    Datacenter dc(config);
     EXPECT_FALSE(dc.Start().ok());
   }
   {
     ChariotsConfig config;
     config.num_queues = 0;
-    Datacenter dc(config, &fabric);
+    Datacenter dc(config);
     EXPECT_FALSE(dc.Start().ok());
   }
   {
     ChariotsConfig config;
     config.stripe_batch = 0;
-    Datacenter dc(config, &fabric);
+    Datacenter dc(config);
     EXPECT_FALSE(dc.Start().ok());
+  }
+  {
+    // Replication between datacenters needs a fabric.
+    ChariotsConfig config;
+    config.num_datacenters = 2;
+    Datacenter dc(config);
+    EXPECT_EQ(dc.Start().code(), StatusCode::kInvalidArgument);
   }
 }
 
@@ -487,7 +493,8 @@ TEST(GeoIntegrationTest, NewRecordWakesTheSenderBeforeItsTick) {
   // first tick is due — carried by the sender kick alone.
   ManualClock clock;
   Executor exec({.num_threads = 2, .name = "geo-virt", .manual_clock = &clock});
-  DirectFabric fabric;
+  net::InProcTransport transport(nullptr, &exec);
+  TransportFabric fabric(&transport);
   std::vector<std::unique_ptr<Datacenter>> dcs;
   for (uint32_t d = 0; d < 2; ++d) {
     ChariotsConfig config;
@@ -706,6 +713,63 @@ TEST(GeoIntegrationTest, ReadByToidAfterGc) {
   auto r = cluster.dc(0).ReadByToid(0, 7);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->body, "post-gc");
+}
+
+TEST(GeoIntegrationTest, ReadRangeStartsAtTheGcHorizon) {
+  GeoCluster cluster(2);
+  ChariotsClient a(&cluster.dc(0));
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(a.Append("old").ok());
+  ASSERT_TRUE(cluster.AwaitConvergence());
+  int64_t deadline = SystemClock::Default()->NowNanos() + kWaitNanos;
+  while (cluster.dc(0).atable().Get(1, 0) < 6 &&
+         SystemClock::Default()->NowNanos() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(cluster.dc(0).RunGcOnce().ok());
+  const flstore::LId horizon = cluster.dc(0).gc_horizon();
+  ASSERT_EQ(horizon, 6u);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(a.Append("live").ok());
+  // A read from 0 crosses the collected prefix and fills its limit from
+  // the first live record.
+  auto log = cluster.dc(0).ReadRange(0, 3);
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[0].lid, horizon);
+  EXPECT_EQ(log[0].body, "live");
+}
+
+TEST(GeoIntegrationTest, GcHorizonStopsAtTheFirstRecordAPeerLacks) {
+  GeoCluster cluster(2);
+  ChariotsClient a(&cluster.dc(0));
+  ChariotsClient b(&cluster.dc(1));
+  ASSERT_TRUE(a.Append("a1").ok());
+  ASSERT_TRUE(b.Append("b1").ok());
+  ASSERT_TRUE(cluster.AwaitConvergence());
+  // dc0 must learn that dc1 holds both a1 and b1.
+  int64_t deadline = SystemClock::Default()->NowNanos() + kWaitNanos;
+  while ((cluster.dc(0).atable().Get(1, 0) < 1 ||
+          cluster.dc(0).atable().Get(1, 1) < 1) &&
+         SystemClock::Default()->NowNanos() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_GE(cluster.dc(0).atable().Get(1, 0), 1u);
+  ASSERT_GE(cluster.dc(0).atable().Get(1, 1), 1u);
+  // One way only: dc1 keeps shipping to dc0, but never learns of a2.
+  cluster.transport().SetLink("geo/dc0", "geo/dc1", {.drop_probability = 1});
+  auto a2 = a.Append("a2");
+  ASSERT_TRUE(a2.ok());
+  ASSERT_TRUE(b.Append("b2").ok());
+  ASSERT_TRUE(cluster.dc(0).WaitForToid(1, 2, kWaitNanos));
+  // dc0's log: a1 and b1 (either order), then a2, then b2.
+  ASSERT_EQ(a2->second, 2u);
+  auto b2 = cluster.dc(0).ReadByToid(1, 2);
+  ASSERT_TRUE(b2.ok());
+  ASSERT_EQ(b2->lid, 3u);
+  // b2 is collectable (dc1 hosts it), but a2 before it is not.
+  ASSERT_TRUE(cluster.dc(0).RunGcOnce().ok());
+  EXPECT_EQ(cluster.dc(0).gc_horizon(), a2->second);
+  EXPECT_TRUE(cluster.dc(0).ReadByToid(0, 2).ok());
+  EXPECT_TRUE(cluster.dc(0).ReadByToid(1, 2).ok());
+  EXPECT_TRUE(cluster.dc(0).ReadByToid(1, 1).status().IsNotFound());
 }
 
 // ------------------------------------------------------- causality property

@@ -20,6 +20,7 @@
 #include "common/clock.h"
 #include "common/executor.h"
 #include "common/metrics.h"
+#include "net/inproc_transport.h"
 
 namespace chariots::geo {
 namespace {
@@ -371,7 +372,8 @@ class SenderReceiverTest : public ::testing::Test {
  protected:
   SenderReceiverTest() : atable0_(2, 0), atable1_(2, 1) {}
 
-  // Wires a sender at DC0 and a receiver at DC1 through the direct fabric.
+  // Wires a sender at DC0 and a receiver at DC1 through a zero-latency
+  // in-process transport whose deliveries run on exec_.
   void Wire(Sender::Options options = {}) {
     receiver_ = std::make_unique<Receiver>(
         1, &atable1_, [this](GeoRecord r) {
@@ -402,7 +404,19 @@ class SenderReceiverTest : public ::testing::Test {
     buffer_.Put(toid, EncodeGeoRecord(r));
   }
 
-  DirectFabric fabric_;
+  /// One sender pass, then every delivery it caused.
+  size_t Tick() {
+    size_t shipped = sender_->Tick();
+    exec_.WaitIdle();
+    return shipped;
+  }
+
+  /// Virtual time: it moves only when a test moves it.
+  ManualClock clock_;
+  Executor exec_{{.num_threads = 2, .name = "sender-recv",
+                  .manual_clock = &clock_}};
+  net::InProcTransport transport_{nullptr, &exec_};
+  TransportFabric fabric_{&transport_};
   AwarenessTable atable0_, atable1_;
   LocalRecordBuffer buffer_;
   std::unique_ptr<Receiver> receiver_;
@@ -416,19 +430,19 @@ TEST_F(SenderReceiverTest, ShipsNewRecordsOnTick) {
   Wire();
   PutLocal(1);
   PutLocal(2);
-  EXPECT_EQ(sender_->Tick(), 2u);
+  EXPECT_EQ(Tick(), 2u);
   ASSERT_EQ(received_.size(), 2u);
   EXPECT_EQ(received_[0].toid, 1u);
   EXPECT_EQ(received_[1].toid, 2u);
   // Nothing new: the next tick ships nothing.
-  EXPECT_EQ(sender_->Tick(), 0u);
+  EXPECT_EQ(Tick(), 0u);
 }
 
 TEST_F(SenderReceiverTest, PiggybackedAwarenessMerges) {
   Wire();
   atable0_.Advance(0, 0, 5);  // sender's own knowledge row
   PutLocal(1);
-  (void)sender_->Tick();
+  (void)Tick();
   // The receiver learned the sender's row transitively.
   EXPECT_EQ(atable1_.Get(0, 0), 5u);
 }
@@ -440,19 +454,19 @@ TEST_F(SenderReceiverTest, AckStopsRetransmission) {
   const uint64_t rewinds = CounterValue("chariots.sender.rewinds");
   const uint64_t deduped = CounterValue("chariots.receiver.records_deduped");
   PutLocal(1);
-  (void)sender_->Tick();
+  (void)Tick();
   ASSERT_EQ(received_.size(), 1u);
   // No ack yet (atable0 row for DC1 is still 0): the sender rewinds and
   // resends. The test's submit callback already advanced DC1's knowledge
   // row, so the receiver drops the retransmission as a duplicate before it
   // would reach the pipeline.
-  (void)sender_->Tick();
+  (void)Tick();
   EXPECT_GE(CounterValue("chariots.sender.rewinds") - rewinds, 1u);
   EXPECT_EQ(received_.size(), 1u);
   EXPECT_EQ(CounterValue("chariots.receiver.records_deduped") - deduped, 1u);
   // Ack arrives: DC1's awareness of DC0 reaches toid 1.
   atable0_.Advance(1, 0, 1);
-  EXPECT_EQ(sender_->Tick(), 0u);
+  EXPECT_EQ(Tick(), 0u);
   EXPECT_EQ(received_.size(), 1u);
 }
 
@@ -463,7 +477,7 @@ TEST_F(SenderReceiverTest, HeartbeatCarriesAwarenessWhenIdle) {
   atable0_.Advance(0, 1, 7);  // something worth telling DC1
   const uint64_t heartbeats = CounterValue("chariots.sender.heartbeats_sent");
   const uint64_t batches = CounterValue("chariots.sender.batches_sent");
-  EXPECT_EQ(sender_->Tick(), 0u);  // no records shipped...
+  EXPECT_EQ(Tick(), 0u);  // no records shipped...
   // ...but a heartbeat went out, counted apart from the record batches.
   EXPECT_GE(CounterValue("chariots.sender.heartbeats_sent") - heartbeats, 1u);
   EXPECT_EQ(CounterValue("chariots.sender.batches_sent"), batches);
@@ -471,19 +485,19 @@ TEST_F(SenderReceiverTest, HeartbeatCarriesAwarenessWhenIdle) {
 }
 
 TEST_F(SenderReceiverTest, RecordsSentCountsABatchBeforeThePeerHoldsIt) {
-  // DirectFabric delivers inside Send, so the receiver takes each record
-  // before Send returns. By then records_sent must already count it: no
-  // reader may find the sender behind what its peer holds.
+  // An idle worker can deliver the batch before Send returns. By then
+  // records_sent must already count it: no reader may find the sender
+  // behind what its peer holds.
   Wire();
   const uint64_t sent = CounterValue("chariots.sender.records_sent");
   for (TOId t = 1; t <= 3; ++t) PutLocal(t);
-  EXPECT_EQ(sender_->Tick(), 3u);
+  EXPECT_EQ(Tick(), 3u);
   ASSERT_EQ(sent_when_received_.size(), 3u);
   for (uint64_t at_receipt : sent_when_received_) {
     EXPECT_EQ(at_receipt - sent, 3u);
   }
   PutLocal(4);
-  EXPECT_EQ(sender_->Tick(), 1u);
+  EXPECT_EQ(Tick(), 1u);
   ASSERT_EQ(sent_when_received_.size(), 4u);
   EXPECT_EQ(sent_when_received_.back() - sent, 4u);
 }
@@ -493,36 +507,34 @@ TEST_F(SenderReceiverTest, BatchSizeLimitsPerTick) {
   options.batch_records = 3;
   Wire(options);
   for (TOId t = 1; t <= 10; ++t) PutLocal(t);
-  EXPECT_EQ(sender_->Tick(), 3u);
-  EXPECT_EQ(sender_->Tick(), 3u);
-  EXPECT_EQ(sender_->Tick(), 3u);
-  EXPECT_EQ(sender_->Tick(), 1u);
+  EXPECT_EQ(Tick(), 3u);
+  EXPECT_EQ(Tick(), 3u);
+  EXPECT_EQ(Tick(), 3u);
+  EXPECT_EQ(Tick(), 1u);
   EXPECT_EQ(received_.size(), 10u);
 }
 
 TEST_F(SenderReceiverTest, KickShipsWithoutWaitingForTheTick) {
-  // Virtual time that never moves: only a kick can ship anything.
-  ManualClock clock;
-  Executor exec({.num_threads = 2, .name = "kick-virt", .manual_clock = &clock});
+  // The virtual clock never moves: only a kick can ship anything.
   Sender::Options options;
-  options.executor = &exec;
+  options.executor = &exec_;
   Wire(options);
   PutLocal(1);
   sender_->Kick();  // not started: no-op
-  exec.WaitIdle();
+  exec_.WaitIdle();
   EXPECT_TRUE(received_.empty());
   sender_->Start();
   PutLocal(2);
   sender_->Kick();
   sender_->Kick();  // collapses into the pending drain or runs an idle one
-  exec.WaitIdle();
+  exec_.WaitIdle();
   ASSERT_EQ(received_.size(), 2u);
   EXPECT_EQ(received_[1].toid, 2u);
-  EXPECT_EQ(clock.NowNanos(), 0);
+  EXPECT_EQ(clock_.NowNanos(), 0);
   sender_->Stop();
   PutLocal(3);
   sender_->Kick();  // stopped: fenced
-  exec.WaitIdle();
+  exec_.WaitIdle();
   EXPECT_EQ(received_.size(), 2u);
 }
 
@@ -532,7 +544,7 @@ TEST_F(SenderReceiverTest, ReceiverIgnoresGarbage) {
   EXPECT_TRUE(received_.empty());
   // Still functional afterwards.
   PutLocal(1);
-  (void)sender_->Tick();
+  (void)Tick();
   EXPECT_EQ(received_.size(), 1u);
 }
 

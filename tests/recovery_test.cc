@@ -16,6 +16,7 @@
 #include "flstore/dedup.h"
 #include "net/inproc_transport.h"
 #include "storage/fault_injection.h"
+#include "storage/file.h"
 #include "storage/io_engine.h"
 #include "storage/log_store.h"
 
@@ -436,10 +437,9 @@ class DatacenterRecoveryTest : public ::testing::Test {
 };
 
 TEST_F(DatacenterRecoveryTest, SingleDcRestartKeepsLogAndClocks) {
-  DirectFabric fabric;
   TOId last_toid = 0;
   {
-    Datacenter dc(Config(0, 1), &fabric);
+    Datacenter dc(Config(0, 1));
     ASSERT_TRUE(dc.Start().ok());
     ChariotsClient client(&dc);
     for (int i = 0; i < 10; ++i) {
@@ -451,7 +451,7 @@ TEST_F(DatacenterRecoveryTest, SingleDcRestartKeepsLogAndClocks) {
     dc.Stop();  // clean shutdown writes a checkpoint
   }
 
-  Datacenter dc(Config(0, 1), &fabric);
+  Datacenter dc(Config(0, 1));
   ASSERT_TRUE(dc.Start().ok());
   // The full log is back, in order.
   EXPECT_EQ(dc.HeadLid(), 10u);
@@ -480,7 +480,6 @@ TEST_F(DatacenterRecoveryTest, DurableAppendsGroupCommitPerTokenStep) {
   // kFsyncEach syncs before every ack; group commit keeps that promise with
   // one write per maintainer per token step, not one per record.
   constexpr int kAppends = 1000;
-  DirectFabric fabric;
   ChariotsConfig config = Config(0, 1);
   config.store_mode = storage::SyncMode::kFsyncEach;
   config.stripe_batch = 100;
@@ -489,7 +488,7 @@ TEST_F(DatacenterRecoveryTest, DurableAppendsGroupCommitPerTokenStep) {
   std::mutex mu;
   std::vector<std::pair<TOId, flstore::LId>> acks;
   {
-    Datacenter dc(config, &fabric);
+    Datacenter dc(config);
     ASSERT_TRUE(dc.Start().ok());
     const uint64_t before = fsyncs->count();
     for (int i = 0; i < kAppends; ++i) {
@@ -512,7 +511,7 @@ TEST_F(DatacenterRecoveryTest, DurableAppendsGroupCommitPerTokenStep) {
     EXPECT_LE(static_cast<double>(synced) / kAppends, 0.25)
         << synced << " fsyncs for " << kAppends << " records";
   }
-  Datacenter dc(config, &fabric);
+  Datacenter dc(config);
   ASSERT_TRUE(dc.Start().ok());
   EXPECT_EQ(dc.HeadLid(), flstore::LId{kAppends});
   for (const auto& [toid, lid] : acks) {
@@ -651,13 +650,53 @@ TEST_F(DatacenterRecoveryTest, CrashRecoveryUnderLossyNetwork) {
   dc1->Stop();
 }
 
+TEST_F(DatacenterRecoveryTest, UnreadableCheckpointFailsStart) {
+  // Were it treated as absent, next_toid_ would restart below the
+  // checkpoint once GC removed the local records, and peers would drop the
+  // reissued TOIds as duplicates.
+  ChariotsConfig config = Config(0, 1);
+  {
+    Datacenter dc(config);
+    ASSERT_TRUE(dc.Start().ok());
+    ChariotsClient client(&dc);
+    ASSERT_TRUE(client.Append("r").ok());
+    dc.Stop();
+  }
+  // A directory opens like a file but cannot be read.
+  fs::path checkpoint = fs::path(config.store_dir) / "checkpoint";
+  fs::remove(checkpoint);
+  fs::create_directory(checkpoint);
+  Datacenter dc(config);
+  EXPECT_FALSE(dc.Start().ok());
+}
+
+TEST_F(DatacenterRecoveryTest, FailedStartLeavesTheCheckpointAlone) {
+  ChariotsConfig config = Config(0, 1);
+  {
+    Datacenter dc(config);
+    ASSERT_TRUE(dc.Start().ok());
+    ChariotsClient client(&dc);
+    ASSERT_TRUE(client.Append("r").ok());
+    dc.Stop();
+  }
+  const std::string checkpoint = config.store_dir + "/checkpoint";
+  ASSERT_TRUE(
+      storage::WriteStringToFileAtomic("not a checkpoint", checkpoint).ok());
+  {
+    Datacenter dc(config);
+    EXPECT_TRUE(dc.Start().IsCorruption());
+  }  // the destructor's Stop() must not overwrite what Start() refused
+  std::string raw;
+  ASSERT_TRUE(storage::ReadFileToString(checkpoint, &raw).ok());
+  EXPECT_EQ(raw, "not a checkpoint");
+}
+
 TEST_F(DatacenterRecoveryTest, StragglerBeyondHoleIsDiscarded) {
   // Simulate a crash that lost a buffered write: build a valid log, then
   // remove a middle lid directly from the underlying store before restart.
-  DirectFabric fabric;
   ChariotsConfig config = Config(0, 1);
   {
-    Datacenter dc(config, &fabric);
+    Datacenter dc(config);
     ASSERT_TRUE(dc.Start().ok());
     ChariotsClient client(&dc);
     for (int i = 0; i < 6; ++i) {
@@ -677,7 +716,7 @@ TEST_F(DatacenterRecoveryTest, StragglerBeyondHoleIsDiscarded) {
     ASSERT_TRUE(store.Remove(3).ok());
   }
 
-  Datacenter dc(config, &fabric);
+  Datacenter dc(config);
   ASSERT_TRUE(dc.Start().ok());
   // The contiguous prefix [0,3) survives; 4 and 5 were stragglers.
   EXPECT_EQ(dc.HeadLid(), 3u);

@@ -16,6 +16,7 @@
 #include "common/random.h"
 #include "flstore/maintainer.h"
 #include "storage/archive.h"
+#include "storage/file.h"
 #include "storage/fault_injection.h"
 #include "storage/format.h"
 #include "storage/io_engine.h"
@@ -585,6 +586,14 @@ TEST_F(LogStoreTest, LargePayloadRoundTrip) {
 }
 
 // -------------------------------------------------- disk fault injection
+
+// No in-process crash model drops directory entries, so the helper that
+// makes them durable is checked on its own.
+TEST_F(LogStoreTest, SyncDirSyncsADirectoryAndRejectsAMissingPath) {
+  ASSERT_TRUE(CreateDirIfMissing(dir_.string()).ok());
+  EXPECT_TRUE(SyncDir(dir_.string()).ok());
+  EXPECT_FALSE(SyncDir((dir_ / "missing").string()).ok());
+}
 
 TEST_F(LogStoreTest, TornWriteKeepsPrefixAndLatchesCrashed) {
   fs::create_directories(dir_);
