@@ -71,7 +71,7 @@ Result<std::string> MessageFutures::Txn::Get(const std::string& key) {
   // Read-your-own-writes within the transaction.
   auto it = record_.writes.find(key);
   if (it != record_.writes.end()) return it->second;
-  return mgr_->Get(key);
+  return mgr_->Read(key, &snapshot_);
 }
 
 void MessageFutures::Txn::Put(const std::string& key,
@@ -80,8 +80,15 @@ void MessageFutures::Txn::Put(const std::string& key,
 }
 
 Result<std::string> MessageFutures::Get(const std::string& key) {
+  size_t snapshot = kNoSnapshot;
+  return Read(key, &snapshot);
+}
+
+Result<std::string> MessageFutures::Read(const std::string& key,
+                                         size_t* snapshot) {
   Refresh();
   std::lock_guard<std::mutex> lock(mu_);
+  if (*snapshot == kNoSnapshot) *snapshot = apply_cursor_;
   auto it = state_.find(key);
   if (it == state_.end()) return Status::NotFound("key: " + key);
   return it->second;
@@ -133,12 +140,46 @@ void MessageFutures::Refresh() {
     RefreshLocked(&noops);
   }
   // Appending no-ops outside the lock: their dependency vectors acknowledge
-  // every remote transaction incorporated so far.
+  // every remote transaction scanned so far.
   for (std::string& marker : noops) {
-    dc_->Append(std::move(marker),
-                {{kTxnTag, kNoopTagValue}},
-                dc_->IncorporatedVector());
+    Append(std::move(marker), kNoopTagValue, nullptr);
   }
+}
+
+bool MessageFutures::ValidLocked(const Txn& txn) const {
+  if (txn.snapshot_ == kNoSnapshot) return true;  // read nothing committed
+  for (size_t i = txn.snapshot_; i < txns_.size(); ++i) {
+    const PendingTxn& u = txns_[i];
+    auto outcome = outcomes_.find({u.host, u.toid});
+    if (outcome != outcomes_.end() &&
+        outcome->second == TxnOutcome::kAborted) {
+      continue;
+    }
+    for (const auto& [key, _] : u.record.writes) {
+      if (txn.record_.reads.count(key) != 0) return false;
+    }
+  }
+  return true;
+}
+
+std::optional<geo::TOId> MessageFutures::Append(std::string body,
+                                                const char* tag_value,
+                                                const Txn* txn) {
+  // Two appends reading the clock in one order and taking TOIds in the
+  // other would give a later record an older vector, and a remote
+  // transaction's window could close before a concurrent one arrives.
+  std::lock_guard<std::mutex> append_lock(append_mu_);
+  geo::DepVector deps(latest_deps_.size(), 0);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (txn != nullptr && !ValidLocked(*txn)) {
+      ++aborted_;
+      return std::nullopt;
+    }
+    for (size_t h = 0; h < deps.size(); ++h) deps[h] = latest_deps_[h][h];
+  }
+  return dc_->Append(std::move(body), {{kTxnTag, tag_value}},
+                     std::move(deps));
 }
 
 void MessageFutures::RefreshLocked(std::vector<std::string>* noops_needed) {
@@ -202,11 +243,10 @@ void MessageFutures::RefreshLocked(std::vector<std::string>* noops_needed) {
 
 Result<TxnOutcome> MessageFutures::Commit(Txn& txn,
                                           std::chrono::milliseconds timeout) {
-  // Append the transaction with the replica clock as dependency vector.
-  geo::TOId toid =
-      dc_->Append(EncodeTxnRecord(txn.record_),
-                  {{kTxnTag, kTxnTagValue}}, dc_->IncorporatedVector());
-  auto key = std::make_pair(dc_->dc_id(), toid);
+  std::optional<geo::TOId> toid =
+      Append(EncodeTxnRecord(txn.record_), kTxnTagValue, &txn);
+  if (!toid) return TxnOutcome::kAborted;
+  auto key = std::make_pair(dc_->dc_id(), *toid);
 
   auto deadline = std::chrono::steady_clock::now() + timeout;
   for (;;) {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -35,8 +36,13 @@ Result<TxnRecord> DecodeTxnRecord(std::string_view data);
 ///  * A transaction executes optimistically against the locally applied
 ///    state, buffering writes.
 ///  * Commit appends the transaction's read/write sets to the log. The
-///    record's dependency vector is the datacenter's *incorporated vector*
-///    at append time (a replica clock) — monotone in TOId per datacenter.
+///    record's dependency vector is the *scan clock* at append time: the
+///    highest TOId of each datacenter this instance has read from its local
+///    log. Appends are serialized, so the vectors are monotone in TOId per
+///    datacenter. Before appending, a transaction is validated against
+///    every transaction scanned since its first read: if one wrote a key it
+///    read, it aborts locally (it never enters the log), because its
+///    vector would claim it follows a write it did not see.
 ///  * Transactions from different datacenters are CONCURRENT iff neither's
 ///    dependency vector covers the other; same-host transactions are never
 ///    concurrent (total order). Concurrent transactions CONFLICT if their
@@ -74,6 +80,9 @@ class MessageFutures {
     explicit Txn(MessageFutures* mgr) : mgr_(mgr) {}
     MessageFutures* mgr_;
     TxnRecord record_;
+    /// Index into txns_ of the first transaction not yet applied when this
+    /// one first read the committed state; kNoSnapshot until then.
+    size_t snapshot_ = kNoSnapshot;
   };
 
   Txn Begin() { return Txn(this); }
@@ -100,6 +109,8 @@ class MessageFutures {
   uint64_t aborted() const;
 
  private:
+  static constexpr size_t kNoSnapshot = SIZE_MAX;
+
   struct PendingTxn {
     flstore::LId lid;
     geo::DatacenterId host;
@@ -108,6 +119,16 @@ class MessageFutures {
     TxnRecord record;
   };
 
+  /// Get for a transaction: records its snapshot on the first read.
+  Result<std::string> Read(const std::string& key, size_t* snapshot);
+  /// Appends `body` tagged `tag_value` with the scan clock as dependency
+  /// vector, serialized on append_mu_. A transaction (`txn` non-null) is
+  /// validated first; nullopt when it aborts locally.
+  std::optional<geo::TOId> Append(std::string body, const char* tag_value,
+                                  const Txn* txn);
+  /// False if a transaction scanned since `txn`'s snapshot, and not
+  /// aborted, wrote a key `txn` read.
+  bool ValidLocked(const Txn& txn) const;
   void RefreshLocked(std::vector<std::string>* noops_needed);
   bool WindowClosedLocked(const PendingTxn& t) const;
   TxnOutcome DecideLocked(const PendingTxn& t) const;
@@ -115,6 +136,8 @@ class MessageFutures {
 
   geo::Datacenter* const dc_;
 
+  /// Orders reading the scan clock with the append that carries it.
+  std::mutex append_mu_;
   mutable std::mutex mu_;
   flstore::LId scan_cursor_ = 0;
   /// All transaction records seen, in local lid order; the prefix
@@ -131,6 +154,7 @@ class MessageFutures {
   /// marker for, to avoid no-op storms.
   std::vector<geo::TOId> noop_issued_;
   uint64_t committed_ = 0;
+  /// Aborts decided from the log plus local validation aborts.
   uint64_t aborted_ = 0;
 
   std::atomic<bool> stop_{false};

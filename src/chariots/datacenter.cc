@@ -135,8 +135,9 @@ Status Datacenter::Start() {
     sender_->Start();
   }
 
-  // Token circulation: a self-rescheduling executor task. Started after the
-  // sender, which the token task kicks.
+  // The token's first step. Started after the sender, which the token task
+  // kicks; token_scheduled_ starts set, so a drain that ran earlier (a
+  // record received during Start) collapsed its wake into this step.
   token_done_ = std::make_unique<CountDownLatch>(1);
   if (!executor_->Submit(token_gate_.Wrap([this] { TokenStep(); }))) {
     token_done_->CountDown();
@@ -193,12 +194,15 @@ void Datacenter::Stop() {
     stage->gate.Run([this, stage] { DrainFilter(stage); });
     stage->gate.Close();
   }
-  // The token chain observes running_ == false, drains the queues, counts
-  // the latch down, and stops rescheduling itself.
-  if (token_done_ != nullptr &&
-      !token_done_->WaitFor(std::chrono::seconds(30))) {
-    LOG_WARN << "dc" << config_.dc_id
-             << ": token drain timed out; records may be left in queues";
+  // The token observes running_ == false, drains the queues, counts the
+  // latch down, and retires. Woken here so an idle token runs that drain
+  // check now.
+  if (token_done_ != nullptr) {
+    WakeToken();
+    if (!token_done_->WaitFor(std::chrono::seconds(30))) {
+      LOG_WARN << "dc" << config_.dc_id
+               << ": token drain timed out; records may be left in queues";
+    }
   }
   token_gate_.Close();
   if (sender_ != nullptr) sender_->Stop();
@@ -405,7 +409,9 @@ void Datacenter::DrainFilter(FilterStage* stage) {
   // single merged batch — one wakeup and one Accept per backlog instead of
   // one per enqueued batch.
   std::vector<std::vector<GeoRecord>> batches;
+  bool drained = false;
   while (stage->inbox->TryPopAll(&batches) > 0) {
+    drained = true;
     size_t popped = 0;
     for (const auto& b : batches) popped += b.size();
     flightrec::Record(flightrec::EventType::kQueueDeq,
@@ -426,50 +432,66 @@ void Datacenter::DrainFilter(FilterStage* stage) {
     }
     batches.clear();
   }
+  // Every record reaches a queue through a filter's Accept — local appends,
+  // received records, releases from the out-of-order buffer — so this one
+  // wake covers all of them.
+  if (drained) WakeToken();
+}
+
+void Datacenter::WakeToken() {
+  if (token_scheduled_.exchange(true)) return;
+  if (!executor_->Submit(token_gate_.Wrap([this] { TokenStep(); }))) {
+    token_done_->CountDown();  // executor shutting down
+  }
 }
 
 void Datacenter::TokenStep() {
   // A failed write leaves the rest of its run unpublished. It is retried
   // first, and no queue admits a new record until it is written.
   bool stalled = !PersistRun();
-  size_t appended = 0;
   size_t n = queue_count_.load(std::memory_order_acquire);
   for (size_t q = 0; q < n && !stalled; ++q) {
-    appended += queues_[q]->ProcessToken(&token_);
+    queues_[q]->ProcessToken(&token_);
     stalled = !PersistRun();
   }
   token_deferred_.store(token_.deferred.size(), std::memory_order_relaxed);
-  if (stalled && !running_.load(std::memory_order_relaxed)) {
-    LOG_WARN << "dc" << config_.dc_id << ": stopping with "
-             << unpublished_.size() << " admitted records unwritten";
-    token_done_->CountDown();
-    return;
-  }
-  if (appended == 0 || stalled) {
-    if (!stalled && !running_.load(std::memory_order_relaxed)) {
-      // Drain check: stop once no queue has pending input. Records still
-      // deferred in the token have unsatisfiable dependencies (nothing new
-      // is coming) and are abandoned, matching a shutdown mid-replication.
-      bool idle = true;
-      for (size_t q = 0; q < n; ++q) {
-        idle = idle && queues_[q]->pending() == 0;
-      }
-      if (idle) {
-        token_done_->CountDown();
-        return;
-      }
+  const bool running = running_.load();
+  if (stalled) {
+    if (!running) {
+      LOG_WARN << "dc" << config_.dc_id << ": stopping with "
+               << unpublished_.size() << " admitted records unwritten";
+      token_done_->CountDown();
+      return;
     }
-    // Idle, or waiting to retry a failed write: poll again in 100µs instead
-    // of monopolizing a worker.
+    // Nothing else wakes a token waiting to retry a failed write: poll in
+    // 100µs instead of monopolizing a worker.
     Executor::TimerToken t = executor_->ScheduleAfter(
         100'000, token_gate_.Wrap([this] { TokenStep(); }));
     if (!t.valid()) token_done_->CountDown();  // executor shutting down
     return;
   }
-  // Work is flowing: continue immediately (yield the worker between steps).
-  if (!executor_->Submit(token_gate_.Wrap([this] { TokenStep(); }))) {
+  // The last queue ran the token's deferred records to a fixpoint, so only
+  // new records can make one admissible, and they come with a filter
+  // drain's wake. A step therefore follows only pending input.
+  auto idle = [this, n] {
+    for (size_t q = 0; q < n; ++q) {
+      if (queues_[q]->pending() > 0) return false;
+    }
+    return true;
+  };
+  if (!running && idle()) {
+    // Drain check passed: retire, leaving token_scheduled_ set so no later
+    // wake schedules a step. Records still deferred in the token have
+    // unsatisfiable dependencies (nothing new is coming) and are
+    // abandoned, matching a shutdown mid-replication.
     token_done_->CountDown();
+    return;
   }
+  // Park. A wake that arrived during this step (a record enqueued after
+  // its queue was swapped out, or Stop()) collapsed into it, so clear the
+  // flag and look once more before returning.
+  token_scheduled_.store(false);
+  if (!idle() || !running_.load()) WakeToken();
 }
 
 void Datacenter::AcceptRun(std::vector<GeoRecord> run) {

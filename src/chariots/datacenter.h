@@ -42,14 +42,15 @@ namespace chariots::geo {
 /// when a timer fires. Batchers hand records straight to their filter; each
 /// filter drains its bounded inbox on a serialized strand (one drain task at
 /// a time, scheduled on demand), so batches form while a filter is busy.
-/// The token circulates as a self-rescheduling task (immediately while work
-/// is flowing, on a 100µs timer when idle), so LId assignment serializes
-/// through the token exactly as in the paper. Each token step writes the
-/// run it admitted with one group-committed AppendAtBatch per maintainer
-/// (in-process FLStore) and only then publishes it — head, awareness,
-/// index, subscribers, acknowledgments — in LId order; a failed write holds
-/// the head at its first unwritten LId and is retried before anything new
-/// is admitted. A run holding local records kicks the sender; its 1 ms
+/// The token is work-conserving: every filter drain wakes it, a step that
+/// admitted records schedules the next at once, and an idle step parks it
+/// with no timer — only a failed write re-arms a 100µs retry. LId
+/// assignment serializes through the token exactly as in the paper. Each
+/// token step writes the run it admitted with one group-committed
+/// AppendAtBatch per maintainer (in-process FLStore) and only then
+/// publishes it — head, awareness, index, subscribers, acknowledgments —
+/// in LId order; a failed write holds the head at its first unwritten LId
+/// and is retried before anything new is admitted. A run holding local records kicks the sender; its 1 ms
 /// tick is left with rewinds and heartbeats. GC is a periodic timer task.
 /// Thread count is therefore a function of cores, not of topology width.
 class Datacenter {
@@ -187,6 +188,8 @@ class Datacenter {
   void DeliverToFilter(uint32_t filter_id, std::vector<GeoRecord> batch);
   void ScheduleFilterDrain(FilterStage* stage);
   void DrainFilter(FilterStage* stage);
+  /// Schedules a token step unless one is already scheduled or running.
+  void WakeToken();
   void TokenStep();
   /// Route target of every queue: takes a token step's admitted run.
   void AcceptRun(std::vector<GeoRecord> run);
@@ -239,10 +242,13 @@ class Datacenter {
   std::vector<std::unique_ptr<GeoQueue>> queues_;
   std::atomic<size_t> queue_count_{0};
   Token token_;
-  /// The token circulation is a self-rescheduling executor task; the latch
-  /// lets Stop() wait for the shutdown drain (created when the chain is
-  /// first scheduled), and the gate fences the chain after Stop().
+  /// The token runs as executor tasks on token_gate_. token_scheduled_ is
+  /// true while a step is scheduled or running, collapsing concurrent
+  /// wakeups into one task; an idle step clears it. It starts set: Start()
+  /// submits the first step. The latch lets Stop() wait for the shutdown
+  /// drain, and the gate fences the token after Stop().
   SerialGate token_gate_;
+  std::atomic<bool> token_scheduled_{true};
   std::unique_ptr<CountDownLatch> token_done_;
 
   std::vector<std::unique_ptr<flstore::LogMaintainer>> maintainers_;

@@ -168,16 +168,21 @@ void Executor::ConfigureDefault(Options options) {
 // ---------------------------------------------------------------------------
 
 bool Executor::Submit(std::function<void()> fn) {
-  if (shutdown_.load(std::memory_order_acquire)) {
+  // Count the task before checking for shutdown, and undo on refusal. A
+  // worker exits only after it reads shutdown_ and then pending_ == 0
+  // (both seq_cst), so an accepted task is either seen by a worker or was
+  // counted before shutdown_ was set — never lost between the two. The
+  // increment also precedes the push, so a worker can never decrement below
+  // zero by popping a task whose increment is still in flight.
+  pending_.fetch_add(1, std::memory_order_seq_cst);
+  if (shutdown_.load(std::memory_order_seq_cst)) {
+    pending_.fetch_sub(1, std::memory_order_seq_cst);
     LOG_EVERY_N_SEC(kWarn, 5) << "executor '" << name_
                              << "': Submit after shutdown; task dropped";
     return false;
   }
   size_t idx = submit_rr_.fetch_add(1, std::memory_order_relaxed) %
                shards_.size();
-  // Increment before pushing so a worker can never decrement below zero by
-  // popping a task whose increment is still in flight.
-  pending_.fetch_add(1, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(shards_[idx]->mu);
     shards_[idx]->tasks.push_back(std::move(fn));
@@ -220,8 +225,10 @@ void Executor::WorkerLoop(size_t index) {
   for (;;) {
     std::function<void()> task;
     if (PopTask(index, &task)) {
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
+      // Counted running before it stops counting pending, so WaitIdle never
+      // sees both at zero while a popped task has yet to run.
       running_.fetch_add(1, std::memory_order_acq_rel);
+      pending_.fetch_sub(1, std::memory_order_acq_rel);
       task();
       running_.fetch_sub(1, std::memory_order_acq_rel);
       tasks_run_.fetch_add(1, std::memory_order_relaxed);
@@ -234,14 +241,16 @@ void Executor::WorkerLoop(size_t index) {
       continue;
     }
     std::unique_lock<std::mutex> lock(sleep_mu_);
-    if (pending_.load(std::memory_order_acquire) > 0) {
+    // shutdown_ is read before pending_: the mirror of Submit's order.
+    const bool shutting_down = shutdown_.load(std::memory_order_seq_cst);
+    if (pending_.load(std::memory_order_seq_cst) > 0) {
       // A push is in flight (pending_ is incremented before the enqueue) or
       // another worker is racing us; retry rather than sleep past it.
       lock.unlock();
       std::this_thread::yield();
       continue;
     }
-    if (shutdown_.load(std::memory_order_acquire)) return;
+    if (shutting_down) return;
     sleep_cv_.wait(lock, [&] {
       return pending_.load(std::memory_order_acquire) > 0 ||
              shutdown_.load(std::memory_order_acquire);
@@ -396,8 +405,10 @@ void Executor::WaitIdle() {
 
 void Executor::Shutdown() {
   bool expected = false;
+  // seq_cst: Submit and the workers order their shutdown_ and pending_
+  // accesses against this store (see Submit).
   if (!shutdown_.compare_exchange_strong(expected, true,
-                                         std::memory_order_acq_rel)) {
+                                         std::memory_order_seq_cst)) {
     return;
   }
   {

@@ -22,6 +22,7 @@ LogMaintainer::LogMaintainer(MaintainerOptions options)
 }
 
 Status LogMaintainer::Open() {
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   std::lock_guard<std::shared_mutex> lock(mu_);
   CHARIOTS_RETURN_IF_ERROR(store_.Open());
   RebuildStateLocked();
@@ -29,6 +30,7 @@ Status LogMaintainer::Open() {
 }
 
 Status LogMaintainer::Close() {
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   std::lock_guard<std::shared_mutex> lock(mu_);
   CHARIOTS_RETURN_IF_ERROR(store_.Close());
   // Crash semantics: buffered ordered appends that never landed are lost
@@ -192,6 +194,7 @@ Result<std::vector<LId>> LogMaintainer::AppendBatch(
   if (records.empty()) return std::vector<LId>{};
   std::vector<std::pair<LogRecord, LId>> landed;
   Result<std::vector<LId>> result = [&]() -> Result<std::vector<LId>> {
+    std::lock_guard<std::mutex> write_lock(write_mu_);
     std::lock_guard<std::shared_mutex> lock(mu_);
     std::vector<LId> lids;
     CHARIOTS_RETURN_IF_ERROR(
@@ -216,6 +219,7 @@ Result<std::vector<LId>> LogMaintainer::AppendBatch(
 Result<LId> LogMaintainer::Append(const LogRecord& record) {
   std::vector<std::pair<LogRecord, LId>> landed;
   Result<LId> result = [&]() -> Result<LId> {
+    std::lock_guard<std::mutex> write_lock(write_mu_);
     std::lock_guard<std::shared_mutex> lock(mu_);
     CHARIOTS_ASSIGN_OR_RETURN(LId lid, AppendLocked(record));
     landed.emplace_back(record, lid);
@@ -234,6 +238,7 @@ Result<LId> LogMaintainer::AppendOrdered(const LogRecord& record,
                                          LId min_lid) {
   std::vector<std::pair<LogRecord, LId>> landed;
   Result<LId> result = [&]() -> Result<LId> {
+    std::lock_guard<std::mutex> write_lock(write_mu_);
     std::lock_guard<std::shared_mutex> lock(mu_);
     CHARIOTS_ASSIGN_OR_RETURN(LId next, NextAssignableGlobalLocked());
     if (next > min_lid) {
@@ -283,70 +288,91 @@ Status LogMaintainer::AppendAtBatch(std::span<const LId> lids,
     return Status::InvalidArgument("one lid per record");
   }
   if (lids.empty()) return Status::OK();
-  const size_t n = lids.size();
-  // Encode before taking the lock: readers share mu_, and a batch encoded
-  // under it stalls them. The reserve is load-bearing: AppendEntry views
-  // alias the encoded strings.
+  // Encode before taking any lock: a batch encoded under write_mu_ would
+  // delay the next landing.
   std::vector<std::string> encoded;
-  encoded.reserve(n);
-  std::vector<storage::AppendEntry> entries;
-  entries.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    encoded.push_back(EncodeLogRecord(records[i]));
-    entries.push_back(storage::AppendEntry{lids[i], encoded.back()});
+  encoded.reserve(lids.size());
+  for (const LogRecord& record : records) {
+    encoded.push_back(EncodeLogRecord(record));
   }
   {
-    std::lock_guard<std::shared_mutex> lock(mu_);
+    std::lock_guard<std::mutex> write_lock(write_mu_);
+    CHARIOTS_RETURN_IF_ERROR(LandAtLocked(lids, std::move(encoded)));
+  }
+  if (observer_) {
+    for (size_t i = 0; i < lids.size(); ++i) observer_(records[i], lids[i]);
+  }
+  return Status::OK();
+}
+
+Status LogMaintainer::LandAtLocked(std::span<const LId> lids,
+                                   std::vector<std::string> encoded) {
+  {
+    std::shared_lock<std::shared_mutex> lock(mu_);
     for (LId lid : lids) {
       if (journal_.MaintainerFor(lid) != options_.index) {
         return Status::OutOfRange("lid not owned by this maintainer");
       }
     }
-    CHARIOTS_RETURN_IF_ERROR(store_.AppendBatch(entries));
-    for (size_t i = 0; i < n; ++i) {
-      tail_cache_.Put(lids[i], std::move(encoded[i]));
-      SlotRef ref = journal_.SlotFor(lids[i]);
-      MarkFilledLocked(ref);
-      assign_next_[ref.epoch_index] =
-          std::max(assign_next_[ref.epoch_index], ref.slot + 1);
-    }
-    gossip_[options_.index] = FirstUnfilledGlobalLocked();
-    RefreshHlLocked();
   }
-  if (observer_) {
-    for (size_t i = 0; i < n; ++i) observer_(records[i], lids[i]);
+  // The store write and its fdatasync run without mu_: readers of other
+  // positions proceed, and write_mu_ keeps every other landing out.
+  std::vector<storage::AppendEntry> entries;
+  entries.reserve(lids.size());
+  for (size_t i = 0; i < lids.size(); ++i) {
+    entries.push_back(storage::AppendEntry{lids[i], encoded[i]});
   }
+  CHARIOTS_RETURN_IF_ERROR(store_.AppendBatch(entries));
+  std::lock_guard<std::shared_mutex> lock(mu_);
+  for (size_t i = 0; i < lids.size(); ++i) {
+    tail_cache_.Put(lids[i], std::move(encoded[i]));
+    SlotRef ref = journal_.SlotFor(lids[i]);
+    MarkFilledLocked(ref);
+    assign_next_[ref.epoch_index] =
+        std::max(assign_next_[ref.epoch_index], ref.slot + 1);
+  }
+  gossip_[options_.index] = FirstUnfilledGlobalLocked();
+  RefreshHlLocked();
   return Status::OK();
 }
 
 Result<std::vector<LId>> LogMaintainer::FillHoles(const LogRecord& junk) {
-  // Collect holes under the lock, then fill them through AppendAt so each
-  // junk record goes through the normal landing path (store write, fill
-  // state, gossip refresh, observer).
+  // write_mu_ is held from the hole scan through the fill, so a landing
+  // still in flight finishes first and its position is no hole; the junk
+  // lands as one batch through the normal landing path (store write, fill
+  // state, gossip refresh), and the observer sees each fill.
   std::vector<LId> holes;
+  std::vector<LogRecord> fills;
   {
-    std::lock_guard<std::shared_mutex> lock(mu_);
-    for (size_t e = 0; e < journal_.num_epochs(); ++e) {
-      const std::set<uint64_t>& pending = filled_pending_[e];
-      for (uint64_t slot = filled_contig_[e]; slot < assign_next_[e];
-           ++slot) {
-        if (pending.count(slot) != 0) continue;
-        Result<LId> global =
-            journal_.GlobalFor(options_.index, SlotRef{e, slot});
-        if (global.ok()) holes.push_back(*global);
+    std::lock_guard<std::mutex> write_lock(write_mu_);
+    {
+      std::shared_lock<std::shared_mutex> lock(mu_);
+      for (size_t e = 0; e < journal_.num_epochs(); ++e) {
+        const std::set<uint64_t>& pending = filled_pending_[e];
+        for (uint64_t slot = filled_contig_[e]; slot < assign_next_[e];
+             ++slot) {
+          if (pending.count(slot) != 0) continue;
+          Result<LId> global =
+              journal_.GlobalFor(options_.index, SlotRef{e, slot});
+          if (global.ok()) holes.push_back(*global);
+        }
       }
     }
+    if (holes.empty()) return holes;
+    std::vector<std::string> encoded;
+    encoded.reserve(holes.size());
+    fills.reserve(holes.size());
+    for (LId lid : holes) {
+      fills.push_back(junk);
+      fills.back().lid = lid;
+      encoded.push_back(EncodeLogRecord(fills.back()));
+    }
+    CHARIOTS_RETURN_IF_ERROR(LandAtLocked(holes, std::move(encoded)));
   }
-  std::vector<LId> filled;
-  for (LId lid : holes) {
-    LogRecord record = junk;
-    record.lid = lid;
-    Status status = AppendAt(lid, record);
-    if (status.code() == StatusCode::kAlreadyExists) continue;  // late racer
-    CHARIOTS_RETURN_IF_ERROR(status);
-    filled.push_back(lid);
+  if (observer_) {
+    for (size_t i = 0; i < holes.size(); ++i) observer_(fills[i], holes[i]);
   }
-  return filled;
+  return holes;
 }
 
 Result<LogRecord> LogMaintainer::Read(LId lid) const {
@@ -414,13 +440,13 @@ void LogMaintainer::SetAppendObserver(
 }
 
 Status LogMaintainer::Sync() {
-  std::lock_guard<std::shared_mutex> lock(mu_);
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   return store_.Sync();
 }
 
 Status LogMaintainer::TruncateBelow(LId horizon,
                                     const std::string& archive_path) {
-  std::lock_guard<std::shared_mutex> lock(mu_);
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   CHARIOTS_RETURN_IF_ERROR(store_.TruncateBelow(horizon, archive_path));
   // GC'd records must not be served from the cache.
   tail_cache_.InvalidateBelow(horizon);
@@ -433,8 +459,9 @@ std::vector<LId> LogMaintainer::StoredLids() const {
 }
 
 Status LogMaintainer::Remove(LId lid) {
-  std::lock_guard<std::shared_mutex> lock(mu_);
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   CHARIOTS_RETURN_IF_ERROR(store_.Remove(lid));
+  std::lock_guard<std::shared_mutex> lock(mu_);
   tail_cache_.Invalidate(lid);
   invalid_.erase(lid);
   RebuildStateLocked();

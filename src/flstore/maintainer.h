@@ -9,6 +9,7 @@
 #include <set>
 #include <shared_mutex>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -91,8 +92,10 @@ class LogMaintainer {
   Status AppendAt(LId lid, const LogRecord& record);
 
   /// Batched pre-assigned append: `records[i]` lands at `lids[i]`. Encodes
-  /// outside the lock, then persists the whole batch with one group-commit
-  /// store write and updates fill state and gossip once. All-or-nothing:
+  /// outside any lock, then persists the whole batch with one group-commit
+  /// store write and updates fill state and gossip once. Readers are not
+  /// blocked by the write or its fsync, and see the records only once they
+  /// are durable. All-or-nothing:
   /// OutOfRange if any lid is not owned by this maintainer, AlreadyExists if
   /// any is occupied or repeated, or the store's error — and in every such
   /// case nothing is persisted.
@@ -104,8 +107,10 @@ class LogMaintainer {
   /// Used at failover promotion: positions the failed primary assigned but
   /// never replicated would wedge the Head of the Log forever; junk-filling
   /// them lets HL advance, and readers skip records tagged as junk. Returns
-  /// the positions filled. The observer fires for each, so fills replicate
-  /// and index like any landed record.
+  /// the positions filled. A landing still in flight completes first, so
+  /// its position is never junk-filled. The fills land as one batch, and the
+  /// observer fires for each, so fills replicate and index like any landed
+  /// record.
   Result<std::vector<LId>> FillHoles(const LogRecord& junk);
 
   /// Raw read: the record at `lid` regardless of gaps before it. Memory
@@ -222,7 +227,8 @@ class LogMaintainer {
     uint64_t first_slot = 0;
   };
 
-  // All Locked helpers require mu_ held.
+  // The Locked helpers require mu_ held (exclusive if they mutate), except
+  // LandAtLocked, which requires write_mu_ and takes mu_ itself.
   Result<LId> NextAssignableGlobalLocked() const;
   /// Next run of up to `max_records` consecutive assignable slots, clipped
   /// at the current stripe-batch and epoch boundaries. Does not advance the
@@ -233,6 +239,11 @@ class LogMaintainer {
   /// gossip entry once. Rolls back reservations if the store write fails.
   Status AppendBatchLocked(const LogRecord* records, size_t n,
                            std::vector<LId>* lids);
+  /// Pre-assigned landing core: checks ownership, writes `encoded[i]` at
+  /// `lids[i]` with one store batch holding no mu_, then publishes the
+  /// fill state, gossip entry and tail cache under mu_.
+  Status LandAtLocked(std::span<const LId> lids,
+                      std::vector<std::string> encoded);
   void RebuildStateLocked();
   /// Re-derives the lock-free HL snapshot from gossip_. Must be called
   /// after every mutation of gossip_.
@@ -246,8 +257,16 @@ class LogMaintainer {
 
   MaintainerOptions options_;
 
+  /// Writer mutex: serializes every landing (both append paths and
+  /// FillHoles), Remove, TruncateBelow, Sync, Open and Close, and is held
+  /// across their store call. Taken before mu_.
+  std::mutex write_mu_;
   /// Reader–writer lock: Read/ReadCommitted and the metadata accessors take
-  /// it shared; appends, gossip ingestion, and recovery take it exclusive.
+  /// it shared; gossip ingestion, epoch changes and a writer's publish take
+  /// it exclusive. AppendAtBatch, FillHoles, Remove, TruncateBelow and Sync
+  /// never hold it across store I/O (DESIGN.md §11); the post-assignment
+  /// append paths still do, as their slot reservation and write are one
+  /// step.
   mutable std::shared_mutex mu_;
   EpochJournal journal_;
   /// Holds the maintainer's only LId → location index.

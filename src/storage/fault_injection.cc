@@ -174,12 +174,17 @@ DiskFaultSchedule::SyncDecision DiskFaultSchedule::OnSync(
   return decision;
 }
 
-void DiskFaultSchedule::OnTruncate(const std::string& path, uint64_t size) {
+Status DiskFaultSchedule::OnTruncate(const std::string& path, uint64_t size) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (crashed_) {
+    return Status::IOError("injected disk fault: disk gone, truncate of " +
+                           path + " failed");
+  }
   auto it = files_.find(path);
-  if (it == files_.end()) return;
+  if (it == files_.end()) return Status::OK();
   it->second.size = size;
   it->second.synced = std::min(it->second.synced, size);
+  return Status::OK();
 }
 
 Status DiskFaultSchedule::SimulateCrash() {
@@ -301,9 +306,10 @@ Status FaultInjectingFile::Sync() {
 }
 
 Status FaultInjectingFile::Truncate(uint64_t size) {
-  CHARIOTS_RETURN_IF_ERROR(file_.Truncate(size));
-  if (faults_ != nullptr) faults_->OnTruncate(path_, size);
-  return Status::OK();
+  if (faults_ != nullptr) {
+    CHARIOTS_RETURN_IF_ERROR(faults_->OnTruncate(path_, size));
+  }
+  return file_.Truncate(size);
 }
 
 }  // namespace chariots::storage

@@ -33,7 +33,8 @@ namespace chariots::storage {
 ///    with a volatile cache; the loss only materializes at SimulateCrash).
 ///
 /// Torn writes, failed writes, and failed syncs also latch the schedule into
-/// a crashed state: every later write or sync through it fails, modeling a
+/// a crashed state: every later write, sync or truncate through it fails,
+/// so a store cannot roll the failed append back either, modeling a
 /// disk that is gone rather than one that hiccups and heals. (A store that
 /// acked appends *after* such a fault would resurrect unacked bytes on
 /// recovery.)
@@ -106,7 +107,8 @@ class DiskFaultSchedule {
   void OnOpen(const std::string& path, uint64_t size);
   WriteDecision OnWrite(const std::string& path, uint64_t len);
   SyncDecision OnSync(const std::string& path);
-  void OnTruncate(const std::string& path, uint64_t size);
+  /// IOError once crashed (the disk is gone); otherwise tracks the size.
+  Status OnTruncate(const std::string& path, uint64_t size);
 
  private:
   enum class Kind { kTornWrite, kFailWrite, kFailSync, kDropSync };

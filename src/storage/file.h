@@ -37,7 +37,8 @@ class File {
   /// Vectored append through `engine` (DESIGN.md §15): writes every part,
   /// in order, as one logical operation, durable before returning when
   /// `sync` is set. Advances the logical size only on success — on error
-  /// the tail is untrusted and recovery's torn-tail scan owns it.
+  /// the tail is untrusted: some bytes may have landed, so the caller
+  /// truncates back to the old size (LogStore does).
   Status Appendv(std::span<const std::string_view> parts, bool sync,
                  IoEngine* engine);
 

@@ -22,7 +22,8 @@ namespace chariots::storage {
 ///    so the pair costs a single io_uring_enter; the sync engine issues
 ///    write(2) then fdatasync(2).
 ///  * An error return means the bytes must be treated as not durable; the
-///    file tail is untrusted (recovery's torn-tail scan handles it).
+///    file tail is untrusted (LogStore truncates it back; recovery's
+///    torn-tail scan handles what a failed truncate leaves).
 ///
 /// Engines are stateless from the caller's perspective and safe to share;
 /// the uring engine serializes submissions on an internal mutex (group

@@ -92,6 +92,7 @@ std::string LogStore::SegmentPath(uint64_t segment_id) const {
 }
 
 Status LogStore::Open() {
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   std::lock_guard<std::shared_mutex> lock(mu_);
   if (open_) return Status::FailedPrecondition("LogStore already open");
   if (options_.mode == SyncMode::kMemoryOnly) {
@@ -144,6 +145,7 @@ Status LogStore::Open() {
 }
 
 Status LogStore::Close() {
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   std::lock_guard<std::shared_mutex> lock(mu_);
   if (!open_) return Status::OK();
   ResetLocked();
@@ -163,6 +165,7 @@ void LogStore::ResetLocked() {
   mem_bytes_ = 0;
   arena_.clear();
   last_sync_nanos_ = 0;
+  tail_dirty_ = false;
   open_ = false;
 }
 
@@ -362,9 +365,30 @@ Status LogStore::RotateIfNeededLocked() {
   // A segment whose records are synced is still lost with its directory
   // entry: make the entry durable before the first append lands in it.
   CHARIOTS_RETURN_IF_ERROR(SyncDir(options_.dir));
-  segments_.emplace(seg.id, std::move(seg));
+  {
+    std::lock_guard<std::shared_mutex> lock(mu_);
+    segments_.emplace(seg.id, std::move(seg));
+  }
   ++next_segment_id_;
   return Status::OK();
+}
+
+Status LogStore::CheckTailLocked() const {
+  if (!tail_dirty_) return Status::OK();
+  return Status::IOError(
+      "log store tail holds a failed append that could not be truncated; "
+      "reopen to recover");
+}
+
+Status LogStore::RollBackLocked(Segment& seg, uint64_t base, Status failure) {
+  // Left in place, the bytes would shift every later record's offset in the
+  // O_APPEND segment away from the one the index records.
+  if (Status undo = seg.file.Truncate(base); !undo.ok()) {
+    LOG_ERROR << "cannot truncate failed append off " << seg.path
+              << "; refusing further appends: " << undo.ToString();
+    tail_dirty_ = true;
+  }
+  return failure;
 }
 
 bool LogStore::WantSyncLocked() {
@@ -415,13 +439,14 @@ Status LogStore::ValidateBatchLocked(
 
 Status LogStore::AppendBatch(std::span<const AppendEntry> entries) {
   if (entries.empty()) return Status::OK();
-  std::lock_guard<std::shared_mutex> lock(mu_);
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   if (!open_) return Status::FailedPrecondition("LogStore not open");
   // Validate the whole batch before writing a single byte, so a rejected
   // batch leaves the store untouched.
   CHARIOTS_RETURN_IF_ERROR(ValidateBatchLocked(entries));
 
   if (options_.mode == SyncMode::kMemoryOnly) {
+    std::lock_guard<std::shared_mutex> lock(mu_);
     for (const AppendEntry& e : entries) {
       mem_.emplace(e.lid, std::string(e.payload));
       mem_bytes_ += e.payload.size();
@@ -431,6 +456,7 @@ Status LogStore::AppendBatch(std::span<const AppendEntry> entries) {
     return Status::OK();
   }
 
+  CHARIOTS_RETURN_IF_ERROR(CheckTailLocked());
   CHARIOTS_RETURN_IF_ERROR(RotateIfNeededLocked());
   Segment& seg = segments_.rbegin()->second;
 
@@ -456,9 +482,12 @@ Status LogStore::AppendBatch(std::span<const AppendEntry> entries) {
     if (!entries[i].payload.empty()) parts_.push_back(entries[i].payload);
   }
   const bool want_sync = WantSyncLocked();
-  uint64_t base = seg.file.size();
+  const uint64_t base = seg.file.size();
   int64_t start = clock_->NowNanos();
-  CHARIOTS_RETURN_IF_ERROR(seg.file.AppendvAndSync(parts_, want_sync, engine_));
+  if (Status s = seg.file.AppendvAndSync(parts_, want_sync, engine_);
+      !s.ok()) {
+    return RollBackLocked(seg, base, std::move(s));
+  }
   BytesWrittenCounter()->Add(arena_.size() + payload_bytes);
   if (want_sync) {
     int64_t now = clock_->NowNanos();
@@ -468,6 +497,9 @@ Status LogStore::AppendBatch(std::span<const AppendEntry> entries) {
     last_sync_nanos_ = now;
   }
 
+  // Publish: the batch is written (and synced, if the policy asked), so a
+  // reader that finds a record finds it durable.
+  std::lock_guard<std::shared_mutex> lock(mu_);
   uint64_t offset = base;
   for (const AppendEntry& e : entries) {
     IndexInsertLocked(seg, e.lid, offset + kFrameHeaderBytes,
@@ -483,9 +515,10 @@ Status LogStore::AppendBatch(std::span<const AppendEntry> entries) {
 }
 
 Status LogStore::Remove(uint64_t lid) {
-  std::lock_guard<std::shared_mutex> lock(mu_);
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   if (!open_) return Status::FailedPrecondition("LogStore not open");
   if (options_.mode == SyncMode::kMemoryOnly) {
+    std::lock_guard<std::shared_mutex> lock(mu_);
     auto it = mem_.find(lid);
     if (it == mem_.end()) return Status::NotFound("no record at lid");
     mem_bytes_ -= it->second.size();
@@ -494,14 +527,15 @@ Status LogStore::Remove(uint64_t lid) {
     return Status::OK();
   }
   if (!LookupLocked(lid)) return Status::NotFound("no record at lid");
+  CHARIOTS_RETURN_IF_ERROR(CheckTailLocked());
   CHARIOTS_RETURN_IF_ERROR(RotateIfNeededLocked());
   Segment& seg = segments_.rbegin()->second;
-  CHARIOTS_RETURN_IF_ERROR(
-      seg.file.Append(EncodeFrame(kFrameTombstone, lid, "")));
-  if (options_.mode == SyncMode::kFsyncEach) {
-    CHARIOTS_RETURN_IF_ERROR(seg.file.Sync());
-  }
+  const uint64_t base = seg.file.size();
+  Status s = seg.file.Append(EncodeFrame(kFrameTombstone, lid, ""));
+  if (s.ok() && options_.mode == SyncMode::kFsyncEach) s = seg.file.Sync();
+  if (!s.ok()) return RollBackLocked(seg, base, std::move(s));
   seg.tombstones.push_back(lid);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   IndexEraseLocked(lid);
   --count_;
   return Status::OK();
@@ -547,7 +581,7 @@ bool LogStore::Contains(uint64_t lid) const {
 }
 
 Status LogStore::Sync() {
-  std::lock_guard<std::shared_mutex> lock(mu_);
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   if (!open_) return Status::FailedPrecondition("LogStore not open");
   if (options_.mode == SyncMode::kMemoryOnly) return Status::OK();
   {
@@ -560,9 +594,10 @@ Status LogStore::Sync() {
 
 Status LogStore::TruncateBelow(uint64_t horizon,
                                const std::string& archive_path) {
-  std::lock_guard<std::shared_mutex> lock(mu_);
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   if (!open_) return Status::FailedPrecondition("LogStore not open");
   if (options_.mode == SyncMode::kMemoryOnly) {
+    std::lock_guard<std::shared_mutex> lock(mu_);
     for (auto it = mem_.begin(); it != mem_.end();) {
       if (it->first < horizon) {
         mem_bytes_ -= it->second.size();
@@ -607,15 +642,25 @@ Status LogStore::TruncateBelow(uint64_t horizon,
     // Drop index entries pointing into this segment. The lids become dead;
     // an older (superseded) frame for one of them may survive in another
     // segment, so they also need tombstones to stay dead across recovery.
-    DropSegmentIndexLocked(seg, &keep_tombstones);
-    seg.file.Close();
-    CHARIOTS_RETURN_IF_ERROR(RemoveFile(seg.path));
-    it = segments_.erase(it);
+    // Once it leaves segments_ no reader can reach the segment, so its file
+    // is closed and removed outside mu_.
+    decltype(segments_)::node_type dropped;
+    {
+      std::lock_guard<std::shared_mutex> lock(mu_);
+      DropSegmentIndexLocked(seg, &keep_tombstones);
+      dropped = segments_.extract(it++);
+    }
+    dropped.mapped().file.Close();
+    CHARIOTS_RETURN_IF_ERROR(RemoveFile(dropped.mapped().path));
     if (!keep_tombstones.empty()) {
+      CHARIOTS_RETURN_IF_ERROR(CheckTailLocked());
       Segment& active = segments_.rbegin()->second;
       for (uint64_t t : keep_tombstones) {
-        CHARIOTS_RETURN_IF_ERROR(
-            active.file.Append(EncodeFrame(kFrameTombstone, t, "")));
+        const uint64_t base = active.file.size();
+        if (Status s = active.file.Append(EncodeFrame(kFrameTombstone, t, ""));
+            !s.ok()) {
+          return RollBackLocked(active, base, std::move(s));
+        }
         active.tombstones.push_back(t);
       }
     }
@@ -672,7 +717,7 @@ uint64_t LogStore::IndexBytes() const {
 }
 
 uint64_t LogStore::SizeBytes() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   if (options_.mode == SyncMode::kMemoryOnly) return mem_bytes_;
   uint64_t total = 0;
   for (const auto& [_, seg] : segments_) total += seg.file.size();

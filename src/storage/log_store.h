@@ -104,6 +104,12 @@ struct AppendEntry {
 /// in the *last* segment is treated as a torn write and the tail is
 /// truncated; damage anywhere else is reported as Corruption.
 ///
+/// Concurrency (DESIGN.md §11): readers never wait on disk I/O. Writers
+/// serialize on a writer mutex held across framing, the write and the
+/// fdatasync; the readers' lock is taken only to publish the result, and
+/// AppendBatch publishes only after its fdatasync returned OK, so a reader
+/// never sees a record that is not durable.
+///
 /// The LId index is dense (DESIGN.md §11): each segment keeps its data
 /// frames' (lid, offset, length) in file order, 16 B per record, for every
 /// frame appended above the highest lid indexed so far — group commits and
@@ -137,8 +143,11 @@ class LogStore {
   /// present or duplicated within the batch — nothing is written in that
   /// case), encodes all frames into one reusable arena buffer, issues a
   /// single file write, and applies the sync policy once for the whole
-  /// batch. Takes the store lock exactly once. A strictly increasing batch
-  /// is checked for repeats in one scan; any other order pays for a set.
+  /// batch. The records become visible to readers only once that write (and
+  /// its sync, if any) returned OK. A failed write is truncated away; if
+  /// even that fails, every later append is refused until the store is
+  /// reopened. A strictly increasing batch is checked for repeats in one
+  /// scan; any other order pays for a set.
   Status AppendBatch(std::span<const AppendEntry> entries);
 
   /// Removes the record at `lid` by appending a tombstone frame (the log is
@@ -156,7 +165,7 @@ class LogStore {
 
   bool Contains(uint64_t lid) const;
 
-  /// Forces buffered data to stable storage.
+  /// Forces buffered data to stable storage. Readers are not blocked.
   Status Sync();
 
   /// Garbage-collects whole segments whose records all have lid < `horizon`.
@@ -198,6 +207,8 @@ class LogStore {
     uint32_t length = 0;
   };
 
+  /// Readers use a segment's `id`, `entries` and `file` descriptor (pread);
+  /// the file's size and every other field are writer-side state.
   struct Segment {
     FaultInjectingFile file;
     std::string path;
@@ -217,8 +228,12 @@ class LogStore {
     std::vector<uint64_t> overflow_lids;
   };
 
+  // Locking: FindDenseLocked and LookupLocked need mu_ or write_mu_ held;
+  // every other `...Locked` helper needs write_mu_, plus mu_ exclusive
+  // where marked "under mu_" (it changes state readers see).
+
   Status RecoverSegment(uint64_t segment_id, bool is_last);
-  /// Drops all in-memory state (Close, failed Open).
+  /// Drops all in-memory state (Close, failed Open). Under mu_.
   void ResetLocked();
   /// AlreadyExists if any lid of the batch is live or repeats in it.
   Status ValidateBatchLocked(std::span<const AppendEntry> entries) const;
@@ -226,16 +241,26 @@ class LogStore {
   /// its segment.
   IndexEntry* FindDenseLocked(uint64_t lid, const Segment** owner) const;
   std::optional<RecordLocation> LookupLocked(uint64_t lid) const;
-  /// Indexes a data frame of `seg` whose lid is not live.
+  /// Indexes a data frame of `seg` whose lid is not live. Under mu_.
   void IndexInsertLocked(Segment& seg, uint64_t lid, uint64_t offset,
                          uint32_t length);
-  /// Kills `lid`'s live index entry; false if it had none.
+  /// Kills `lid`'s live index entry; false if it had none. Under mu_.
   bool IndexEraseLocked(uint64_t lid);
   /// Drops the index entries of a segment that GC is deleting; the lids
-  /// that were live die and are appended to `*killed`.
+  /// that were live die and are appended to `*killed`. Under mu_.
   void DropSegmentIndexLocked(Segment& seg, std::vector<uint64_t>* killed);
+  /// Under mu_.
   void AddIndexBytesLocked(int64_t delta);
+  /// Opens the next segment when the active one is full; takes mu_ only to
+  /// insert it into segments_.
   Status RotateIfNeededLocked();
+  /// Error once a failed append could not be truncated away: the active
+  /// segment's tail then holds bytes its size does not count.
+  Status CheckTailLocked() const;
+  /// Truncates `seg` back to `base` after the append that started there
+  /// failed (its bytes may have landed though the file size did not
+  /// advance); returns `failure`.
+  Status RollBackLocked(Segment& seg, uint64_t base, Status failure);
   bool WantSyncLocked();
   std::string SegmentPath(uint64_t segment_id) const;
 
@@ -243,9 +268,16 @@ class LogStore {
   Clock* const clock_;
   IoEngine* const engine_;
 
-  /// Reader–writer lock: Get/Locate/Contains and the metadata accessors
-  /// take it shared (record reads are pread-based, so concurrent readers
-  /// proceed in parallel); every mutation takes it exclusive.
+  /// Writer mutex: serializes Open, Close, AppendBatch, Remove, Sync,
+  /// TruncateBelow and rotation, and is held across their file I/O. Its
+  /// holder is the only mutator, so it reads the index without mu_. Taken
+  /// before mu_. SizeBytes takes it too: file sizes are writer-side state.
+  mutable std::mutex write_mu_;
+  /// Readers' lock: Get/Locate/Contains and the metadata accessors take it
+  /// shared (record reads are pread-based, so readers proceed in
+  /// parallel). A writer takes it exclusive only to publish changes to the
+  /// state below — never across I/O, except in Open and Close, while the
+  /// store is not serving.
   mutable std::shared_mutex mu_;
   bool open_ = false;
   std::map<uint64_t, Segment> segments_;        // by segment id
@@ -259,18 +291,24 @@ class LogStore {
   uint64_t dense_next_ = 0;
   uint64_t index_bytes_ = 0;
   std::unordered_map<uint64_t, std::string> mem_;  // kMemoryOnly payloads
-  uint64_t next_segment_id_ = 0;
   uint64_t max_lid_ = 0;
   uint64_t count_ = 0;
   uint64_t mem_bytes_ = 0;
+
+  // Writer-side state below: write_mu_ only.
+
+  /// Set when a failed append could not be truncated away (see
+  /// CheckTailLocked); cleared by reopening.
+  bool tail_dirty_ = false;
+  uint64_t next_segment_id_ = 0;
   /// Reusable batch-encoding buffer; cleared (not shrunk) between batches so
   /// steady-state appends do no allocation. Since the zero-copy refactor it
   /// holds only the fixed-size frame HEADERS of a batch (kFrameHeaderBytes
   /// per record) — payload bytes are borrowed from the caller and submitted
-  /// as their own iovec entries, never copied here. Guarded by mu_.
+  /// as their own iovec entries, never copied here.
   std::string arena_;
   /// Reusable iovec view list for the vectored append (header, payload,
-  /// header, payload, ...). Guarded by mu_.
+  /// header, payload, ...).
   std::vector<std::string_view> parts_;
   int64_t last_sync_nanos_ = 0;
 };

@@ -485,6 +485,38 @@ TEST(MsgFuturesTest, WriteReadConflictDetected) {
                *o1 == TxnOutcome::kCommitted);
 }
 
+TEST(MsgFuturesTest, StaleReadAbortsInsteadOfLosingAnUpdate) {
+  // dc0's transaction reads x, then a dc1 transaction overwriting x reaches
+  // dc0 and is applied there before dc0 commits. Committing would order
+  // dc0's transaction after a write it never saw (a lost update), so it
+  // must abort, and x keeps dc1's value everywhere.
+  AppsCluster cluster(2);
+  MessageFutures mf0(&cluster.dc(0));
+  MessageFutures mf1(&cluster.dc(1));
+  mf0.StartBackground();
+  mf1.StartBackground();
+  auto init = mf0.Begin();
+  init.Put("x", "0");
+  ASSERT_EQ(*mf0.Commit(init), TxnOutcome::kCommitted);
+
+  auto stale = mf0.Begin();
+  ASSERT_EQ(*stale.Get("x"), "0");
+  stale.Put("x", "from-0");
+  auto overwrite = mf1.Begin();
+  overwrite.Put("x", "from-1");
+  ASSERT_EQ(*mf1.Commit(overwrite, 15000ms), TxnOutcome::kCommitted);
+  int64_t deadline = SystemClock::Default()->NowNanos() + kWaitNanos;
+  while (mf0.Get("x").value_or("") != "from-1" &&
+         SystemClock::Default()->NowNanos() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(*mf0.Get("x"), "from-1");
+
+  EXPECT_EQ(*mf0.Commit(stale, 15000ms), TxnOutcome::kAborted);
+  EXPECT_EQ(*mf0.Get("x"), "from-1");
+  EXPECT_EQ(*mf1.Get("x"), "from-1");
+}
+
 TEST(MsgFuturesTest, BankTransferInvariantUnderConcurrency) {
   // Classic serializability check: concurrent transfers between two
   // accounts never create or destroy money.

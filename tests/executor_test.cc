@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -93,6 +94,24 @@ TEST(ExecutorTest, ConcurrentSubmittersDuringShutdownLoseNoAcceptedTask) {
   for (auto& t : submitters) t.join();
   exec.reset();
   EXPECT_EQ(ran.load(), accepted.load());
+}
+
+TEST(ExecutorTest, WaitIdleWaitsForAPoppedTask) {
+  // A chain of tasks, each submitting the next: the executor is never idle
+  // until the last one ran. Every task end wakes the waiter while the next
+  // task is being popped, so WaitIdle must count a popped task that has yet
+  // to start as busy.
+  Executor exec({.num_threads = 2, .name = "t-idle"});
+  constexpr int kChain = 100000;
+  std::atomic<int> ran{0};
+  std::function<void()> step = [&] {
+    if (ran.fetch_add(1) + 1 < kChain) ASSERT_TRUE(exec.Submit(step));
+  };
+  ASSERT_TRUE(exec.Submit(step));
+  int early = 0;
+  for (exec.WaitIdle(); ran.load() < kChain; exec.WaitIdle()) ++early;
+  exec.Shutdown();  // joins the workers before `step` and `ran` go
+  EXPECT_EQ(early, 0);
 }
 
 TEST(ExecutorTest, CensusCountsWorkersAndTimer) {

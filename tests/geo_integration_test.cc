@@ -488,9 +488,9 @@ TEST(GeoIntegrationTest, StatsReflectPipelineActivity) {
 
 TEST(GeoIntegrationTest, NewRecordWakesTheSenderBeforeItsTick) {
   // Virtual time: the senders' periodic tick can only fire once the test
-  // advances the clock that far. The token's idle poll needs a few 100 µs
-  // steps, so a record appended at dc0 must reach dc1's log well before the
-  // first tick is due — carried by the sender kick alone.
+  // advances the clock that far. The loop steps time in 100 µs increments,
+  // so a record appended at dc0 must reach dc1's log well before the first
+  // tick is due — carried by the sender kick alone.
   ManualClock clock;
   Executor exec({.num_threads = 2, .name = "geo-virt", .manual_clock = &clock});
   net::InProcTransport transport(nullptr, &exec);
@@ -515,8 +515,8 @@ TEST(GeoIntegrationTest, NewRecordWakesTheSenderBeforeItsTick) {
   }
   EXPECT_EQ(dcs[1]->IncorporatedVector()[0], 1u);
   EXPECT_LT(clock.NowNanos(), tick);
-  // Stop waits for each token's final drain, which the idle poll reaches
-  // only as virtual time moves.
+  // Stop waits for each token's final drain. Stop wakes the token itself,
+  // so the drain needs no time; the clock still moves in case it did.
   std::atomic<bool> stopped{false};
   std::thread stopper([&] {
     for (auto& dc : dcs) dc->Stop();
@@ -527,6 +527,35 @@ TEST(GeoIntegrationTest, NewRecordWakesTheSenderBeforeItsTick) {
     std::this_thread::yield();
   }
   stopper.join();
+}
+
+TEST(GeoIntegrationTest, EnqueueWakesTheTokenWithoutATimer) {
+  // Virtual time that never moves: no timer can fire. A filter drain wakes
+  // the token and a run with local records kicks the sender, so dc0's
+  // append still commits and reaches dc1's log, and both datacenters stop.
+  ManualClock clock;
+  Executor exec({.num_threads = 2, .name = "geo-wake", .manual_clock = &clock});
+  net::InProcTransport transport(nullptr, &exec);
+  TransportFabric fabric(&transport);
+  std::vector<std::unique_ptr<Datacenter>> dcs;
+  for (uint32_t d = 0; d < 2; ++d) {
+    ChariotsConfig config;
+    config.dc_id = d;
+    config.num_datacenters = 2;
+    config.executor = &exec;
+    dcs.push_back(std::make_unique<Datacenter>(config, &fabric));
+    ASSERT_TRUE(dcs.back()->Start().ok());
+  }
+  std::atomic<bool> committed{false};
+  dcs[0]->Append("x", {}, {},
+                 [&](TOId, flstore::LId) { committed.store(true); });
+  exec.WaitIdle();
+  EXPECT_TRUE(committed.load());
+  EXPECT_EQ(dcs[0]->HeadLid(), 1u);
+  EXPECT_EQ(dcs[1]->IncorporatedVector()[0], 1u);
+  EXPECT_EQ(dcs[1]->HeadLid(), 1u);
+  for (auto& dc : dcs) dc->Stop();
+  EXPECT_EQ(clock.NowNanos(), 0);
 }
 
 TEST(GeoIntegrationTest, TracePropagatesAcrossPipelineAndWan) {

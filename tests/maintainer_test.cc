@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <future>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
 #include "flstore/maintainer.h"
+#include "scripted_io_engine.h"
 
 namespace chariots::flstore {
 namespace {
@@ -328,6 +332,51 @@ TEST(MaintainerTest, PersistentRecoveryRestoresCursorAndFill) {
     EXPECT_EQ(*m.Append(Rec("c")), 5u);
     EXPECT_EQ(m.FirstUnfilledGlobal(), 9u);
     EXPECT_EQ(m.Read(3)->body, "a");
+  }
+  fs::remove_all(dir);
+}
+
+TEST(MaintainerTest, FillHolesWaitsForAnInFlightLanding) {
+  // Lid 2 is landing, held inside its fdatasync, while a promotion
+  // junk-fills the holes 1..3 below lid 4. The fill must wait for the
+  // landing rather than junk-fill its position, and readers of landed
+  // records must not wait for either.
+  fs::path dir = fs::temp_directory_path() / "chariots_maintainer_fill_race";
+  fs::remove_all(dir);
+  storage::ScriptedIoEngine engine;
+  MaintainerOptions o;
+  o.journal = EpochJournal(1, 100);
+  o.store.dir = dir.string();
+  o.store.sync_policy = storage::SyncPolicy::kEveryBatch;
+  o.store.io_engine = &engine;
+  {
+    LogMaintainer m(o);
+    ASSERT_TRUE(m.Open().ok());
+    ASSERT_TRUE(m.AppendAt(0, Rec("zero")).ok());
+    ASSERT_TRUE(m.AppendAt(4, Rec("four")).ok());
+
+    engine.Hold();
+    std::thread landing([&] { EXPECT_TRUE(m.AppendAt(2, Rec("two")).ok()); });
+    engine.WaitUntilHeld();
+    auto fill = std::async(std::launch::async,
+                           [&] { return m.FillHoles(Rec("junk")); });
+    auto read = std::async(std::launch::async, [&] { return m.Read(0); });
+    const bool read_served =
+        read.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+    const bool fill_waited = fill.wait_for(std::chrono::milliseconds(100)) ==
+                             std::future_status::timeout;
+    engine.Release();
+    landing.join();
+    EXPECT_TRUE(read_served);
+    EXPECT_EQ(read.get()->body, "zero");
+    EXPECT_TRUE(fill_waited);
+    Result<std::vector<LId>> filled = fill.get();
+    ASSERT_TRUE(filled.ok());
+    EXPECT_EQ(*filled, (std::vector<LId>{1, 3}));
+    EXPECT_EQ(m.Read(2)->body, "two");
+    EXPECT_EQ(m.Read(1)->body, "junk");
+    EXPECT_EQ(m.Read(3)->body, "junk");
+    EXPECT_EQ(m.HeadOfLog(), 5u);
   }
   fs::remove_all(dir);
 }

@@ -5,10 +5,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iostream>
 #include <map>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/clock.h"
@@ -21,6 +25,7 @@
 #include "storage/format.h"
 #include "storage/io_engine.h"
 #include "storage/log_store.h"
+#include "scripted_io_engine.h"
 
 namespace chariots::storage {
 namespace {
@@ -672,6 +677,99 @@ TEST_F(LogStoreTest, FailedSyncFailsAndLatches) {
   EXPECT_EQ(file->Sync().code(), StatusCode::kIOError);
   EXPECT_TRUE(faults.crashed());
   EXPECT_FALSE(file->Append("bb").ok());
+}
+
+TEST_F(LogStoreTest, FailedFsyncDoesNotShiftLaterRecords) {
+  // The write of lid 1 lands in the O_APPEND segment but its fdatasync
+  // fails. The store must take those bytes back off the file, or lid 2's
+  // index entry points one failed batch short — at lid 1's payload.
+  ScriptedIoEngine engine;
+  LogStoreOptions o = Options();
+  o.sync_policy = SyncPolicy::kEveryBatch;
+  o.io_engine = &engine;
+  {
+    LogStore store(o);
+    ASSERT_TRUE(store.Open().ok());
+    ASSERT_TRUE(store.Append(0, "rec-0").ok());
+    engine.FailNextSync();
+    EXPECT_EQ(store.Append(1, "rec-1").code(), StatusCode::kIOError);
+    ASSERT_TRUE(store.Append(2, "rec-2").ok());
+    EXPECT_EQ(*store.Get(2), "rec-2");
+    EXPECT_TRUE(store.Get(1).status().IsNotFound());
+  }
+  LogStore store(o);
+  ASSERT_TRUE(store.Open().ok());
+  EXPECT_EQ(store.ListLids(), (std::vector<uint64_t>{0, 2}));
+  EXPECT_EQ(*store.Get(2), "rec-2");
+  EXPECT_TRUE(store.Get(1).status().IsNotFound());
+}
+
+// Runs `read` on its own thread and reports whether it returned within a
+// bounded wait. The future is returned so the caller collects it after it
+// has released whatever the read might be waiting on.
+template <typename Fn>
+bool ServedPromptly(Fn read, std::future<std::invoke_result_t<Fn>>* out) {
+  *out = std::async(std::launch::async, std::move(read));
+  return out->wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+}
+
+TEST_F(LogStoreTest, ReadersDoNotWaitForAnInFlightFsync) {
+  // An append is held inside its fdatasync. Readers of earlier records —
+  // through the store and through a maintainer — must be served meanwhile,
+  // and the in-flight record must stay invisible until the sync returns.
+  ScriptedIoEngine engine;
+  LogStoreOptions o = Options();
+  o.sync_policy = SyncPolicy::kEveryBatch;
+  o.io_engine = &engine;
+  LogStore store(o);
+  ASSERT_TRUE(store.Open().ok());
+  ASSERT_TRUE(store.Append(0, "rec-0").ok());
+
+  engine.Hold();
+  std::thread writer([&] { EXPECT_TRUE(store.Append(1, "rec-1").ok()); });
+  engine.WaitUntilHeld();
+  std::future<Result<std::string>> earlier, in_flight;
+  bool earlier_served = ServedPromptly([&] { return store.Get(0); }, &earlier);
+  bool in_flight_served =
+      ServedPromptly([&] { return store.Get(1); }, &in_flight);
+  bool in_flight_hidden =
+      in_flight_served && in_flight.get().status().IsNotFound();
+  engine.Release();
+  writer.join();
+  EXPECT_TRUE(earlier_served);
+  EXPECT_EQ(*earlier.get(), "rec-0");
+  EXPECT_TRUE(in_flight_hidden);
+  EXPECT_EQ(*store.Get(1), "rec-1");
+
+  flstore::MaintainerOptions mo;
+  mo.journal = flstore::EpochJournal(1, 100);
+  mo.store = Options();
+  mo.store.dir = (dir_ / "maintainer").string();
+  mo.store.sync_policy = SyncPolicy::kEveryBatch;
+  mo.store.io_engine = &engine;
+  flstore::LogMaintainer maintainer(mo);
+  ASSERT_TRUE(maintainer.Open().ok());
+  flstore::LogRecord record;
+  record.body = "first";
+  ASSERT_TRUE(maintainer.AppendAt(0, record).ok());
+
+  engine.Hold();
+  record.body = "second";
+  std::thread landing(
+      [&] { EXPECT_TRUE(maintainer.AppendAt(1, record).ok()); });
+  engine.WaitUntilHeld();
+  std::future<Result<flstore::LogRecord>> first, second;
+  bool first_served = ServedPromptly([&] { return maintainer.Read(0); },
+                                     &first);
+  bool second_served = ServedPromptly([&] { return maintainer.Read(1); },
+                                      &second);
+  bool second_hidden = second_served && second.get().status().IsNotFound();
+  engine.Release();
+  landing.join();
+  EXPECT_TRUE(first_served);
+  EXPECT_EQ(first.get()->body, "first");
+  EXPECT_TRUE(second_hidden);
+  EXPECT_EQ(maintainer.Read(1)->body, "second");
 }
 
 TEST_F(LogStoreTest, FaultSpecParserAcceptsScriptsAndRejectsGarbage) {

@@ -31,6 +31,16 @@
 #   tools/run_tsan_tests.sh thread net_test replication_test \
 #       executor_test fault_injection_test      # run-to-completion focus
 #
+# The durable write path: LogStore and LogMaintainer write and fdatasync
+# under a writer mutex while readers take only the readers' lock, the
+# token is woken by filter drains instead of a timer, and the executor's
+# Submit races its shutdown. storage_test and maintainer_test hold a write
+# inside its fdatasync while readers and FillHoles run.
+#
+#   tools/run_tsan_tests.sh thread storage_test maintainer_test \
+#       recovery_test pipeline_test geo_integration_test \
+#       executor_test                           # durable write path focus
+#
 # Uses a separate build dir (build-<sanitizer>) so the regular build is
 # untouched.
 set -euo pipefail
