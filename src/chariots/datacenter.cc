@@ -131,7 +131,8 @@ Status Datacenter::Start() {
     so.executor = executor_;
     sender_ = std::make_unique<Sender>(
         config_.dc_id, OtherDatacenters(config_.dc_id, config_.num_datacenters),
-        &local_buffer_, &atable_, fabric_, so);
+        [this](TOId toid) { return ReadLocalToSend(toid); }, &atable_,
+        fabric_, so);
     sender_->Start();
   }
 
@@ -162,8 +163,11 @@ Status Datacenter::Start() {
   callback_gauges_.emplace_back(prefix + "pipeline_pending", [this] {
     return static_cast<int64_t>(PipelinePending());
   });
-  callback_gauges_.emplace_back(prefix + "local_buffer_records", [this] {
-    return static_cast<int64_t>(local_buffer_.size());
+  callback_gauges_.emplace_back(prefix + "unacked_local_records", [this] {
+    // The floor first: both only grow, so the difference never underflows.
+    TOId floor = atable_.GlobalFloor(config_.dc_id);
+    return static_cast<int64_t>(atable_.Get(config_.dc_id, config_.dc_id) -
+                                floor);
   });
   size_t nf = filter_count_.load(std::memory_order_acquire);
   for (size_t f = 0; f < nf; ++f) {
@@ -231,9 +235,8 @@ Status Datacenter::OpenLog() {
     maintainers_.push_back(std::make_unique<flstore::LogMaintainer>(mo));
     CHARIOTS_RETURN_IF_ERROR(maintainers_.back()->Open());
   }
-  // Whole-datacenter restart: rebuild replica clocks, awareness, index,
-  // the TOId map, and the sender buffer from the persisted log before any
-  // pipeline task starts.
+  // Whole-datacenter restart: rebuild replica clocks, awareness, index and
+  // the TOId map from the persisted log before any pipeline task starts.
   if (config_.store_dir.empty()) return Status::OK();
   return RecoverFromStorage();
 }
@@ -319,16 +322,13 @@ Status Datacenter::RecoverFromStorage() {
   lids.resize(straggler_start);
 
   // 4. Replay the surviving records: rebuild the TOId map + index for all
-  //    of them, replica clocks only for those past the checkpoint, and the
-  //    sender buffer for local records.
+  //    of them, and replica clocks only for those past the checkpoint. The
+  //    sender reads local records back through the TOId map.
   gc_horizon_.store(ckpt_horizon);
   next_toid_.store(ckpt_next_toid);
-  bool local_base_set = false;
   for (flstore::LId lid : lids) {
     if (lid < ckpt_horizon) continue;  // partially-GC'd cold segment
-    uint32_t m = journal_.MaintainerFor(lid);
-    CHARIOTS_ASSIGN_OR_RETURN(flstore::LogRecord log_record,
-                              maintainers_[m]->Read(lid));
+    CHARIOTS_ASSIGN_OR_RETURN(flstore::LogRecord log_record, ReadStored(lid));
     CHARIOTS_ASSIGN_OR_RETURN(GeoRecord record, FromLogRecord(log_record));
     if (toid_to_lid_[record.host].empty()) {
       toid_base_[record.host] = record.toid;
@@ -343,19 +343,6 @@ Status Datacenter::RecoverFromStorage() {
         if (record.toid > expected) next_toid_.store(record.toid);
       }
     }
-    if (record.host == config_.dc_id) {
-      if (!local_base_set) {
-        local_buffer_.SetBase(record.toid);
-        local_base_set = true;
-      }
-      local_buffer_.Put(record.toid, EncodeGeoRecord(record));
-    }
-  }
-
-  if (!local_base_set) {
-    // No local records survive (all GC'd or none ever): the buffer starts
-    // at the next local TOId to be handed out.
-    local_buffer_.SetBase(next_toid_.load(std::memory_order_relaxed) + 1);
   }
 
   // 5. Seed the token and head from the recovered prefix.
@@ -551,21 +538,33 @@ bool Datacenter::PersistRun() {
   // Counted before the records become visible, so a reader that sees one
   // (WaitForToid, HeadLid) finds it counted.
   incorporated_counter_->Add(written);
+  bool local = false;
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
     for (size_t i = 0; i < written; ++i) {
-      const GeoRecord& record = unpublished_[i].record;
+      GeoRecord& record = unpublished_[i].record;
       if (toid_to_lid_[record.host].empty()) {
         toid_base_[record.host] = record.toid;
       }
       toid_to_lid_[record.host].push_back(record.lid);
+      record.trace.AddHop("maintainer", config_.dc_id);
+      if (record.host != config_.dc_id) continue;
+      local = true;
+      // The sender reads the stored bytes, which predate these hops. So a
+      // sampled record keeps the re-encoded form, stamped with its sender
+      // hop, before it becomes sendable: the replicated copy carries the
+      // full local pipeline history to the remote datacenter.
+      record.trace.AddHop("sender", config_.dc_id);
+      if (record.trace.active()) {
+        traced_local_.erase(traced_local_.begin(),
+                            traced_local_.upper_bound(
+                                atable_.GlobalFloor(config_.dc_id)));
+        traced_local_.emplace(record.toid, EncodeGeoRecord(record));
+      }
     }
   }
-  bool local = false;
   for (size_t i = 0; i < written; ++i) {
     GeoRecord& record = unpublished_[i].record;
-    std::string& stored = unpublished_[i].log.body;
-    record.trace.AddHop("maintainer", config_.dc_id);
     for (const flstore::Tag& tag : record.tags) {
       indexer_.Add(tag.key, tag.value, record.lid);
     }
@@ -575,14 +574,6 @@ bool Datacenter::PersistRun() {
     // returned" implies every subscriber has seen the record.
     for (const auto& subscriber : subscribers_) subscriber(record);
     if (record.host == config_.dc_id) {
-      local = true;
-      // The sender hop is stamped before encoding so the replicated copy
-      // carries the full local pipeline history to the remote datacenter.
-      // An untraced record replicates the very bytes just stored.
-      record.trace.AddHop("sender", config_.dc_id);
-      local_buffer_.Put(record.toid, record.trace.active()
-                                         ? EncodeGeoRecord(record)
-                                         : std::move(stored));
       if (record.trace.active()) {
         trace::TraceSink::Default().Record(std::move(record.trace));
       }
@@ -600,14 +591,7 @@ bool Datacenter::PersistRun() {
     std::lock_guard<std::mutex> lock(wait_mu_);
   }
   wait_cv_.notify_all();
-  if (local) {
-    // Every datacenter holds the records below the awareness floor, and no
-    // sender reads below its peer's acknowledgment: drop them now rather
-    // than at the next GC sweep, so the buffer stays the size of the
-    // replication lag.
-    local_buffer_.TruncateBelow(atable_.GlobalFloor(config_.dc_id) + 1);
-    if (sender_ != nullptr) sender_->Kick();
-  }
+  if (local && sender_ != nullptr) sender_->Kick();
   return unpublished_.empty();
 }
 
@@ -671,10 +655,17 @@ Result<TOId> Datacenter::TryAppend(
 }
 
 Result<GeoRecord> Datacenter::Read(flstore::LId lid) const {
-  uint32_t m = journal_.MaintainerFor(lid);
-  CHARIOTS_ASSIGN_OR_RETURN(flstore::LogRecord log_record,
-                            maintainers_[m]->Read(lid));
+  // The maintainers also hold records outside this range: written but not
+  // yet published, or left behind in a segment GC only partly dropped.
+  if (lid < gc_horizon() || lid >= HeadLid()) {
+    return Status::NotFound("lid outside [gc horizon, head)");
+  }
+  CHARIOTS_ASSIGN_OR_RETURN(flstore::LogRecord log_record, ReadStored(lid));
   return FromLogRecord(log_record);
+}
+
+Result<flstore::LogRecord> Datacenter::ReadStored(flstore::LId lid) const {
+  return maintainers_[journal_.MaintainerFor(lid)]->Read(lid);
 }
 
 flstore::LId Datacenter::HeadLid() const {
@@ -699,6 +690,18 @@ std::vector<flstore::Posting> Datacenter::Lookup(
   return indexer_.Lookup(query);
 }
 
+Result<flstore::LId> Datacenter::LidOfLocked(DatacenterId host,
+                                             TOId toid) const {
+  if (toid < toid_base_[host]) {
+    return Status::NotFound("record garbage collected");
+  }
+  size_t idx = toid - toid_base_[host];
+  if (idx >= toid_to_lid_[host].size()) {
+    return Status::NotFound("record not incorporated yet");
+  }
+  return toid_to_lid_[host][idx];
+}
+
 Result<GeoRecord> Datacenter::ReadByToid(DatacenterId host,
                                          TOId toid) const {
   if (host >= config_.num_datacenters || toid == 0) {
@@ -707,16 +710,23 @@ Result<GeoRecord> Datacenter::ReadByToid(DatacenterId host,
   flstore::LId lid;
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
-    if (toid < toid_base_[host]) {
-      return Status::NotFound("record garbage collected");
-    }
-    size_t idx = toid - toid_base_[host];
-    if (idx >= toid_to_lid_[host].size()) {
-      return Status::NotFound("record not incorporated yet");
-    }
-    lid = toid_to_lid_[host][idx];
+    CHARIOTS_ASSIGN_OR_RETURN(lid, LidOfLocked(host, toid));
   }
   return Read(lid);
+}
+
+Result<std::string> Datacenter::ReadLocalToSend(TOId toid) const {
+  flstore::LId lid;
+  {
+    std::lock_guard<std::mutex> lock(meta_mu_);
+    auto traced = traced_local_.find(toid);
+    if (traced != traced_local_.end()) return traced->second;
+    CHARIOTS_ASSIGN_OR_RETURN(lid, LidOfLocked(config_.dc_id, toid));
+  }
+  // The tail cache while the record is hot, the LogStore once a peer lags
+  // past it or after a restart.
+  CHARIOTS_ASSIGN_OR_RETURN(flstore::LogRecord log_record, ReadStored(lid));
+  return std::move(log_record.body);
 }
 
 std::vector<TOId> Datacenter::IncorporatedVector() const {
@@ -858,8 +868,6 @@ Status Datacenter::RunGcOnce() {
         m->TruncateBelow(horizon, config_.gc_archive_path));
   }
   indexer_.TruncateBelow(horizon);
-  // Local records everyone has can leave the send buffer.
-  local_buffer_.TruncateBelow(atable_.GlobalFloor(config_.dc_id) + 1);
   return Status::OK();
 }
 

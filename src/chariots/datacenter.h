@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -50,7 +51,8 @@ namespace chariots::geo {
 /// AppendAtBatch per maintainer (in-process FLStore) and only then
 /// publishes it — head, awareness, index, subscribers, acknowledgments —
 /// in LId order; a failed write holds the head at its first unwritten LId
-/// and is retried before anything new is admitted. A run holding local records kicks the sender; its 1 ms
+/// and is retried before anything new is admitted. A run holding local
+/// records kicks the sender, which reads them back from the log; its 1 ms
 /// tick is left with rewinds and heartbeats. GC is a periodic timer task.
 /// Thread count is therefore a function of cores, not of topology width.
 class Datacenter {
@@ -171,8 +173,8 @@ class Datacenter {
   Status WriteCheckpoint();
 
   /// Advances the GC horizon as far as the awareness table allows and
-  /// truncates storage + index + sender buffer below it. Safe to call any
-  /// time; also run periodically when config.gc_interval_nanos > 0.
+  /// truncates storage + index below it. Safe to call any time; also run
+  /// periodically when config.gc_interval_nanos > 0.
   Status RunGcOnce();
   flstore::LId gc_horizon() const { return gc_horizon_.load(); }
 
@@ -196,6 +198,13 @@ class Datacenter {
   /// Writes the unwritten records of unpublished_ and publishes its written
   /// prefix. True when nothing is left unpublished.
   bool PersistRun();
+  /// The published LId of (host, toid). Requires meta_mu_.
+  Result<flstore::LId> LidOfLocked(DatacenterId host, TOId toid) const;
+  /// The stored form of `lid`, from its maintainer, unbounded by the head
+  /// and the GC horizon.
+  Result<flstore::LogRecord> ReadStored(flstore::LId lid) const;
+  /// The sender's read: the encoded local record with TOId `toid`.
+  Result<std::string> ReadLocalToSend(TOId toid) const;
   void SubmitToBatcher(GeoRecord record);
   std::unique_ptr<Batcher> MakeBatcher();
   std::unique_ptr<FilterStage> MakeFilterStage(uint32_t id);
@@ -265,7 +274,6 @@ class Datacenter {
   /// LId. Token task only.
   std::vector<RunRecord> unpublished_;
 
-  LocalRecordBuffer local_buffer_;
   std::unique_ptr<Sender> sender_;
   std::unique_ptr<Receiver> receiver_;
 
@@ -274,6 +282,10 @@ class Datacenter {
   mutable std::mutex meta_mu_;
   std::vector<std::deque<flstore::LId>> toid_to_lid_;
   std::vector<TOId> toid_base_;
+  /// Sampled local records above the awareness floor, re-encoded with the
+  /// hops stamped after they were stored; the sender ships these instead
+  /// of the stored bytes.
+  std::map<TOId, std::string> traced_local_;
   Executor::TimerToken gc_token_;
 
   /// Per-dc observability: lazily-resolved counters (named

@@ -1,7 +1,6 @@
 #include "chariots/replication.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/codec.h"
 #include "common/logging.h"
@@ -92,58 +91,13 @@ Result<ReplicationBatch> DecodeReplicationBatch(std::string_view data) {
   return batch;
 }
 
-// ------------------------------------------------------ LocalRecordBuffer
-
-void LocalRecordBuffer::Put(TOId toid, std::string encoded) {
-  std::lock_guard<std::mutex> lock(mu_);
-  assert(toid == base_ + records_.size() &&
-         "local records must be incorporated in TOId order");
-  (void)toid;
-  records_.push_back(std::move(encoded));
-}
-
-void LocalRecordBuffer::SetBase(TOId first_toid) {
-  std::lock_guard<std::mutex> lock(mu_);
-  assert(records_.empty() && "SetBase only valid on an empty buffer");
-  base_ = first_toid;
-}
-
-TOId LocalRecordBuffer::max_toid() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return base_ + records_.size() - 1;
-}
-
-size_t LocalRecordBuffer::Read(TOId from, size_t max_records,
-                               std::vector<std::string>* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (from < base_) return 0;  // already garbage collected
-  size_t offset = from - base_;
-  size_t available = records_.size() > offset ? records_.size() - offset : 0;
-  size_t n = std::min(available, max_records);
-  for (size_t i = 0; i < n; ++i) out->push_back(records_[offset + i]);
-  return n;
-}
-
-void LocalRecordBuffer::TruncateBelow(TOId floor) {
-  std::lock_guard<std::mutex> lock(mu_);
-  while (base_ < floor && !records_.empty()) {
-    records_.pop_front();
-    ++base_;
-  }
-}
-
-size_t LocalRecordBuffer::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
-}
-
 // ------------------------------------------------------------------ Sender
 
 Sender::Sender(DatacenterId self, std::vector<DatacenterId> destinations,
-               const LocalRecordBuffer* buffer, const AwarenessTable* atable,
+               ReadFn read, const AwarenessTable* atable,
                TransportFabric* fabric, Options options, Clock* clock)
     : self_(self),
-      buffer_(buffer),
+      read_(std::move(read)),
       atable_(atable),
       fabric_(fabric),
       options_(options),
@@ -220,13 +174,28 @@ size_t Sender::Tick() {
       RewindsCounter()->Add();
     }
 
-    TOId max = buffer_->max_toid();
-    if (dest.sent_upto < max) {
+    const TOId last = std::min<TOId>(dest.sent_upto + options_.batch_records,
+                                     atable_->Get(self_, self_));
+    if (dest.sent_upto < last) {
       ReplicationBatch batch;
       batch.atable = atable_->Encode();
       batch.first_toid = dest.sent_upto + 1;
-      size_t n = buffer_->Read(batch.first_toid, options_.batch_records,
-                               &batch.records);
+      // Above the ack, so above the awareness floor: GC has kept them all.
+      for (TOId t = batch.first_toid; t <= last; ++t) {
+        Result<std::string> record = read_(t);
+        if (!record.ok()) {
+          // NotFound only if the peer acked it since `acked` was read and
+          // GC collected it; the next tick starts past it.
+          if (!record.status().IsNotFound()) {
+            LOG_EVERY_N_SEC(kWarn, 5)
+                << "dc" << self_ << ": cannot read local toid " << t
+                << " to send: " << record.status().ToString();
+          }
+          break;
+        }
+        batch.records.push_back(std::move(record).value());
+      }
+      size_t n = batch.records.size();
       if (n > 0) {
         // Counted before the hand-off: the destination may incorporate the
         // batch before Send returns, and no observer may then find

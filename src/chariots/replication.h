@@ -2,7 +2,6 @@
 #define CHARIOTS_CHARIOTS_REPLICATION_H_
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <vector>
@@ -28,50 +27,19 @@ struct ReplicationBatch {
 std::string EncodeReplicationBatch(const ReplicationBatch& batch);
 Result<ReplicationBatch> DecodeReplicationBatch(std::string_view data);
 
-/// Holds this datacenter's *local* records (host == self), indexed by TOId,
-/// for the senders to read and ship. Local records are incorporated in
-/// strict TOId order (queue admission), so puts are sequential. Old entries
-/// are dropped once every replica is known to have them.
-class LocalRecordBuffer {
- public:
-  LocalRecordBuffer() = default;
-
-  /// Adds the record with TOId `toid` (must be exactly max_toid() + 1).
-  void Put(TOId toid, std::string encoded);
-
-  /// Recovery: declares that the buffer starts at `first_toid` (earlier
-  /// records were garbage collected — every replica already has them).
-  /// Only valid while empty.
-  void SetBase(TOId first_toid);
-
-  /// Highest TOId stored (0 if none ever).
-  TOId max_toid() const;
-
-  /// Copies up to `max_records` encoded records starting at `from` (only as
-  /// far as contiguously available). Returns how many were copied; records
-  /// older than the retention floor yield 0 (caller falls back to asking
-  /// the peer to recover via another replica — not modeled).
-  size_t Read(TOId from, size_t max_records,
-              std::vector<std::string>* out) const;
-
-  /// Drops records with TOId < floor.
-  void TruncateBelow(TOId floor);
-
-  size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  TOId base_ = 1;  // TOId of front()
-  std::deque<std::string> records_;
-};
-
-/// The senders stage (paper §6.2): ships local records to every other
-/// datacenter, with the awareness table piggybacked. Retransmits from the
-/// last *acknowledged* TOId — acknowledgement is simply the peer's awareness
-/// row coming back — so datacenter-level failures and partitions heal
+/// The senders stage (paper §6.2): reads local records from the log and
+/// ships them to every other datacenter, with the awareness table
+/// piggybacked. Everything up to the awareness cell (self, self) — the local
+/// records incorporated so far — is sendable. Retransmits from the last
+/// *acknowledged* TOId — acknowledgement is simply the peer's awareness row
+/// coming back — so datacenter-level failures and partitions heal
 /// automatically. A datacenter runs one Sender that owns every destination.
 class Sender {
  public:
+  /// Returns the encoded local record with TOId `toid`. Only asked for
+  /// TOIds above some peer's acknowledgment and at most (self, self).
+  using ReadFn = std::function<Result<std::string>(TOId)>;
+
   struct Options {
     size_t batch_records = 256;
     /// Cadence of the periodic pass (1 ms): rewinds and heartbeats. New
@@ -91,16 +59,16 @@ class Sender {
   /// `clock` null means the executor's clock (so a virtual-time executor
   /// automatically drives the backoff/heartbeat arithmetic too).
   Sender(DatacenterId self, std::vector<DatacenterId> destinations,
-         const LocalRecordBuffer* buffer, const AwarenessTable* atable,
-         TransportFabric* fabric, Options options, Clock* clock = nullptr);
+         ReadFn read, const AwarenessTable* atable, TransportFabric* fabric,
+         Options options, Clock* clock = nullptr);
   ~Sender();
 
   void Start();
   /// Stops the tick and fences Kick: after Stop() returns no drain runs.
   void Stop();
 
-  /// Wakes the sender for newly buffered local records: schedules one drain
-  /// (Tick until it ships nothing) unless one is already pending. The
+  /// Wakes the sender for newly incorporated local records: schedules one
+  /// drain (Tick until it ships nothing) unless one is already pending. The
   /// periodic tick then only has rewinds and heartbeats left to do. No-op
   /// before Start() and after Stop(). Thread-safe.
   void Kick();
@@ -121,7 +89,7 @@ class Sender {
   };
 
   const DatacenterId self_;
-  const LocalRecordBuffer* const buffer_;
+  const ReadFn read_;
   const AwarenessTable* const atable_;
   TransportFabric* const fabric_;
   const Options options_;

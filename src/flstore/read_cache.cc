@@ -83,7 +83,7 @@ void TailCache::EvictToBoundsLocked() {
 
 void TailCache::Put(LId lid, std::string encoded) {
   if (!enabled() || encoded.size() > options_.max_bytes) return;
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   EraseLocked(lid);  // replace, keeping accounting exact
   bytes_ += encoded.size();
   TailBytes()->Add(static_cast<int64_t>(encoded.size()));
@@ -95,7 +95,7 @@ void TailCache::Put(LId lid, std::string encoded) {
 
 std::optional<std::string> TailCache::Get(LId lid) const {
   if (!enabled()) return std::nullopt;
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = map_.find(lid);
   if (it == map_.end()) {
     TailMisses()->Add();
@@ -106,12 +106,12 @@ std::optional<std::string> TailCache::Get(LId lid) const {
 }
 
 void TailCache::Invalidate(LId lid) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   EraseLocked(lid);
 }
 
 void TailCache::InvalidateBelow(LId horizon) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   std::vector<LId> doomed;
   for (const auto& [lid, _] : map_) {
     if (lid < horizon) doomed.push_back(lid);
@@ -120,7 +120,7 @@ void TailCache::InvalidateBelow(LId horizon) {
 }
 
 void TailCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   TailBytes()->Add(-static_cast<int64_t>(bytes_));
   TailEntries()->Add(-static_cast<int64_t>(map_.size()));
   map_.clear();
@@ -129,12 +129,12 @@ void TailCache::Clear() {
 }
 
 uint64_t TailCache::bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   return bytes_;
 }
 
 uint64_t TailCache::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   return map_.size();
 }
 

@@ -17,6 +17,7 @@
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,8 +39,10 @@ struct TailCacheOptions {
 /// always holds the newest tail of this maintainer's log. A record larger
 /// than the whole byte budget is never admitted.
 ///
-/// Thread-safe behind its own mutex — deliberately separate from the
-/// maintainer lock so cache hits never contend with appends.
+/// Thread-safe behind its own reader–writer lock — deliberately separate
+/// from the maintainer lock so cache hits never contend with appends.
+/// Lookups take it shared, so readers (clients, the geo sender) never queue
+/// behind each other; Put, Invalidate and Clear take it exclusive.
 class TailCache {
  public:
   explicit TailCache(TailCacheOptions options);
@@ -77,7 +80,7 @@ class TailCache {
 
   const TailCacheOptions options_;
 
-  mutable std::mutex mu_;
+  mutable std::shared_mutex mu_;
   std::unordered_map<LId, std::string> map_;
   std::deque<LId> fifo_;  ///< insertion order; may hold stale keys
   uint64_t bytes_ = 0;

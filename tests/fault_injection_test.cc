@@ -30,6 +30,7 @@
 #include "common/retry.h"
 #include "common/status.h"
 #include "flstore/client.h"
+#include "flstore/maintainer.h"
 #include "flstore/service.h"
 #include "net/fault_schedule.h"
 #include "net/inproc_transport.h"
@@ -524,33 +525,47 @@ class GeoFaultCluster {
 };
 
 TEST(GeoFaultTest, PartitionHealDeliversExactlyOnce) {
-  const uint64_t incorporated1 =
-      CounterValue("chariots.dc1.records_incorporated");
-  const uint64_t rewinds = CounterValue("chariots.sender.rewinds");
-  GeoFaultCluster cluster(2);
-  cluster.transport_.Seed(ScenarioSeed(41));
-  cluster.transport_.Partition("geo/dc0", "geo/dc1");
-  geo::ChariotsClient client(&cluster.dc(0));
-  constexpr int kRecords = 20;
-  for (int i = 1; i <= kRecords; ++i) {
-    ASSERT_TRUE(client.Append("r" + std::to_string(i)).ok());
-  }
-  // Let the sender probe the dead link long enough to rewind at least once
-  // (resend timer 10 ms, backed off exponentially).
-  std::this_thread::sleep_for(100ms);
-  EXPECT_EQ(CounterValue("chariots.dc1.records_incorporated") - incorporated1,
-            0u);
-  // Only dc0 has records to send, so every rewind is dc0's.
-  EXPECT_GE(CounterValue("chariots.sender.rewinds") - rewinds, 1u);
+  // The second count outruns the maintainer's tail cache, so the sender
+  // reads the oldest unacked records back from the LogStore.
+  const uint64_t tail_cache_records =
+      flstore::MaintainerOptions{}.tail_cache_records;
+  for (const uint64_t records : {uint64_t{20}, tail_cache_records + 1000}) {
+    SCOPED_TRACE("records=" + std::to_string(records));
+    const uint64_t incorporated1 =
+        CounterValue("chariots.dc1.records_incorporated");
+    const uint64_t rewinds = CounterValue("chariots.sender.rewinds");
+    const uint64_t misses = CounterValue("chariots.flstore.tail_cache.misses");
+    GeoFaultCluster cluster(2);
+    cluster.transport_.Seed(ScenarioSeed(41));
+    cluster.transport_.Partition("geo/dc0", "geo/dc1");
+    geo::ChariotsClient client(&cluster.dc(0));
+    for (uint64_t i = 1; i <= records; ++i) {
+      client.AppendAsync("r" + std::to_string(i));
+    }
+    ASSERT_TRUE(cluster.dc(0).WaitForToid(0, records, kWaitNanos));
+    // Let the sender probe the dead link long enough to rewind at least
+    // once (resend timer 10 ms, backed off exponentially).
+    std::this_thread::sleep_for(100ms);
+    EXPECT_EQ(CounterValue("chariots.dc1.records_incorporated") -
+                  incorporated1,
+              0u);
+    // Only dc0 has records to send, so every rewind is dc0's.
+    EXPECT_GE(CounterValue("chariots.sender.rewinds") - rewinds, 1u);
 
-  cluster.transport_.Heal("geo/dc0", "geo/dc1");
-  ASSERT_TRUE(cluster.dc(1).WaitForToid(0, kRecords, kWaitNanos));
-  // Exactly once, in order: toids 1..N each appear a single time.
-  auto records = cluster.dc(1).ReadRange(0, 100);
-  ASSERT_EQ(records.size(), static_cast<size_t>(kRecords));
-  for (int i = 0; i < kRecords; ++i) {
-    EXPECT_EQ(records[i].host, 0u);
-    EXPECT_EQ(records[i].toid, static_cast<geo::TOId>(i + 1));
+    cluster.transport_.Heal("geo/dc0", "geo/dc1");
+    ASSERT_TRUE(cluster.dc(1).WaitForToid(0, records, kWaitNanos));
+    if (records > tail_cache_records) {
+      // Only dc0's sender has read a log so far.
+      EXPECT_GE(CounterValue("chariots.flstore.tail_cache.misses") - misses,
+                records - tail_cache_records);
+    }
+    // Exactly once, in order: toids 1..N each appear a single time.
+    auto log = cluster.dc(1).ReadRange(0, records + 1);
+    ASSERT_EQ(log.size(), records);
+    for (uint64_t i = 0; i < records; ++i) {
+      EXPECT_EQ(log[i].host, 0u);
+      EXPECT_EQ(log[i].toid, i + 1);
+    }
   }
 }
 

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -29,6 +31,24 @@ constexpr int64_t kWaitNanos = 5'000'000'000;  // 5 s
 
 uint64_t CounterValue(const char* name) {
   return metrics::Registry::Default().GetCounter(name)->Value();
+}
+
+/// A gauge's value, snapshot-time callback gauges included (0 if absent).
+int64_t GaugeValue(const std::string& name) {
+  metrics::MetricsSnapshot snapshot = metrics::Registry::Default().Snapshot();
+  auto it = snapshot.gauges.find(name);
+  return it == snapshot.gauges.end() ? 0 : it->second;
+}
+
+/// Polls `done` every millisecond until it holds or `timeout_nanos` pass.
+template <typename Fn>
+bool WaitUntil(Fn done, int64_t timeout_nanos = kWaitNanos) {
+  int64_t deadline = SystemClock::Default()->NowNanos() + timeout_nanos;
+  while (!done()) {
+    if (SystemClock::Default()->NowNanos() >= deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
 }
 
 /// A replication group of N datacenters over a simulated WAN.
@@ -187,14 +207,21 @@ TEST(GeoIntegrationTest, AvailabilityUnderPartition) {
   ASSERT_TRUE(b.Append("during partition at 1").ok());
   EXPECT_EQ(cluster.dc(0).HeadLid(), 1u);
   EXPECT_EQ(cluster.dc(1).HeadLid(), 1u);
-  // Nothing crossed the partition.
+  // Nothing crossed the partition: each side's own record is unacked.
   EXPECT_EQ(cluster.dc(0).atable().Get(0, 1), 0u);
+  EXPECT_EQ(GaugeValue("chariots.dc0.unacked_local_records"), 1);
+  EXPECT_EQ(GaugeValue("chariots.dc1.unacked_local_records"), 1);
 
   // Heal: senders retransmit and both sides converge.
   cluster.transport().Heal("geo/dc0", "geo/dc1");
   EXPECT_TRUE(cluster.AwaitConvergence());
   EXPECT_EQ(cluster.dc(0).HeadLid(), 2u);
   EXPECT_EQ(cluster.dc(1).HeadLid(), 2u);
+  // The acks travel back with the peers' awareness rows.
+  EXPECT_TRUE(WaitUntil([] {
+    return GaugeValue("chariots.dc0.unacked_local_records") == 0 &&
+           GaugeValue("chariots.dc1.unacked_local_records") == 0;
+  }));
 }
 
 TEST(GeoIntegrationTest, ExactlyOnceUnderMessageLoss) {
@@ -742,6 +769,58 @@ TEST(GeoIntegrationTest, ReadByToidAfterGc) {
   auto r = cluster.dc(0).ReadByToid(0, 7);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->body, "post-gc");
+}
+
+TEST(GeoIntegrationTest, ReadServesNothingAtOrPastTheHead) {
+  // A token step writes its whole run before it publishes the records one
+  // by one, so while a subscriber sees the run's first record the next one
+  // is already on its maintainer, but not yet acknowledged or counted in
+  // the head. Read must answer NotFound for it.
+  ChariotsConfig config;
+  Datacenter dc(config);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool blocked = false;
+  bool release = false;
+  flstore::LId head_seen = 0;
+  Status past_head = Status::OK();
+  dc.Subscribe([&](const GeoRecord& r) {
+    if (r.toid == 1) {
+      // Hold the token on record 1 until records 2 and 3 wait in the queue,
+      // so the next token step admits them as one run.
+      std::unique_lock<std::mutex> lock(mu);
+      blocked = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    } else if (r.toid == 2) {
+      head_seen = dc.HeadLid();
+      past_head = dc.Read(head_seen).status();
+    }
+  });
+  ASSERT_TRUE(dc.Start().ok());
+  dc.Append("blocker", {}, {});
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, 5s, [&] { return blocked; }));
+  }
+  dc.Append("first of the run", {}, {});
+  dc.Append("second of the run", {}, {});
+  const bool queued =
+      WaitUntil([] { return GaugeValue("chariots.dc0.pipeline_pending") == 2; });
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  ASSERT_TRUE(queued);
+  ASSERT_TRUE(dc.WaitForToid(0, 3, kWaitNanos));
+  EXPECT_EQ(head_seen, 2u);
+  EXPECT_TRUE(past_head.IsNotFound()) << past_head.ToString();
+  // Once published, the same LId reads back.
+  auto record = dc.Read(2);
+  ASSERT_TRUE(record.ok()) << record.status();
+  EXPECT_EQ(record->body, "second of the run");
+  dc.Stop();
 }
 
 TEST(GeoIntegrationTest, ReadRangeStartsAtTheGcHorizon) {

@@ -394,14 +394,25 @@ class SenderReceiverTest : public ::testing::Test {
                                                                  payload));
                                       })
                     .ok());
-    sender_ = std::make_unique<Sender>(0, std::vector<DatacenterId>{1},
-                                       &buffer_, &atable0_, &fabric_,
-                                       options);
+    sender_ = std::make_unique<Sender>(
+        0, std::vector<DatacenterId>{1},
+        [this](TOId toid) -> Result<std::string> {
+          std::lock_guard<std::mutex> lock(log_mu_);
+          auto it = log_.find(toid);
+          if (it == log_.end()) return Status::NotFound("not in the log");
+          return it->second;
+        },
+        &atable0_, &fabric_, options);
   }
 
+  /// Incorporates a local record into DC0's fake log: the sender reads it
+  /// back through its read callback, up to DC0's own awareness cell.
   void PutLocal(TOId toid) {
-    GeoRecord r = Rec(0, toid);
-    buffer_.Put(toid, EncodeGeoRecord(r));
+    {
+      std::lock_guard<std::mutex> lock(log_mu_);
+      log_[toid] = EncodeGeoRecord(Rec(0, toid));
+    }
+    atable0_.Advance(0, 0, toid);
   }
 
   /// One sender pass, then every delivery it caused.
@@ -418,7 +429,8 @@ class SenderReceiverTest : public ::testing::Test {
   net::InProcTransport transport_{nullptr, &exec_};
   TransportFabric fabric_{&transport_};
   AwarenessTable atable0_, atable1_;
-  LocalRecordBuffer buffer_;
+  std::mutex log_mu_;
+  std::map<TOId, std::string> log_;
   std::unique_ptr<Receiver> receiver_;
   std::unique_ptr<Sender> sender_;
   std::vector<GeoRecord> received_;
@@ -546,39 +558,6 @@ TEST_F(SenderReceiverTest, ReceiverIgnoresGarbage) {
   PutLocal(1);
   (void)Tick();
   EXPECT_EQ(received_.size(), 1u);
-}
-
-TEST(LocalRecordBufferTest, SequentialPutAndRead) {
-  LocalRecordBuffer buf;
-  EXPECT_EQ(buf.max_toid(), 0u);
-  buf.Put(1, "a");
-  buf.Put(2, "b");
-  buf.Put(3, "c");
-  EXPECT_EQ(buf.max_toid(), 3u);
-  std::vector<std::string> out;
-  EXPECT_EQ(buf.Read(2, 10, &out), 2u);
-  EXPECT_EQ(out, (std::vector<std::string>{"b", "c"}));
-}
-
-TEST(LocalRecordBufferTest, ReadRespectsLimit) {
-  LocalRecordBuffer buf;
-  for (TOId t = 1; t <= 10; ++t) buf.Put(t, std::to_string(t));
-  std::vector<std::string> out;
-  EXPECT_EQ(buf.Read(1, 4, &out), 4u);
-  EXPECT_EQ(out.size(), 4u);
-}
-
-TEST(LocalRecordBufferTest, TruncateBelowDropsPrefix) {
-  LocalRecordBuffer buf;
-  for (TOId t = 1; t <= 5; ++t) buf.Put(t, "x");
-  buf.TruncateBelow(4);
-  EXPECT_EQ(buf.size(), 2u);
-  std::vector<std::string> out;
-  EXPECT_EQ(buf.Read(1, 10, &out), 0u);  // GC'd
-  EXPECT_EQ(buf.Read(4, 10, &out), 2u);
-  // New puts continue the sequence.
-  buf.Put(6, "y");
-  EXPECT_EQ(buf.max_toid(), 6u);
 }
 
 }  // namespace

@@ -561,6 +561,43 @@ TEST_F(DatacenterRecoveryTest, RestartedReplicaRejoinsGroup) {
   dc1->Stop();
 }
 
+TEST_F(DatacenterRecoveryTest, RestartedSenderShipsUnackedRecordsFromTheLog) {
+  // dc0 restarts holding records no peer has: its tail cache is empty and
+  // nothing but the log remembers them, so its sender reads them back from
+  // the LogStore once the partition heals.
+  constexpr TOId kRecords = 12;
+  net::InProcTransport transport;
+  TransportFabric fabric(&transport);
+  transport.Partition("geo/dc0", "geo/dc1");
+  auto dc1 = std::make_unique<Datacenter>(Config(1, 2), &fabric);
+  ASSERT_TRUE(dc1->Start().ok());
+  {
+    Datacenter dc0(Config(0, 2), &fabric);
+    ASSERT_TRUE(dc0.Start().ok());
+    ChariotsClient client(&dc0);
+    for (TOId i = 1; i <= kRecords; ++i) {
+      ASSERT_TRUE(client.Append("r" + std::to_string(i)).ok());
+    }
+    dc0.Stop();
+  }
+  Datacenter dc0(Config(0, 2), &fabric);
+  ASSERT_TRUE(dc0.Start().ok());
+  EXPECT_EQ(dc0.atable().Get(0, 0), kRecords);
+  EXPECT_EQ(dc0.atable().Get(1, 0), 0u);
+  transport.Heal("geo/dc0", "geo/dc1");
+  ASSERT_TRUE(dc1->WaitForToid(0, kRecords, 10'000'000'000));
+  // Exactly once, in order.
+  auto log = dc1->ReadRange(0, 100);
+  ASSERT_EQ(log.size(), kRecords);
+  for (TOId i = 0; i < kRecords; ++i) {
+    EXPECT_EQ(log[i].host, 0u);
+    EXPECT_EQ(log[i].toid, i + 1);
+    EXPECT_EQ(log[i].body, "r" + std::to_string(i + 1));
+  }
+  dc0.Stop();
+  dc1->Stop();
+}
+
 TEST_F(DatacenterRecoveryTest, CheckpointPlusGcRecoversWithHorizon) {
   net::InProcTransport transport;
   TransportFabric fabric(&transport);

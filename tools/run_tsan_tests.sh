@@ -41,6 +41,14 @@
 #       recovery_test pipeline_test geo_integration_test \
 #       executor_test                           # durable write path focus
 #
+# Senders read the log: the sender reads local records through the
+# TOId map and LogMaintainer::Read (tail-cache lookups under its shared
+# lock, cold reads off the LogStore) while the token lands and publishes
+# records and GC truncates below the horizon.
+#
+#   tools/run_tsan_tests.sh thread pipeline_test geo_integration_test \
+#       recovery_test fault_injection_test read_path_test  # senders read the log
+#
 # Uses a separate build dir (build-<sanitizer>) so the regular build is
 # untouched.
 set -euo pipefail
