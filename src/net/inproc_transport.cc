@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <thread>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -9,6 +10,9 @@
 namespace chariots::net {
 
 namespace {
+
+/// Yields of a thread waiting for a strand before it sleeps on a futex.
+constexpr int kYieldsBeforeSleep = 64;
 
 metrics::Counter* DeliveredCounter() {
   static metrics::Counter* c =
@@ -42,14 +46,20 @@ metrics::Counter* RequestsQueuedCounter() {
   return c;
 }
 
+metrics::Counter* RequestsMigratedCounter() {
+  static metrics::Counter* c = metrics::Registry::Default().GetCounter(
+      "net.transport.requests_migrated");
+  return c;
+}
+
 }  // namespace
 
 /// Per-node delivery state. No thread: `ready` is drained under `gate`,
 /// one message at a time (preserving per-node serial delivery for
-/// requests), by whichever thread set `drain_scheduled` — a sender's
-/// trampoline or an executor worker. `delayed` waits on the executor's
-/// timer service, and responses are delivered inline under `resp_gate` by
-/// whichever thread finds them due.
+/// requests), by whichever thread `owner` names — a trampoline or an
+/// executor worker. `delayed` waits on the executor's timer service, and
+/// responses are delivered inline under `resp_gate` by whichever thread
+/// finds them due.
 ///
 /// Two gates on purpose: requests serialize under `gate` (their handlers
 /// may block in nested Calls), responses under `resp_gate` (their handlers
@@ -60,6 +70,13 @@ metrics::Counter* RequestsQueuedCounter() {
 /// Both gates also fence the owning transport: Unregister/destruction
 /// closes them, after which no queued task or timer touches the transport.
 struct InProcTransport::Inbox {
+  /// A request waiting on the strand.
+  struct Request {
+    Message msg;
+    uint64_t sender;     ///< Trampoline::id of the sending thread
+    Trampoline* runner;  ///< the sender, who runs it; null: the drainer
+  };
+
   NodeId node;
   MessageHandler handler;
   InlineSafeFn inline_safe;  // null: every request is queued
@@ -67,13 +84,64 @@ struct InProcTransport::Inbox {
   std::priority_queue<DelayedMessage, std::vector<DelayedMessage>,
                       std::greater<DelayedMessage>>
       delayed;
-  std::deque<Message> ready;
-  bool drain_scheduled = false;  // a trampoline or a worker owns `ready`
+  std::deque<Request> ready;
+  /// Who drains `ready`: null while idle (then `ready` is empty),
+  /// QueuedDrain() for an executor task, else a trampoline's thread.
+  Trampoline* owner = nullptr;
   bool stopped = false;
   int64_t armed_nanos = -1;  // earliest pending timer deadline (-1 = none)
   SerialGate gate;       // request strand
   SerialGate resp_gate;  // inline response delivery
+
+  /// Passes the strand to `to`, whose request is at the front. Caller
+  /// holds `mu`, which keeps `to` alive until the wake-up is sent.
+  void HandOverLocked(Trampoline* to) {
+    owner = to;
+    Wake(to);
+  }
+
+  /// Loses the queued requests; every sender waiting on one wakes to drop
+  /// its claim. Caller holds `mu`. Returns how many were lost.
+  size_t DropReadyLocked() {
+    for (Request& r : ready) {
+      if (r.runner != nullptr) Wake(r.runner);
+    }
+    const size_t lost = ready.size();
+    ready.clear();
+    return lost;
+  }
+
+  /// Stops the node. Caller holds `mu`. Returns how many messages were
+  /// still undelivered.
+  size_t StopLocked() {
+    stopped = true;
+    return delayed.size() + DropReadyLocked();
+  }
+
+  bool HoldsRequestOf(const Trampoline* t) const {
+    for (const Request& r : ready) {
+      if (r.runner == t) return true;
+    }
+    return false;
+  }
+
+  static void Wake(Trampoline* t) {
+    t->handovers.fetch_add(1, std::memory_order_release);
+    t->handovers.notify_one();
+  }
+
+  /// Marks a strand drained by an executor task (`owner`).
+  static Trampoline* QueuedDrain() {
+    static Trampoline* const queued = new Trampoline();
+    return queued;
+  }
 };
+
+InProcTransport::Trampoline::Trampoline()
+    : id([] {
+        static std::atomic<uint64_t> next{1};
+        return next.fetch_add(1, std::memory_order_relaxed);
+      }()) {}
 
 InProcTransport::InProcTransport(Clock* clock, Executor* executor)
     : executor_(executor != nullptr ? executor : Executor::Default()),
@@ -93,7 +161,7 @@ InProcTransport::~InProcTransport() {
   for (auto& inbox : to_close) {
     {
       std::lock_guard<std::mutex> il(inbox->mu);
-      inbox->stopped = true;
+      (void)inbox->StopLocked();
     }
     // Close() blocks until an in-flight body finishes, so after this loop
     // no strand task or timer callback will ever touch `this` again (they
@@ -134,8 +202,7 @@ Status InProcTransport::Unregister(const NodeId& node) {
   size_t undelivered = 0;
   {
     std::lock_guard<std::mutex> il(inbox->mu);
-    inbox->stopped = true;
-    undelivered = inbox->delayed.size() + inbox->ready.size();
+    undelivered = inbox->StopLocked();
   }
   inbox->gate.Close();
   inbox->resp_gate.Close();
@@ -143,8 +210,7 @@ Status InProcTransport::Unregister(const NodeId& node) {
   // account for them like any other network loss.
   if (undelivered > 0) {
     DroppedCounter()->Add(undelivered);
-    std::lock_guard<std::mutex> lock(mu_);
-    dropped_ += undelivered;
+    dropped_.fetch_add(undelivered, std::memory_order_relaxed);
   }
   return Status::OK();
 }
@@ -183,7 +249,7 @@ Status InProcTransport::Send(Message msg) {
     if (rule != nullptr) {
       if (rule->options.drop_probability > 0 &&
           rng_.NextDouble() < rule->options.drop_probability) {
-        ++dropped_;
+        dropped_.fetch_add(1, std::memory_order_relaxed);
         DroppedCounter()->Add();
         return Status::OK();  // silent loss, like a real network
       }
@@ -198,8 +264,7 @@ Status InProcTransport::Send(Message msg) {
   if (decision.drop) {
     DroppedCounter()->Add();
     FaultDropCounter()->Add();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++dropped_;
+    dropped_.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
   }
 
@@ -208,12 +273,9 @@ Status InProcTransport::Send(Message msg) {
   if (bandwidth != nullptr) bandwidth->Acquire(static_cast<double>(wire_size));
 
   int64_t deliver_at = clock_->NowNanos() + latency + decision.delay_nanos;
-  uint64_t seq = 0, dup_seq = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    seq = ++seq_;
-    if (decision.duplicate) dup_seq = ++seq_;
-  }
+  const uint64_t seq = seq_.fetch_add(decision.duplicate ? 2 : 1,
+                                      std::memory_order_relaxed) +
+                       1;
   Message dup;
   if (decision.duplicate) {
     dup = msg;  // copy before the original is moved
@@ -226,7 +288,7 @@ Status InProcTransport::Send(Message msg) {
   }
   if (decision.duplicate) {
     (void)Enqueue(inbox, std::move(dup),
-                  deliver_at + decision.duplicate_delay_nanos, dup_seq);
+                  deliver_at + decision.duplicate_delay_nanos, seq + 1);
   }
   return Status::OK();
 }
@@ -241,34 +303,52 @@ bool InProcTransport::Enqueue(const std::shared_ptr<Inbox>& inbox,
     ArmLocked(inbox);
     return true;
   }
+  Trampoline& t = CurrentTrampoline();
   if (msg.is_response) {
-    // Inline on the sending thread: a response never queues behind the
-    // destination's (possibly blocked) request handlers.
-    return inbox->resp_gate.Run(
-        [&] { Deliver(inbox, std::move(msg)); });
+    // On the sending thread: a response never queues behind the
+    // destination's (possibly blocked) request handlers, nor waits for a
+    // worker. A trampoline sends from inside a gate; it delivers the
+    // response once it has settled that strand, so the completion never
+    // holds the replying node's strand.
+    if (t.running && t.blocking == 0) {
+      t.replies.push_back(DeferredReply{this, inbox, std::move(msg)});
+      return true;
+    }
+    return inbox->resp_gate.Run([&] { Deliver(inbox, std::move(msg)); });
   }
-  // Run to completion here only if nothing could make this thread wait on
-  // the handler: inside a gate (a strand, a response) the handler would
+  // The sender runs the request itself only if nothing could make it wait
+  // on the handler: inside a gate (a strand, a response) the handler would
   // nest under it, and under a BlockingWaitScope the thread is about to
   // stop draining. A running trampoline has released every gate by the
   // time it drains what it claims.
-  const Trampoline& t = CurrentTrampoline();
   const bool in_line = inbox->inline_safe && inbox->inline_safe(msg) &&
                        t.blocking == 0 &&
                        (t.running || !SerialGate::HeldByCurrentThread());
+  // An executor thread never waits for a busy strand (the queued path may
+  // need it), so its requests there go to whoever drains the strand.
+  Trampoline* runner =
+      in_line && !Executor::OnWorkerThread() ? &t : nullptr;
+  bool claim = false;
+  bool submit = false;
   {
     std::lock_guard<std::mutex> lock(inbox->mu);
     if (inbox->stopped) return false;
-    inbox->ready.push_back(std::move(msg));
-    // A busy strand picks the message up in FIFO order, whoever runs it.
-    if (inbox->drain_scheduled) return true;
-    inbox->drain_scheduled = true;
+    inbox->ready.push_back(Inbox::Request{std::move(msg), t.id, runner});
+    if (inbox->owner == nullptr) {
+      inbox->owner = in_line ? &t : Inbox::QueuedDrain();
+      claim = in_line;
+      submit = !in_line;
+    } else {
+      // Busy: the drainer delivers the request in FIFO order, or hands the
+      // strand to this thread when it reaches one reserved for it. A strand
+      // this thread owns is its current drain or already on its claims.
+      claim = runner != nullptr && inbox->owner != &t;
+    }
   }
-  if (in_line) {
-    RunInline(inbox);
-  } else {
-    SubmitDrain(inbox);
-  }
+  if (submit) SubmitDrain(inbox);
+  if (!claim) return true;
+  AddClaim(t, inbox);
+  if (!t.running) RunTrampoline(t);
   return true;
 }
 
@@ -277,63 +357,160 @@ InProcTransport::Trampoline& InProcTransport::CurrentTrampoline() {
   return trampoline;
 }
 
-void InProcTransport::RunInline(const std::shared_ptr<Inbox>& inbox) {
-  Trampoline& t = CurrentTrampoline();
+void InProcTransport::AddClaim(Trampoline& t,
+                               const std::shared_ptr<Inbox>& inbox) {
+  for (const Claim& claim : t.claims) {
+    if (claim.inbox == inbox) return;
+  }
   t.claims.push_back(Claim{this, inbox});
-  if (t.running) return;  // drained once the current handler returns
+}
+
+void InProcTransport::RunTrampoline(Trampoline& t) {
   t.running = true;
-  while (!t.claims.empty()) {
-    Claim claim = std::move(t.claims.front());
-    t.claims.pop_front();
-    // A closed gate means the node stopped; its queue counted as dropped.
-    bool hand_off = false;
-    claim.inbox->gate.Run([&] {
-      hand_off = claim.transport->DrainReady(claim.inbox, /*in_line=*/true);
-    });
-    if (hand_off) claim.transport->SubmitDrain(claim.inbox);
+  Claim claim;
+  while (TakeOwnedClaim(t, &claim)) {
+    Inbox& inbox = *claim.inbox;
+    DrainStep step;
+    do {
+      step = DrainStep::kIdle;  // stays so if the gate closed: node stopped
+      inbox.gate.Run(
+          [&] { step = claim.transport->DeliverNext(claim.inbox, &t); });
+      if (step == DrainStep::kMore) {
+        // Settled with the gate released, so a sender handed the strand
+        // finds it free, and before the handler's replies go out, so it
+        // does not wait for the completions they run.
+        std::lock_guard<std::mutex> lock(inbox.mu);
+        step = Settle(inbox, &t);
+      }
+      FlushReplies(t);
+    } while (step == DrainStep::kMore);
+    if (step == DrainStep::kToExecutor) {
+      claim.transport->SubmitDrain(claim.inbox);
+    }
+    // Requests of this thread still queued there come back with the strand.
+    if (step != DrainStep::kIdle) claim.transport->AddClaim(t, claim.inbox);
   }
   t.running = false;
+}
+
+bool InProcTransport::TakeOwnedClaim(Trampoline& t, Claim* claim) {
+  for (;;) {
+    const uint32_t seen = t.handovers.load(std::memory_order_acquire);
+    for (auto it = t.claims.begin(); it != t.claims.end();) {
+      bool owned = false, holds = false;
+      {
+        std::lock_guard<std::mutex> lock(it->inbox->mu);
+        owned = it->inbox->owner == &t;
+        holds = !it->inbox->stopped && it->inbox->HoldsRequestOf(&t);
+      }
+      if (owned) {
+        *claim = std::move(*it);
+        t.claims.erase(it);
+        return true;
+      }
+      it = holds ? it + 1 : t.claims.erase(it);
+    }
+    if (t.claims.empty()) return false;
+    // Every claimed strand is busy elsewhere and this thread owns none, so
+    // no drainer can be waiting on it (DESIGN.md §10). A handover, or a
+    // stop, bumps `handovers`. The owner usually hands over within one
+    // handler, so the thread yields a while before it sleeps.
+    for (int i = 0; i < kYieldsBeforeSleep &&
+                    t.handovers.load(std::memory_order_acquire) == seen;
+         ++i) {
+      std::this_thread::yield();
+    }
+    t.handovers.wait(seen, std::memory_order_acquire);
+  }
+}
+
+void InProcTransport::FlushReplies(Trampoline& t) {
+  while (!t.replies.empty()) {
+    DeferredReply reply = std::move(t.replies.front());
+    t.replies.pop_front();
+    reply.inbox->resp_gate.Run([&] {
+      reply.transport->Deliver(reply.inbox, std::move(reply.msg));
+    });
+  }
 }
 
 void InProcTransport::ScheduleDrain(const std::shared_ptr<Inbox>& inbox) {
   {
     std::lock_guard<std::mutex> lock(inbox->mu);
-    if (inbox->drain_scheduled || inbox->stopped) return;
-    inbox->drain_scheduled = true;
+    if (inbox->owner != nullptr || inbox->stopped) return;
+    inbox->owner = Inbox::QueuedDrain();
   }
   SubmitDrain(inbox);
 }
 
 void InProcTransport::SubmitDrain(const std::shared_ptr<Inbox>& inbox) {
-  if (!executor_->Submit(
-          inbox->gate.Wrap([this, inbox] { DrainReady(inbox, false); }))) {
+  if (executor_->Submit(
+          inbox->gate.Wrap([this, inbox] { DrainReady(inbox); }))) {
+    return;
+  }
+  // The executor shut down: the queue is lost as if the node had stopped,
+  // and no sender is left waiting on it.
+  size_t lost = 0;
+  {
     std::lock_guard<std::mutex> lock(inbox->mu);
-    inbox->drain_scheduled = false;
+    lost = inbox->DropReadyLocked();
+    inbox->owner = nullptr;
+  }
+  if (lost > 0) {
+    DroppedCounter()->Add(lost);
+    dropped_.fetch_add(lost, std::memory_order_relaxed);
   }
 }
 
-bool InProcTransport::DrainReady(const std::shared_ptr<Inbox>& inbox,
-                                 bool in_line) {
-  // Runs under inbox->gate (the strand). Re-checks emptiness under the lock
-  // before clearing the flag, so a concurrent Enqueue either sees the flag
-  // set (and its message is picked up by this loop) or claims a new drain
-  // after the flag clears. A stopped node's queue was counted as dropped
-  // and is not delivered.
-  for (;;) {
-    Message msg;
-    {
-      std::lock_guard<std::mutex> lock(inbox->mu);
-      if (inbox->ready.empty() || inbox->stopped) {
-        inbox->drain_scheduled = false;
-        return false;
-      }
-      // The drain stays claimed; the caller passes it to a worker.
-      if (in_line && !inbox->inline_safe(inbox->ready.front())) return true;
-      msg = std::move(inbox->ready.front());
-      inbox->ready.pop_front();
-    }
-    (in_line ? RequestsInlineCounter() : RequestsQueuedCounter())->Add();
-    Deliver(inbox, std::move(msg));
+InProcTransport::DrainStep InProcTransport::Settle(Inbox& inbox,
+                                                  Trampoline* drainer) {
+  if (inbox.ready.empty() || inbox.stopped) {
+    inbox.owner = nullptr;
+    return DrainStep::kIdle;
+  }
+  const Inbox::Request& front = inbox.ready.front();
+  if (front.runner != nullptr && front.runner != drainer) {
+    inbox.HandOverLocked(front.runner);
+    return DrainStep::kHandedOver;
+  }
+  if (drainer != nullptr &&
+      (!inbox.inline_safe || !inbox.inline_safe(front.msg))) {
+    inbox.owner = Inbox::QueuedDrain();
+    return DrainStep::kToExecutor;
+  }
+  return DrainStep::kMore;
+}
+
+InProcTransport::DrainStep InProcTransport::DeliverNext(
+    const std::shared_ptr<Inbox>& inbox, Trampoline* drainer) {
+  // Runs under inbox->gate (the strand). Every decision about the strand
+  // is made under inbox->mu, so a concurrent Enqueue either finds it owned
+  // (and its request is delivered from here or handed over) or claims it
+  // afresh. A stopped node's queue was counted as dropped and is not
+  // delivered.
+  Message msg;
+  bool migrated = false;
+  {
+    std::lock_guard<std::mutex> lock(inbox->mu);
+    const DrainStep step = Settle(*inbox, drainer);
+    if (step != DrainStep::kMore) return step;
+    Inbox::Request& front = inbox->ready.front();
+    migrated = drainer != nullptr && front.sender != drainer->id;
+    msg = std::move(front.msg);
+    inbox->ready.pop_front();
+  }
+  if (drainer == nullptr) {
+    RequestsQueuedCounter()->Add();
+  } else {
+    RequestsInlineCounter()->Add();
+    if (migrated) RequestsMigratedCounter()->Add();
+  }
+  Deliver(inbox, std::move(msg));
+  return DrainStep::kMore;
+}
+
+void InProcTransport::DrainReady(const std::shared_ptr<Inbox>& inbox) {
+  while (DeliverNext(inbox, nullptr) == DrainStep::kMore) {
   }
 }
 
@@ -355,7 +532,8 @@ void InProcTransport::DrainDue(const std::shared_ptr<Inbox>& inbox) {
       if (m.is_response) {
         responses.push_back(std::move(m));
       } else {
-        inbox->ready.push_back(std::move(m));
+        // No sender thread waits for a delayed request.
+        inbox->ready.push_back(Inbox::Request{std::move(m), 0, nullptr});
         has_requests = true;
       }
     }
@@ -389,29 +567,40 @@ void InProcTransport::Deliver(const std::shared_ptr<Inbox>& inbox,
   if (faults_.InOutage(inbox->node, clock_->NowNanos())) {
     DroppedCounter()->Add();
     FaultDropCounter()->Add();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++dropped_;
+    dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   // Counted at hand-off, so a handler that signals a waiter never lets it
   // observe its own message as undelivered.
   DeliveredCounter()->Add();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++delivered_;
-  }
+  delivered_.fetch_add(1, std::memory_order_relaxed);
   inbox->handler(std::move(msg));
 }
 
 BlockingWaitScope::BlockingWaitScope() {
-  InProcTransport::Trampoline& t = InProcTransport::CurrentTrampoline();
+  using T = InProcTransport;
+  T::Trampoline& t = T::CurrentTrampoline();
   if (!t.running) return;  // nothing claimed; sends may still run in line
   active_ = true;
   ++t.blocking;
-  std::deque<InProcTransport::Claim> claims;
+  // Deferred responses go out now, on this thread: a response never waits
+  // for a worker, and never for a thread that is about to block.
+  T::FlushReplies(t);
+  // Every claimed strand leaves this thread: its requests there go to
+  // whoever drains the strand, and a strand it owns goes to the executor.
+  std::deque<T::Claim> claims;
   claims.swap(t.claims);
-  for (InProcTransport::Claim& claim : claims) {
-    claim.transport->SubmitDrain(claim.inbox);
+  for (T::Claim& claim : claims) {
+    bool owned = false;
+    {
+      std::lock_guard<std::mutex> lock(claim.inbox->mu);
+      for (T::Inbox::Request& r : claim.inbox->ready) {
+        if (r.runner == &t) r.runner = nullptr;
+      }
+      owned = claim.inbox->owner == &t;
+      if (owned) claim.inbox->owner = T::Inbox::QueuedDrain();
+    }
+    if (owned) claim.transport->SubmitDrain(claim.inbox);
   }
 }
 
@@ -468,13 +657,11 @@ void InProcTransport::Seed(uint64_t seed) {
 }
 
 uint64_t InProcTransport::messages_delivered() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return delivered_;
+  return delivered_.load(std::memory_order_relaxed);
 }
 
 uint64_t InProcTransport::messages_dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
+  return dropped_.load(std::memory_order_relaxed);
 }
 
 }  // namespace chariots::net

@@ -1,6 +1,7 @@
 #ifndef CHARIOTS_NET_INPROC_TRANSPORT_H_
 #define CHARIOTS_NET_INPROC_TRANSPORT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -36,25 +37,35 @@ struct LinkOptions {
 /// Each registered node has an inbox *strand* that delivers its due
 /// requests one at a time, in arrival order (preserving the historical
 /// one-message-at-a-time, FIFO-per-sender contract RpcEndpoint relies on).
-/// Who runs the strand:
-///  * the sending thread, run to completion, when the strand is idle, the
-///    node declared the request inline-safe (RegisterInlineSafe) and the
-///    sender is inside no SerialGate. The thread drains the strand through
-///    a thread-local trampoline: requests sent by the handlers it runs
-///    (inline-safe ones to idle strands) are claimed onto the same
-///    trampoline and drained one after another once the current handler
-///    returns, so handlers never nest. A claimed strand that reaches a
+/// Who runs a request:
+///  * its sender, when the node declared it inline-safe (RegisterInlineSafe)
+///    and the sender is inside no SerialGate, or is running a trampoline.
+///    An idle strand is claimed at once. A busy one keeps the request in
+///    its queue, marked for the sender, and the thread draining the strand
+///    hands the strand over when the request reaches the front. The sender
+///    drains through a thread-local trampoline: requests sent by the
+///    handlers it runs are claimed onto the same trampoline and drained one
+///    after another once the current handler returns, so handlers never
+///    nest. It waits for a handed-over strand only at the top of the
+///    trampoline, owning no other strand. A drained strand that reaches a
 ///    request not declared inline-safe hands the rest to the executor, as
-///    does a BlockingWaitScope for every strand its thread has claimed;
+///    does a BlockingWaitScope for every strand its thread has claimed.
+///    Executor threads never wait for a strand: their requests to a busy
+///    one run on whichever thread drains it;
 ///  * otherwise an executor worker (the queued path).
 /// Delayed messages (link latency, fault delays) wait on the executor's
 /// timer service and then take the queued path, so a virtual-time executor
 /// makes simulated WANs run with zero real sleeps. RPC *responses* are
-/// delivered inline on the sending/timer thread, never through the worker
-/// pool — a worker blocked inside a handler waiting on a Call() is always
-/// unblocked even when every worker is busy.
+/// delivered on the sending/timer thread, never through the worker pool —
+/// a worker blocked inside a handler waiting on a Call() is always
+/// unblocked even when every worker is busy. On a trampoline a response is
+/// delivered right after the handler that sent it returns and its strand
+/// is settled (handed on, if another sender's request is next), so the
+/// completion it runs never holds the replying node's strand.
 /// `net.transport.requests_inline` and `net.transport.requests_queued`
-/// count requests (one-way messages included) delivered each way.
+/// count requests (one-way messages included) delivered each way;
+/// `net.transport.requests_migrated` counts the in-line deliveries made by
+/// a thread other than the request's sender.
 ///
 /// Link resolution: the most specific matching rule wins. Rules are keyed by
 /// (src_prefix, dst_prefix) where a node matches a prefix if its id starts
@@ -123,43 +134,76 @@ class InProcTransport : public Transport {
     std::unique_ptr<TokenBucket> bandwidth;  // null if unlimited
   };
 
-  /// A strand the current thread claimed and will drain in line.
+  /// A strand the current thread owns, or holds requests of its own in.
   struct Claim {
     InProcTransport* transport;
     std::shared_ptr<Inbox> inbox;
   };
+  /// A response sent from inside a gate of a running trampoline.
+  struct DeferredReply {
+    InProcTransport* transport;
+    std::shared_ptr<Inbox> inbox;
+    Message msg;
+  };
   /// The calling thread's run-to-completion state.
   struct Trampoline {
+    Trampoline();
+    const uint64_t id;         ///< names the thread in queued requests
     bool running = false;      ///< draining claimed strands right now
     int blocking = 0;          ///< open BlockingWaitScopes while running
-    std::deque<Claim> claims;  ///< claimed, not yet drained
+    std::deque<Claim> claims;  ///< at most one per strand
+    std::deque<DeferredReply> replies;  ///< sent once the strand settles
+    /// Grows (with a wake-up) when another thread hands this one a strand,
+    /// or stops a strand holding its requests.
+    std::atomic<uint32_t> handovers{0};
   };
   static Trampoline& CurrentTrampoline();
   friend class BlockingWaitScope;
 
+  /// Who drains a strand next, as its current drainer settles it.
+  enum class DrainStep {
+    kMore,        ///< the drainer: the front request is its to deliver
+    kIdle,        ///< nobody: queue empty (or node stopped)
+    kHandedOver,  ///< the front request's sender
+    kToExecutor,  ///< an executor task: a trampoline reached a queued-only
+                  ///< request
+  };
+
   LinkRule* ResolveLink(const NodeId& from, const NodeId& to);
   /// Enqueues one already-inspected message on its inbox (immediate →
-  /// inline response delivery, or ready queue + a strand run in line or
-  /// queued; future → timer). Returns false if the destination stopped
-  /// meanwhile.
+  /// response delivery, or ready queue + a strand run in line or queued;
+  /// future → timer). Returns false if the destination stopped meanwhile.
   bool Enqueue(const std::shared_ptr<Inbox>& inbox, Message msg,
                int64_t deliver_at_nanos, uint64_t seq);
-  /// Strand body, under inbox->gate: delivers ready messages one at a time
-  /// until the queue empties. `in_line` (a trampoline) also stops at a
-  /// request not declared inline-safe and returns true: the caller hands
-  /// the rest of the strand to the executor.
-  bool DrainReady(const std::shared_ptr<Inbox>& inbox, bool in_line);
-  /// Queues `inbox` on the current thread's trampoline — running it here
-  /// and now unless the thread is already draining one.
-  void RunInline(const std::shared_ptr<Inbox>& inbox);
+  /// Settles who drains `inbox` next, its drainer being `drainer` (null:
+  /// an executor task). Caller holds inbox.mu.
+  static DrainStep Settle(Inbox& inbox, Trampoline* drainer);
+  /// Under inbox->gate, for the strand's drainer: settles the strand and,
+  /// if the front request is the drainer's to deliver, delivers it and
+  /// returns kMore.
+  DrainStep DeliverNext(const std::shared_ptr<Inbox>& inbox,
+                        Trampoline* drainer);
+  /// Queued strand body, under inbox->gate: delivers until DeliverNext
+  /// stops.
+  void DrainReady(const std::shared_ptr<Inbox>& inbox);
+  /// Drains the current thread's claims until none is left, then returns.
+  static void RunTrampoline(Trampoline& t);
+  /// Takes a claim whose strand `t` owns, waiting while every claimed
+  /// strand is busy elsewhere; drops claims that hold nothing of `t`.
+  /// Returns false once no claim is left.
+  static bool TakeOwnedClaim(Trampoline& t, Claim* claim);
+  /// Delivers `t`'s deferred responses, and those their completions send.
+  static void FlushReplies(Trampoline& t);
+  /// Adds a claim on `inbox` unless `t` already holds one.
+  void AddClaim(Trampoline& t, const std::shared_ptr<Inbox>& inbox);
   /// Timer callback (timer lane): moves due delayed messages out — requests
   /// to the ready queue/strand, responses delivered inline.
   void DrainDue(const std::shared_ptr<Inbox>& inbox);
-  /// Schedules the strand if not already scheduled. Caller must not hold
+  /// Schedules the strand if no one owns it. Caller must not hold
   /// inbox->mu.
   void ScheduleDrain(const std::shared_ptr<Inbox>& inbox);
-  /// Submits a DrainReady task for a strand whose drain is already claimed
-  /// (drain_scheduled set). Caller must not hold inbox->mu.
+  /// Submits a DrainReady task for a strand the executor owns. Caller must
+  /// not hold inbox->mu.
   void SubmitDrain(const std::shared_ptr<Inbox>& inbox);
   /// Arms the delayed-queue timer for the current head. Caller holds
   /// inbox->mu.
@@ -170,13 +214,13 @@ class InProcTransport : public Transport {
   Clock* clock_;
   Executor* const executor_;
   FaultSchedule faults_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::unordered_map<NodeId, std::shared_ptr<Inbox>> inboxes_;
   std::vector<std::unique_ptr<LinkRule>> links_;
   Random rng_;
-  uint64_t seq_ = 0;
-  uint64_t delivered_ = 0;
-  uint64_t dropped_ = 0;
+  std::atomic<uint64_t> seq_{0};
+  std::atomic<uint64_t> delivered_{0};
+  std::atomic<uint64_t> dropped_{0};
 };
 
 }  // namespace chariots::net

@@ -98,34 +98,46 @@ RpcEndpoint::RpcEndpoint(Transport* transport, NodeId node)
 
 RpcEndpoint::~RpcEndpoint() { Stop(); }
 
-void RpcEndpoint::HandleAsync(uint16_t type, AsyncHandler handler,
-                              Dispatch dispatch) {
+Status RpcEndpoint::HandleAsync(uint16_t type, AsyncHandler handler,
+                                Dispatch dispatch) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (started_) {
+    return Status::FailedPrecondition("handler registered after Start");
+  }
   handlers_[type] = std::move(handler);
   if (dispatch == Dispatch::kInline) {
     inline_requests_.insert(type);
   } else {
     inline_requests_.erase(type);
   }
+  return Status::OK();
 }
 
-void RpcEndpoint::Handle(uint16_t type, RpcHandler handler,
-                         Dispatch dispatch) {
-  HandleAsync(type, [handler = std::move(handler)](
-                        const NodeId& from, const std::string& payload,
-                        Reply reply) { reply(handler(from, payload)); },
-              dispatch);
+Status RpcEndpoint::Handle(uint16_t type, RpcHandler handler,
+                           Dispatch dispatch) {
+  return HandleAsync(
+      type,
+      [handler = std::move(handler)](const NodeId& from,
+                                     const std::string& payload,
+                                     Reply reply) {
+        reply(handler(from, payload));
+      },
+      dispatch);
 }
 
-void RpcEndpoint::HandleOneWay(uint16_t type, OneWayHandler handler,
-                               Dispatch dispatch) {
+Status RpcEndpoint::HandleOneWay(uint16_t type, OneWayHandler handler,
+                                 Dispatch dispatch) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (started_) {
+    return Status::FailedPrecondition("handler registered after Start");
+  }
   oneway_handlers_[type] = std::move(handler);
   if (dispatch == Dispatch::kInline) {
     inline_oneway_.insert(type);
   } else {
     inline_oneway_.erase(type);
   }
+  return Status::OK();
 }
 
 Status RpcEndpoint::Start() {
@@ -182,27 +194,20 @@ void RpcEndpoint::OnMessage(Message msg) {
     return;
   }
 
+  // The tables are frozen while the endpoint serves (see HandleAsync).
   if (msg.rpc_id == 0) {
-    OneWayHandler handler;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = oneway_handlers_.find(msg.type);
-      if (it != oneway_handlers_.end()) handler = it->second;
-    }
-    if (handler) {
-      handler(msg.from, std::move(msg.payload));
+    auto it = oneway_handlers_.find(msg.type);
+    if (it != oneway_handlers_.end()) {
+      it->second(msg.from, std::move(msg.payload));
     } else {
       LOG_WARN << node_ << ": no one-way handler for type " << msg.type;
     }
     return;
   }
 
-  AsyncHandler handler;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = handlers_.find(msg.type);
-    if (it != handlers_.end()) handler = it->second;
-  }
+  auto it = handlers_.find(msg.type);
+  const AsyncHandler* handler =
+      it != handlers_.end() ? &it->second : nullptr;
   // The reply holds the transport, not the endpoint: it may run after the
   // handler returned, on any thread, even after Stop().
   Message skeleton;
@@ -225,7 +230,7 @@ void RpcEndpoint::OnMessage(Message msg) {
                       response.payload.size());
     (void)transport->Send(std::move(response));
   };
-  if (!handler) {
+  if (handler == nullptr) {
     reply(Status::NotSupported("no handler for opcode"));
     return;
   }
@@ -233,7 +238,7 @@ void RpcEndpoint::OnMessage(Message msg) {
   flightrec::Record(flightrec::EventType::kRpcStart, msg.type, 0, msg.rpc_id,
                     msg.payload.size());
   ScopedRpcTrace scoped_trace(std::move(msg.trace));
-  handler(msg.from, msg.payload, std::move(reply));
+  (*handler)(msg.from, msg.payload, std::move(reply));
 }
 
 void RpcEndpoint::CallAsync(const NodeId& to, uint16_t type,

@@ -40,10 +40,11 @@ const trace::TraceContext& CurrentRpcTrace();
 
 /// Request/response layer over a Transport. One endpoint per logical node.
 ///
-/// Server side: register per-opcode handlers, then Start(). A handler runs
-/// on the transport delivery thread; one registered Dispatch::kInline may
-/// instead run on the thread that sent the request, when the transport
-/// supports it (InProcTransport, while the node's inbox is idle). A
+/// Server side: register per-opcode handlers, then Start(); the tables
+/// freeze while the endpoint serves. A handler runs on the transport
+/// delivery thread; one registered Dispatch::kInline may instead run on
+/// the thread that sent the request, when the transport supports it
+/// (InProcTransport, one handler at a time per node). A
 /// HandleAsync handler gets a Reply it may invoke later, from any thread,
 /// so it can return (freeing the node's inbox and its thread) while the
 /// work it started completes elsewhere. Handle() is the synchronous
@@ -86,18 +87,20 @@ class RpcEndpoint {
   RpcEndpoint& operator=(const RpcEndpoint&) = delete;
 
   /// Registers a request handler for `type` that replies through `reply`,
-  /// possibly after returning. Must precede Start().
-  void HandleAsync(uint16_t type, AsyncHandler handler,
-                   Dispatch dispatch = Dispatch::kQueued);
+  /// possibly after returning. The handler tables freeze at Start():
+  /// registering on a started endpoint fails with FailedPrecondition.
+  Status HandleAsync(uint16_t type, AsyncHandler handler,
+                     Dispatch dispatch = Dispatch::kQueued);
 
   /// Registers a request handler for `type` whose return value is the
-  /// reply. Must precede Start().
-  void Handle(uint16_t type, RpcHandler handler,
-              Dispatch dispatch = Dispatch::kQueued);
+  /// reply. Fails like HandleAsync on a started endpoint.
+  Status Handle(uint16_t type, RpcHandler handler,
+                Dispatch dispatch = Dispatch::kQueued);
 
-  /// Registers a one-way handler for `type`. Must precede Start().
-  void HandleOneWay(uint16_t type, OneWayHandler handler,
-                    Dispatch dispatch = Dispatch::kQueued);
+  /// Registers a one-way handler for `type`. Fails like HandleAsync on a
+  /// started endpoint.
+  Status HandleOneWay(uint16_t type, OneWayHandler handler,
+                      Dispatch dispatch = Dispatch::kQueued);
 
   /// Binds to the transport and begins serving.
   Status Start();
@@ -167,6 +170,9 @@ class RpcEndpoint {
 
   std::mutex mu_;
   bool started_ = false;
+  /// The handler tables, written only while stopped (under mu_): a
+  /// started endpoint reads them without a lock, from every delivering
+  /// thread at once.
   std::unordered_map<uint16_t, AsyncHandler> handlers_;
   std::unordered_map<uint16_t, OneWayHandler> oneway_handlers_;
   /// Opcodes registered Dispatch::kInline, per direction.

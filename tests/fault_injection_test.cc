@@ -253,10 +253,13 @@ TEST_F(ChannelFixture, NonIdempotentCallsAreNeverRetried) {
 }
 
 TEST_F(ChannelFixture, NonRetryableErrorsFailFast) {
-  server_->Handle(kEcho + 1, [](const net::NodeId&, std::string)
-                                 -> Result<std::string> {
-    return Status::InvalidArgument("bad request");
-  });
+  // Handler tables freeze at Start: register on the stopped endpoint.
+  server_->Stop();
+  ASSERT_TRUE(server_->Handle(kEcho + 1, [](const net::NodeId&, std::string)
+                                             -> Result<std::string> {
+                       return Status::InvalidArgument("bad request");
+                     }).ok());
+  ASSERT_TRUE(server_->Start().ok());
   net::RetryingChannel channel(client_.get(), FastRetry());
   auto r = channel.Call("srv", kEcho + 1, "x");
   ASSERT_FALSE(r.ok());

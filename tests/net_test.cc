@@ -498,6 +498,58 @@ TEST(InProcTransportTest, UnregisterRacesInlineDelivery) {
   EXPECT_EQ(late.load(), 0);
 }
 
+// Two threads send to one inline node whose handler is slow, so each mostly
+// finds the strand busy with the other's request. Each request still runs
+// on the thread that sent it: the busy strand is handed over when the
+// request reaches its front. Per-sender FIFO holds throughout.
+TEST(InProcTransportTest, BusyStrandIsHandedToEachRequestsSender) {
+  InProcTransport t;
+  constexpr int kSenders = 2;
+  constexpr int kPerSender = 50;
+  std::mutex mu;
+  std::vector<std::pair<std::string, std::thread::id>> got;
+  ASSERT_TRUE(t.RegisterInlineSafe(
+                   "sink",
+                   [&](Message m) {
+                     std::this_thread::sleep_for(100us);
+                     std::lock_guard<std::mutex> lock(mu);
+                     got.emplace_back(m.payload, std::this_thread::get_id());
+                   },
+                   AllButQueuedType())
+                  .ok());
+  const uint64_t queued_before = CounterValue("net.transport.requests_queued");
+  const uint64_t migrated_before =
+      CounterValue("net.transport.requests_migrated");
+  std::thread::id ids[kSenders];
+  std::atomic<int> started{0};
+  std::vector<std::thread> senders;
+  for (int s = 0; s < kSenders; ++s) {
+    senders.emplace_back([&, s] {
+      ids[s] = std::this_thread::get_id();
+      started.fetch_add(1);
+      while (started.load() < kSenders) std::this_thread::yield();
+      const NodeId from = "src" + std::to_string(s);
+      for (int i = 0; i < kPerSender; ++i) {
+        const std::string payload = std::to_string(s) + ":" + std::to_string(i);
+        ASSERT_TRUE(t.Send(Request(from, "sink", 1, payload)).ok());
+      }
+    });
+  }
+  for (auto& sender : senders) sender.join();
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(got.size(), static_cast<size_t>(kSenders * kPerSender));
+  int next[kSenders] = {0, 0};
+  for (const auto& [payload, ran_on] : got) {
+    const int s = payload[0] - '0';
+    EXPECT_EQ(payload, std::to_string(s) + ":" + std::to_string(next[s]));
+    ++next[s];
+    EXPECT_EQ(ran_on, ids[s]) << payload << " ran on another sender's thread";
+  }
+  EXPECT_EQ(CounterValue("net.transport.requests_queued") - queued_before, 0u);
+  EXPECT_EQ(CounterValue("net.transport.requests_migrated") - migrated_before,
+            0u);
+}
+
 // -------------------------------------------------------------------- RPC
 
 class RpcTest : public ::testing::Test {
@@ -798,6 +850,158 @@ TEST_F(RpcTest, BlockingCallInsideAnInlineHandlerCompletes) {
   EXPECT_EQ(*result, "backend:x");
   EXPECT_LT(std::chrono::steady_clock::now() - start, 2s)
       << "the nested Call waited for work its own thread had claimed";
+}
+
+// A reply sent by a handler running in line reaches the caller after the
+// handler returned and its strand was settled: the completion, on the same
+// thread, sends a new inline request to the replying node, and that
+// request runs in line too — before CallAsync returns.
+TEST_F(RpcTest, InlineReplyArrivesAfterTheHandlersStrandIsReleased) {
+  RpcEndpoint server(&transport_, "server");
+  std::atomic<bool> returned{false};
+  std::thread::id notice_ran_on;
+  ASSERT_TRUE(server
+                  .HandleAsync(
+                      1,
+                      [&](const NodeId&, const std::string& payload,
+                          RpcEndpoint::Reply reply) {
+                        returned = false;
+                        reply("pong:" + payload);
+                        returned = true;
+                      },
+                      RpcEndpoint::Dispatch::kInline)
+                  .ok());
+  ASSERT_TRUE(server
+                  .HandleOneWay(
+                      2,
+                      [&](const NodeId&, std::string) {
+                        notice_ran_on = std::this_thread::get_id();
+                      },
+                      RpcEndpoint::Dispatch::kInline)
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+  RpcEndpoint client(&transport_, "client");
+  ASSERT_TRUE(client.Start().ok());
+
+  const uint64_t inline_before = CounterValue("net.transport.requests_inline");
+  const uint64_t queued_before = CounterValue("net.transport.requests_queued");
+  bool completed = false;
+  bool handler_had_returned = false;
+  CallOptions options;
+  options.timeout = 5s;
+  client.CallAsync("server", 1, "x", options, [&](Result<std::string> r) {
+    EXPECT_TRUE(r.ok()) << r.status();
+    handler_had_returned = returned.load();
+    EXPECT_TRUE(client.Notify("server", 2, "").ok());
+    completed = true;
+  });
+  EXPECT_TRUE(completed) << "the reply left the caller's thread";
+  EXPECT_TRUE(handler_had_returned)
+      << "the completion ran inside the replying handler";
+  EXPECT_EQ(notice_ran_on, std::this_thread::get_id());
+  EXPECT_EQ(CounterValue("net.transport.requests_inline") - inline_before, 2u);
+  EXPECT_EQ(CounterValue("net.transport.requests_queued") - queued_before, 0u);
+}
+
+// A BlockingWaitScope opened by a handler running in line, while its thread
+// holds deferred work, delivers all of it: a reply the handler sent, a
+// request to an idle strand the thread claimed, and a request waiting on a
+// strand another thread is draining.
+TEST_F(RpcTest, BlockingWaitScopeDeliversDeferredRequestsAndReplies) {
+  CountDownLatch idle_noticed(1);
+  CountDownLatch busy_noticed(1);
+  CountDownLatch hold(1);
+  CountDownLatch holding(1);
+  RpcEndpoint idle(&transport_, "idle");
+  ASSERT_TRUE(idle.HandleOneWay(
+                      3, [&](const NodeId&, std::string) {
+                        idle_noticed.CountDown();
+                      },
+                      RpcEndpoint::Dispatch::kInline)
+                  .ok());
+  RpcEndpoint busy(&transport_, "busy");
+  ASSERT_TRUE(busy.HandleOneWay(
+                      3,
+                      [&](const NodeId&, std::string payload) {
+                        if (payload == "hold") {
+                          holding.CountDown();
+                          (void)hold.WaitFor(10s);
+                        } else {
+                          busy_noticed.CountDown();
+                        }
+                      },
+                      RpcEndpoint::Dispatch::kInline)
+                  .ok());
+  CountDownLatch replied(1);
+  RpcEndpoint front(&transport_, "front");
+  ASSERT_TRUE(front
+                  .HandleAsync(
+                      1,
+                      [&](const NodeId&, const std::string&,
+                          RpcEndpoint::Reply reply) {
+                        // Claimed by this thread's trampoline, not yet run.
+                        EXPECT_TRUE(front.Notify("idle", 3, "").ok());
+                        EXPECT_TRUE(front.Notify("busy", 3, "").ok());
+                        reply(std::string("pong"));
+                        BlockingWaitScope blocking;
+                        hold.CountDown();
+                        EXPECT_TRUE(replied.WaitFor(5s));
+                        EXPECT_TRUE(idle_noticed.WaitFor(5s));
+                        EXPECT_TRUE(busy_noticed.WaitFor(5s));
+                      },
+                      RpcEndpoint::Dispatch::kInline)
+                  .ok());
+  RpcEndpoint client(&transport_, "client");
+  ASSERT_TRUE(idle.Start().ok());
+  ASSERT_TRUE(busy.Start().ok());
+  ASSERT_TRUE(front.Start().ok());
+  ASSERT_TRUE(client.Start().ok());
+
+  // Another thread runs a handler on "busy" in line until `hold` opens.
+  std::thread holder([&] { ASSERT_TRUE(busy.Notify("busy", 3, "hold").ok()); });
+  ASSERT_TRUE(holding.WaitFor(5s));
+  const auto start = std::chrono::steady_clock::now();
+  CallOptions options;
+  options.timeout = 20s;
+  client.CallAsync("front", 1, "", options, [&](Result<std::string> r) {
+    EXPECT_TRUE(r.ok()) << r.status();
+    replied.CountDown();
+  });
+  holder.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 2s)
+      << "the scope left deferred work to the thread about to wait";
+}
+
+// Handler tables freeze at Start: a late registration fails, whatever its
+// Dispatch, and the opcode stays unhandled.
+TEST_F(RpcTest, RegisteringOnAStartedEndpointFails) {
+  RpcEndpoint server(&transport_, "server");
+  ASSERT_TRUE(server.Start().ok());
+  auto echo = [](const NodeId&, const std::string& payload)
+      -> Result<std::string> { return payload; };
+  EXPECT_EQ(server.Handle(1, echo, RpcEndpoint::Dispatch::kInline).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(server
+                .HandleAsync(2,
+                             [](const NodeId&, const std::string&,
+                                RpcEndpoint::Reply reply) { reply(std::string()); })
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(server.HandleOneWay(3, [](const NodeId&, std::string) {}).code(),
+            StatusCode::kFailedPrecondition);
+
+  RpcEndpoint client(&transport_, "client");
+  ASSERT_TRUE(client.Start().ok());
+  auto r = client.Call("server", 1, "ping");
+  EXPECT_EQ(r.status().code(), StatusCode::kNotSupported) << r.status();
+
+  // Stopped, the endpoint takes registrations again.
+  server.Stop();
+  ASSERT_TRUE(server.Handle(1, echo).ok());
+  ASSERT_TRUE(server.Start().ok());
+  r = client.Call("server", 1, "ping");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(*r, "ping");
 }
 
 // ---------------------------------------------------------- TcpTransport

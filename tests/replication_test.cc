@@ -21,6 +21,7 @@
 #include "common/clock.h"
 #include "common/codec.h"
 #include "common/executor.h"
+#include "common/flight_recorder.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "flstore/client.h"
@@ -1264,6 +1265,98 @@ TEST(ReplicationTest, DataPathRequestsRunOnTheCallersThread) {
   // kAppend + 2 INVs + 2 VALs per append, one kRead per read.
   EXPECT_GE(in_line->Value() - inline_before, 6u * kOps);
   EXPECT_EQ(cluster.backup2_->maintainer().count(), static_cast<size_t>(kOps));
+}
+
+// The convoy gate: two clients, each on its own thread, append and read
+// concurrently on one RF=3 stripe. Every request runs on the thread that
+// sent it — a strand busy with the other client's request is handed over
+// when this client's request reaches its front — so neither thread runs the
+// other's requests (`requests_migrated`), and none waits for a worker
+// (`requests_queued`). The flight recorder shows the same from the
+// threads: every landing of a client's record (coordinator and both
+// replicas) is recorded on that client's thread.
+TEST(ReplicationTest, ConcurrentClientsEachRunTheirOwnRequests) {
+  ReplicatedCluster::Config config;
+  config.rf = 3;
+  ReplicatedCluster cluster(config);
+  ClientOptions copts;
+  copts.read_cache_bytes = 0;  // every read is an RPC
+  std::unique_ptr<FLStoreClient> clients[2] = {cluster.NewClient("a", copts),
+                                               cluster.NewClient("b", copts)};
+  metrics::Counter* queued = metrics::Registry::Default().GetCounter(
+      "net.transport.requests_queued");
+  metrics::Counter* migrated = metrics::Registry::Default().GetCounter(
+      "net.transport.requests_migrated");
+  constexpr int kOps = 150;
+  const uint64_t queued_before = queued->Value();
+  const uint64_t migrated_before = migrated->Value();
+  // The flight recorder's default clock.
+  const int64_t start_nanos =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count();
+  std::vector<LId> lids[2];
+  std::atomic<int> failures{0};
+  std::atomic<int> ready{0};
+  auto run = [&](int c) {
+    const std::string name = c == 0 ? "a" : "b";
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    for (int i = 0; i < kOps; ++i) {
+      auto lid = clients[c]->Append(Rec(name + std::to_string(i)));
+      if (!lid.ok()) {
+        ++failures;
+        return;
+      }
+      lids[c].push_back(*lid);
+      const int back = i / 2;
+      auto record = clients[c]->Read(lids[c][back]);
+      if (!record.ok() || record->body != name + std::to_string(back)) {
+        ++failures;
+      }
+    }
+  };
+  std::thread ta(run, 0);
+  std::thread tb(run, 1);
+  ta.join();
+  tb.join();
+  ASSERT_EQ(failures.load(), 0);
+  EXPECT_EQ(queued->Value() - queued_before, 0u);
+  EXPECT_EQ(migrated->Value() - migrated_before, 0u);
+
+  for (int c = 0; c < 2; ++c) {
+    ASSERT_EQ(lids[c].size(), static_cast<size_t>(kOps));
+    for (int i = 0; i < kOps; ++i) {
+      auto record = clients[c]->Read(lids[c][i]);
+      ASSERT_TRUE(record.ok()) << record.status();
+      EXPECT_EQ(record->body, (c == 0 ? "a" : "b") + std::to_string(i));
+    }
+  }
+  EXPECT_EQ(cluster.backup2_->maintainer().count(), 2u * kOps);
+
+#if CHARIOTS_FLIGHTREC_ENABLED
+  // Thread rings that recorded a landing of each client's records.
+  flightrec::DecodedDump dump;
+  ASSERT_TRUE(flightrec::Recorder::Decode(
+                  flightrec::Recorder::Default().Dump(), &dump)
+                  .ok());
+  const std::set<LId> owned[2] = {{lids[0].begin(), lids[0].end()},
+                                  {lids[1].begin(), lids[1].end()}};
+  std::set<uint32_t> rings[2];
+  for (const flightrec::Event& e : dump.events) {
+    if (e.type != flightrec::EventType::kAppend || e.nanos < start_nanos) {
+      continue;
+    }
+    for (int c = 0; c < 2; ++c) {
+      if (owned[c].count(e.a) != 0) rings[c].insert(e.ring);
+    }
+  }
+  ASSERT_EQ(rings[0].size(), 1u) << "client a's records landed on "
+                                 << rings[0].size() << " threads";
+  ASSERT_EQ(rings[1].size(), 1u) << "client b's records landed on "
+                                 << rings[1].size() << " threads";
+  EXPECT_NE(*rings[0].begin(), *rings[1].begin());
+#endif
 }
 
 // A retried append whose token the dedup window holds replays the parked

@@ -49,6 +49,15 @@
 #   tools/run_tsan_tests.sh thread pipeline_test geo_integration_test \
 #       recovery_test fault_injection_test read_path_test  # senders read the log
 #
+# The sender runs its own request: two client threads wait for, and hand
+# each other, the same inproc strands (a busy strand passes to a request's
+# sender when it reaches the front), replies leave a trampoline once the
+# strand is settled, a BlockingWaitScope gives back everything its thread
+# claimed, and RpcEndpoint reads its frozen handler tables without a lock.
+#
+#   tools/run_tsan_tests.sh thread net_test replication_test \
+#       fault_injection_test controller_ha_test  # sender runs its own request
+#
 # Uses a separate build dir (build-<sanitizer>) so the regular build is
 # untouched.
 set -euo pipefail
