@@ -1,6 +1,6 @@
 #include "chariots/fabric.h"
 
-#include "common/codec.h"
+#include <charconv>
 
 namespace chariots::geo {
 
@@ -22,14 +22,31 @@ std::string TransportFabric::NodeFor(DatacenterId dc) {
   return "geo/dc" + std::to_string(dc) + "/receiver";
 }
 
+std::optional<DatacenterId> TransportFabric::DatacenterOf(
+    std::string_view node) {
+  constexpr std::string_view kPrefix = "geo/dc";
+  constexpr std::string_view kSuffix = "/receiver";
+  if (!node.starts_with(kPrefix) || !node.ends_with(kSuffix)) {
+    return std::nullopt;
+  }
+  std::string_view digits =
+      node.substr(kPrefix.size(),
+                  node.size() - kPrefix.size() - kSuffix.size());
+  DatacenterId dc = 0;
+  auto [end, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), dc);
+  if (ec != std::errc() || end != digits.data() + digits.size()) {
+    return std::nullopt;
+  }
+  return dc;
+}
+
 Status TransportFabric::RegisterReceiver(DatacenterId dc, Handler handler) {
   CHARIOTS_RETURN_IF_ERROR(transport_->Register(
       NodeFor(dc), [handler = std::move(handler)](net::Message msg) {
-        // Sender id travels in the first 4 payload bytes.
-        BinaryReader r(msg.payload);
-        uint32_t from = 0;
-        if (!r.GetU32(&from).ok()) return;
-        handler(from, msg.payload.substr(4));
+        std::optional<DatacenterId> from = DatacenterOf(msg.from);
+        if (!from.has_value()) return;
+        handler(*from, std::move(msg.payload));
       }));
   std::lock_guard<std::mutex> lock(mu_);
   registered_[dc] = true;
@@ -50,10 +67,7 @@ Status TransportFabric::Send(DatacenterId from, DatacenterId to,
   msg.from = NodeFor(from);
   msg.to = NodeFor(to);
   msg.type = kReplicationOpcode;
-  BinaryWriter w;
-  w.PutU32(from);
-  w.PutRaw(payload);
-  msg.payload = std::move(w).data();
+  msg.payload = std::move(payload);
   return transport_->Send(std::move(msg));
 }
 

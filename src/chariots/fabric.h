@@ -3,6 +3,9 @@
 
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "chariots/record.h"
@@ -16,8 +19,9 @@ namespace chariots::geo {
 /// simulated WAN or TCP): each datacenter is the node "geo/dc<N>/receiver";
 /// replication payloads travel as one-way messages, so latency, bandwidth
 /// caps, partitions and message loss configured on the transport all apply
-/// to replication traffic. A zero-latency InProcTransport stands in for a
-/// perfect network in tests.
+/// to replication traffic. The payload travels as is, never re-framed: the
+/// receiver learns the sending datacenter from the message's sender node.
+/// A zero-latency InProcTransport stands in for a perfect network in tests.
 class TransportFabric {
  public:
   using Handler = std::function<void(DatacenterId from, std::string payload)>;
@@ -35,6 +39,9 @@ class TransportFabric {
 
   /// The transport node id used for datacenter `dc`.
   static std::string NodeFor(DatacenterId dc);
+  /// The datacenter whose node id NodeFor() made `node`; nullopt for any
+  /// other node id.
+  static std::optional<DatacenterId> DatacenterOf(std::string_view node);
 
  private:
   net::Transport* const transport_;

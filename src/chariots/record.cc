@@ -11,7 +11,16 @@ std::string EncodeGeoRecord(const GeoRecord& record) {
   // (chariots.net.copies_per_record audits exactly this).
   net::CountPayloadEntered(record.body.size());
   net::CountPayloadCopied(record.body.size());
+  size_t size = 3 * sizeof(uint32_t) + sizeof(uint64_t) +
+                record.deps.size() * sizeof(TOId) +
+                BinaryWriter::BytesSize(record.body) +
+                trace::EncodedTraceSize(record.trace);
+  for (const flstore::Tag& tag : record.tags) {
+    size += BinaryWriter::BytesSize(tag.key) +
+            BinaryWriter::BytesSize(tag.value);
+  }
   BinaryWriter w;
+  w.Reserve(size);
   w.PutU32(record.host);
   w.PutU64(record.toid);
   w.PutU32(static_cast<uint32_t>(record.deps.size()));

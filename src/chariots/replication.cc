@@ -67,7 +67,11 @@ metrics::Histogram* ReceiverOnMessageHist() {
 }  // namespace
 
 std::string EncodeReplicationBatch(const ReplicationBatch& batch) {
+  size_t size = BinaryWriter::BytesSize(batch.atable) + sizeof(uint64_t) +
+                sizeof(uint32_t);
+  for (const std::string& r : batch.records) size += BinaryWriter::BytesSize(r);
   BinaryWriter w;
+  w.Reserve(size);
   w.PutBytes(batch.atable);
   w.PutU64(batch.first_toid);
   w.PutU32(static_cast<uint32_t>(batch.records.size()));

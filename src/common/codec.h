@@ -128,6 +128,15 @@ class BinaryWriter {
   /// Raw bytes, no length prefix.
   void PutRaw(std::string_view s) { buf_.append(s.data(), s.size()); }
 
+  /// Makes room for `bytes` more, so an encoder that computes its exact
+  /// size up front writes into one allocation instead of regrowing.
+  void Reserve(size_t bytes) { buf_.reserve(buf_.size() + bytes); }
+
+  /// What PutBytes(s) appends.
+  static constexpr size_t BytesSize(std::string_view s) {
+    return sizeof(uint32_t) + s.size();
+  }
+
   const std::string& data() const& { return buf_; }
   std::string&& data() && { return std::move(buf_); }
   size_t size() const { return buf_.size(); }

@@ -110,6 +110,20 @@ void EncodeTrace(const TraceContext& ctx, BinaryWriter* writer) {
   writer->PutU32(ctx.chain);
 }
 
+size_t EncodedTraceSize(const TraceContext& ctx) {
+  if (!ctx.active()) return 0;
+  size_t size = sizeof(uint64_t) + 3 * sizeof(uint32_t);
+  for (const TraceHop& hop : ctx.hops) {
+    size += BinaryWriter::BytesSize(hop.stage) + sizeof(uint32_t) +
+            sizeof(int64_t);
+  }
+  for (const TraceSpan& span : ctx.spans) {
+    size += 3 * sizeof(uint32_t) + BinaryWriter::BytesSize(span.stage) +
+            2 * sizeof(int64_t);
+  }
+  return size;
+}
+
 bool DecodeTrace(BinaryReader* reader, TraceContext* ctx) {
   *ctx = TraceContext{};
   // An exhausted reader means the encoder wrote no trace (unsampled record,

@@ -103,6 +103,8 @@ uint64_t MakeTraceId(uint32_t dc, uint64_t seq);
 /// free trace (pre-span encoders). Both properties keep old
 /// encoders/decoders compatible and unsampled records free.
 void EncodeTrace(const TraceContext& ctx, BinaryWriter* writer);
+/// How many bytes EncodeTrace(ctx, ...) appends.
+size_t EncodedTraceSize(const TraceContext& ctx);
 bool DecodeTrace(BinaryReader* reader, TraceContext* ctx);
 
 /// One stage of the reconstructed critical path.

@@ -7,6 +7,22 @@
 
 namespace chariots::flstore {
 
+namespace {
+
+/// Set while an InvalidLandingScope is open on this thread.
+thread_local bool t_land_invalid = false;
+
+}  // namespace
+
+LogMaintainer::InvalidLandingScope::InvalidLandingScope(bool active)
+    : previous_(t_land_invalid) {
+  t_land_invalid = previous_ || active;
+}
+
+LogMaintainer::InvalidLandingScope::~InvalidLandingScope() {
+  t_land_invalid = previous_;
+}
+
 LogMaintainer::LogMaintainer(MaintainerOptions options)
     : options_(options),
       journal_(options.journal),
@@ -178,6 +194,7 @@ Status LogMaintainer::AppendBatchLocked(const LogRecord* records, size_t n,
       MarkFilledLocked(SlotRef{run.epoch_index, run.first_slot + i});
     }
   }
+  if (t_land_invalid) invalid_.insert(lids->begin(), lids->end());
   gossip_[options_.index] = FirstUnfilledGlobalLocked();
   RefreshHlLocked();
   return Status::OK();
@@ -307,11 +324,17 @@ Status LogMaintainer::AppendAtBatch(std::span<const LId> lids,
 
 Status LogMaintainer::LandAtLocked(std::span<const LId> lids,
                                    std::vector<std::string> encoded) {
+  std::vector<LId> marked;  // made invalid here, unmarked if the write fails
   {
-    std::shared_lock<std::shared_mutex> lock(mu_);
+    std::lock_guard<std::shared_mutex> lock(mu_);
     for (LId lid : lids) {
       if (journal_.MaintainerFor(lid) != options_.index) {
         return Status::OutOfRange("lid not owned by this maintainer");
+      }
+    }
+    if (t_land_invalid) {
+      for (LId lid : lids) {
+        if (invalid_.insert(lid).second) marked.push_back(lid);
       }
     }
   }
@@ -322,8 +345,12 @@ Status LogMaintainer::LandAtLocked(std::span<const LId> lids,
   for (size_t i = 0; i < lids.size(); ++i) {
     entries.push_back(storage::AppendEntry{lids[i], encoded[i]});
   }
-  CHARIOTS_RETURN_IF_ERROR(store_.AppendBatch(entries));
+  Status written = store_.AppendBatch(entries);
   std::lock_guard<std::shared_mutex> lock(mu_);
+  if (!written.ok()) {
+    for (LId lid : marked) invalid_.erase(lid);
+    return written;
+  }
   for (size_t i = 0; i < lids.size(); ++i) {
     tail_cache_.Put(lids[i], std::move(encoded[i]));
     SlotRef ref = journal_.SlotFor(lids[i]);

@@ -177,6 +177,24 @@ class LogMaintainer {
   // a restarted replica rejoins via reconfiguration, not by trusting a
   // stale validity map.
 
+  /// While one is open on a thread, every record that thread lands is
+  /// published invalid: a post-assigned record in the lock hold that
+  /// assigns it and publishes its fill state, a pre-assigned one before its
+  /// bytes reach the store (where Read finds them without mu_). So neither
+  /// a concurrent reader nor FirstInvalid() ever sees it valid before its
+  /// round validates it. Scopes nest.
+  class InvalidLandingScope {
+   public:
+    explicit InvalidLandingScope(bool active);
+    ~InvalidLandingScope();
+
+    InvalidLandingScope(const InvalidLandingScope&) = delete;
+    InvalidLandingScope& operator=(const InvalidLandingScope&) = delete;
+
+   private:
+    const bool previous_;
+  };
+
   /// Marks `lid` invalid (INV received / landed but not yet all-acked).
   void MarkInvalid(LId lid);
 
@@ -239,7 +257,8 @@ class LogMaintainer {
   /// gossip entry once. Rolls back reservations if the store write fails.
   Status AppendBatchLocked(const LogRecord* records, size_t n,
                            std::vector<LId>* lids);
-  /// Pre-assigned landing core: checks ownership, writes `encoded[i]` at
+  /// Pre-assigned landing core: checks ownership (and marks the positions
+  /// invalid inside an InvalidLandingScope), writes `encoded[i]` at
   /// `lids[i]` with one store batch holding no mu_, then publishes the
   /// fill state, gossip entry and tail cache under mu_.
   Status LandAtLocked(std::span<const LId> lids,

@@ -34,7 +34,14 @@ metrics::Counter* FenceCounter() {
 }  // namespace
 
 std::string EncodeInvalidateRequest(const InvalidateRequest& req) {
+  size_t size = 2 * sizeof(uint64_t) + sizeof(uint32_t) +
+                BinaryWriter::BytesSize(req.client_id) +
+                BinaryWriter::BytesSize(req.response);
+  for (const ReplicatedEntry& e : req.entries) {
+    size += sizeof(uint64_t) + BinaryWriter::BytesSize(e.record_bytes);
+  }
   BinaryWriter w;
+  w.Reserve(size);
   w.PutU64(req.epoch);
   w.PutU32(static_cast<uint32_t>(req.entries.size()));
   for (const ReplicatedEntry& e : req.entries) {

@@ -159,15 +159,22 @@ Result<LId> DecodeLId(std::string_view data) {
 /// mixing batches). Null outside an append handler.
 thread_local std::vector<ReplicatedEntry>* g_replication_sink = nullptr;
 
-/// Arms the sink for the enclosing scope.
+/// Arms the sink for the enclosing scope. Records landing under the
+/// replication protocol (`invalid`: this node replicates) land invalid
+/// (Hermes): unreadable until every peer acked the INV. Records landed
+/// outside the protocol (solo stripes, recovery) stay valid.
 class ReplicationScope {
  public:
-  explicit ReplicationScope(std::vector<ReplicatedEntry>* sink) {
+  ReplicationScope(std::vector<ReplicatedEntry>* sink, bool invalid)
+      : landing_(invalid) {
     g_replication_sink = sink;
   }
   ~ReplicationScope() { g_replication_sink = nullptr; }
   ReplicationScope(const ReplicationScope&) = delete;
   ReplicationScope& operator=(const ReplicationScope&) = delete;
+
+ private:
+  LogMaintainer::InvalidLandingScope landing_;
 };
 
 /// Blocks until the replication work `start` begins reports its outcome.
@@ -385,10 +392,6 @@ void MaintainerServer::OnLanded(const LogRecord& record, LId lid) {
   if (g_replication_sink != nullptr) {
     g_replication_sink->push_back(
         ReplicatedEntry{lid, EncodeLogRecord(record)});
-    // Records landing under the replication protocol open invalid (Hermes):
-    // unreadable until every peer acked the INV. Records landed outside the
-    // protocol (solo stripes, recovery) stay valid.
-    if (replica_.replicates()) maintainer_.MarkInvalid(lid);
   }
   // Replicas hold the postings back: the coordinator already published
   // them, and a promoted node starts publishing the moment it begins
@@ -411,11 +414,15 @@ void MaintainerServer::InstallHandlers() {
   // the INVs are out; the round's last ack sends the reply. Client appends
   // open with a (client_id, seq) token; kAppendAt carries none.
   //
-  // The data path — kAppend, kRead, kInvalidate, kValidate — never blocks,
-  // so it is registered kInline: on the in-process transport a request runs
-  // on the sending thread when the node's inbox is idle, and a whole
-  // append (INVs, acks, VALs) completes on the client's thread. Every
-  // other handler stays queued.
+  // The data path — kAppend, kRead, kInvalidate, kValidate — never blocks
+  // and is safe alongside itself, so it is registered kInline: on the
+  // in-process transport each request runs on its sending thread, beside
+  // the other clients' requests to the node, and a whole append (INVs,
+  // acks, VALs) completes on the client's thread. Every other handler stays
+  // queued, and runs alone on its node. What makes the four safe side by
+  // side: landings are published invalid (ReplicationScope), kRead checks
+  // validity again once it has the bytes, StartWrite claims a token before
+  // it lands, and INV/VAL act under the epoch lock.
   constexpr auto kInline = net::RpcEndpoint::Dispatch::kInline;
   HandleWrite(kAppend, /*tokened=*/true,
               [this](BinaryReader& r) -> Result<std::string> {
@@ -493,6 +500,11 @@ void MaintainerServer::InstallHandlers() {
       return Status::Unavailable("INVALID_LID: position not yet validated");
     }
     CHARIOTS_ASSIGN_OR_RETURN(LogRecord record, maintainer_.Read(lid));
+    // A landing running beside this read may have published the bytes
+    // (invalid) after the check above.
+    if (maintainer_.IsInvalid(lid)) {
+      return Status::Unavailable("INVALID_LID: position not yet validated");
+    }
     BinaryWriter w;
     w.PutU64(replica_.epoch());
     w.PutU64(CacheableHl());
@@ -585,23 +597,26 @@ void MaintainerServer::InstallHandlers() {
 
   // Replica side of the INV leg: adopt the sender's epoch (stale rejects,
   // newer demotes a deposed coordinator back to replica), apply the batch
-  // marked invalid, then mirror its dedup state so exactly-once survives a
+  // landing invalid, then mirror its dedup state so exactly-once survives a
   // failover. AlreadyExists with identical bytes is a retried/replayed
   // batch; with different bytes it is a cross-epoch replay overwriting a
   // divergent position (e.g. junk filled under an older view), which the
-  // new coordinator's copy wins.
+  // new coordinator's copy wins. The whole INV acts under the epoch lock.
   endpoint_.Handle(kInvalidate, [this](const net::NodeId&,
                                        const std::string& payload)
                                     -> Result<std::string> {
     CHARIOTS_ASSIGN_OR_RETURN(InvalidateRequest req,
                               DecodeInvalidateRequest(payload));
+    EpochHold hold = HoldEpoch(req.epoch);
     CHARIOTS_RETURN_IF_ERROR(replica_.AcceptRemoteEpoch(req.epoch));
     InvalidationsCounter()->Add(req.entries.size());
+    LogMaintainer::InvalidLandingScope landing(true);
     for (const ReplicatedEntry& entry : req.entries) {
       CHARIOTS_ASSIGN_OR_RETURN(
           LogRecord record, DecodeLogRecord(entry.lid, entry.record_bytes));
       Status status = maintainer_.AppendAt(entry.lid, record);
       if (status.code() == StatusCode::kAlreadyExists) {
+        maintainer_.MarkInvalid(entry.lid);  // until this round's VAL
         Result<LogRecord> existing = maintainer_.Read(entry.lid);
         if (existing.ok() &&
             EncodeLogRecord(*existing) != entry.record_bytes) {
@@ -611,7 +626,6 @@ void MaintainerServer::InstallHandlers() {
       } else {
         CHARIOTS_RETURN_IF_ERROR(status);
       }
-      maintainer_.MarkInvalid(entry.lid);
     }
     if (!req.client_id.empty()) {
       CHARIOTS_RETURN_IF_ERROR(
@@ -623,11 +637,13 @@ void MaintainerServer::InstallHandlers() {
   // Replica side of the VAL leg: flip the listed positions readable and
   // fold in the coordinator's validated floor. Only the exact current
   // epoch counts — a deposed coordinator's stray VAL must not validate
-  // positions its successor may junk-fill.
+  // positions its successor may junk-fill — and it stays current until the
+  // VAL has acted: adopting a newer one waits for the epoch lock.
   endpoint_.HandleOneWay(kValidate, [this](const net::NodeId&,
                                            std::string payload) {
     Result<ValidateNotice> notice = DecodeValidateNotice(payload);
     if (!notice.ok()) return;
+    std::shared_lock<std::shared_mutex> hold(epoch_mu_);
     if (replica_.fenced() || notice->epoch != replica_.epoch()) return;
     ValidationsCounter()->Add(notice->lids.size());
     for (LId lid : notice->lids) maintainer_.MarkValid(lid);
@@ -645,7 +661,10 @@ void MaintainerServer::InstallHandlers() {
     BinaryReader r(payload);
     uint64_t epoch = 0;
     CHARIOTS_RETURN_IF_ERROR(r.GetU64(&epoch));
-    CHARIOTS_RETURN_IF_ERROR(replica_.AcceptRemoteEpoch(epoch));
+    {
+      EpochHold hold = HoldEpoch(epoch);
+      CHARIOTS_RETURN_IF_ERROR(replica_.AcceptRemoteEpoch(epoch));
+    }
     std::vector<std::pair<LId, std::string>> entries =
         maintainer_.InvalidEntries();
     BinaryWriter w;
@@ -675,8 +694,11 @@ void MaintainerServer::InstallHandlers() {
     for (uint32_t i = 0; i < n; ++i) {
       CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&peers[i]));
     }
-    CHARIOTS_RETURN_IF_ERROR(replica_.Reconfigure(new_epoch,
-                                                  std::move(peers)));
+    {
+      std::lock_guard<std::shared_mutex> adopt(epoch_mu_);
+      CHARIOTS_RETURN_IF_ERROR(replica_.Reconfigure(new_epoch,
+                                                    std::move(peers)));
+    }
     Status replay = DriveReplication();
     if (!replay.ok()) {
       // Another peer died meanwhile; the next suspect round handles it.
@@ -717,7 +739,10 @@ void MaintainerServer::InstallHandlers() {
     for (uint32_t i = 0; i < n; ++i) {
       CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&peers[i]));
     }
-    CHARIOTS_RETURN_IF_ERROR(replica_.Promote(new_epoch, peers));
+    {
+      std::lock_guard<std::shared_mutex> adopt(epoch_mu_);
+      CHARIOTS_RETURN_IF_ERROR(replica_.Promote(new_epoch, peers));
+    }
     PromotionsCounter()->Add();
     // Role change: drop the cached tail so nothing assembled under the old
     // epoch can be served by the new coordinator.
@@ -755,7 +780,7 @@ void MaintainerServer::InstallHandlers() {
     std::vector<ReplicatedEntry> fills;
     std::vector<LId> filled;
     {
-      ReplicationScope scope(&fills);
+      ReplicationScope scope(&fills, replica_.replicates());
       CHARIOTS_ASSIGN_OR_RETURN(filled,
                                 maintainer_.FillHoles(MakeJunkRecord()));
     }
@@ -785,7 +810,7 @@ void MaintainerServer::InstallHandlers() {
     std::vector<ReplicatedEntry> batch;
     Status status;
     {
-      ReplicationScope scope(&batch);
+      ReplicationScope scope(&batch, replica_.replicates());
       status = maintainer_.AppendAt(lid, MakeJunkRecord(lid));
     }
     if (status.code() == StatusCode::kAlreadyExists) {
@@ -867,19 +892,24 @@ Status MaintainerServer::StartWrite(bool tokened, const LandFn& land,
   CHARIOTS_RETURN_IF_ERROR(replica_.CheckAppendServing());
   BinaryReader r(payload);
   WriteKey key;
+  // Every reply leaves through `finish`; for a client write it closes the
+  // write, answering every retry that joined it too.
+  net::RpcEndpoint::Reply finish = reply;
   if (tokened) {
     CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&key.first));
     CHARIOTS_RETURN_IF_ERROR(r.GetU64(&key.second));
-    // A retry of a write whose round is still open waits for that round:
-    // appending again would land the record twice.
+    // The token is claimed before anything lands: a retry of an open
+    // write, or a copy of it running beside this request, joins it instead
+    // of landing the record twice.
     {
       std::lock_guard<std::mutex> lock(writes_mu_);
-      auto open = open_writes_.find(key);
-      if (open != open_writes_.end()) {
-        open->second.push_back(reply);
-        return Status::OK();
-      }
+      auto [open, claimed] = open_writes_.try_emplace(key);
+      open->second.push_back(reply);
+      if (!claimed) return Status::OK();
     }
+    finish = [this, key](Result<std::string> result) {
+      CloseWrite(key, std::move(result));
+    };
     // A token the dedup window has already executed short-circuits to the
     // cached response, so a retry whose original *response* was lost
     // returns the same LIds instead of appending twice. Under replication
@@ -887,14 +917,18 @@ Status MaintainerServer::StartWrite(bool tokened, const LandFn& land,
     // append whose INV round failed recorded its dedup state but never
     // acked, and its retry is what completes the round. The reply leaves
     // from the replay round's completion.
-    CHARIOTS_ASSIGN_OR_RETURN(std::optional<std::string> cached,
-                              dedup_.Lookup(key.first, key.second));
-    if (cached.has_value()) {
-      ReplayParked([reply, response = *std::move(cached)](Status replayed) {
+    Result<std::optional<std::string>> cached =
+        dedup_.Lookup(key.first, key.second);
+    if (!cached.ok()) {
+      finish(cached.status());
+      return Status::OK();
+    }
+    if (cached->has_value()) {
+      ReplayParked([finish, response = std::move(**cached)](Status replayed) {
         if (replayed.ok()) {
-          reply(response);
+          finish(response);
         } else {
-          reply(std::move(replayed));
+          finish(std::move(replayed));
         }
       });
       return Status::OK();
@@ -902,7 +936,7 @@ Status MaintainerServer::StartWrite(bool tokened, const LandFn& land,
   }
   std::vector<ReplicatedEntry> batch;
   Result<std::string> landed = [&] {
-    ReplicationScope scope(&batch);
+    ReplicationScope scope(&batch, replica_.replicates());
     return land(r);
   }();
   if (!landed.ok()) {
@@ -912,45 +946,51 @@ Status MaintainerServer::StartWrite(bool tokened, const LandFn& land,
       RunReplicationRound(std::move(batch), "", 0, "",
                           [](Status, const net::NodeId&) {});
     }
-    return landed.status();
+    finish(landed.status());
+    return Status::OK();
   }
   std::string response = *std::move(landed);
-  // Only a round that can outlive this handler needs the entry a retry
-  // joins. Without peers the round completes before RunReplicationRound
-  // returns, and peers change only on this strand (kPromote, kReconfigure).
-  const bool joinable = tokened && replica_.replicates();
-  if (joinable) {
-    std::lock_guard<std::mutex> lock(writes_mu_);
-    open_writes_[key].push_back(reply);
-  }
   RunReplicationRound(
       std::move(batch), key.first, key.second, response,
-      [this, tokened, joinable, key, response, reply](
-          Status status, const net::NodeId& parked) {
+      [this, tokened, key, response, finish](Status status,
+                                             const net::NodeId& parked) {
         Result<std::string> result =
             status.ok() ? Result<std::string>(response) : status;
         // A parked write remembers its response too, so the retry that
         // replays it acks with the same LIds. Record before closing the
-        // round: a retry arriving in between must find either the open
-        // round or the dedup entry.
+        // write: a retry arriving in between must find either the open
+        // write or the dedup entry.
         if (tokened && (status.ok() || !parked.empty())) {
           Status recorded = dedup_.Record(key.first, key.second, response);
           if (status.ok() && !recorded.ok()) result = recorded;
         }
-        if (!joinable) {
-          reply(std::move(result));
-          return;
-        }
-        std::vector<net::RpcEndpoint::Reply> replies;
-        {
-          std::lock_guard<std::mutex> lock(writes_mu_);
-          auto open = open_writes_.find(key);
-          replies = std::move(open->second);
-          open_writes_.erase(open);
-        }
-        for (const net::RpcEndpoint::Reply& waiting : replies) waiting(result);
+        finish(std::move(result));
       });
   return Status::OK();
+}
+
+void MaintainerServer::CloseWrite(const WriteKey& key,
+                                  Result<std::string> result) {
+  std::vector<net::RpcEndpoint::Reply> replies;
+  {
+    std::lock_guard<std::mutex> lock(writes_mu_);
+    auto open = open_writes_.find(key);
+    replies = std::move(open->second);
+    open_writes_.erase(open);
+  }
+  for (const net::RpcEndpoint::Reply& waiting : replies) waiting(result);
+}
+
+MaintainerServer::EpochHold MaintainerServer::HoldEpoch(uint64_t epoch) {
+  // The epoch only grows, so one no newer than ours at this check is no
+  // newer later: a shared hold never adopts.
+  EpochHold hold;
+  if (epoch > replica_.epoch()) {
+    hold.exclusive = std::unique_lock<std::shared_mutex>(epoch_mu_);
+  } else {
+    hold.shared = std::shared_lock<std::shared_mutex>(epoch_mu_);
+  }
+  return hold;
 }
 
 void MaintainerServer::RunReplicationRound(std::vector<ReplicatedEntry> batch,
@@ -1079,10 +1119,11 @@ void MaintainerServer::NoteReplicated(LId top_lid) {
                                              std::memory_order_relaxed)) {
   }
   // Rounds overlap, so a round above this one may still be open or parked:
-  // the floor stops at the first position not yet validated. Every landed
-  // position is marked invalid before its round starts (landing runs on the
-  // inbox strand), so reading the invalid window after validating our own
-  // batch can only under-count.
+  // the floor stops at the first position not yet validated. A position is
+  // published invalid in the lock hold that assigns it (ReplicationScope),
+  // so a landing running beside this completion is in the invalid window
+  // before any higher position is assigned, and reading the window after
+  // validating our own batch can only under-count.
   AdvanceReplicatedFloor(
       std::min(acked_floor_.load(std::memory_order_relaxed),
                maintainer_.FirstInvalid()));

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -239,22 +240,31 @@ class MaintainerServer {
   /// (client_id, seq) dedup token of a client write.
   using WriteKey = std::pair<std::string, uint64_t>;
 
-  /// Registers an append-side handler: StartWrite on the inbox strand, the
+  /// Registers an append-side handler: StartWrite in the handler, the
   /// reply from the replication round's completion.
   void HandleWrite(uint16_t type, bool tokened, LandFn land,
                    net::RpcEndpoint::Dispatch dispatch =
                        net::RpcEndpoint::Dispatch::kQueued);
   /// Admission, dedup and landing for one append-side request, then starts
-  /// its replication round and returns — freeing the inbox strand and the
-  /// worker. `reply` goes out once, when the round completes — for a dedup
-  /// hit, when the replay of parked writes completes; a retry of a token
-  /// whose round is still open joins that round's reply instead of
-  /// appending again. Never blocks. On an error return the
-  /// caller replies with it (records that landed before the error still
-  /// replicate, unacked).
+  /// its replication round and returns. `reply` goes out once, when the
+  /// round completes — for a dedup hit, when the replay of parked writes
+  /// completes. A client write claims its token before it lands, and a
+  /// request whose token is open joins that write's reply instead of
+  /// appending again. Never blocks. An error return comes before any claim
+  /// or landing; the caller replies with it.
   Status StartWrite(bool tokened, const LandFn& land,
                     const std::string& payload,
                     const net::RpcEndpoint::Reply& reply);
+  /// Closes the open write of `key`, sending `result` to every reply
+  /// waiting on it.
+  void CloseWrite(const WriteKey& key, Result<std::string> result);
+  /// The epoch lock as one INV or fetch holds it: shared for an epoch no
+  /// newer than this node's, exclusive for one it may adopt.
+  struct EpochHold {
+    std::shared_lock<std::shared_mutex> shared;
+    std::unique_lock<std::shared_mutex> exclusive;
+  };
+  EpochHold HoldEpoch(uint64_t epoch);
   /// One Hermes write round for a landed batch: INV-broadcast it to every
   /// peer at once (carrying the dedup token so a replica can answer a
   /// retry after failover), and from the last ack validate locally,
@@ -308,7 +318,12 @@ class MaintainerServer {
   /// One past the highest position of any all-acked round; the floor trails
   /// it while a lower round is open or parked.
   std::atomic<LId> acked_floor_{0};
-  /// Client writes whose round is open, with every reply waiting on it
+  /// Replica side: kInvalidate and kValidate check the epoch and act under
+  /// it held shared; adopting a newer epoch (AcceptRemoteEpoch, Promote,
+  /// Reconfigure) holds it exclusively, so a stale INV or VAL never acts
+  /// after a newer epoch was adopted.
+  std::shared_mutex epoch_mu_;
+  /// Client writes whose token is claimed, with every reply waiting on it
   /// (the original request and any retries of its token).
   std::mutex writes_mu_;
   std::map<WriteKey, std::vector<net::RpcEndpoint::Reply>> open_writes_;

@@ -5,7 +5,13 @@
 namespace chariots::flstore {
 
 std::string EncodeLogRecord(const LogRecord& record) {
+  size_t size = sizeof(uint32_t) + BinaryWriter::BytesSize(record.body);
+  for (const Tag& tag : record.tags) {
+    size += BinaryWriter::BytesSize(tag.key) +
+            BinaryWriter::BytesSize(tag.value);
+  }
   BinaryWriter w;
+  w.Reserve(size);
   w.PutU32(static_cast<uint32_t>(record.tags.size()));
   for (const Tag& tag : record.tags) {
     w.PutBytes(tag.key);

@@ -1,8 +1,8 @@
 #include "net/inproc_transport.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <deque>
-#include <thread>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -10,9 +10,6 @@
 namespace chariots::net {
 
 namespace {
-
-/// Yields of a thread waiting for a strand before it sleeps on a futex.
-constexpr int kYieldsBeforeSleep = 64;
 
 metrics::Counter* DeliveredCounter() {
   static metrics::Counter* c =
@@ -46,102 +43,59 @@ metrics::Counter* RequestsQueuedCounter() {
   return c;
 }
 
-metrics::Counter* RequestsMigratedCounter() {
+metrics::Counter* RequestsDivertedCounter() {
   static metrics::Counter* c = metrics::Registry::Default().GetCounter(
-      "net.transport.requests_migrated");
+      "net.transport.requests_diverted");
   return c;
 }
 
 }  // namespace
 
-/// Per-node delivery state. No thread: `ready` is drained under `gate`,
-/// one message at a time (preserving per-node serial delivery for
-/// requests), by whichever thread `owner` names — a trampoline or an
-/// executor worker. `delayed` waits on the executor's timer service, and
-/// responses are delivered inline under `resp_gate` by whichever thread
-/// finds them due.
+/// Per-node delivery state. No thread: inline-safe requests are admitted
+/// under a shared hold (`shared`) and run on their senders' trampolines;
+/// `ready` is drained under `gate` by an executor task holding the node
+/// exclusively (`exclusive`), one message at a time. `delayed` waits on the
+/// executor's timer service, and responses are delivered inline under
+/// `resp_gate` by whichever thread finds them due.
 ///
-/// Two gates on purpose: requests serialize under `gate` (their handlers
-/// may block in nested Calls), responses under `resp_gate` (their handlers
-/// only complete pending calls and must never block). A reply therefore
-/// never waits behind the destination's request handler — which is what
-/// keeps two nodes that RPC each other simultaneously from deadlocking,
-/// and what lets the non-blocking timer lane deliver delayed responses.
-/// Both gates also fence the owning transport: Unregister/destruction
-/// closes them, after which no queued task or timer touches the transport.
+/// Requests and responses never share a lock: queued handlers may block in
+/// nested Calls, response handlers only complete pending calls and must
+/// never block. A reply therefore never waits behind the destination's
+/// request handler — which is what keeps two nodes that RPC each other
+/// simultaneously from deadlocking, and what lets the non-blocking timer
+/// lane deliver delayed responses. Stop() fences the owning transport:
+/// after it, no queued task, timer or claimed request touches it.
 struct InProcTransport::Inbox {
-  /// A request waiting on the strand.
-  struct Request {
-    Message msg;
-    uint64_t sender;     ///< Trampoline::id of the sending thread
-    Trampoline* runner;  ///< the sender, who runs it; null: the drainer
-  };
-
   NodeId node;
   MessageHandler handler;
   InlineSafeFn inline_safe;  // null: every request is queued
   std::mutex mu;
+  /// Signalled when the last running inline handler of a stopped node
+  /// returns.
+  std::condition_variable idle;
   std::priority_queue<DelayedMessage, std::vector<DelayedMessage>,
                       std::greater<DelayedMessage>>
       delayed;
-  std::deque<Request> ready;
-  /// Who drains `ready`: null while idle (then `ready` is empty),
-  /// QueuedDrain() for an executor task, else a trampoline's thread.
-  Trampoline* owner = nullptr;
+  std::deque<Message> ready;  // the queued path, FIFO
+  /// Shared holds: inline requests admitted and not yet finished.
+  int shared = 0;
+  /// Of those, the ones whose handler runs right now.
+  int running = 0;
+  /// An executor task holds the node and drains `ready`.
+  bool exclusive = false;
   bool stopped = false;
   int64_t armed_nanos = -1;  // earliest pending timer deadline (-1 = none)
-  SerialGate gate;       // request strand
+  SerialGate gate;       // the queued drain
   SerialGate resp_gate;  // inline response delivery
 
-  /// Passes the strand to `to`, whose request is at the front. Caller
-  /// holds `mu`, which keeps `to` alive until the wake-up is sent.
-  void HandOverLocked(Trampoline* to) {
-    owner = to;
-    Wake(to);
-  }
-
-  /// Loses the queued requests; every sender waiting on one wakes to drop
-  /// its claim. Caller holds `mu`. Returns how many were lost.
-  size_t DropReadyLocked() {
-    for (Request& r : ready) {
-      if (r.runner != nullptr) Wake(r.runner);
-    }
-    const size_t lost = ready.size();
-    ready.clear();
-    return lost;
-  }
-
-  /// Stops the node. Caller holds `mu`. Returns how many messages were
-  /// still undelivered.
-  size_t StopLocked() {
-    stopped = true;
-    return delayed.size() + DropReadyLocked();
-  }
-
-  bool HoldsRequestOf(const Trampoline* t) const {
-    for (const Request& r : ready) {
-      if (r.runner == t) return true;
-    }
-    return false;
-  }
-
-  static void Wake(Trampoline* t) {
-    t->handovers.fetch_add(1, std::memory_order_release);
-    t->handovers.notify_one();
-  }
-
-  /// Marks a strand drained by an executor task (`owner`).
-  static Trampoline* QueuedDrain() {
-    static Trampoline* const queued = new Trampoline();
-    return queued;
+  /// Takes the exclusive hold for a drain the caller must submit, if
+  /// requests wait and no one holds the node. Caller holds `mu`.
+  bool TakeExclusiveLocked() {
+    if (exclusive || shared > 0 || stopped || ready.empty()) return false;
+    exclusive = true;
+    return true;
   }
 };
-
-InProcTransport::Trampoline::Trampoline()
-    : id([] {
-        static std::atomic<uint64_t> next{1};
-        return next.fetch_add(1, std::memory_order_relaxed);
-      }()) {}
 
 InProcTransport::InProcTransport(Clock* clock, Executor* executor)
     : executor_(executor != nullptr ? executor : Executor::Default()),
@@ -158,17 +112,27 @@ InProcTransport::~InProcTransport() {
     for (auto& [_, inbox] : inboxes_) to_close.push_back(inbox);
     inboxes_.clear();
   }
-  for (auto& inbox : to_close) {
-    {
-      std::lock_guard<std::mutex> il(inbox->mu);
-      (void)inbox->StopLocked();
-    }
-    // Close() blocks until an in-flight body finishes, so after this loop
-    // no strand task or timer callback will ever touch `this` again (they
-    // hold the inbox by shared_ptr and no-op on the closed gates).
-    inbox->gate.Close();
-    inbox->resp_gate.Close();
+  // After this loop no queued task, timer callback or claimed request will
+  // ever touch `this` again (they hold the inbox by shared_ptr and no-op on
+  // the stopped node).
+  for (auto& inbox : to_close) (void)Stop(*inbox);
+}
+
+size_t InProcTransport::Stop(Inbox& inbox) {
+  size_t undelivered = 0;
+  {
+    std::unique_lock<std::mutex> lock(inbox.mu);
+    inbox.stopped = true;
+    // Claimed requests not yet running are dropped by their trampolines.
+    undelivered = inbox.delayed.size() + inbox.ready.size() +
+                  static_cast<size_t>(inbox.shared - inbox.running);
+    inbox.ready.clear();
+    inbox.idle.wait(lock, [&] { return inbox.running == 0; });
   }
+  // Close() blocks until an in-flight body finishes.
+  inbox.gate.Close();
+  inbox.resp_gate.Close();
+  return undelivered;
 }
 
 Status InProcTransport::Register(const NodeId& node, MessageHandler handler) {
@@ -199,13 +163,7 @@ Status InProcTransport::Unregister(const NodeId& node) {
     inbox = std::move(it->second);
     inboxes_.erase(it);
   }
-  size_t undelivered = 0;
-  {
-    std::lock_guard<std::mutex> il(inbox->mu);
-    undelivered = inbox->StopLocked();
-  }
-  inbox->gate.Close();
-  inbox->resp_gate.Close();
+  const size_t undelivered = Stop(*inbox);
   // Messages still queued for the dead binding are lost, not delivered:
   // account for them like any other network loss.
   if (undelivered > 0) {
@@ -307,9 +265,9 @@ bool InProcTransport::Enqueue(const std::shared_ptr<Inbox>& inbox,
   if (msg.is_response) {
     // On the sending thread: a response never queues behind the
     // destination's (possibly blocked) request handlers, nor waits for a
-    // worker. A trampoline sends from inside a gate; it delivers the
-    // response once it has settled that strand, so the completion never
-    // holds the replying node's strand.
+    // worker. A trampoline sends it from inside a handler; it delivers the
+    // response once the handler has returned and released its node, so
+    // the completion never holds the replying node.
     if (t.running && t.blocking == 0) {
       t.replies.push_back(DeferredReply{this, inbox, std::move(msg)});
       return true;
@@ -317,37 +275,32 @@ bool InProcTransport::Enqueue(const std::shared_ptr<Inbox>& inbox,
     return inbox->resp_gate.Run([&] { Deliver(inbox, std::move(msg)); });
   }
   // The sender runs the request itself only if nothing could make it wait
-  // on the handler: inside a gate (a strand, a response) the handler would
+  // on the handler: inside a gate (a drain, a response) the handler would
   // nest under it, and under a BlockingWaitScope the thread is about to
-  // stop draining. A running trampoline has released every gate by the
-  // time it drains what it claims.
+  // stop running what it claims. A running trampoline has left every gate
+  // by the time it runs what it claims.
   const bool in_line = inbox->inline_safe && inbox->inline_safe(msg) &&
                        t.blocking == 0 &&
                        (t.running || !SerialGate::HeldByCurrentThread());
-  // An executor thread never waits for a busy strand (the queued path may
-  // need it), so its requests there go to whoever drains the strand.
-  Trampoline* runner =
-      in_line && !Executor::OnWorkerThread() ? &t : nullptr;
-  bool claim = false;
-  bool submit = false;
+  bool admitted = false;
+  bool drain = false;
   {
     std::lock_guard<std::mutex> lock(inbox->mu);
     if (inbox->stopped) return false;
-    inbox->ready.push_back(Inbox::Request{std::move(msg), t.id, runner});
-    if (inbox->owner == nullptr) {
-      inbox->owner = in_line ? &t : Inbox::QueuedDrain();
-      claim = in_line;
-      submit = !in_line;
+    if (in_line && !inbox->exclusive && inbox->ready.empty()) {
+      ++inbox->shared;
+      admitted = true;
     } else {
-      // Busy: the drainer delivers the request in FIFO order, or hands the
-      // strand to this thread when it reaches one reserved for it. A strand
-      // this thread owns is its current drain or already on its claims.
-      claim = runner != nullptr && inbox->owner != &t;
+      // Behind a queued handler, or queued requests: join them rather
+      // than wait, which keeps the node's FIFO per sender.
+      if (in_line) RequestsDivertedCounter()->Add();
+      inbox->ready.push_back(std::move(msg));
+      drain = inbox->TakeExclusiveLocked();
     }
   }
-  if (submit) SubmitDrain(inbox);
-  if (!claim) return true;
-  AddClaim(t, inbox);
+  if (drain) SubmitDrain(inbox);
+  if (!admitted) return true;
+  t.claims.push_back(Claim{this, inbox, std::move(msg)});
   if (!t.running) RunTrampoline(t);
   return true;
 }
@@ -357,71 +310,39 @@ InProcTransport::Trampoline& InProcTransport::CurrentTrampoline() {
   return trampoline;
 }
 
-void InProcTransport::AddClaim(Trampoline& t,
-                               const std::shared_ptr<Inbox>& inbox) {
-  for (const Claim& claim : t.claims) {
-    if (claim.inbox == inbox) return;
-  }
-  t.claims.push_back(Claim{this, inbox});
-}
-
 void InProcTransport::RunTrampoline(Trampoline& t) {
   t.running = true;
-  Claim claim;
-  while (TakeOwnedClaim(t, &claim)) {
-    Inbox& inbox = *claim.inbox;
-    DrainStep step;
-    do {
-      step = DrainStep::kIdle;  // stays so if the gate closed: node stopped
-      inbox.gate.Run(
-          [&] { step = claim.transport->DeliverNext(claim.inbox, &t); });
-      if (step == DrainStep::kMore) {
-        // Settled with the gate released, so a sender handed the strand
-        // finds it free, and before the handler's replies go out, so it
-        // does not wait for the completions they run.
-        std::lock_guard<std::mutex> lock(inbox.mu);
-        step = Settle(inbox, &t);
-      }
-      FlushReplies(t);
-    } while (step == DrainStep::kMore);
-    if (step == DrainStep::kToExecutor) {
-      claim.transport->SubmitDrain(claim.inbox);
-    }
-    // Requests of this thread still queued there come back with the strand.
-    if (step != DrainStep::kIdle) claim.transport->AddClaim(t, claim.inbox);
+  while (!t.claims.empty()) {
+    Claim claim = std::move(t.claims.front());
+    t.claims.pop_front();
+    RunClaim(claim);
+    FlushReplies(t);
   }
   t.running = false;
 }
 
-bool InProcTransport::TakeOwnedClaim(Trampoline& t, Claim* claim) {
-  for (;;) {
-    const uint32_t seen = t.handovers.load(std::memory_order_acquire);
-    for (auto it = t.claims.begin(); it != t.claims.end();) {
-      bool owned = false, holds = false;
-      {
-        std::lock_guard<std::mutex> lock(it->inbox->mu);
-        owned = it->inbox->owner == &t;
-        holds = !it->inbox->stopped && it->inbox->HoldsRequestOf(&t);
-      }
-      if (owned) {
-        *claim = std::move(*it);
-        t.claims.erase(it);
-        return true;
-      }
-      it = holds ? it + 1 : t.claims.erase(it);
+void InProcTransport::RunClaim(Claim& claim) {
+  Inbox& inbox = *claim.inbox;
+  {
+    std::lock_guard<std::mutex> lock(inbox.mu);
+    if (inbox.stopped) {  // counted as lost when the node stopped
+      --inbox.shared;
+      return;
     }
-    if (t.claims.empty()) return false;
-    // Every claimed strand is busy elsewhere and this thread owns none, so
-    // no drainer can be waiting on it (DESIGN.md §10). A handover, or a
-    // stop, bumps `handovers`. The owner usually hands over within one
-    // handler, so the thread yields a while before it sleeps.
-    for (int i = 0; i < kYieldsBeforeSleep &&
-                    t.handovers.load(std::memory_order_acquire) == seen;
-         ++i) {
-      std::this_thread::yield();
-    }
-    t.handovers.wait(seen, std::memory_order_acquire);
+    ++inbox.running;
   }
+  // While `running` counts this thread, Stop() waits for it, so the
+  // transport stays alive.
+  RequestsInlineCounter()->Add();
+  claim.transport->Deliver(claim.inbox, std::move(claim.msg));
+  std::unique_lock<std::mutex> lock(inbox.mu);
+  --inbox.shared;
+  if (inbox.TakeExclusiveLocked()) {
+    lock.unlock();
+    claim.transport->SubmitDrain(claim.inbox);
+    lock.lock();
+  }
+  if (--inbox.running == 0 && inbox.stopped) inbox.idle.notify_all();
 }
 
 void InProcTransport::FlushReplies(Trampoline& t) {
@@ -434,27 +355,18 @@ void InProcTransport::FlushReplies(Trampoline& t) {
   }
 }
 
-void InProcTransport::ScheduleDrain(const std::shared_ptr<Inbox>& inbox) {
-  {
-    std::lock_guard<std::mutex> lock(inbox->mu);
-    if (inbox->owner != nullptr || inbox->stopped) return;
-    inbox->owner = Inbox::QueuedDrain();
-  }
-  SubmitDrain(inbox);
-}
-
 void InProcTransport::SubmitDrain(const std::shared_ptr<Inbox>& inbox) {
   if (executor_->Submit(
           inbox->gate.Wrap([this, inbox] { DrainReady(inbox); }))) {
     return;
   }
-  // The executor shut down: the queue is lost as if the node had stopped,
-  // and no sender is left waiting on it.
+  // The executor shut down: the queue is lost as if the node had stopped.
   size_t lost = 0;
   {
     std::lock_guard<std::mutex> lock(inbox->mu);
-    lost = inbox->DropReadyLocked();
-    inbox->owner = nullptr;
+    lost = inbox->ready.size();
+    inbox->ready.clear();
+    inbox->exclusive = false;
   }
   if (lost > 0) {
     DroppedCounter()->Add(lost);
@@ -462,63 +374,31 @@ void InProcTransport::SubmitDrain(const std::shared_ptr<Inbox>& inbox) {
   }
 }
 
-InProcTransport::DrainStep InProcTransport::Settle(Inbox& inbox,
-                                                  Trampoline* drainer) {
-  if (inbox.ready.empty() || inbox.stopped) {
-    inbox.owner = nullptr;
-    return DrainStep::kIdle;
-  }
-  const Inbox::Request& front = inbox.ready.front();
-  if (front.runner != nullptr && front.runner != drainer) {
-    inbox.HandOverLocked(front.runner);
-    return DrainStep::kHandedOver;
-  }
-  if (drainer != nullptr &&
-      (!inbox.inline_safe || !inbox.inline_safe(front.msg))) {
-    inbox.owner = Inbox::QueuedDrain();
-    return DrainStep::kToExecutor;
-  }
-  return DrainStep::kMore;
-}
-
-InProcTransport::DrainStep InProcTransport::DeliverNext(
-    const std::shared_ptr<Inbox>& inbox, Trampoline* drainer) {
-  // Runs under inbox->gate (the strand). Every decision about the strand
-  // is made under inbox->mu, so a concurrent Enqueue either finds it owned
-  // (and its request is delivered from here or handed over) or claims it
-  // afresh. A stopped node's queue was counted as dropped and is not
-  // delivered.
-  Message msg;
-  bool migrated = false;
-  {
-    std::lock_guard<std::mutex> lock(inbox->mu);
-    const DrainStep step = Settle(*inbox, drainer);
-    if (step != DrainStep::kMore) return step;
-    Inbox::Request& front = inbox->ready.front();
-    migrated = drainer != nullptr && front.sender != drainer->id;
-    msg = std::move(front.msg);
-    inbox->ready.pop_front();
-  }
-  if (drainer == nullptr) {
-    RequestsQueuedCounter()->Add();
-  } else {
-    RequestsInlineCounter()->Add();
-    if (migrated) RequestsMigratedCounter()->Add();
-  }
-  Deliver(inbox, std::move(msg));
-  return DrainStep::kMore;
-}
-
 void InProcTransport::DrainReady(const std::shared_ptr<Inbox>& inbox) {
-  while (DeliverNext(inbox, nullptr) == DrainStep::kMore) {
+  // No inline handler runs meanwhile: the drain started with no shared
+  // hold left, and none is admitted while the node is held exclusively. A
+  // stopped node's queue was counted as dropped and is not delivered.
+  for (;;) {
+    Message msg;
+    {
+      std::lock_guard<std::mutex> lock(inbox->mu);
+      if (inbox->stopped || inbox->ready.empty()) {
+        inbox->exclusive = false;
+        return;
+      }
+      msg = std::move(inbox->ready.front());
+      inbox->ready.pop_front();
+    }
+    RequestsQueuedCounter()->Add();
+    Deliver(inbox, std::move(msg));
   }
 }
 
 void InProcTransport::DrainDue(const std::shared_ptr<Inbox>& inbox) {
   // Runs under inbox->resp_gate (timer lane or AdvanceUntil): moves due
-  // requests onto the strand and delivers due responses right here. Must
-  // not block — everything below is lock-bounded.
-  bool has_requests = false;
+  // requests onto the node's queue and delivers due responses right here.
+  // Must not block — everything below is lock-bounded.
+  bool drain = false;
   std::vector<Message> responses;
   {
     std::lock_guard<std::mutex> lock(inbox->mu);
@@ -532,15 +412,14 @@ void InProcTransport::DrainDue(const std::shared_ptr<Inbox>& inbox) {
       if (m.is_response) {
         responses.push_back(std::move(m));
       } else {
-        // No sender thread waits for a delayed request.
-        inbox->ready.push_back(Inbox::Request{std::move(m), 0, nullptr});
-        has_requests = true;
+        inbox->ready.push_back(std::move(m));
       }
     }
+    drain = inbox->TakeExclusiveLocked();
     ArmLocked(inbox);
   }
   for (Message& m : responses) Deliver(inbox, std::move(m));
-  if (has_requests) ScheduleDrain(inbox);
+  if (drain) SubmitDrain(inbox);
 }
 
 void InProcTransport::ArmLocked(const std::shared_ptr<Inbox>& inbox) {
@@ -586,21 +465,24 @@ BlockingWaitScope::BlockingWaitScope() {
   // Deferred responses go out now, on this thread: a response never waits
   // for a worker, and never for a thread that is about to block.
   T::FlushReplies(t);
-  // Every claimed strand leaves this thread: its requests there go to
-  // whoever drains the strand, and a strand it owns goes to the executor.
+  // Every claimed request leaves this thread for the front of its node's
+  // queue: this thread sent it before anything it queued there. Its shared
+  // hold goes with it, so the drain can start.
   std::deque<T::Claim> claims;
   claims.swap(t.claims);
-  for (T::Claim& claim : claims) {
-    bool owned = false;
-    {
-      std::lock_guard<std::mutex> lock(claim.inbox->mu);
-      for (T::Inbox::Request& r : claim.inbox->ready) {
-        if (r.runner == &t) r.runner = nullptr;
-      }
-      owned = claim.inbox->owner == &t;
-      if (owned) claim.inbox->owner = T::Inbox::QueuedDrain();
-    }
-    if (owned) claim.transport->SubmitDrain(claim.inbox);
+  for (auto claim = claims.rbegin(); claim != claims.rend(); ++claim) {
+    T::Inbox& inbox = *claim->inbox;
+    std::unique_lock<std::mutex> lock(inbox.mu);
+    --inbox.shared;
+    if (inbox.stopped) continue;  // counted as lost when the node stopped
+    inbox.ready.push_front(std::move(claim->msg));
+    if (!inbox.TakeExclusiveLocked()) continue;
+    // Counted as running while it submits, so Stop() keeps the transport.
+    ++inbox.running;
+    lock.unlock();
+    claim->transport->SubmitDrain(claim->inbox);
+    lock.lock();
+    if (--inbox.running == 0 && inbox.stopped) inbox.idle.notify_all();
   }
 }
 

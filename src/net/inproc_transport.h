@@ -34,38 +34,38 @@ struct LinkOptions {
 /// token-bucket bandwidth, and probabilistic drop for fault-injection tests.
 ///
 /// Execution model (DESIGN.md §10): there are no per-node inbox threads.
-/// Each registered node has an inbox *strand* that delivers its due
-/// requests one at a time, in arrival order (preserving the historical
-/// one-message-at-a-time, FIFO-per-sender contract RpcEndpoint relies on).
-/// Who runs a request:
-///  * its sender, when the node declared it inline-safe (RegisterInlineSafe)
-///    and the sender is inside no SerialGate, or is running a trampoline.
-///    An idle strand is claimed at once. A busy one keeps the request in
-///    its queue, marked for the sender, and the thread draining the strand
-///    hands the strand over when the request reaches the front. The sender
-///    drains through a thread-local trampoline: requests sent by the
-///    handlers it runs are claimed onto the same trampoline and drained one
-///    after another once the current handler returns, so handlers never
-///    nest. It waits for a handed-over strand only at the top of the
-///    trampoline, owning no other strand. A drained strand that reaches a
-///    request not declared inline-safe hands the rest to the executor, as
-///    does a BlockingWaitScope for every strand its thread has claimed.
-///    Executor threads never wait for a strand: their requests to a busy
-///    one run on whichever thread drains it;
-///  * otherwise an executor worker (the queued path).
+/// A node is held *shared* by the inline-safe requests (RegisterInlineSafe)
+/// it admitted, and *exclusively* by the executor task that drains its
+/// queue, one request at a time in arrival order. Who runs a request:
+///  * its sender, when the node declared it inline-safe, the sender is
+///    inside no SerialGate (or is running a trampoline), and the node is
+///    neither held exclusively nor has requests queued. Such requests are
+///    admitted at once, so inline handlers of one node run side by side on
+///    their senders' threads. The sender runs through a thread-local
+///    trampoline: requests sent by the handlers it runs are admitted onto
+///    the same trampoline and run one after another once the current
+///    handler returns, so handlers never nest;
+///  * otherwise an executor worker (the queued path). An inline-safe
+///    request that finds its node held exclusively, or with requests
+///    queued, joins that queue in FIFO order (`requests_diverted`) instead
+///    of waiting, so per-sender FIFO holds and no thread ever waits for a
+///    node. The drain starts once the node's last shared hold is released;
+///    those holders never wait, and while it runs no inline request is
+///    admitted. A BlockingWaitScope hands every request its thread admitted
+///    but has not run to the front of its node's queue.
 /// Delayed messages (link latency, fault delays) wait on the executor's
 /// timer service and then take the queued path, so a virtual-time executor
 /// makes simulated WANs run with zero real sleeps. RPC *responses* are
 /// delivered on the sending/timer thread, never through the worker pool —
 /// a worker blocked inside a handler waiting on a Call() is always
 /// unblocked even when every worker is busy. On a trampoline a response is
-/// delivered right after the handler that sent it returns and its strand
-/// is settled (handed on, if another sender's request is next), so the
-/// completion it runs never holds the replying node's strand.
+/// delivered right after the handler that sent it returns, so the
+/// completion it runs never holds the replying node.
 /// `net.transport.requests_inline` and `net.transport.requests_queued`
 /// count requests (one-way messages included) delivered each way;
-/// `net.transport.requests_migrated` counts the in-line deliveries made by
-/// a thread other than the request's sender.
+/// `net.transport.requests_diverted` counts the inline-safe requests the
+/// queued path took because their node was held exclusively or had
+/// requests queued.
 ///
 /// Link resolution: the most specific matching rule wins. Rules are keyed by
 /// (src_prefix, dst_prefix) where a node matches a prefix if its id starts
@@ -134,12 +134,14 @@ class InProcTransport : public Transport {
     std::unique_ptr<TokenBucket> bandwidth;  // null if unlimited
   };
 
-  /// A strand the current thread owns, or holds requests of its own in.
+  /// A request admitted in line: its node is held shared for it until it
+  /// has run on the thread whose trampoline holds the claim.
   struct Claim {
     InProcTransport* transport;
     std::shared_ptr<Inbox> inbox;
+    Message msg;
   };
-  /// A response sent from inside a gate of a running trampoline.
+  /// A response sent from inside a handler of a running trampoline.
   struct DeferredReply {
     InProcTransport* transport;
     std::shared_ptr<Inbox> inbox;
@@ -147,68 +149,44 @@ class InProcTransport : public Transport {
   };
   /// The calling thread's run-to-completion state.
   struct Trampoline {
-    Trampoline();
-    const uint64_t id;         ///< names the thread in queued requests
-    bool running = false;      ///< draining claimed strands right now
+    bool running = false;      ///< running claimed requests right now
     int blocking = 0;          ///< open BlockingWaitScopes while running
-    std::deque<Claim> claims;  ///< at most one per strand
-    std::deque<DeferredReply> replies;  ///< sent once the strand settles
-    /// Grows (with a wake-up) when another thread hands this one a strand,
-    /// or stops a strand holding its requests.
-    std::atomic<uint32_t> handovers{0};
+    std::deque<Claim> claims;  ///< admitted, in the order they were sent
+    std::deque<DeferredReply> replies;  ///< sent once the handler returns
   };
   static Trampoline& CurrentTrampoline();
   friend class BlockingWaitScope;
 
-  /// Who drains a strand next, as its current drainer settles it.
-  enum class DrainStep {
-    kMore,        ///< the drainer: the front request is its to deliver
-    kIdle,        ///< nobody: queue empty (or node stopped)
-    kHandedOver,  ///< the front request's sender
-    kToExecutor,  ///< an executor task: a trampoline reached a queued-only
-                  ///< request
-  };
-
   LinkRule* ResolveLink(const NodeId& from, const NodeId& to);
   /// Enqueues one already-inspected message on its inbox (immediate →
-  /// response delivery, or ready queue + a strand run in line or queued;
+  /// response delivery, or an in-line admission or the node's queue;
   /// future → timer). Returns false if the destination stopped meanwhile.
   bool Enqueue(const std::shared_ptr<Inbox>& inbox, Message msg,
                int64_t deliver_at_nanos, uint64_t seq);
-  /// Settles who drains `inbox` next, its drainer being `drainer` (null:
-  /// an executor task). Caller holds inbox.mu.
-  static DrainStep Settle(Inbox& inbox, Trampoline* drainer);
-  /// Under inbox->gate, for the strand's drainer: settles the strand and,
-  /// if the front request is the drainer's to deliver, delivers it and
-  /// returns kMore.
-  DrainStep DeliverNext(const std::shared_ptr<Inbox>& inbox,
-                        Trampoline* drainer);
-  /// Queued strand body, under inbox->gate: delivers until DeliverNext
-  /// stops.
-  void DrainReady(const std::shared_ptr<Inbox>& inbox);
-  /// Drains the current thread's claims until none is left, then returns.
+  /// Runs the claimed request on the calling thread and releases its
+  /// shared hold, starting the queued drain if requests wait on it.
+  static void RunClaim(Claim& claim);
+  /// Runs the current thread's claims, and those their handlers add, until
+  /// none is left, then returns.
   static void RunTrampoline(Trampoline& t);
-  /// Takes a claim whose strand `t` owns, waiting while every claimed
-  /// strand is busy elsewhere; drops claims that hold nothing of `t`.
-  /// Returns false once no claim is left.
-  static bool TakeOwnedClaim(Trampoline& t, Claim* claim);
   /// Delivers `t`'s deferred responses, and those their completions send.
   static void FlushReplies(Trampoline& t);
-  /// Adds a claim on `inbox` unless `t` already holds one.
-  void AddClaim(Trampoline& t, const std::shared_ptr<Inbox>& inbox);
   /// Timer callback (timer lane): moves due delayed messages out — requests
-  /// to the ready queue/strand, responses delivered inline.
+  /// to the node's queue, responses delivered inline.
   void DrainDue(const std::shared_ptr<Inbox>& inbox);
-  /// Schedules the strand if no one owns it. Caller must not hold
-  /// inbox->mu.
-  void ScheduleDrain(const std::shared_ptr<Inbox>& inbox);
-  /// Submits a DrainReady task for a strand the executor owns. Caller must
-  /// not hold inbox->mu.
+  /// Submits a DrainReady task for a node the executor now holds
+  /// exclusively. Caller must not hold inbox->mu.
   void SubmitDrain(const std::shared_ptr<Inbox>& inbox);
+  /// Queued path body, under inbox->gate: delivers the queue front first
+  /// until it is empty, then releases the exclusive hold.
+  void DrainReady(const std::shared_ptr<Inbox>& inbox);
   /// Arms the delayed-queue timer for the current head. Caller holds
   /// inbox->mu.
   void ArmLocked(const std::shared_ptr<Inbox>& inbox);
-  /// Runs the handler (outage check included) under the inbox gate.
+  /// Stops the node and waits for its running inline handlers; closes its
+  /// gates. Returns how many messages were still undelivered.
+  static size_t Stop(Inbox& inbox);
+  /// Runs the handler (outage check included).
   void Deliver(const std::shared_ptr<Inbox>& inbox, Message msg);
 
   Clock* clock_;

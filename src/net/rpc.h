@@ -44,7 +44,8 @@ const trace::TraceContext& CurrentRpcTrace();
 /// freeze while the endpoint serves. A handler runs on the transport
 /// delivery thread; one registered Dispatch::kInline may instead run on
 /// the thread that sent the request, when the transport supports it
-/// (InProcTransport, one handler at a time per node). A
+/// (InProcTransport: inline handlers of one node run side by side, each on
+/// its sender's thread, and a queued handler runs alone). A
 /// HandleAsync handler gets a Reply it may invoke later, from any thread,
 /// so it can return (freeing the node's inbox and its thread) while the
 /// work it started completes elsewhere. Handle() is the synchronous
@@ -75,9 +76,12 @@ class RpcEndpoint {
   using OneWayHandler =
       std::function<void(const NodeId& from, std::string payload)>;
   /// Where a request may be handled. kInline declares that the handler
-  /// never blocks — no blocking Call(), no wait on another message — so the
-  /// transport may run it on the sending thread (Transport::
-  /// RegisterInlineSafe). kQueued handlers always run on a delivery thread.
+  /// never blocks — no blocking Call(), no wait on another message — and is
+  /// safe alongside other inline handlers of the same node, so the
+  /// transport may run it on the sending thread, concurrently with them
+  /// (Transport::RegisterInlineSafe). kQueued handlers always run on a
+  /// delivery thread, and never beside another handler of the node on the
+  /// in-process transport.
   enum class Dispatch { kQueued, kInline };
 
   RpcEndpoint(Transport* transport, NodeId node);

@@ -55,10 +55,10 @@ class Transport {
 /// Brackets a blocking wait on the network (RpcEndpoint::Call, a latch over
 /// a CallAsync). A thread that runs requests in line (InProcTransport) may
 /// hold deliveries it claimed but has not run yet, and replies it has not
-/// sent; on entry the scope sends the replies and gives the requests to
-/// whoever drains their strands (the executor, for a strand the thread
-/// owns), and sends made inside it take the queued path, so the wait never
-/// depends on work only the waiting thread would do.
+/// sent; on entry the scope sends the replies and puts the requests at the
+/// front of their nodes' queues, for the executor to run, and sends made
+/// inside it take the queued path, so the wait never depends on work only
+/// the waiting thread would do.
 /// Defined beside the in-process trampoline it flushes; a no-op on a thread
 /// that is not running one.
 class BlockingWaitScope {

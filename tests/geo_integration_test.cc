@@ -953,5 +953,51 @@ INSTANTIATE_TEST_SUITE_P(
                       PropertyParam{4, 20, 2'000'000},
                       PropertyParam{5, 15, 0}));
 
+// The fabric ships a replication batch as is: it arrives byte-identical,
+// and the receiver learns the sending datacenter from the transport node.
+TEST(TransportFabricTest, BatchArrivesByteIdenticalWithItsSender) {
+  Executor exec({.num_threads = 2, .name = "fabric"});
+  {
+    net::InProcTransport transport(nullptr, &exec);
+    TransportFabric fabric(&transport);
+    std::mutex mu;
+    std::vector<std::pair<DatacenterId, std::string>> got;
+    ASSERT_TRUE(fabric
+                    .RegisterReceiver(1,
+                                      [&](DatacenterId from,
+                                          std::string payload) {
+                                        std::lock_guard<std::mutex> lock(mu);
+                                        got.emplace_back(from,
+                                                         std::move(payload));
+                                      })
+                    .ok());
+    std::string batch("\0\x01\xffgeo", 6);
+    batch += std::string(4096, 'x');
+    ASSERT_TRUE(fabric.Send(7, 1, batch).ok());
+    ASSERT_TRUE(fabric.Send(0, 1, std::string()).ok());
+    exec.WaitIdle();
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].first, 7u);
+    EXPECT_EQ(got[0].second, batch);
+    EXPECT_EQ(got[1].first, 0u);
+    EXPECT_TRUE(got[1].second.empty());
+  }
+  exec.Shutdown();
+}
+
+TEST(TransportFabricTest, DatacenterOfInvertsNodeFor) {
+  EXPECT_EQ(TransportFabric::DatacenterOf(TransportFabric::NodeFor(0)), 0u);
+  EXPECT_EQ(TransportFabric::DatacenterOf(TransportFabric::NodeFor(12)), 12u);
+  EXPECT_EQ(TransportFabric::DatacenterOf(
+                TransportFabric::NodeFor(4'294'967'295u)),
+            4'294'967'295u);
+  EXPECT_FALSE(TransportFabric::DatacenterOf("geo/dc/receiver").has_value());
+  EXPECT_FALSE(TransportFabric::DatacenterOf("geo/dc1x/receiver").has_value());
+  EXPECT_FALSE(TransportFabric::DatacenterOf("geo/dc1/api").has_value());
+  EXPECT_FALSE(
+      TransportFabric::DatacenterOf("geo/dc4294967296/receiver").has_value());
+}
+
 }  // namespace
 }  // namespace chariots::geo

@@ -219,6 +219,7 @@ TEST(TraceTest, InactiveContextCostsZeroBytesAndDecodesAbsent) {
   BinaryWriter writer;
   trace::EncodeTrace(inactive, &writer);
   EXPECT_EQ(writer.size(), 0u);
+  EXPECT_EQ(trace::EncodedTraceSize(inactive), 0u);
 
   BinaryReader reader(std::string_view{});
   trace::TraceContext decoded;

@@ -322,7 +322,7 @@ TEST(InProcTransportTest, InlineSafeRequestRunsOnTheSendingThread) {
   const uint64_t inline_before = CounterValue("net.transport.requests_inline");
   const uint64_t queued_before = CounterValue("net.transport.requests_queued");
 
-  // Idle strand, inline-safe type, no gate held: handled before Send returns.
+  // Idle node, inline-safe type, no gate held: handled before Send returns.
   ASSERT_TRUE(t.Send(Request("src", "sink", 1, "a")).ok());
   {
     std::lock_guard<std::mutex> lock(mu);
@@ -342,10 +342,10 @@ TEST(InProcTransportTest, InlineSafeRequestRunsOnTheSendingThread) {
   EXPECT_EQ(CounterValue("net.transport.requests_queued") - queued_before, 2u);
 }
 
-// Per-(from, to) FIFO holds while the strand changes hands: slow requests
-// of the queued type keep a worker on the strand (later inline-safe
-// requests queue behind it), and pauses let it go idle, so the next
-// requests run on the sender.
+// Per-(from, to) FIFO holds while the node changes hands: slow requests of
+// the queued type hold it for a worker (later inline-safe requests queue
+// behind them), and pauses let it go idle, so the next requests run on the
+// sender.
 TEST(InProcTransportTest, FifoPerSenderAcrossQueuedAndInlineDelivery) {
   InProcTransport t;
   constexpr int kMessages = 400;
@@ -378,10 +378,10 @@ TEST(InProcTransportTest, FifoPerSenderAcrossQueuedAndInlineDelivery) {
   EXPECT_GT(CounterValue("net.transport.requests_queued"), queued_before);
 }
 
-// A handler running in line sends to its own node: the strand is busy (it
-// is draining it), so the new requests queue behind and the same drain
-// delivers them after the handler returns; the first one it may not run in
-// line goes, with the rest, to a worker.
+// A handler running in line sends to its own node: the inline-safe request
+// is admitted onto the same trampoline and runs once the handler returns;
+// the queued one waits for it, and the inline-safe one sent after the
+// queued one joins the queue behind it, on a worker.
 TEST(InProcTransportTest, InlineHandlerSendingToItsOwnNodeDoesNotDeadlock) {
   InProcTransport t;
   std::mutex mu;
@@ -499,10 +499,10 @@ TEST(InProcTransportTest, UnregisterRacesInlineDelivery) {
 }
 
 // Two threads send to one inline node whose handler is slow, so each mostly
-// finds the strand busy with the other's request. Each request still runs
-// on the thread that sent it: the busy strand is handed over when the
-// request reaches its front. Per-sender FIFO holds throughout.
-TEST(InProcTransportTest, BusyStrandIsHandedToEachRequestsSender) {
+// finds the node busy with the other's request. Each request still runs on
+// the thread that sent it, beside the other's: inline handlers hold their
+// node shared. Per-sender FIFO holds throughout.
+TEST(InProcTransportTest, BusyNodeRunsEachRequestOnItsSender) {
   InProcTransport t;
   constexpr int kSenders = 2;
   constexpr int kPerSender = 50;
@@ -548,6 +548,85 @@ TEST(InProcTransportTest, BusyStrandIsHandedToEachRequestsSender) {
   EXPECT_EQ(CounterValue("net.transport.requests_queued") - queued_before, 0u);
   EXPECT_EQ(CounterValue("net.transport.requests_migrated") - migrated_before,
             0u);
+}
+
+// Inline handlers of one node run side by side: each of two senders' handlers
+// waits (with a timeout) until both are inside. One handler at a time per
+// node would time out.
+TEST(InProcTransportTest, InlineHandlersOfOneNodeOverlap) {
+  InProcTransport t;
+  CountDownLatch inside(2);
+  std::atomic<int> overlapped{0};
+  ASSERT_TRUE(t.RegisterInlineSafe(
+                   "sink",
+                   [&](Message) {
+                     inside.CountDown();
+                     if (inside.WaitFor(5s)) ++overlapped;
+                   },
+                   AllButQueuedType())
+                  .ok());
+  const uint64_t queued_before = CounterValue("net.transport.requests_queued");
+  std::vector<std::thread> senders;
+  for (int s = 0; s < 2; ++s) {
+    senders.emplace_back([&, s] {
+      ASSERT_TRUE(
+          t.Send(Request("src" + std::to_string(s), "sink", 1, "x")).ok());
+    });
+  }
+  for (auto& sender : senders) sender.join();
+  EXPECT_EQ(overlapped.load(), 2) << "the handlers ran one after the other";
+  EXPECT_EQ(CounterValue("net.transport.requests_queued") - queued_before, 0u);
+}
+
+// A queued handler holds its node alone: inline-safe requests sent while it
+// runs neither run beside it nor make their sender wait. They join the
+// node's queue (counted as diverted) and run after it, in the order sent.
+TEST(InProcTransportTest, QueuedHandlerExcludesInlineOnesThatFollowInOrder) {
+  InProcTransport t;
+  constexpr int kInline = 10;
+  CountDownLatch entered(1);
+  CountDownLatch release(1);
+  CountDownLatch delivered(kInline);
+  std::atomic<bool> queued_running{false};
+  std::mutex mu;
+  std::vector<std::pair<std::string, bool>> got;  // payload, beside queued
+  ASSERT_TRUE(t.RegisterInlineSafe(
+                   "sink",
+                   [&](Message m) {
+                     if (m.type == kQueuedType) {
+                       queued_running = true;
+                       entered.CountDown();
+                       EXPECT_TRUE(release.WaitFor(5s));
+                       queued_running = false;
+                       return;
+                     }
+                     std::lock_guard<std::mutex> lock(mu);
+                     got.emplace_back(m.payload, queued_running.load());
+                     delivered.CountDown();
+                   },
+                   AllButQueuedType())
+                  .ok());
+  ASSERT_TRUE(t.Send(Request("ctl", "sink", kQueuedType, "queued")).ok());
+  ASSERT_TRUE(entered.WaitFor(5s));
+  const uint64_t diverted_before =
+      CounterValue("net.transport.requests_diverted");
+  for (int i = 0; i < kInline; ++i) {
+    ASSERT_TRUE(t.Send(Request("src", "sink", 1, std::to_string(i))).ok());
+  }
+  EXPECT_EQ(CounterValue("net.transport.requests_diverted") - diverted_before,
+            static_cast<uint64_t>(kInline));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_TRUE(got.empty()) << "an inline request ran beside a queued one";
+  }
+  release.CountDown();
+  ASSERT_TRUE(delivered.WaitFor(5s));
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(got.size(), static_cast<size_t>(kInline));
+  for (int i = 0; i < kInline; ++i) {
+    EXPECT_EQ(got[i].first, std::to_string(i));
+    EXPECT_FALSE(got[i].second);
+  }
 }
 
 // -------------------------------------------------------------------- RPC
@@ -853,7 +932,7 @@ TEST_F(RpcTest, BlockingCallInsideAnInlineHandlerCompletes) {
 }
 
 // A reply sent by a handler running in line reaches the caller after the
-// handler returned and its strand was settled: the completion, on the same
+// handler returned and released its node: the completion, on the same
 // thread, sends a new inline request to the replying node, and that
 // request runs in line too — before CallAsync returns.
 TEST_F(RpcTest, InlineReplyArrivesAfterTheHandlersStrandIsReleased) {
@@ -904,9 +983,9 @@ TEST_F(RpcTest, InlineReplyArrivesAfterTheHandlersStrandIsReleased) {
 }
 
 // A BlockingWaitScope opened by a handler running in line, while its thread
-// holds deferred work, delivers all of it: a reply the handler sent, a
-// request to an idle strand the thread claimed, and a request waiting on a
-// strand another thread is draining.
+// holds deferred work, delivers all of it: a reply the handler sent, and
+// the requests its thread claimed on an idle node and on a node another
+// thread's handler holds.
 TEST_F(RpcTest, BlockingWaitScopeDeliversDeferredRequestsAndReplies) {
   CountDownLatch idle_noticed(1);
   CountDownLatch busy_noticed(1);

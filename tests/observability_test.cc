@@ -333,6 +333,7 @@ TEST(TraceSpanTest, SpanTreeRoundTripsAndAttributesTheCriticalPath) {
   BinaryWriter w;
   trace::EncodeTrace(ctx, &w);
   std::string wire = std::move(w).data();
+  EXPECT_EQ(wire.size(), trace::EncodedTraceSize(ctx));
   BinaryReader r(wire);
   trace::TraceContext back;
   ASSERT_TRUE(trace::DecodeTrace(&r, &back));

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -1269,9 +1270,9 @@ TEST(ReplicationTest, DataPathRequestsRunOnTheCallersThread) {
 
 // The convoy gate: two clients, each on its own thread, append and read
 // concurrently on one RF=3 stripe. Every request runs on the thread that
-// sent it — a strand busy with the other client's request is handed over
-// when this client's request reaches its front — so neither thread runs the
-// other's requests (`requests_migrated`), and none waits for a worker
+// sent it, beside the other client's requests to the same node, so neither
+// thread runs the other's requests (`requests_migrated` names what the
+// transport no longer does at all), and none waits for a worker
 // (`requests_queued`). The flight recorder shows the same from the
 // threads: every landing of a client's record (coordinator and both
 // replicas) is recorded on that client's thread.
@@ -1551,6 +1552,195 @@ TEST(ReplicationTest, KillCoordinatorWithOverlappingRoundsReplaysExactlyOnce) {
   // Each write the replica had applied was replayed, and its retry was
   // answered from the dedup entry its INV mirrored.
   EXPECT_GE(cluster.backup_->dedup().hits(), applied_on_replica);
+}
+
+
+// ------------------------------------- inline handlers side by side (§12)
+
+/// Runs `body(round, 0)` and `body(round, 1)` on two threads, `rounds`
+/// times, starting both sides of a round together. The threads live for
+/// every round and wait for each other by spinning, so they keep a core
+/// each instead of handing one core back and forth.
+void RaceTwo(int rounds, const std::function<void(int, int)>& body) {
+  std::atomic<int> arrived{0};
+  auto run = [&](int side) {
+    for (int round = 0; round < rounds; ++round) {
+      arrived.fetch_add(1);
+      while (arrived.load() < 2 * (round + 1)) {
+      }
+      body(round, side);
+    }
+  };
+  std::thread a(run, 0);
+  std::thread b(run, 1);
+  a.join();
+  b.join();
+}
+
+/// Two started probe endpoints, "dc0/<name>0" and "dc0/<name>1".
+std::vector<std::unique_ptr<net::RpcEndpoint>> TwoProbes(
+    ReplicatedCluster& cluster, const std::string& name) {
+  std::vector<std::unique_ptr<net::RpcEndpoint>> probes;
+  for (int i = 0; i < 2; ++i) {
+    probes.push_back(std::make_unique<net::RpcEndpoint>(
+        &cluster.transport_, "dc0/" + name + std::to_string(i)));
+    EXPECT_TRUE(probes.back()->Start().ok());
+  }
+  return probes;
+}
+
+// Two copies of one client write (a retry racing its original) run side by
+// side on the coordinator: the first to claim the (client_id, seq) token
+// lands the record and the other joins its reply. Both get the same LId,
+// and every member stores each record once.
+TEST(ReplicationTest, ConcurrentAppendsWithOneTokenLandOnce) {
+  ReplicatedCluster::Config config;
+  config.rf = 3;
+  ReplicatedCluster cluster(config);
+  auto probes = TwoProbes(cluster, "dup");
+  constexpr int kWrites = 100;
+  std::vector<Result<std::string>> results[2];
+  for (auto& side : results) side.assign(kWrites, Status::Aborted("unsent"));
+  RaceTwo(kWrites, [&](int round, int side) {
+    results[side][round] = probes[side]->Call(
+        kPrimary, kAppend,
+        AppendPayload("dc0/dup", round + 1, Rec("w" + std::to_string(round))),
+        5s);
+  });
+  for (int round = 0; round < kWrites; ++round) {
+    ASSERT_TRUE(results[0][round].ok()) << results[0][round].status();
+    ASSERT_TRUE(results[1][round].ok()) << results[1][round].status();
+    EXPECT_EQ(DecodeLidResponse(results[0][round]),
+              DecodeLidResponse(results[1][round]))
+        << "write " << round + 1 << " landed twice";
+  }
+  EXPECT_EQ(cluster.primary_->maintainer().count(), kWrites);
+  EXPECT_EQ(cluster.backup_->maintainer().count(), kWrites);
+  EXPECT_EQ(cluster.backup2_->maintainer().count(), kWrites);
+}
+
+// A replicated position is unreadable until its round validates it, on the
+// coordinator and on a replica alike, also while its landing runs beside
+// the read. Every INV to one replica is dropped, so no round here ever
+// validates: readers polling each position while it lands must never get
+// its bytes.
+TEST(ReplicationTest, ReadersNeverSeeAPositionBeforeItsRoundValidatesIt) {
+  ReplicatedCluster::Config config;
+  config.rf = 3;
+  ReplicatedCluster cluster(config);
+  cluster.transport_.faults().DropWithProbability(
+      [](const net::Message& m) {
+        return !m.is_response && m.type == kInvalidate && m.to == kBackup;
+      },
+      1.0);
+  auto readers = TwoProbes(cluster, "reader");
+  net::RpcEndpoint writer(&cluster.transport_, "dc0/writer");
+  ASSERT_TRUE(writer.Start().ok());
+  constexpr int kWrites = 100;
+  // Reader r polls `target` on the coordinator (r = 0) or a replica (r = 1)
+  // until `stop`, counting its polls of each target in `polls[r]`.
+  std::atomic<LId> target{0};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> polls[2] = {0, 0};
+  std::atomic<int> served{0};
+  std::vector<std::thread> pollers;
+  for (int r = 0; r < 2; ++r) {
+    pollers.emplace_back([&, r] {
+      const net::NodeId node = r == 0 ? kPrimary : kBackup2;
+      while (!stop.load()) {
+        const LId lid = target.load();
+        if (readers[r]->Call(node, kRead, LidPayload(lid), 5s).ok()) ++served;
+        polls[r].fetch_add(1);
+      }
+    });
+  }
+  net::CallOptions options;
+  options.timeout = 30s;
+  for (int i = 0; i < kWrites; ++i) {
+    const LId lid = static_cast<LId>(i);  // one stripe: positions in order
+    target = lid;
+    // Both readers are polling the position before it lands.
+    const uint64_t seen[2] = {polls[0].load(), polls[1].load()};
+    while (polls[0].load() < seen[0] + 2 || polls[1].load() < seen[1] + 2) {
+      std::this_thread::yield();
+    }
+    // The round never completes here; its reply is of no interest.
+    writer.CallAsync(kPrimary, kAppend,
+                     AppendPayload("dc0/writer", i + 1, Rec("w")), options,
+                     [](Result<std::string>) {});
+    while (cluster.primary_->maintainer().count() <= lid ||
+           cluster.backup2_->maintainer().count() <= lid) {
+      std::this_thread::yield();
+    }
+  }
+  stop = true;
+  for (auto& poller : pollers) poller.join();
+  EXPECT_EQ(served.load(), 0) << "a position was read before validation";
+  EXPECT_TRUE(cluster.primary_->maintainer().IsInvalid(kWrites - 1));
+  EXPECT_TRUE(cluster.backup2_->maintainer().IsInvalid(kWrites - 1));
+}
+
+// A stale kValidate racing the replica's adoption of a newer epoch
+// validates nothing: the position the newer epoch's INV re-invalidates stays
+// invalid whichever of the two acts first. Each VAL lists a run of other
+// invalid positions ahead of the raced one, and the replay is sent once
+// the VAL has passed its epoch check and begun validating that run.
+TEST(ReplicationTest, StaleValidateRacingAnEpochAdoptionValidatesNothing) {
+  ReplicatedCluster cluster;
+  auto probes = TwoProbes(cluster, "coord");
+  constexpr int kRounds = 20;
+  constexpr LId kRun = 2'000;
+  constexpr LId kFiller = 1'000'000;  // round i's run starts at kFiller + i*kRun
+  auto entry = [](LId lid) {
+    return ReplicatedEntry{lid, EncodeLogRecord(Rec(std::to_string(lid)))};
+  };
+  // Every position lands invalid at the replica's first epoch.
+  InvalidateRequest landing;
+  landing.epoch = 1;
+  for (int i = 0; i < kRounds; ++i) {
+    landing.entries.push_back(entry(i));
+    for (LId lid = kFiller + i * kRun; lid < kFiller + (i + 1) * kRun; ++lid) {
+      landing.entries.push_back(entry(lid));
+    }
+  }
+  ASSERT_TRUE(probes[0]
+                  ->Call(kBackup, kInvalidate,
+                         EncodeInvalidateRequest(landing), 30s)
+                  .ok());
+  const LogMaintainer& replica = cluster.backup_->maintainer();
+  // Round i: the replica is at epoch i + 1. A VAL of position i at that
+  // epoch races a replay of it at epoch i + 2.
+  RaceTwo(kRounds, [&](int i, int side) {
+    const uint64_t epoch = static_cast<uint64_t>(i) + 1;
+    const LId run = kFiller + i * kRun;
+    if (side == 0) {
+      ValidateNotice stale;
+      stale.epoch = epoch;
+      for (LId lid = run; lid < run + kRun; ++lid) stale.lids.push_back(lid);
+      stale.lids.push_back(static_cast<LId>(i));
+      stale.floor = static_cast<LId>(i) + 1;
+      EXPECT_TRUE(probes[0]
+                      ->Notify(kBackup, kValidate, EncodeValidateNotice(stale))
+                      .ok());
+    } else {
+      // Polls with a pause: a reader spinning on the maintainer's lock
+      // could keep the VAL's writes out.
+      while (replica.IsInvalid(run)) std::this_thread::sleep_for(20us);
+      InvalidateRequest replay;
+      replay.epoch = epoch + 1;
+      replay.entries.push_back(entry(i));
+      EXPECT_TRUE(probes[1]
+                      ->Call(kBackup, kInvalidate,
+                             EncodeInvalidateRequest(replay), 5s)
+                      .ok());
+    }
+  });
+  for (int i = 0; i < kRounds; ++i) {
+    EXPECT_TRUE(replica.IsInvalid(i))
+        << "a stale VAL validated " << i << " after epoch " << i + 2;
+  }
+  EXPECT_EQ(cluster.backup_->replica().epoch(),
+            static_cast<uint64_t>(kRounds) + 1);
 }
 
 }  // namespace

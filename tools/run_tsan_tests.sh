@@ -21,8 +21,8 @@
 # cross-node promotion races are exactly the code TSan is for. net_test
 # races RpcEndpoint::CallAsync timeouts against late responses, and the
 # inproc run-to-completion path: requests handled on the sending thread's
-# trampoline while workers drain the same strand (FIFO across the
-# hand-over), self-sends, a blocking Call() inside an in-line handler,
+# trampoline while a worker drains the same node's queue (FIFO across the
+# diversion), self-sends, a blocking Call() inside an in-line handler,
 # and Unregister racing in-line delivery. replication_test runs whole
 # FLStore appends and reads on client threads (the hand-off gate) and the
 # non-blocking dedup-retry replay; fault_injection_test drives the same
@@ -49,14 +49,24 @@
 #   tools/run_tsan_tests.sh thread pipeline_test geo_integration_test \
 #       recovery_test fault_injection_test read_path_test  # senders read the log
 #
-# The sender runs its own request: two client threads wait for, and hand
-# each other, the same inproc strands (a busy strand passes to a request's
-# sender when it reaches the front), replies leave a trampoline once the
-# strand is settled, a BlockingWaitScope gives back everything its thread
+# The sender runs its own request: two client threads run their requests
+# to the same inproc nodes, replies leave a trampoline once the handler
+# released its node, a BlockingWaitScope gives back everything its thread
 # claimed, and RpcEndpoint reads its frozen handler tables without a lock.
 #
 #   tools/run_tsan_tests.sh thread net_test replication_test \
 #       fault_injection_test controller_ha_test  # sender runs its own request
+#
+# Concurrent inline handlers: inline handlers of one node run side by side
+# under its shared hold while a queued drain waits for the last holder and
+# then diverts inline requests into its queue. On FLStore nodes landings
+# are published invalid beside concurrent reads (the post-read validity
+# check), two copies of one write race to claim its dedup token, and a
+# stale VAL races an INV adopting a newer epoch under the epoch lock.
+#
+#   tools/run_tsan_tests.sh thread net_test replication_test \
+#       fault_injection_test read_path_test \
+#       controller_ha_test                    # concurrent inline handlers
 #
 # Uses a separate build dir (build-<sanitizer>) so the regular build is
 # untouched.
