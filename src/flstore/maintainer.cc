@@ -9,19 +9,16 @@ namespace chariots::flstore {
 
 namespace {
 
-/// Set while an InvalidLandingScope is open on this thread.
-thread_local bool t_land_invalid = false;
+std::vector<std::string> EncodeAll(std::span<const LogRecord> records) {
+  std::vector<std::string> encoded;
+  encoded.reserve(records.size());
+  for (const LogRecord& record : records) {
+    encoded.push_back(EncodeLogRecord(record));
+  }
+  return encoded;
+}
 
 }  // namespace
-
-LogMaintainer::InvalidLandingScope::InvalidLandingScope(bool active)
-    : previous_(t_land_invalid) {
-  t_land_invalid = previous_ || active;
-}
-
-LogMaintainer::InvalidLandingScope::~InvalidLandingScope() {
-  t_land_invalid = previous_;
-}
 
 LogMaintainer::LogMaintainer(MaintainerOptions options)
     : options_(options),
@@ -83,14 +80,14 @@ void LogMaintainer::RefreshHlLocked() {
                   std::memory_order_release);
 }
 
-Result<LId> LogMaintainer::NextAssignableGlobalLocked() const {
+Result<LId> LogMaintainer::NextFreeLocked(
+    const std::vector<uint64_t>& cursor) const {
   // Walk epochs starting from the first with unassigned slots; skip epochs
   // where this maintainer has no (or no more) slots.
   for (size_t e = 0; e < journal_.num_epochs(); ++e) {
-    uint64_t slots = journal_.SlotCount(options_.index, e);
-    if (assign_next_[e] >= slots) continue;  // exhausted or not a member
+    if (cursor[e] >= journal_.SlotCount(options_.index, e)) continue;
     Result<LId> global =
-        journal_.GlobalFor(options_.index, SlotRef{e, assign_next_[e]});
+        journal_.GlobalFor(options_.index, SlotRef{e, cursor[e]});
     if (global.ok()) return global;
   }
   return Status::ResourceExhausted(
@@ -124,216 +121,57 @@ LId LogMaintainer::FirstUnfilledGlobalLocked() const {
   return kInvalidLId;
 }
 
-Result<LogMaintainer::AssignRun> LogMaintainer::NextAssignableRunLocked(
-    uint64_t max_records) const {
-  for (size_t e = 0; e < journal_.num_epochs(); ++e) {
-    uint64_t slots = journal_.SlotCount(options_.index, e);
-    if (assign_next_[e] >= slots) continue;  // exhausted or not a member
-    uint64_t slot = assign_next_[e];
-    Result<LId> global = journal_.GlobalFor(options_.index, SlotRef{e, slot});
-    if (!global.ok()) continue;
-    // LIds are consecutive only within one stripe batch of the epoch, so
-    // clip the run at the stripe-batch boundary and the epoch's slot count.
-    uint64_t batch = journal_.epochs()[e].batch_size;
-    uint64_t run = std::min(max_records, batch - slot % batch);
-    run = std::min(run, slots - slot);
-    return AssignRun{*global, run, e, slot};
-  }
-  return Status::ResourceExhausted(
-      "maintainer owns no further positions in the current striping");
-}
-
-Status LogMaintainer::AppendBatchLocked(const LogRecord* records, size_t n,
-                                        std::vector<LId>* lids) {
-  lids->clear();
-  lids->reserve(n);
-
-  // Reserve runs of consecutive slots covering the whole batch, advancing
-  // the assignment cursor as we go so successive runs don't overlap.
-  std::vector<AssignRun> runs;
-  while (lids->size() < n) {
-    Result<AssignRun> run = NextAssignableRunLocked(n - lids->size());
-    if (!run.ok()) {
-      for (auto it = runs.rbegin(); it != runs.rend(); ++it) {
-        assign_next_[it->epoch_index] = it->first_slot;
-      }
-      lids->clear();
-      return run.status();
-    }
-    assign_next_[run->epoch_index] = run->first_slot + run->count;
-    for (uint64_t i = 0; i < run->count; ++i) {
-      lids->push_back(run->start_lid + i);
-    }
-    runs.push_back(*run);
-  }
-
-  // Encode outside the store, persist with one group-commit write. The
-  // reserve is load-bearing: AppendEntry views alias the encoded strings.
-  std::vector<std::string> encoded;
-  encoded.reserve(n);
-  std::vector<storage::AppendEntry> entries;
-  entries.reserve(n);
+Status LogMaintainer::PlanLocked(size_t n, std::vector<LId>* lids,
+                                 std::vector<size_t>* released) const {
+  // Plans on a copy of the cursor: the cursor itself moves only when the
+  // landing publishes, so a failed write has nothing to roll back.
+  std::vector<uint64_t> cursor = assign_next_;
+  auto take = [&](LId lid) {
+    lids->push_back(lid);
+    SlotRef ref = journal_.SlotFor(lid);
+    cursor[ref.epoch_index] = ref.slot + 1;
+  };
   for (size_t i = 0; i < n; ++i) {
-    encoded.push_back(EncodeLogRecord(records[i]));
-    entries.push_back(storage::AppendEntry{(*lids)[i], encoded.back()});
+    CHARIOTS_ASSIGN_OR_RETURN(LId lid, NextFreeLocked(cursor));
+    take(lid);
   }
-  Status status = store_.AppendBatch(entries);
-  if (!status.ok()) {
-    for (auto it = runs.rbegin(); it != runs.rend(); ++it) {
-      assign_next_[it->epoch_index] = it->first_slot;
-    }
-    lids->clear();
-    return status;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    tail_cache_.Put((*lids)[i], std::move(encoded[i]));
-  }
-
-  for (const AssignRun& run : runs) {
-    for (uint64_t i = 0; i < run.count; ++i) {
-      MarkFilledLocked(SlotRef{run.epoch_index, run.first_slot + i});
-    }
-  }
-  if (t_land_invalid) invalid_.insert(lids->begin(), lids->end());
-  gossip_[options_.index] = FirstUnfilledGlobalLocked();
-  RefreshHlLocked();
-  return Status::OK();
-}
-
-Result<LId> LogMaintainer::AppendLocked(const LogRecord& record) {
-  std::vector<LId> lids;
-  CHARIOTS_RETURN_IF_ERROR(AppendBatchLocked(&record, 1, &lids));
-  return lids[0];
-}
-
-Result<std::vector<LId>> LogMaintainer::AppendBatch(
-    std::span<const LogRecord> records) {
-  if (records.empty()) return std::vector<LId>{};
-  std::vector<std::pair<LogRecord, LId>> landed;
-  Result<std::vector<LId>> result = [&]() -> Result<std::vector<LId>> {
-    std::lock_guard<std::mutex> write_lock(write_mu_);
-    std::lock_guard<std::shared_mutex> lock(mu_);
-    std::vector<LId> lids;
-    CHARIOTS_RETURN_IF_ERROR(
-        AppendBatchLocked(records.data(), records.size(), &lids));
-    if (observer_) {
-      landed.reserve(records.size());
-      for (size_t i = 0; i < records.size(); ++i) {
-        landed.emplace_back(records[i], lids[i]);
-      }
-    }
-    auto drained = DrainDeferredLocked();
-    landed.insert(landed.end(), std::make_move_iterator(drained.begin()),
-                  std::make_move_iterator(drained.end()));
-    return lids;
-  }();
-  if (observer_) {
-    for (auto& [rec, lid] : landed) observer_(rec, lid);
-  }
-  return result;
-}
-
-Result<LId> LogMaintainer::Append(const LogRecord& record) {
-  std::vector<std::pair<LogRecord, LId>> landed;
-  Result<LId> result = [&]() -> Result<LId> {
-    std::lock_guard<std::mutex> write_lock(write_mu_);
-    std::lock_guard<std::shared_mutex> lock(mu_);
-    CHARIOTS_ASSIGN_OR_RETURN(LId lid, AppendLocked(record));
-    landed.emplace_back(record, lid);
-    auto drained = DrainDeferredLocked();
-    landed.insert(landed.end(), std::make_move_iterator(drained.begin()),
-                  std::make_move_iterator(drained.end()));
-    return lid;
-  }();
-  if (observer_) {
-    for (auto& [rec, lid] : landed) observer_(rec, lid);
-  }
-  return result;
-}
-
-Result<LId> LogMaintainer::AppendOrdered(const LogRecord& record,
-                                         LId min_lid) {
-  std::vector<std::pair<LogRecord, LId>> landed;
-  Result<LId> result = [&]() -> Result<LId> {
-    std::lock_guard<std::mutex> write_lock(write_mu_);
-    std::lock_guard<std::shared_mutex> lock(mu_);
-    CHARIOTS_ASSIGN_OR_RETURN(LId next, NextAssignableGlobalLocked());
-    if (next > min_lid) {
-      CHARIOTS_ASSIGN_OR_RETURN(LId lid, AppendLocked(record));
-      landed.emplace_back(record, lid);
-      return lid;
-    }
-    deferred_.push_back(DeferredAppend{record, min_lid});
-    return kInvalidLId;
-  }();
-  if (observer_) {
-    for (auto& [rec, lid] : landed) observer_(rec, lid);
-  }
-  return result;
-}
-
-std::vector<std::pair<LogRecord, LId>> LogMaintainer::DrainDeferredLocked() {
-  std::vector<std::pair<LogRecord, LId>> landed;
-  bool progress = true;
-  while (progress && !deferred_.empty()) {
+  std::vector<bool> taken(deferred_.size(), false);
+  for (bool progress = true; progress;) {
     progress = false;
-    for (auto it = deferred_.begin(); it != deferred_.end();) {
-      Result<LId> next = NextAssignableGlobalLocked();
-      if (!next.ok()) return landed;
-      if (*next > it->min_lid) {
-        Result<LId> lid = AppendLocked(it->record);
-        if (lid.ok()) {
-          landed.emplace_back(std::move(it->record), *lid);
-          it = deferred_.erase(it);
-          progress = true;
-          continue;
-        }
-      }
-      ++it;
+    for (size_t i = 0; i < deferred_.size(); ++i) {
+      if (taken[i]) continue;
+      Result<LId> next = NextFreeLocked(cursor);
+      if (!next.ok()) return Status::OK();
+      if (*next <= deferred_[i].min_lid) continue;
+      take(*next);
+      taken[i] = true;
+      released->push_back(i);
+      progress = true;
     }
-  }
-  return landed;
-}
-
-Status LogMaintainer::AppendAt(LId lid, const LogRecord& record) {
-  return AppendAtBatch({&lid, 1}, {&record, 1});
-}
-
-Status LogMaintainer::AppendAtBatch(std::span<const LId> lids,
-                                    std::span<const LogRecord> records) {
-  if (lids.size() != records.size()) {
-    return Status::InvalidArgument("one lid per record");
-  }
-  if (lids.empty()) return Status::OK();
-  // Encode before taking any lock: a batch encoded under write_mu_ would
-  // delay the next landing.
-  std::vector<std::string> encoded;
-  encoded.reserve(lids.size());
-  for (const LogRecord& record : records) {
-    encoded.push_back(EncodeLogRecord(record));
-  }
-  {
-    std::lock_guard<std::mutex> write_lock(write_mu_);
-    CHARIOTS_RETURN_IF_ERROR(LandAtLocked(lids, std::move(encoded)));
-  }
-  if (observer_) {
-    for (size_t i = 0; i < lids.size(); ++i) observer_(records[i], lids[i]);
   }
   return Status::OK();
 }
 
-Status LogMaintainer::LandAtLocked(std::span<const LId> lids,
-                                   std::vector<std::string> encoded) {
+Status LogMaintainer::LandLocked(std::vector<LId>* lids,
+                                 std::vector<std::string> encoded,
+                                 const Landing& landing,
+                                 std::vector<LogRecord>* released) {
+  std::vector<size_t> drained;  // deferred_ indices, in landing order
   std::vector<LId> marked;  // made invalid here, unmarked if the write fails
   {
     std::lock_guard<std::shared_mutex> lock(mu_);
-    for (LId lid : lids) {
-      if (journal_.MaintainerFor(lid) != options_.index) {
-        return Status::OutOfRange("lid not owned by this maintainer");
+    if (lids->empty()) {
+      CHARIOTS_RETURN_IF_ERROR(PlanLocked(encoded.size(), lids, &drained));
+      for (size_t i : drained) encoded.push_back(deferred_[i].encoded);
+    } else {
+      for (LId lid : *lids) {
+        if (journal_.MaintainerFor(lid) != options_.index) {
+          return Status::OutOfRange("lid not owned by this maintainer");
+        }
       }
     }
-    if (t_land_invalid) {
-      for (LId lid : lids) {
+    if (landing.invalid) {
+      for (LId lid : *lids) {
         if (invalid_.insert(lid).second) marked.push_back(lid);
       }
     }
@@ -341,29 +179,118 @@ Status LogMaintainer::LandAtLocked(std::span<const LId> lids,
   // The store write and its fdatasync run without mu_: readers of other
   // positions proceed, and write_mu_ keeps every other landing out.
   std::vector<storage::AppendEntry> entries;
-  entries.reserve(lids.size());
-  for (size_t i = 0; i < lids.size(); ++i) {
-    entries.push_back(storage::AppendEntry{lids[i], encoded[i]});
+  entries.reserve(lids->size());
+  for (size_t i = 0; i < lids->size(); ++i) {
+    entries.push_back(storage::AppendEntry{(*lids)[i], encoded[i]});
   }
   Status written = store_.AppendBatch(entries);
+  if (written.ok() && landing.collect != nullptr) {
+    for (size_t i = 0; i < lids->size(); ++i) {
+      landing.collect->push_back(ReplicatedEntry{(*lids)[i], encoded[i]});
+    }
+  }
   std::lock_guard<std::shared_mutex> lock(mu_);
   if (!written.ok()) {
     for (LId lid : marked) invalid_.erase(lid);
     return written;
   }
-  for (size_t i = 0; i < lids.size(); ++i) {
-    tail_cache_.Put(lids[i], std::move(encoded[i]));
-    SlotRef ref = journal_.SlotFor(lids[i]);
+  for (size_t i = 0; i < lids->size(); ++i) {
+    tail_cache_.Put((*lids)[i], std::move(encoded[i]));
+    SlotRef ref = journal_.SlotFor((*lids)[i]);
     MarkFilledLocked(ref);
     assign_next_[ref.epoch_index] =
         std::max(assign_next_[ref.epoch_index], ref.slot + 1);
   }
+  for (size_t i : drained) released->push_back(std::move(deferred_[i].record));
+  std::sort(drained.begin(), drained.end(), std::greater<>());
+  for (size_t i : drained) deferred_.erase(deferred_.begin() + i);
   gossip_[options_.index] = FirstUnfilledGlobalLocked();
   RefreshHlLocked();
   return Status::OK();
 }
 
-Result<std::vector<LId>> LogMaintainer::FillHoles(const LogRecord& junk) {
+void LogMaintainer::Notify(std::span<const LogRecord> records,
+                           std::span<const LId> lids,
+                           const std::vector<LogRecord>& released) const {
+  if (!observer_) return;
+  for (size_t i = 0; i < records.size(); ++i) observer_(records[i], lids[i]);
+  for (size_t i = 0; i < released.size(); ++i) {
+    observer_(released[i], lids[records.size() + i]);
+  }
+}
+
+Result<LId> LogMaintainer::Append(const LogRecord& record,
+                                  const Landing& landing) {
+  CHARIOTS_ASSIGN_OR_RETURN(std::vector<LId> lids,
+                            AppendBatch({&record, 1}, landing));
+  return lids[0];
+}
+
+Result<std::vector<LId>> LogMaintainer::AppendBatch(
+    std::span<const LogRecord> records, const Landing& landing) {
+  if (records.empty()) return std::vector<LId>{};
+  std::vector<std::string> encoded = EncodeAll(records);
+  std::vector<LId> lids;
+  std::vector<LogRecord> released;
+  {
+    std::lock_guard<std::mutex> write_lock(write_mu_);
+    CHARIOTS_RETURN_IF_ERROR(
+        LandLocked(&lids, std::move(encoded), landing, &released));
+  }
+  Notify(records, lids, released);
+  lids.resize(records.size());
+  return lids;
+}
+
+Result<LId> LogMaintainer::AppendOrdered(const LogRecord& record,
+                                         LId min_lid,
+                                         const Landing& landing) {
+  std::vector<std::string> encoded = EncodeAll({&record, 1});
+  std::vector<LId> lids;
+  std::vector<LogRecord> released;
+  {
+    std::lock_guard<std::mutex> write_lock(write_mu_);
+    CHARIOTS_ASSIGN_OR_RETURN(LId next, NextFreeLocked(assign_next_));
+    if (next <= min_lid) {
+      std::lock_guard<std::shared_mutex> lock(mu_);
+      deferred_.push_back(
+          DeferredAppend{record, std::move(encoded[0]), min_lid});
+      return kInvalidLId;
+    }
+    CHARIOTS_RETURN_IF_ERROR(
+        LandLocked(&lids, std::move(encoded), landing, &released));
+  }
+  Notify({&record, 1}, lids, released);
+  return lids[0];
+}
+
+Status LogMaintainer::AppendAt(LId lid, const LogRecord& record,
+                               const Landing& landing) {
+  return AppendAtBatch({&lid, 1}, {&record, 1}, landing);
+}
+
+Status LogMaintainer::AppendAtBatch(std::span<const LId> lids,
+                                    std::span<const LogRecord> records,
+                                    const Landing& landing) {
+  if (lids.size() != records.size()) {
+    return Status::InvalidArgument("one lid per record");
+  }
+  if (lids.empty()) return Status::OK();
+  // Encode before taking any lock: a batch encoded under write_mu_ would
+  // delay the next landing.
+  std::vector<std::string> encoded = EncodeAll(records);
+  std::vector<LId> landed(lids.begin(), lids.end());
+  {
+    std::lock_guard<std::mutex> write_lock(write_mu_);
+    CHARIOTS_RETURN_IF_ERROR(
+        LandLocked(&landed, std::move(encoded), landing, nullptr));
+  }
+  Notify(records, lids, {});
+  return Status::OK();
+}
+
+Result<std::vector<LId>> LogMaintainer::FillHoles(const LogRecord& junk,
+                                                  const Landing& landing) {
   // write_mu_ is held from the hole scan through the fill, so a landing
   // still in flight finishes first and its position is no hole; the junk
   // lands as one batch through the normal landing path (store write, fill
@@ -386,19 +313,15 @@ Result<std::vector<LId>> LogMaintainer::FillHoles(const LogRecord& junk) {
       }
     }
     if (holes.empty()) return holes;
-    std::vector<std::string> encoded;
-    encoded.reserve(holes.size());
     fills.reserve(holes.size());
     for (LId lid : holes) {
       fills.push_back(junk);
       fills.back().lid = lid;
-      encoded.push_back(EncodeLogRecord(fills.back()));
     }
-    CHARIOTS_RETURN_IF_ERROR(LandAtLocked(holes, std::move(encoded)));
+    CHARIOTS_RETURN_IF_ERROR(
+        LandLocked(&holes, EncodeAll(fills), landing, nullptr));
   }
-  if (observer_) {
-    for (size_t i = 0; i < holes.size(); ++i) observer_(fills[i], holes[i]);
-  }
+  Notify(fills, holes, {});
   return holes;
 }
 
@@ -448,6 +371,7 @@ LId LogMaintainer::HeadOfLog() const {
 }
 
 Status LogMaintainer::AddEpoch(const StripeEpoch& epoch) {
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   std::lock_guard<std::shared_mutex> lock(mu_);
   CHARIOTS_RETURN_IF_ERROR(journal_.AddEpoch(epoch));
   assign_next_.push_back(0);

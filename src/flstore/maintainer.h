@@ -35,17 +35,32 @@ struct MaintainerOptions {
   uint64_t tail_cache_records = 4096;
 };
 
+/// How one write call lands its records (DESIGN.md §12, "Land invalid").
+/// The default lands valid and collects nothing.
+struct Landing {
+  /// Publish every position the call lands invalid, before its bytes reach
+  /// the store: no reader and no FirstInvalid() sees it valid before its
+  /// Hermes round validates it. A failed landing unmarks it again.
+  bool invalid = false;
+  /// If set, receives (LId, stored bytes) of every record the call lands,
+  /// in landing order — deferred ordered appends it releases included.
+  std::vector<ReplicatedEntry>* collect = nullptr;
+};
+
 /// A log maintainer (paper §5.2): owns the deterministic round-robin ranges
 /// of the shared log given by the epoch journal, persists records, serves
 /// reads, and participates in the Head-of-the-Log gossip (§5.4).
 ///
-/// Two append paths:
+/// Records reach it two ways, and land through one core:
 ///  * Append() — *post-assignment*: the maintainer assigns the record the
 ///    next free position it owns. This is the scalable single-datacenter
 ///    FLStore path; no cross-maintainer coordination.
 ///  * AppendAtBatch() — pre-assigned LIds, used by the Chariots queues
 ///    stage (§6.2), which performs the causal assignment centrally per
 ///    token and writes each token step's run as one batch.
+/// Every write entry point encodes outside any lock, lands all of its
+/// records with one group-commit store write or none of them, and takes a
+/// trailing Landing.
 ///
 /// Thread-safe. Transport-agnostic: MaintainerServer (service.h) exposes it
 /// over RPC and runs the gossip timer.
@@ -66,30 +81,34 @@ class LogMaintainer {
   /// are dropped, as a real restart would drop them.
   Status Close();
 
-  /// Post-assignment append: assigns the next free owned position.
-  /// Internally a batch of one — all assignment logic lives in the batch
-  /// path.
-  Result<LId> Append(const LogRecord& record);
+  /// Post-assignment append: assigns the next free owned position. A batch
+  /// of one.
+  Result<LId> Append(const LogRecord& record, const Landing& landing = {});
 
-  /// Batched post-assignment append: takes the lock once, reserves
-  /// contiguous runs of owned slots (a run never crosses a stripe-batch or
-  /// epoch boundary, so LIds within a run are consecutive), persists all
-  /// records with one group-commit store write, and updates fill state and
-  /// gossip once. Returns the assigned LIds in record order. All-or-nothing:
-  /// on failure no record is persisted and no slot stays reserved.
-  Result<std::vector<LId>> AppendBatch(std::span<const LogRecord> records);
+  /// Batched post-assignment append: assigns the next free owned positions
+  /// in record order, persists all records with one group-commit store
+  /// write, and updates fill state and gossip once. Deferred ordered
+  /// appends the batch carries past their bound land right after it, in the
+  /// same write. Returns the assigned LIds in record order. All-or-nothing:
+  /// on failure no record is persisted and the assignment cursor has not
+  /// moved.
+  Result<std::vector<LId>> AppendBatch(std::span<const LogRecord> records,
+                                       const Landing& landing = {});
 
   /// Explicit-order append (paper §5.4): the record is only assigned a
   /// position strictly greater than `min_lid`. If the next free position is
   /// not beyond the bound yet, the record is buffered and assigned once the
   /// log advances. Returns the LId if assigned immediately, or kInvalidLId
-  /// if deferred (observer fires when it lands).
-  Result<LId> AppendOrdered(const LogRecord& record, LId min_lid);
+  /// if deferred (observer fires when it lands; a later post-assigned
+  /// landing releases it under that call's Landing).
+  Result<LId> AppendOrdered(const LogRecord& record, LId min_lid,
+                            const Landing& landing = {});
 
   /// Pre-assigned append. Fails with OutOfRange if `lid` is not owned by
   /// this maintainer, AlreadyExists if occupied. A batch of one over
   /// AppendAtBatch.
-  Status AppendAt(LId lid, const LogRecord& record);
+  Status AppendAt(LId lid, const LogRecord& record,
+                  const Landing& landing = {});
 
   /// Batched pre-assigned append: `records[i]` lands at `lids[i]`. Encodes
   /// outside any lock, then persists the whole batch with one group-commit
@@ -100,7 +119,8 @@ class LogMaintainer {
   /// any is occupied or repeated, or the store's error — and in every such
   /// case nothing is persisted.
   Status AppendAtBatch(std::span<const LId> lids,
-                       std::span<const LogRecord> records);
+                       std::span<const LogRecord> records,
+                       const Landing& landing = {});
 
   /// Fills every owned-but-unfilled position below this maintainer's
   /// assignment cursor with a copy of `junk` (paper §5.3's invalid records).
@@ -111,7 +131,8 @@ class LogMaintainer {
   /// its position is never junk-filled. The fills land as one batch, and the
   /// observer fires for each, so fills replicate and index like any landed
   /// record.
-  Result<std::vector<LId>> FillHoles(const LogRecord& junk);
+  Result<std::vector<LId>> FillHoles(const LogRecord& junk,
+                                     const Landing& landing = {});
 
   /// Raw read: the record at `lid` regardless of gaps before it. Memory
   /// speed on the hot tail: ownership is checked under a shared lock
@@ -141,7 +162,8 @@ class LogMaintainer {
   /// refreshed on every gossip/fill-state change.
   LId HeadOfLog() const;
 
-  /// Installs a future striping epoch (live elasticity, §6.3).
+  /// Installs a future striping epoch (live elasticity, §6.3). Waits for a
+  /// landing in flight, so a landing plans and publishes under one journal.
   Status AddEpoch(const StripeEpoch& epoch);
 
   /// Observer called (outside the lock) for every record that lands, with
@@ -175,25 +197,7 @@ class LogMaintainer {
   // direct test appends) stay readable. Storage is not consulted: validity
   // is protocol state, not payload state, and it dies with the process —
   // a restarted replica rejoins via reconfiguration, not by trusting a
-  // stale validity map.
-
-  /// While one is open on a thread, every record that thread lands is
-  /// published invalid: a post-assigned record in the lock hold that
-  /// assigns it and publishes its fill state, a pre-assigned one before its
-  /// bytes reach the store (where Read finds them without mu_). So neither
-  /// a concurrent reader nor FirstInvalid() ever sees it valid before its
-  /// round validates it. Scopes nest.
-  class InvalidLandingScope {
-   public:
-    explicit InvalidLandingScope(bool active);
-    ~InvalidLandingScope();
-
-    InvalidLandingScope(const InvalidLandingScope&) = delete;
-    InvalidLandingScope& operator=(const InvalidLandingScope&) = delete;
-
-   private:
-    const bool previous_;
-  };
+  // stale validity map. A write call lands invalid through its Landing.
 
   /// Marks `lid` invalid (INV received / landed but not yet all-acked).
   void MarkInvalid(LId lid);
@@ -233,59 +237,55 @@ class LogMaintainer {
  private:
   struct DeferredAppend {
     LogRecord record;
+    std::string encoded;
     LId min_lid;
   };
 
-  /// A reserved run of consecutive owned slots (and thus consecutive LIds:
-  /// runs never span a stripe-batch or epoch boundary).
-  struct AssignRun {
-    LId start_lid = kInvalidLId;
-    uint64_t count = 0;
-    size_t epoch_index = 0;
-    uint64_t first_slot = 0;
-  };
-
   // The Locked helpers require mu_ held (exclusive if they mutate), except
-  // LandAtLocked, which requires write_mu_ and takes mu_ itself.
-  Result<LId> NextAssignableGlobalLocked() const;
-  /// Next run of up to `max_records` consecutive assignable slots, clipped
-  /// at the current stripe-batch and epoch boundaries. Does not advance the
-  /// assignment cursor.
-  Result<AssignRun> NextAssignableRunLocked(uint64_t max_records) const;
-  /// Shared assignment+persist core: reserves runs covering `n` records,
-  /// group-commits them to the store, marks fill state, and refreshes the
-  /// gossip entry once. Rolls back reservations if the store write fails.
-  Status AppendBatchLocked(const LogRecord* records, size_t n,
-                           std::vector<LId>* lids);
-  /// Pre-assigned landing core: checks ownership (and marks the positions
-  /// invalid inside an InvalidLandingScope), writes `encoded[i]` at
-  /// `lids[i]` with one store batch holding no mu_, then publishes the
-  /// fill state, gossip entry and tail cache under mu_.
-  Status LandAtLocked(std::span<const LId> lids,
-                      std::vector<std::string> encoded);
+  // LandLocked, which requires write_mu_ and takes mu_ itself. The journal,
+  // the assignment cursor and deferred_ change only under both locks, so
+  // NextFreeLocked and PlanLocked may run under either.
+
+  /// First free owned position at or after `cursor` (the next slot to hand
+  /// out in each epoch).
+  Result<LId> NextFreeLocked(const std::vector<uint64_t>& cursor) const;
+  /// Plans a post-assigned landing: the next `n` free positions, then one
+  /// for each deferred ordered append they carry past its bound (repeating
+  /// in arrival order until none is). Appends the positions to `lids` and
+  /// the deferred_ indices to `released`; moves nothing.
+  Status PlanLocked(size_t n, std::vector<LId>* lids,
+                    std::vector<size_t>* released) const;
+  /// The one landing core. Under its first mu_ hold it checks ownership of
+  /// the positions in `lids`, or, when `lids` comes in empty, plans them
+  /// (appending the released deferred records' positions), and marks them
+  /// invalid if `landing` asks. It writes `encoded[i]` at `lids[i]` with one
+  /// store batch holding no mu_, then publishes fill state, cursor, gossip
+  /// entry and tail cache under mu_ and moves the released deferred records
+  /// to `released`. A failed write unmarks its positions and changes
+  /// nothing else.
+  Status LandLocked(std::vector<LId>* lids, std::vector<std::string> encoded,
+                    const Landing& landing, std::vector<LogRecord>* released);
+  /// Calls the observer for `records` at `lids` and then for `released`,
+  /// whose positions follow in `lids`.
+  void Notify(std::span<const LogRecord> records, std::span<const LId> lids,
+              const std::vector<LogRecord>& released) const;
   void RebuildStateLocked();
   /// Re-derives the lock-free HL snapshot from gossip_. Must be called
   /// after every mutation of gossip_.
   void RefreshHlLocked();
-  Result<LId> AppendLocked(const LogRecord& record);
   void MarkFilledLocked(SlotRef ref);
   LId FirstUnfilledGlobalLocked() const;
-  // Drains deferred ordered appends that became eligible; returns landed
-  // (record, lid) pairs for observer notification.
-  std::vector<std::pair<LogRecord, LId>> DrainDeferredLocked();
 
   MaintainerOptions options_;
 
-  /// Writer mutex: serializes every landing (both append paths and
-  /// FillHoles), Remove, TruncateBelow, Sync, Open and Close, and is held
-  /// across their store call. Taken before mu_.
+  /// Writer mutex: serializes every landing, FillHoles, AddEpoch, Remove,
+  /// TruncateBelow, Sync, Open and Close, and is held across their store
+  /// call. Taken before mu_.
   std::mutex write_mu_;
   /// Reader–writer lock: Read/ReadCommitted and the metadata accessors take
-  /// it shared; gossip ingestion, epoch changes and a writer's publish take
-  /// it exclusive. AppendAtBatch, FillHoles, Remove, TruncateBelow and Sync
-  /// never hold it across store I/O (DESIGN.md §11); the post-assignment
-  /// append paths still do, as their slot reservation and write are one
-  /// step.
+  /// it shared; gossip ingestion, epoch changes, validity marks and a
+  /// writer's plan and publish take it exclusive. Only Open and Close hold
+  /// it across store I/O (DESIGN.md §11).
   mutable std::shared_mutex mu_;
   EpochJournal journal_;
   /// Holds the maintainer's only LId → location index.
@@ -296,6 +296,7 @@ class LogMaintainer {
   /// RefreshHlLocked so ReadCommitted/HeadOfLog never take mu_.
   std::atomic<LId> hl_cache_{0};
   // Post-assignment cursor: for each epoch, the next slot to hand out.
+  // Advances only when a landing publishes.
   std::vector<uint64_t> assign_next_;
   // Fill tracking: contiguous filled slot count per epoch + out-of-order
   // slots (pre-assigned appends may arrive ahead of earlier ones).

@@ -22,14 +22,6 @@ enum class ReplicaRole : uint8_t {
   kReplica = 2,      ///< applies invalidations, serves reads of valid positions
 };
 
-/// One landed record as shipped coordinator -> replica: its assigned position
-/// and its already-encoded bytes (replicas apply it with AppendAt, so every
-/// replica holds byte-identical payloads at identical positions).
-struct ReplicatedEntry {
-  LId lid = kInvalidLId;
-  std::string record_bytes;
-};
-
 /// Payload of a kInvalidate RPC — the INV leg of the Hermes round. Carries
 /// the coordinator's fencing epoch (replicas reject anything stale), the
 /// batch of landed records (INVs carry the value, so the ack implies the

@@ -153,30 +153,6 @@ Result<LId> DecodeLId(std::string_view data) {
   return lid;
 }
 
-/// Replication collector: while a handler runs a maintainer append, the
-/// observer appends every landed record here (a handler runs on one thread
-/// and never nests, so thread_local scoping keeps concurrent handlers from
-/// mixing batches). Null outside an append handler.
-thread_local std::vector<ReplicatedEntry>* g_replication_sink = nullptr;
-
-/// Arms the sink for the enclosing scope. Records landing under the
-/// replication protocol (`invalid`: this node replicates) land invalid
-/// (Hermes): unreadable until every peer acked the INV. Records landed
-/// outside the protocol (solo stripes, recovery) stay valid.
-class ReplicationScope {
- public:
-  ReplicationScope(std::vector<ReplicatedEntry>* sink, bool invalid)
-      : landing_(invalid) {
-    g_replication_sink = sink;
-  }
-  ~ReplicationScope() { g_replication_sink = nullptr; }
-  ReplicationScope(const ReplicationScope&) = delete;
-  ReplicationScope& operator=(const ReplicationScope&) = delete;
-
- private:
-  LogMaintainer::InvalidLandingScope landing_;
-};
-
 /// Blocks until the replication work `start` begins reports its outcome.
 /// Only queued handlers (promotion, reconfigure, fill) wait like this.
 Status WaitForRound(
@@ -389,10 +365,6 @@ Status MaintainerServer::Restart() {
 void MaintainerServer::OnLanded(const LogRecord& record, LId lid) {
   flightrec::Record(flightrec::EventType::kAppend, 0, maintainer_.index(),
                     lid, record.body.size());
-  if (g_replication_sink != nullptr) {
-    g_replication_sink->push_back(
-        ReplicatedEntry{lid, EncodeLogRecord(record)});
-  }
   // Replicas hold the postings back: the coordinator already published
   // them, and a promoted node starts publishing the moment it begins
   // serving appends.
@@ -409,10 +381,11 @@ void MaintainerServer::InstallHandlers() {
   // ack therefore means every replica holds the records durably.
   //
   // Each handler below only lands its records and returns what the client
-  // gets back. StartWrite does the rest (admission, dedup, the replication
-  // sink around the landing, the round) and the handler returns as soon as
-  // the INVs are out; the round's last ack sends the reply. Client appends
-  // open with a (client_id, seq) token; kAppendAt carries none.
+  // gets back, landing through the Landing it is given. StartWrite does the
+  // rest (admission, dedup, the Landing that collects the round's batch, the
+  // round) and the handler returns as soon as the INVs are out; the round's
+  // last ack sends the reply. Client appends open with a (client_id, seq)
+  // token; kAppendAt carries none.
   //
   // The data path — kAppend, kRead, kInvalidate, kValidate — never blocks
   // and is safe alongside itself, so it is registered kInline: on the
@@ -420,56 +393,67 @@ void MaintainerServer::InstallHandlers() {
   // the other clients' requests to the node, and a whole append (INVs,
   // acks, VALs) completes on the client's thread. Every other handler stays
   // queued, and runs alone on its node. What makes the four safe side by
-  // side: landings are published invalid (ReplicationScope), kRead checks
+  // side: landings are published invalid (Landing::invalid), kRead checks
   // validity again once it has the bytes, StartWrite claims a token before
   // it lands, and INV/VAL act under the epoch lock.
   constexpr auto kInline = net::RpcEndpoint::Dispatch::kInline;
   HandleWrite(kAppend, /*tokened=*/true,
-              [this](BinaryReader& r) -> Result<std::string> {
+              [this](BinaryReader& r,
+                     const Landing& landing) -> Result<std::string> {
                 std::string rec_bytes;
                 CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&rec_bytes));
                 CHARIOTS_ASSIGN_OR_RETURN(
                     LogRecord record, DecodeLogRecord(kInvalidLId, rec_bytes));
-                CHARIOTS_ASSIGN_OR_RETURN(LId lid, maintainer_.Append(record));
+                CHARIOTS_ASSIGN_OR_RETURN(LId lid,
+                                          maintainer_.Append(record, landing));
                 return EncodeLId(lid);
               },
               kInline);
 
+  // Decodes the whole batch first, then lands it with one group commit:
+  // all of it or none.
   HandleWrite(kAppendBatch, /*tokened=*/true,
-              [this](BinaryReader& r) -> Result<std::string> {
+              [this](BinaryReader& r,
+                     const Landing& landing) -> Result<std::string> {
                 uint32_t n = 0;
                 CHARIOTS_RETURN_IF_ERROR(r.GetU32(&n));
-                BinaryWriter out;
-                out.PutU32(n);
+                std::vector<LogRecord> records;
                 for (uint32_t i = 0; i < n; ++i) {
                   std::string rec_bytes;
                   CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&rec_bytes));
                   CHARIOTS_ASSIGN_OR_RETURN(
                       LogRecord record,
                       DecodeLogRecord(kInvalidLId, rec_bytes));
-                  CHARIOTS_ASSIGN_OR_RETURN(LId lid,
-                                            maintainer_.Append(record));
-                  out.PutU64(lid);
+                  records.push_back(std::move(record));
                 }
+                CHARIOTS_ASSIGN_OR_RETURN(
+                    std::vector<LId> lids,
+                    maintainer_.AppendBatch(records, landing));
+                BinaryWriter out;
+                out.PutU32(n);
+                for (LId lid : lids) out.PutU64(lid);
                 return std::move(out).data();
               });
 
   HandleWrite(kAppendAt, /*tokened=*/false,
-              [this](BinaryReader& r) -> Result<std::string> {
+              [this](BinaryReader& r,
+                     const Landing& landing) -> Result<std::string> {
                 LId lid = 0;
                 CHARIOTS_RETURN_IF_ERROR(r.GetU64(&lid));
                 std::string rec_bytes;
                 CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&rec_bytes));
                 CHARIOTS_ASSIGN_OR_RETURN(LogRecord record,
                                           DecodeLogRecord(lid, rec_bytes));
-                CHARIOTS_RETURN_IF_ERROR(maintainer_.AppendAt(lid, record));
+                CHARIOTS_RETURN_IF_ERROR(
+                    maintainer_.AppendAt(lid, record, landing));
                 return std::string();
               });
 
   // Caching a deferred (kInvalidLId) response is deliberate: a retry must
   // not re-buffer the record — the first buffered copy will land.
   HandleWrite(kAppendOrdered, /*tokened=*/true,
-              [this](BinaryReader& r) -> Result<std::string> {
+              [this](BinaryReader& r,
+                     const Landing& landing) -> Result<std::string> {
                 LId min_lid = 0;
                 CHARIOTS_RETURN_IF_ERROR(r.GetU64(&min_lid));
                 std::string rec_bytes;
@@ -477,7 +461,8 @@ void MaintainerServer::InstallHandlers() {
                 CHARIOTS_ASSIGN_OR_RETURN(
                     LogRecord record, DecodeLogRecord(kInvalidLId, rec_bytes));
                 CHARIOTS_ASSIGN_OR_RETURN(
-                    LId lid, maintainer_.AppendOrdered(record, min_lid));
+                    LId lid,
+                    maintainer_.AppendOrdered(record, min_lid, landing));
                 return EncodeLId(lid);
               });
 
@@ -610,18 +595,19 @@ void MaintainerServer::InstallHandlers() {
     EpochHold hold = HoldEpoch(req.epoch);
     CHARIOTS_RETURN_IF_ERROR(replica_.AcceptRemoteEpoch(req.epoch));
     InvalidationsCounter()->Add(req.entries.size());
-    LogMaintainer::InvalidLandingScope landing(true);
+    const Landing invalid{.invalid = true};
     for (const ReplicatedEntry& entry : req.entries) {
       CHARIOTS_ASSIGN_OR_RETURN(
           LogRecord record, DecodeLogRecord(entry.lid, entry.record_bytes));
-      Status status = maintainer_.AppendAt(entry.lid, record);
+      Status status = maintainer_.AppendAt(entry.lid, record, invalid);
       if (status.code() == StatusCode::kAlreadyExists) {
         maintainer_.MarkInvalid(entry.lid);  // until this round's VAL
         Result<LogRecord> existing = maintainer_.Read(entry.lid);
         if (existing.ok() &&
             EncodeLogRecord(*existing) != entry.record_bytes) {
           CHARIOTS_RETURN_IF_ERROR(maintainer_.Remove(entry.lid));
-          CHARIOTS_RETURN_IF_ERROR(maintainer_.AppendAt(entry.lid, record));
+          CHARIOTS_RETURN_IF_ERROR(
+              maintainer_.AppendAt(entry.lid, record, invalid));
         }
       } else {
         CHARIOTS_RETURN_IF_ERROR(status);
@@ -768,22 +754,21 @@ void MaintainerServer::InstallHandlers() {
         CHARIOTS_RETURN_IF_ERROR(fr.GetBytes(&bytes));
         CHARIOTS_ASSIGN_OR_RETURN(LogRecord record,
                                   DecodeLogRecord(lid, bytes));
-        Status status = maintainer_.AppendAt(lid, record);
+        Status status =
+            maintainer_.AppendAt(lid, record, Landing{.invalid = true});
         if (status.code() != StatusCode::kAlreadyExists) {
           CHARIOTS_RETURN_IF_ERROR(status);
         }
         maintainer_.MarkInvalid(lid);
       }
     }
-    // Junk-fill the true holes (nothing above covered them), replicating
-    // the fills like any landed record.
-    std::vector<ReplicatedEntry> fills;
-    std::vector<LId> filled;
-    {
-      ReplicationScope scope(&fills, replica_.replicates());
-      CHARIOTS_ASSIGN_OR_RETURN(filled,
-                                maintainer_.FillHoles(MakeJunkRecord()));
-    }
+    // Junk-fill the true holes (nothing above covered them). They land
+    // invalid on a replicated stripe, so the replay below re-broadcasts
+    // them like any landed record.
+    CHARIOTS_ASSIGN_OR_RETURN(
+        std::vector<LId> filled,
+        maintainer_.FillHoles(MakeJunkRecord(),
+                              Landing{.invalid = replica_.replicates()}));
     if (!filled.empty()) {
       LOG_INFO << "promotion of maintainer " << maintainer_.index()
                << " junk-filled " << filled.size() << " orphaned positions";
@@ -808,11 +793,9 @@ void MaintainerServer::InstallHandlers() {
     CHARIOTS_RETURN_IF_ERROR(replica_.CheckAppendServing());
     CHARIOTS_ASSIGN_OR_RETURN(LId lid, DecodeLId(payload));
     std::vector<ReplicatedEntry> batch;
-    Status status;
-    {
-      ReplicationScope scope(&batch, replica_.replicates());
-      status = maintainer_.AppendAt(lid, MakeJunkRecord(lid));
-    }
+    Status status = maintainer_.AppendAt(
+        lid, MakeJunkRecord(lid),
+        Landing{.invalid = replica_.replicates(), .collect = &batch});
     if (status.code() == StatusCode::kAlreadyExists) {
       return std::string();  // position is occupied — nothing to repair
     }
@@ -934,18 +917,13 @@ Status MaintainerServer::StartWrite(bool tokened, const LandFn& land,
       return Status::OK();
     }
   }
+  // Records land invalid under the replication protocol (Hermes):
+  // unreadable until every peer acked the INV. Records landed outside it
+  // (solo stripes) stay valid. A failed landing landed nothing.
   std::vector<ReplicatedEntry> batch;
-  Result<std::string> landed = [&] {
-    ReplicationScope scope(&batch, replica_.replicates());
-    return land(r);
-  }();
+  Result<std::string> landed =
+      land(r, Landing{.invalid = replica_.replicates(), .collect = &batch});
   if (!landed.ok()) {
-    // Records that landed before the failure still replicate (unacked), so
-    // they cannot hold the replicated floor back like a parked write.
-    if (!batch.empty()) {
-      RunReplicationRound(std::move(batch), "", 0, "",
-                          [](Status, const net::NodeId&) {});
-    }
     finish(landed.status());
     return Status::OK();
   }
@@ -1119,11 +1097,12 @@ void MaintainerServer::NoteReplicated(LId top_lid) {
                                              std::memory_order_relaxed)) {
   }
   // Rounds overlap, so a round above this one may still be open or parked:
-  // the floor stops at the first position not yet validated. A position is
-  // published invalid in the lock hold that assigns it (ReplicationScope),
-  // so a landing running beside this completion is in the invalid window
-  // before any higher position is assigned, and reading the window after
-  // validating our own batch can only under-count.
+  // the floor stops at the first position not yet validated. A landing
+  // marks its positions invalid in the lock hold that plans them
+  // (Landing::invalid), and landings are serialized, so a landing running
+  // beside this completion is in the invalid window before any higher
+  // position is planned, and reading the window after validating our own
+  // batch can only under-count.
   AdvanceReplicatedFloor(
       std::min(acked_floor_.load(std::memory_order_relaxed),
                maintainer_.FirstInvalid()));

@@ -233,10 +233,11 @@ class MaintainerServer {
   /// record not yet validated everywhere can still be junk-filled by a
   /// failover, so clients must not cache it as permanent (read_cache.h).
   LId CacheableHl() const;
-  /// Lands one append-side request's records (the replication sink is
-  /// armed around it) and returns what the client gets back once they
-  /// replicate. Reads the request past its dedup token.
-  using LandFn = std::function<Result<std::string>(BinaryReader& r)>;
+  /// Lands one append-side request's records, all or none, under the given
+  /// Landing, and returns what the client gets back once they replicate.
+  /// Reads the request past its dedup token.
+  using LandFn =
+      std::function<Result<std::string>(BinaryReader& r, const Landing&)>;
   /// (client_id, seq) dedup token of a client write.
   using WriteKey = std::pair<std::string, uint64_t>;
 

@@ -46,6 +46,15 @@ std::string EncodeLogRecord(const LogRecord& record);
 /// Inverse of EncodeLogRecord; `lid` is filled from the argument.
 Result<LogRecord> DecodeLogRecord(LId lid, std::string_view data);
 
+/// One landed record as its maintainer's store holds it and as a coordinator
+/// ships it to its replicas: its position and its encoded bytes (replicas
+/// apply it with AppendAt, so every replica holds byte-identical payloads at
+/// identical positions).
+struct ReplicatedEntry {
+  LId lid = kInvalidLId;
+  std::string record_bytes;
+};
+
 /// Reserved tag key marking a junk (hole-fill) record. Positions orphaned by
 /// a crashed primary are filled with junk so the Head of the Log can advance
 /// past them (paper §5.3's invalid records); readers skip records carrying

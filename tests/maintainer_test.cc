@@ -107,11 +107,31 @@ TEST(MaintainerTest, AppendBatchDrainsDeferredOrderedAppends) {
   EXPECT_EQ(*deferred, kInvalidLId);
   EXPECT_EQ(m.deferred_ordered(), 1u);
   // A batch of three advances the cursor to 3 > 2; the deferred record
-  // lands right after the batch.
+  // lands right after the batch, under the batch's landing: invalid, and
+  // collected after the batch with the bytes the store holds.
   std::vector<LogRecord> records = {Rec("a"), Rec("b"), Rec("c")};
-  ASSERT_TRUE(m.AppendBatch(records).ok());
+  std::vector<ReplicatedEntry> collected;
+  ASSERT_TRUE(
+      m.AppendBatch(records, Landing{.invalid = true, .collect = &collected})
+          .ok());
   EXPECT_EQ(m.deferred_ordered(), 0u);
   EXPECT_EQ(landed, (std::vector<LId>{0, 1, 2, 3}));
+  EXPECT_EQ(m.Read(3)->body, "late");
+  ASSERT_EQ(collected.size(), 4u);
+  for (LId lid = 0; lid < 4; ++lid) {
+    EXPECT_EQ(collected[lid].lid, lid);
+    EXPECT_EQ(collected[lid].record_bytes, EncodeLogRecord(*m.Read(lid)));
+    EXPECT_TRUE(m.IsInvalid(lid));
+  }
+  // A default landing marks nothing, the deferred record it releases
+  // included.
+  ASSERT_EQ(*m.AppendOrdered(Rec("later"), 5), kInvalidLId);
+  records = {Rec("d"), Rec("e")};
+  ASSERT_TRUE(m.AppendBatch(records).ok());
+  EXPECT_EQ(landed, (std::vector<LId>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(m.Read(6)->body, "later");
+  EXPECT_EQ(m.InvalidCount(), 4u);
+  for (LId lid = 4; lid < 7; ++lid) EXPECT_FALSE(m.IsInvalid(lid));
 }
 
 TEST(MaintainerTest, EmptyAppendBatchIsNoop) {
@@ -377,6 +397,51 @@ TEST(MaintainerTest, FillHolesWaitsForAnInFlightLanding) {
     EXPECT_EQ(m.Read(1)->body, "junk");
     EXPECT_EQ(m.Read(3)->body, "junk");
     EXPECT_EQ(m.HeadOfLog(), 5u);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(MaintainerTest, FailedPostAssignedLandingLeavesNothingBehind) {
+  // The fdatasync of a post-assigned landing fails. The call returns the
+  // error, and nothing it planned survives: no stored record, no invalid
+  // mark, no HL move, no lost position, and the deferred append it would
+  // have released still waits.
+  fs::path dir = fs::temp_directory_path() / "chariots_maintainer_failed_land";
+  fs::remove_all(dir);
+  storage::ScriptedIoEngine engine;
+  MaintainerOptions o;
+  o.journal = EpochJournal(1, 100);
+  o.store.dir = dir.string();
+  o.store.sync_policy = storage::SyncPolicy::kEveryBatch;
+  o.store.io_engine = &engine;
+  {
+    LogMaintainer m(o);
+    ASSERT_TRUE(m.Open().ok());
+    std::vector<LId> landed;
+    m.SetAppendObserver(
+        [&](const LogRecord&, LId lid) { landed.push_back(lid); });
+    ASSERT_EQ(*m.Append(Rec("zero")), 0u);
+    ASSERT_EQ(*m.AppendOrdered(Rec("late"), 1), kInvalidLId);
+    const LId hl = m.HeadOfLog();
+
+    engine.FailNextSync();
+    std::vector<ReplicatedEntry> collected;
+    Result<LId> failed = m.Append(
+        Rec("lost"), Landing{.invalid = true, .collect = &collected});
+    EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
+    EXPECT_TRUE(collected.empty());
+    EXPECT_EQ(m.count(), 1u);
+    EXPECT_TRUE(m.Read(1).status().IsNotFound());
+    EXPECT_TRUE(m.Read(2).status().IsNotFound());
+    EXPECT_EQ(m.InvalidCount(), 0u);
+    EXPECT_EQ(m.HeadOfLog(), hl);
+    EXPECT_EQ(m.deferred_ordered(), 1u);
+    EXPECT_EQ(landed, (std::vector<LId>{0}));
+
+    EXPECT_EQ(*m.Append(Rec("one")), 1u);
+    EXPECT_EQ(m.Read(1)->body, "one");
+    EXPECT_EQ(m.Read(2)->body, "late");
+    EXPECT_EQ(landed, (std::vector<LId>{0, 1, 2}));
   }
   fs::remove_all(dir);
 }

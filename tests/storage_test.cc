@@ -715,8 +715,9 @@ bool ServedPromptly(Fn read, std::future<std::invoke_result_t<Fn>>* out) {
 
 TEST_F(LogStoreTest, ReadersDoNotWaitForAnInFlightFsync) {
   // An append is held inside its fdatasync. Readers of earlier records —
-  // through the store and through a maintainer — must be served meanwhile,
-  // and the in-flight record must stay invisible until the sync returns.
+  // through the store and through a maintainer, pre- or post-assigned —
+  // must be served meanwhile, and the in-flight record must stay invisible
+  // until the sync returns.
   ScriptedIoEngine engine;
   LogStoreOptions o = Options();
   o.sync_policy = SyncPolicy::kEveryBatch;
@@ -770,6 +771,34 @@ TEST_F(LogStoreTest, ReadersDoNotWaitForAnInFlightFsync) {
   EXPECT_EQ(first.get()->body, "first");
   EXPECT_TRUE(second_hidden);
   EXPECT_EQ(maintainer.Read(1)->body, "second");
+
+  // A post-assigned append lands the same way: it plans lid 2 and holds no
+  // reader lock across its fdatasync.
+  engine.Hold();
+  record.body = "third";
+  std::thread appending([&] {
+    Result<flstore::LId> lid = maintainer.Append(record);
+    EXPECT_TRUE(lid.ok());
+    EXPECT_EQ(*lid, 2u);
+  });
+  engine.WaitUntilHeld();
+  std::future<Result<flstore::LogRecord>> earlier_record, third;
+  std::future<bool> earlier_invalid;
+  bool earlier_record_served = ServedPromptly(
+      [&] { return maintainer.Read(1); }, &earlier_record);
+  bool earlier_invalid_served = ServedPromptly(
+      [&] { return maintainer.IsInvalid(1); }, &earlier_invalid);
+  bool third_served =
+      ServedPromptly([&] { return maintainer.Read(2); }, &third);
+  bool third_hidden = third_served && third.get().status().IsNotFound();
+  engine.Release();
+  appending.join();
+  EXPECT_TRUE(earlier_record_served);
+  EXPECT_EQ(earlier_record.get()->body, "second");
+  EXPECT_TRUE(earlier_invalid_served);
+  EXPECT_FALSE(earlier_invalid.get());
+  EXPECT_TRUE(third_hidden);
+  EXPECT_EQ(maintainer.Read(2)->body, "third");
 }
 
 TEST_F(LogStoreTest, FaultSpecParserAcceptsScriptsAndRejectsGarbage) {

@@ -68,6 +68,16 @@
 #       fault_injection_test read_path_test \
 #       controller_ha_test                    # concurrent inline handlers
 #
+# One landing path: every LogMaintainer landing, pre- or post-assigned,
+# plans and marks under a short exclusive hold and writes without the
+# readers' lock, while readers, validity checks and Hermes rounds run
+# beside it; each call's Landing argument says whether it lands invalid
+# and collects the INV batch.
+#
+#   tools/run_tsan_tests.sh thread maintainer_test storage_test \
+#       replication_test fault_injection_test \
+#       flstore_integration_test               # one landing path
+#
 # Uses a separate build dir (build-<sanitizer>) so the regular build is
 # untouched.
 set -euo pipefail
