@@ -1,11 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the hot paths under the paper's
 // numbers: record codecs, CRC, storage append, striping math, index lookup,
-// and the queue admission step.
+// the queue admission step, an in-process RPC and a histogram record.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,9 +16,12 @@
 #include "common/codec.h"
 #include "common/crc32c.h"
 #include "common/flight_recorder.h"
+#include "common/metrics.h"
 #include "flstore/indexer.h"
 #include "flstore/maintainer.h"
 #include "flstore/striping.h"
+#include "net/inproc_transport.h"
+#include "net/rpc.h"
 #include "storage/log_store.h"
 
 namespace {
@@ -229,6 +233,52 @@ void BM_QueueTokenAdmission(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_QueueTokenAdmission);
+
+void BM_InProcCall(benchmark::State& state) {
+  // One empty request and its response over the in-process transport,
+  // handled in line: the hop an FLStore op crosses several times. Thread i
+  // calls from its own session node into one maintainer node, as FLStore
+  // sessions do, so Threads(2) shows what two callers of one node share.
+  struct Cluster {
+    net::InProcTransport transport;
+    net::RpcEndpoint server{&transport, "dc0/maintainer/0"};
+    std::vector<std::unique_ptr<net::RpcEndpoint>> sessions;
+    Cluster() {
+      (void)server.Handle(
+          1,
+          [](const net::NodeId&, const std::string&) -> Result<std::string> {
+            return std::string();
+          },
+          net::RpcEndpoint::Dispatch::kInline);
+      (void)server.Start();
+      for (int i = 0; i < 2; ++i) {
+        sessions.push_back(std::make_unique<net::RpcEndpoint>(
+            &transport, "dc0/client/session" + std::to_string(i)));
+        (void)sessions.back()->Start();
+      }
+    }
+  };
+  static Cluster cluster;
+  net::RpcEndpoint& session = *cluster.sessions[state.thread_index()];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(session.Call("dc0/maintainer/0", 1, {}));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InProcCall)->Threads(1)->Threads(2);
+
+void BM_HistogramRecord(benchmark::State& state) {
+  // One latency sample into a histogram every thread records into, like
+  // net.rpc.call_latency_ns under concurrent callers.
+  static metrics::Histogram histogram;
+  uint64_t value = static_cast<uint64_t>(state.thread_index()) + 1;
+  for (auto _ : state) {
+    histogram.Record(value);
+    value = value * 3 % 1'000'003;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HistogramRecord)->Threads(1)->Threads(2);
 
 // Console output stays the familiar google-benchmark table; this reporter
 // additionally folds every iteration run into the uniform BENCH_micro.json

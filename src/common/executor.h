@@ -53,7 +53,8 @@ class SerialGate {
 
   /// Runs `fn` now, on the calling thread, serialized against every other
   /// Run/Wrap body on this gate. Returns false (without running) if closed.
-  bool Run(const std::function<void()>& fn) const {
+  template <typename Fn>
+  bool Run(Fn&& fn) const {
     std::lock_guard<std::mutex> lock(state_->mu);
     if (!state_->open) return false;
     Held held;

@@ -93,22 +93,36 @@ uint64_t Histogram::BucketUpper(size_t bucket) {
   return (uint64_t{1} << exp) + ((sub + 1) << (exp - 2)) - 1;
 }
 
+uint64_t Histogram::count() const {
+  uint64_t total = 0;
+  for (const Shard& s : shards_) total += s.count.load(std::memory_order_relaxed);
+  return total;
+}
+
 HistogramStats Histogram::Stats() const {
   HistogramStats out;
-  // Copy buckets first; count/sum may drift slightly vs. the copy under
-  // concurrent writes, so recompute the total from the copy for quantiles.
-  std::array<uint64_t, kNumBuckets> counts;
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
+  // Merge the shards' buckets first; count/sum may drift slightly vs. the
+  // copy under concurrent writes, so recompute the total from the copy for
+  // quantiles.
+  std::array<uint64_t, kNumBuckets> counts{};
+  uint64_t sum = 0;
+  uint64_t mn = ~uint64_t{0};
+  uint64_t mx = 0;
+  for (const Shard& s : shards_) {
+    for (size_t i = 0; i < kNumBuckets; ++i) {
+      counts[i] += s.buckets[i].load(std::memory_order_relaxed);
+    }
+    sum += s.sum.load(std::memory_order_relaxed);
+    mn = std::min(mn, s.min.load(std::memory_order_relaxed));
+    mx = std::max(mx, s.max.load(std::memory_order_relaxed));
   }
   uint64_t total = 0;
   for (uint64_t c : counts) total += c;
   out.count = total;
-  out.sum = static_cast<double>(sum_.load(std::memory_order_relaxed));
+  out.sum = static_cast<double>(sum);
   if (total == 0) return out;
-  uint64_t mn = min_.load(std::memory_order_relaxed);
   out.min = (mn == ~uint64_t{0}) ? 0 : mn;
-  out.max = max_.load(std::memory_order_relaxed);
+  out.max = mx;
   uint64_t cumulative = 0;
   for (size_t i = 0; i < kNumBuckets; ++i) {
     if (counts[i] == 0) continue;
@@ -136,11 +150,13 @@ HistogramStats Histogram::Stats() const {
 }
 
 void Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(~uint64_t{0}, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
+  for (Shard& s : shards_) {
+    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
+    s.count.store(0, std::memory_order_relaxed);
+    s.sum.store(0, std::memory_order_relaxed);
+    s.min.store(~uint64_t{0}, std::memory_order_relaxed);
+    s.max.store(0, std::memory_order_relaxed);
+  }
 }
 
 Registry& Registry::Default() {

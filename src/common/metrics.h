@@ -32,8 +32,42 @@ namespace chariots::metrics {
 /// `storage.fsync_latency_ns`. Units are spelled in the name (`_ns`,
 /// `_bytes`) so exporters need no side table.
 
-/// Monotonic counter. Increments hash the calling thread onto one of a few
-/// cache-line-padded shards; Value() sums them (reads are rare).
+/// Instruments written on hot paths keep one cache-line-padded shard per
+/// thread slot: a thread writes only its own slot's shard, and reads (rare)
+/// merge them. A thread takes the slot with the fewest live threads and
+/// gives it back when it exits, so threads that come and go do not pile
+/// onto the slots of long-lived ones. A collision only costs contention,
+/// never correctness.
+inline constexpr size_t kInstrumentShards = 8;
+
+namespace internal {
+/// Live threads per shard slot.
+inline std::array<std::atomic<uint32_t>, kInstrumentShards> g_slot_threads{};
+
+struct ThreadSlot {
+  size_t index = 0;
+  ThreadSlot() {
+    for (size_t i = 1; i < kInstrumentShards; ++i) {
+      if (g_slot_threads[i].load(std::memory_order_relaxed) <
+          g_slot_threads[index].load(std::memory_order_relaxed)) {
+        index = i;
+      }
+    }
+    g_slot_threads[index].fetch_add(1, std::memory_order_relaxed);
+  }
+  ~ThreadSlot() {
+    g_slot_threads[index].fetch_sub(1, std::memory_order_relaxed);
+  }
+};
+}  // namespace internal
+
+/// The calling thread's shard slot, in [0, kInstrumentShards).
+inline size_t ThreadShardIndex() {
+  thread_local internal::ThreadSlot slot;
+  return slot.index;
+}
+
+/// Monotonic counter, sharded per thread; Value() sums the shards.
 class Counter {
  public:
   Counter() = default;
@@ -41,7 +75,7 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void Add(uint64_t n = 1) {
-    shards_[ShardIndex()].value.fetch_add(n, std::memory_order_relaxed);
+    shards_[ThreadShardIndex()].value.fetch_add(n, std::memory_order_relaxed);
   }
 
   uint64_t Value() const {
@@ -57,20 +91,11 @@ class Counter {
   }
 
  private:
-  static constexpr size_t kShards = 8;
   struct alignas(64) Shard {
     std::atomic<uint64_t> value{0};
   };
 
-  static size_t ShardIndex() {
-    // Distinct threads land on distinct shards with high probability; a
-    // collision only costs contention, never correctness.
-    static std::atomic<size_t> next{0};
-    thread_local size_t index = next.fetch_add(1, std::memory_order_relaxed);
-    return index % kShards;
-  }
-
-  std::array<Shard, kShards> shards_{};
+  std::array<Shard, kInstrumentShards> shards_{};
 };
 
 /// Point-in-time signed value.
@@ -114,7 +139,10 @@ struct HistogramStats {
 
 /// Log-bucketed histogram over uint64 values with 4 sub-buckets per octave
 /// (~12.5% value resolution, enough for one significant digit on latency
-/// percentiles). All writes are relaxed atomics; no locks anywhere.
+/// percentiles). Sharded per thread like Counter: each shard has its own
+/// buckets, count, sum, min and max, so a Record writes only its thread's
+/// shard; Stats() and count() merge them. All writes are relaxed atomics;
+/// no locks anywhere.
 class Histogram {
  public:
   Histogram() = default;
@@ -122,14 +150,15 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void Record(uint64_t value) {
-    buckets_[BucketFor(value)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
-    AtomicMin(&min_, value);
-    AtomicMax(&max_, value);
+    Shard& shard = shards_[ThreadShardIndex()];
+    shard.buckets[BucketFor(value)].fetch_add(1, std::memory_order_relaxed);
+    shard.count.fetch_add(1, std::memory_order_relaxed);
+    shard.sum.fetch_add(value, std::memory_order_relaxed);
+    AtomicMin(&shard.min, value);
+    AtomicMax(&shard.max, value);
   }
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  uint64_t count() const;
 
   HistogramStats Stats() const;
 
@@ -158,11 +187,15 @@ class Histogram {
     }
   }
 
-  std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
-  std::atomic<uint64_t> min_{~uint64_t{0}};
-  std::atomic<uint64_t> max_{0};
+  struct alignas(64) Shard {
+    std::atomic<uint64_t> count{0};
+    std::atomic<uint64_t> sum{0};
+    std::atomic<uint64_t> min{~uint64_t{0}};
+    std::atomic<uint64_t> max{0};
+    std::array<std::atomic<uint64_t>, kNumBuckets> buckets{};
+  };
+
+  std::array<Shard, kInstrumentShards> shards_{};
 };
 
 /// Everything the registry knows at one instant. Maps are ordered so

@@ -31,6 +31,7 @@ void FaultSchedule::DropNth(Predicate pred, uint64_t nth, uint64_t count) {
   rule.nth = nth;
   rule.count = count;
   rules_.push_back(std::move(rule));
+  armed_.store(true, std::memory_order_release);
 }
 
 void FaultSchedule::DuplicateNth(Predicate pred, uint64_t nth, uint64_t count,
@@ -43,6 +44,7 @@ void FaultSchedule::DuplicateNth(Predicate pred, uint64_t nth, uint64_t count,
   rule.count = count;
   rule.delay_nanos = dup_delay_nanos;
   rules_.push_back(std::move(rule));
+  armed_.store(true, std::memory_order_release);
 }
 
 void FaultSchedule::DelayNth(Predicate pred, uint64_t nth,
@@ -55,6 +57,7 @@ void FaultSchedule::DelayNth(Predicate pred, uint64_t nth,
   rule.count = count;
   rule.delay_nanos = delay_nanos;
   rules_.push_back(std::move(rule));
+  armed_.store(true, std::memory_order_release);
 }
 
 void FaultSchedule::DropWithProbability(Predicate pred, double p) {
@@ -64,15 +67,18 @@ void FaultSchedule::DropWithProbability(Predicate pred, double p) {
   rule.action = Action::kDropProb;
   rule.probability = p;
   rules_.push_back(std::move(rule));
+  armed_.store(true, std::memory_order_release);
 }
 
 void FaultSchedule::CrashWindow(const NodeId& node, int64_t from_nanos,
                                 int64_t to_nanos) {
   std::lock_guard<std::mutex> lock(mu_);
   outages_.push_back(Outage{node, from_nanos, to_nanos});
+  armed_.store(true, std::memory_order_release);
 }
 
 bool FaultSchedule::InOutage(const NodeId& node, int64_t at_nanos) const {
+  if (!armed()) return false;
   std::lock_guard<std::mutex> lock(mu_);
   for (const Outage& o : outages_) {
     if (o.node == node && at_nanos >= o.from_nanos && at_nanos < o.to_nanos) {
@@ -89,6 +95,7 @@ void FaultSchedule::PartitionWindow(std::vector<std::string> side_a,
   partitions_.push_back(Partition{std::move(side_a), std::move(side_b),
                                   from_nanos, to_nanos,
                                   /*symmetric=*/true});
+  armed_.store(true, std::memory_order_release);
 }
 
 void FaultSchedule::AsymmetricPartitionWindow(std::vector<std::string> from_side,
@@ -99,6 +106,7 @@ void FaultSchedule::AsymmetricPartitionWindow(std::vector<std::string> from_side
   partitions_.push_back(Partition{std::move(from_side), std::move(to_side),
                                   from_nanos, to_nanos,
                                   /*symmetric=*/false});
+  armed_.store(true, std::memory_order_release);
 }
 
 void FaultSchedule::SlowNodeWindow(std::string prefix, int64_t delay_nanos,
@@ -106,6 +114,7 @@ void FaultSchedule::SlowNodeWindow(std::string prefix, int64_t delay_nanos,
   std::lock_guard<std::mutex> lock(mu_);
   slow_nodes_.push_back(
       SlowNode{std::move(prefix), delay_nanos, from_nanos, to_nanos});
+  armed_.store(true, std::memory_order_release);
 }
 
 bool FaultSchedule::OnSide(const NodeId& node,
@@ -130,13 +139,15 @@ bool FaultSchedule::PartitionedLocked(const NodeId& from, const NodeId& to,
 
 bool FaultSchedule::Partitioned(const NodeId& from, const NodeId& to,
                                 int64_t at_nanos) const {
+  if (!armed()) return false;
   std::lock_guard<std::mutex> lock(mu_);
   return PartitionedLocked(from, to, at_nanos);
 }
 
 FaultDecision FaultSchedule::Inspect(const Message& msg, int64_t now_nanos) {
-  std::lock_guard<std::mutex> lock(mu_);
   FaultDecision decision;
+  if (!armed()) return decision;
+  std::lock_guard<std::mutex> lock(mu_);
   if (PartitionedLocked(msg.from, msg.to, now_nanos)) {
     ++injected_;
     flightrec::Record(flightrec::EventType::kFaultFire, kFaultPartition,
@@ -201,6 +212,7 @@ void FaultSchedule::Clear() {
   partitions_.clear();
   slow_nodes_.clear();
   injected_ = 0;
+  armed_.store(false, std::memory_order_release);
 }
 
 FaultSchedule::Predicate FaultSchedule::Any() {

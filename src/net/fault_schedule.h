@@ -1,6 +1,7 @@
 #ifndef CHARIOTS_NET_FAULT_SCHEDULE_H_
 #define CHARIOTS_NET_FAULT_SCHEDULE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -36,7 +37,11 @@ struct FaultDecision {
 /// binding itself survives, matching a restart that re-binds the same
 /// handler.
 ///
-/// Thread-safe; all methods may be called while traffic is flowing.
+/// Thread-safe; all methods may be called while traffic is flowing, and a
+/// rule or window applies to the next message offered after its call
+/// returns. While nothing is installed (before the first rule or window,
+/// and after Clear()), Inspect, InOutage and Partitioned answer from one
+/// atomic flag without taking the plan's mutex, so senders share no lock.
 class FaultSchedule {
  public:
   using Predicate = std::function<bool(const Message&)>;
@@ -110,6 +115,10 @@ class FaultSchedule {
 
   // -------------------------------------------------------------- queries
 
+  /// True while any rule or window is installed. A caller may skip reading
+  /// its clock for Inspect/InOutage when this is false.
+  bool armed() const { return armed_.load(std::memory_order_acquire); }
+
   /// Evaluates every rule against `msg` (advancing match counters) and
   /// returns the combined decision. Called by the transport on Send with
   /// the virtual send time, which gates the partition / slow-node windows
@@ -170,6 +179,8 @@ class FaultSchedule {
   bool PartitionedLocked(const NodeId& from, const NodeId& to,
                          int64_t at_nanos) const;
 
+  /// Set once anything is installed, cleared by Clear(); written under mu_.
+  std::atomic<bool> armed_{false};
   mutable std::mutex mu_;
   std::vector<Rule> rules_;
   std::vector<Outage> outages_;

@@ -1,8 +1,10 @@
 #include "net/inproc_transport.h"
 
 #include <algorithm>
+#include <array>
 #include <condition_variable>
 #include <deque>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -99,22 +101,24 @@ struct InProcTransport::Inbox {
 
 InProcTransport::InProcTransport(Clock* clock, Executor* executor)
     : executor_(executor != nullptr ? executor : Executor::Default()),
+      routes_(std::make_shared<Routes>()),
       rng_(42) {
   clock_ = clock != nullptr ? clock : executor_->clock();
+  current_routes_.store(routes_.get(), std::memory_order_release);
   // Default rule: everything connected, zero latency, unlimited bandwidth.
   SetLink("", "", LinkOptions{});
 }
 
 InProcTransport::~InProcTransport() {
   std::vector<std::shared_ptr<Inbox>> to_close;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [_, inbox] : inboxes_) to_close.push_back(inbox);
-    inboxes_.clear();
-  }
+  Publish([&](Routes& routes) {
+    for (auto& [_, inbox] : routes.inboxes) to_close.push_back(inbox);
+    routes.inboxes.clear();
+  });
   // After this loop no queued task, timer callback or claimed request will
   // ever touch `this` again (they hold the inbox by shared_ptr and no-op on
-  // the stopped node).
+  // the stopped node). Threads may still hold older route tables; those
+  // keep only stopped inboxes.
   for (auto& inbox : to_close) (void)Stop(*inbox);
 }
 
@@ -129,9 +133,12 @@ size_t InProcTransport::Stop(Inbox& inbox) {
     inbox.ready.clear();
     inbox.idle.wait(lock, [&] { return inbox.running == 0; });
   }
-  // Close() blocks until an in-flight body finishes.
+  // Close() blocks until an in-flight body finishes. After that nothing
+  // calls the handler again, so it is released here rather than with the
+  // last route table that names the node.
   inbox.gate.Close();
   inbox.resp_gate.Close();
+  inbox.handler = nullptr;
   return undelivered;
 }
 
@@ -142,27 +149,27 @@ Status InProcTransport::Register(const NodeId& node, MessageHandler handler) {
 Status InProcTransport::RegisterInlineSafe(const NodeId& node,
                                            MessageHandler handler,
                                            InlineSafeFn inline_safe) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (inboxes_.count(node) != 0) {
-    return Status::AlreadyExists("node already registered: " + node);
-  }
   auto inbox = std::make_shared<Inbox>();
   inbox->node = node;
   inbox->handler = std::move(handler);
   inbox->inline_safe = std::move(inline_safe);
-  inboxes_.emplace(node, std::move(inbox));
+  bool added = false;
+  Publish([&](Routes& routes) {
+    added = routes.inboxes.emplace(node, std::move(inbox)).second;
+  });
+  if (!added) return Status::AlreadyExists("node already registered: " + node);
   return Status::OK();
 }
 
 Status InProcTransport::Unregister(const NodeId& node) {
   std::shared_ptr<Inbox> inbox;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = inboxes_.find(node);
-    if (it == inboxes_.end()) return Status::NotFound("node: " + node);
+  Publish([&](Routes& routes) {
+    auto it = routes.inboxes.find(node);
+    if (it == routes.inboxes.end()) return;
     inbox = std::move(it->second);
-    inboxes_.erase(it);
-  }
+    routes.inboxes.erase(it);
+  });
+  if (inbox == nullptr) return Status::NotFound("node: " + node);
   const size_t undelivered = Stop(*inbox);
   // Messages still queued for the dead binding are lost, not delivered:
   // account for them like any other network loss.
@@ -173,17 +180,47 @@ Status InProcTransport::Unregister(const NodeId& node) {
   return Status::OK();
 }
 
-InProcTransport::LinkRule* InProcTransport::ResolveLink(const NodeId& from,
-                                                        const NodeId& to) {
+const InProcTransport::Routes& InProcTransport::CurrentRoutes() {
+  // The tables this thread read lately, held so none can be freed while it
+  // reads it. A held table's address cannot be reused, so one whose
+  // address is the published one is the current table.
+  struct Held {
+    std::array<std::shared_ptr<const Routes>, 4> tables;
+    size_t next = 0;
+  };
+  thread_local Held held;
+  const Routes* current = current_routes_.load(std::memory_order_acquire);
+  for (const auto& table : held.tables) {
+    if (table.get() == current) return *table;
+  }
+  std::shared_ptr<const Routes>& slot =
+      held.tables[held.next++ % held.tables.size()];
+  std::lock_guard<std::mutex> lock(mu_);
+  slot = routes_;
+  return *slot;
+}
+
+template <typename Edit>
+void InProcTransport::Publish(Edit&& edit) {
+  std::shared_ptr<const Routes> replaced;  // released outside mu_
+  std::lock_guard<std::mutex> lock(mu_);
+  auto next = std::make_shared<Routes>(*routes_);
+  edit(*next);
+  replaced = std::exchange(routes_, std::move(next));
+  current_routes_.store(routes_.get(), std::memory_order_release);
+}
+
+const InProcTransport::LinkRule* InProcTransport::ResolveLink(
+    const Routes& routes, const NodeId& from, const NodeId& to) {
   // Most specific match: longest dst prefix, then longest src prefix.
-  LinkRule* best = nullptr;
+  const LinkRule* best = nullptr;
   size_t best_dst = 0, best_src = 0;
-  for (auto& rule : links_) {
-    if (from.rfind(rule->src_prefix, 0) != 0) continue;
-    if (to.rfind(rule->dst_prefix, 0) != 0) continue;
-    size_t d = rule->dst_prefix.size(), s = rule->src_prefix.size();
+  for (const LinkRule& rule : routes.links) {
+    if (from.rfind(rule.src_prefix, 0) != 0) continue;
+    if (to.rfind(rule.dst_prefix, 0) != 0) continue;
+    size_t d = rule.dst_prefix.size(), s = rule.src_prefix.size();
     if (best == nullptr || d > best_dst || (d == best_dst && s > best_src)) {
-      best = rule.get();
+      best = &rule;
       best_dst = d;
       best_src = s;
     }
@@ -192,33 +229,32 @@ InProcTransport::LinkRule* InProcTransport::ResolveLink(const NodeId& from,
 }
 
 Status InProcTransport::Send(Message msg) {
-  std::shared_ptr<Inbox> inbox;
-  TokenBucket* bandwidth = nullptr;
-  int64_t latency = 0;
-  size_t wire_size = msg.WireSize();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = inboxes_.find(msg.to);
-    if (it == inboxes_.end()) {
-      return Status::NotFound("unknown destination: " + msg.to);
+  // The table is read only up to the hand-off: a handler run by Enqueue may
+  // send through this thread again and retire it.
+  const Routes& routes = CurrentRoutes();
+  auto it = routes.inboxes.find(msg.to);
+  if (it == routes.inboxes.end()) {
+    return Status::NotFound("unknown destination: " + msg.to);
+  }
+  std::shared_ptr<Inbox> inbox = it->second;
+  const LinkRule* rule = ResolveLink(routes, msg.from, msg.to);
+  if (rule != nullptr && rule->options.drop_probability > 0) {
+    bool lost = false;
+    {
+      std::lock_guard<std::mutex> lock(rng_mu_);
+      lost = rng_.NextDouble() < rule->options.drop_probability;
     }
-    inbox = it->second;
-    LinkRule* rule = ResolveLink(msg.from, msg.to);
-    if (rule != nullptr) {
-      if (rule->options.drop_probability > 0 &&
-          rng_.NextDouble() < rule->options.drop_probability) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        DroppedCounter()->Add();
-        return Status::OK();  // silent loss, like a real network
-      }
-      latency = rule->options.latency_nanos;
-      bandwidth = rule->bandwidth.get();
+    if (lost) {
+      dropped_.fetch_add(1, std::memory_order_relaxed);
+      DroppedCounter()->Add();
+      return Status::OK();  // silent loss, like a real network
     }
   }
   // The scripted fault plan sees every message that survived the link's
   // probabilistic drop. A real network loses the message after the sender
   // has paid to put it on the wire, so Send still returns OK on a drop.
-  FaultDecision decision = faults_.Inspect(msg, clock_->NowNanos());
+  FaultDecision decision;
+  if (faults_.armed()) decision = faults_.Inspect(msg, clock_->NowNanos());
   if (decision.drop) {
     DroppedCounter()->Add();
     FaultDropCounter()->Add();
@@ -226,11 +262,21 @@ Status InProcTransport::Send(Message msg) {
     return Status::OK();
   }
 
-  // Serialize onto the link outside the registry lock: this blocks the
-  // sender, modeling NIC back-pressure.
-  if (bandwidth != nullptr) bandwidth->Acquire(static_cast<double>(wire_size));
+  // Serialize onto the link: this blocks the sender, modeling NIC
+  // back-pressure.
+  if (rule != nullptr && rule->bandwidth != nullptr) {
+    rule->bandwidth->Acquire(static_cast<double>(msg.WireSize()));
+  }
+  const int64_t delay =
+      (rule != nullptr ? rule->options.latency_nanos : 0) + decision.delay_nanos;
+  if (delay <= 0 && !decision.duplicate) {
+    if (!Enqueue(std::move(inbox), std::move(msg))) {
+      return Status::NotFound("destination stopped");
+    }
+    return Status::OK();
+  }
 
-  int64_t deliver_at = clock_->NowNanos() + latency + decision.delay_nanos;
+  const int64_t deliver_at = clock_->NowNanos() + delay;
   const uint64_t seq = seq_.fetch_add(decision.duplicate ? 2 : 1,
                                       std::memory_order_relaxed) +
                        1;
@@ -241,26 +287,29 @@ Status InProcTransport::Send(Message msg) {
     // moved end to end. Counted so copies_per_record stays truthful.
     CountPayloadCopied(dup.payload.size());
   }
-  if (!Enqueue(inbox, std::move(msg), deliver_at, seq)) {
+  if (!EnqueueAt(inbox, std::move(msg), deliver_at, seq)) {
     return Status::NotFound("destination stopped");
   }
   if (decision.duplicate) {
-    (void)Enqueue(inbox, std::move(dup),
-                  deliver_at + decision.duplicate_delay_nanos, seq + 1);
+    (void)EnqueueAt(std::move(inbox), std::move(dup),
+                    deliver_at + decision.duplicate_delay_nanos, seq + 1);
   }
   return Status::OK();
 }
 
-bool InProcTransport::Enqueue(const std::shared_ptr<Inbox>& inbox,
-                              Message msg, int64_t deliver_at_nanos,
-                              uint64_t seq) {
-  if (deliver_at_nanos > clock_->NowNanos()) {
-    std::lock_guard<std::mutex> lock(inbox->mu);
-    if (inbox->stopped) return false;
-    inbox->delayed.push(DelayedMessage{deliver_at_nanos, seq, std::move(msg)});
-    ArmLocked(inbox);
-    return true;
+bool InProcTransport::EnqueueAt(std::shared_ptr<Inbox> inbox, Message msg,
+                                int64_t deliver_at_nanos, uint64_t seq) {
+  if (deliver_at_nanos <= clock_->NowNanos()) {
+    return Enqueue(std::move(inbox), std::move(msg));
   }
+  std::lock_guard<std::mutex> lock(inbox->mu);
+  if (inbox->stopped) return false;
+  inbox->delayed.push(DelayedMessage{deliver_at_nanos, seq, std::move(msg)});
+  ArmLocked(inbox);
+  return true;
+}
+
+bool InProcTransport::Enqueue(std::shared_ptr<Inbox> inbox, Message msg) {
   Trampoline& t = CurrentTrampoline();
   if (msg.is_response) {
     // On the sending thread: a response never queues behind the
@@ -269,7 +318,7 @@ bool InProcTransport::Enqueue(const std::shared_ptr<Inbox>& inbox,
     // response once the handler has returned and released its node, so
     // the completion never holds the replying node.
     if (t.running && t.blocking == 0) {
-      t.replies.push_back(DeferredReply{this, inbox, std::move(msg)});
+      t.replies.push(DeferredReply{this, std::move(inbox), std::move(msg)});
       return true;
     }
     return inbox->resp_gate.Run([&] { Deliver(inbox, std::move(msg)); });
@@ -300,7 +349,7 @@ bool InProcTransport::Enqueue(const std::shared_ptr<Inbox>& inbox,
   }
   if (drain) SubmitDrain(inbox);
   if (!admitted) return true;
-  t.claims.push_back(Claim{this, inbox, std::move(msg)});
+  t.claims.push(Claim{this, std::move(inbox), std::move(msg)});
   if (!t.running) RunTrampoline(t);
   return true;
 }
@@ -313,8 +362,7 @@ InProcTransport::Trampoline& InProcTransport::CurrentTrampoline() {
 void InProcTransport::RunTrampoline(Trampoline& t) {
   t.running = true;
   while (!t.claims.empty()) {
-    Claim claim = std::move(t.claims.front());
-    t.claims.pop_front();
+    Claim claim = t.claims.pop();
     RunClaim(claim);
     FlushReplies(t);
   }
@@ -347,8 +395,7 @@ void InProcTransport::RunClaim(Claim& claim) {
 
 void InProcTransport::FlushReplies(Trampoline& t) {
   while (!t.replies.empty()) {
-    DeferredReply reply = std::move(t.replies.front());
-    t.replies.pop_front();
+    DeferredReply reply = t.replies.pop();
     reply.inbox->resp_gate.Run([&] {
       reply.transport->Deliver(reply.inbox, std::move(reply.msg));
     });
@@ -443,7 +490,7 @@ void InProcTransport::Deliver(const std::shared_ptr<Inbox>& inbox,
                               Message msg) {
   // Crash model: a message arriving while the destination is inside an
   // outage window vanishes, exactly as if the process were down.
-  if (faults_.InOutage(inbox->node, clock_->NowNanos())) {
+  if (faults_.armed() && faults_.InOutage(inbox->node, clock_->NowNanos())) {
     DroppedCounter()->Add();
     FaultDropCounter()->Add();
     dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -452,7 +499,7 @@ void InProcTransport::Deliver(const std::shared_ptr<Inbox>& inbox,
   // Counted at hand-off, so a handler that signals a waiter never lets it
   // observe its own message as undelivered.
   DeliveredCounter()->Add();
-  delivered_.fetch_add(1, std::memory_order_relaxed);
+  delivered_.Add();
   inbox->handler(std::move(msg));
 }
 
@@ -468,9 +515,10 @@ BlockingWaitScope::BlockingWaitScope() {
   // Every claimed request leaves this thread for the front of its node's
   // queue: this thread sent it before anything it queued there. Its shared
   // hold goes with it, so the drain can start.
-  std::deque<T::Claim> claims;
-  claims.swap(t.claims);
-  for (auto claim = claims.rbegin(); claim != claims.rend(); ++claim) {
+  T::Fifo<T::Claim> claims;
+  std::swap(claims, t.claims);
+  for (auto claim = claims.items.rbegin();
+       claim != claims.items.rend() - claims.head; ++claim) {
     T::Inbox& inbox = *claim->inbox;
     std::unique_lock<std::mutex> lock(inbox.mu);
     --inbox.shared;
@@ -493,29 +541,22 @@ BlockingWaitScope::~BlockingWaitScope() {
 void InProcTransport::SetLink(const std::string& src_prefix,
                               const std::string& dst_prefix,
                               LinkOptions options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& rule : links_) {
-    if (rule->src_prefix == src_prefix && rule->dst_prefix == dst_prefix) {
-      rule->options = options;
-      rule->bandwidth =
-          options.bandwidth_bytes_per_sec > 0
-              ? std::make_unique<TokenBucket>(options.bandwidth_bytes_per_sec,
-                                              options.bandwidth_bytes_per_sec,
-                                              clock_)
-              : nullptr;
-      return;
-    }
-  }
-  auto rule = std::make_unique<LinkRule>();
-  rule->src_prefix = src_prefix;
-  rule->dst_prefix = dst_prefix;
-  rule->options = options;
+  LinkRule rule{src_prefix, dst_prefix, options, nullptr};
   if (options.bandwidth_bytes_per_sec > 0) {
-    rule->bandwidth = std::make_unique<TokenBucket>(
+    rule.bandwidth = std::make_shared<TokenBucket>(
         options.bandwidth_bytes_per_sec, options.bandwidth_bytes_per_sec,
         clock_);
   }
-  links_.push_back(std::move(rule));
+  Publish([&](Routes& routes) {
+    for (LinkRule& existing : routes.links) {
+      if (existing.src_prefix == src_prefix &&
+          existing.dst_prefix == dst_prefix) {
+        existing = std::move(rule);
+        return;
+      }
+    }
+    routes.links.push_back(std::move(rule));
+  });
 }
 
 void InProcTransport::Partition(const std::string& a_prefix,
@@ -534,12 +575,12 @@ void InProcTransport::Heal(const std::string& a_prefix,
 
 void InProcTransport::Seed(uint64_t seed) {
   faults_.Seed(seed);
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(rng_mu_);
   rng_ = Random(seed);
 }
 
 uint64_t InProcTransport::messages_delivered() const {
-  return delivered_.load(std::memory_order_relaxed);
+  return delivered_.Value();
 }
 
 uint64_t InProcTransport::messages_dropped() const {

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <queue>
@@ -13,6 +12,7 @@
 
 #include "common/clock.h"
 #include "common/executor.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "common/rate_limiter.h"
 #include "net/fault_schedule.h"
@@ -66,6 +66,14 @@ struct LinkOptions {
 /// `net.transport.requests_diverted` counts the inline-safe requests the
 /// queued path took because their node was held exclusively or had
 /// requests queued.
+///
+/// Sharing (DESIGN.md §10): with no fault installed, a message writes no
+/// memory that other senders write too, except its destination inbox. Send
+/// reads the nodes and link rules from a route table that Register,
+/// Unregister and SetLink replace whole, and each thread keeps the tables it
+/// read, so a send takes no transport-wide lock and bumps no shared
+/// reference count. Every registration or link change applies to the next
+/// message sent after the call returns.
 ///
 /// Link resolution: the most specific matching rule wins. Rules are keyed by
 /// (src_prefix, dst_prefix) where a node matches a prefix if its id starts
@@ -131,7 +139,16 @@ class InProcTransport : public Transport {
     std::string src_prefix;
     std::string dst_prefix;
     LinkOptions options;
-    std::unique_ptr<TokenBucket> bandwidth;  // null if unlimited
+    /// Null if unlimited. Shared by every route table that carries the
+    /// rule, so a sender still holding a replaced table pays into a live
+    /// bucket.
+    std::shared_ptr<TokenBucket> bandwidth;
+  };
+  /// What a send reads: the bound nodes and the link rules. Never changed
+  /// once published; Register, Unregister and SetLink publish a copy.
+  struct Routes {
+    std::unordered_map<NodeId, std::shared_ptr<Inbox>> inboxes;
+    std::vector<LinkRule> links;
   };
 
   /// A request admitted in line: its node is held shared for it until it
@@ -147,22 +164,55 @@ class InProcTransport : public Transport {
     std::shared_ptr<Inbox> inbox;
     Message msg;
   };
+  /// A FIFO that keeps its storage, so a trampoline that runs one request
+  /// after another allocates nothing for them.
+  template <typename T>
+  struct Fifo {
+    std::vector<T> items;
+    size_t head = 0;
+
+    bool empty() const { return head == items.size(); }
+    void push(T item) { items.push_back(std::move(item)); }
+    T pop() {
+      T item = std::move(items[head++]);
+      if (head == items.size()) {
+        items.clear();
+        head = 0;
+      } else if (head >= 64 && 2 * head >= items.size()) {
+        // A queue that never drains: drop the consumed half.
+        items.erase(items.begin(), items.begin() + head);
+        head = 0;
+      }
+      return item;
+    }
+  };
   /// The calling thread's run-to-completion state.
   struct Trampoline {
-    bool running = false;      ///< running claimed requests right now
-    int blocking = 0;          ///< open BlockingWaitScopes while running
-    std::deque<Claim> claims;  ///< admitted, in the order they were sent
-    std::deque<DeferredReply> replies;  ///< sent once the handler returns
+    bool running = false;  ///< running claimed requests right now
+    int blocking = 0;      ///< open BlockingWaitScopes while running
+    Fifo<Claim> claims;    ///< admitted, in the order they were sent
+    Fifo<DeferredReply> replies;  ///< sent once the handler returns
   };
   static Trampoline& CurrentTrampoline();
   friend class BlockingWaitScope;
 
-  LinkRule* ResolveLink(const NodeId& from, const NodeId& to);
-  /// Enqueues one already-inspected message on its inbox (immediate →
-  /// response delivery, or an in-line admission or the node's queue;
-  /// future → timer). Returns false if the destination stopped meanwhile.
-  bool Enqueue(const std::shared_ptr<Inbox>& inbox, Message msg,
-               int64_t deliver_at_nanos, uint64_t seq);
+  /// The current route table. The calling thread holds a reference to it
+  /// until it has read a few newer tables.
+  const Routes& CurrentRoutes();
+  /// Copies the current table, lets `edit` change the copy and publishes
+  /// it.
+  template <typename Edit>
+  void Publish(Edit&& edit);
+  static const LinkRule* ResolveLink(const Routes& routes, const NodeId& from,
+                                     const NodeId& to);
+  /// Hands one already-inspected message to its inbox now: response
+  /// delivery, or an in-line admission or the node's queue. Returns false
+  /// if the destination stopped meanwhile.
+  bool Enqueue(std::shared_ptr<Inbox> inbox, Message msg);
+  /// Enqueue at `deliver_at_nanos`: now if that has passed, else through
+  /// the node's delayed queue and timer (`seq` orders equal times).
+  bool EnqueueAt(std::shared_ptr<Inbox> inbox, Message msg,
+                 int64_t deliver_at_nanos, uint64_t seq);
   /// Runs the claimed request on the calling thread and releases its
   /// shared hold, starting the queued drain if requests wait on it.
   static void RunClaim(Claim& claim);
@@ -192,12 +242,17 @@ class InProcTransport : public Transport {
   Clock* clock_;
   Executor* const executor_;
   FaultSchedule faults_;
+  /// Serializes publishers of the route table.
   std::mutex mu_;
-  std::unordered_map<NodeId, std::shared_ptr<Inbox>> inboxes_;
-  std::vector<std::unique_ptr<LinkRule>> links_;
+  std::shared_ptr<const Routes> routes_;  // guarded by mu_
+  /// routes_.get(), read by senders without mu_.
+  std::atomic<const Routes*> current_routes_{nullptr};
+  /// The link-level drop PRNG, drawn only for rules that may drop.
+  std::mutex rng_mu_;
   Random rng_;
+  /// Orders delayed messages; drawn only for delayed or duplicated ones.
   std::atomic<uint64_t> seq_{0};
-  std::atomic<uint64_t> delivered_{0};
+  metrics::Counter delivered_;
   std::atomic<uint64_t> dropped_{0};
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <memory>
 #include <vector>
 
 #include "common/flight_recorder.h"
@@ -160,13 +159,17 @@ Status RpcEndpoint::Start() {
 }
 
 void RpcEndpoint::Stop() {
-  std::unordered_map<uint64_t, PendingCall> stopped;
+  std::vector<PendingCall> stopped;
   SerialGate gate;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!started_) return;
     started_ = false;
-    stopped.swap(pending_);
+    for (Slot& slot : slots_) {
+      if (slot.rpc_id != 0) stopped.push_back(std::move(slot.call));
+    }
+    slots_.clear();
+    free_slots_.clear();
     armed_at_ = -1;
     gate = timer_gate_;
   }
@@ -174,7 +177,7 @@ void RpcEndpoint::Stop() {
   // transport binding goes next, which fences inline response delivery.
   gate.Close();
   (void)transport_->Unregister(node_);
-  for (auto& [_, call] : stopped) {
+  for (PendingCall& call : stopped) {
     Complete(call, Status::Unavailable("endpoint stopped"),
              CallErrorCounter());
   }
@@ -209,27 +212,16 @@ void RpcEndpoint::OnMessage(Message msg) {
   const AsyncHandler* handler =
       it != handlers_.end() ? &it->second : nullptr;
   // The reply holds the transport, not the endpoint: it may run after the
-  // handler returned, on any thread, even after Stop().
-  Message skeleton;
-  skeleton.from = node_;
-  skeleton.to = msg.from;
-  skeleton.type = msg.type;
-  skeleton.rpc_id = msg.rpc_id;
-  skeleton.is_response = true;
-  Reply reply = [transport = transport_, response = std::move(skeleton)](
-                    Result<std::string> result) mutable {
-    if (result.ok()) {
-      response.payload = std::move(result).value();
-    } else {
-      HandlerErrorCounter()->Add();
-      response.error_code = static_cast<uint8_t>(result.status().code());
-      response.payload = result.status().message();
-    }
-    flightrec::Record(flightrec::EventType::kRpcEnd, response.type,
-                      response.error_code, response.rpc_id,
-                      response.payload.size());
-    (void)transport->Send(std::move(response));
-  };
+  // handler returned, on any thread, even after Stop(). It takes this
+  // node's id from the request; the sender's id is copied, as the handler
+  // reads it.
+  Message response;
+  response.from = std::move(msg.to);
+  response.to = msg.from;
+  response.type = msg.type;
+  response.rpc_id = msg.rpc_id;
+  response.is_response = true;
+  Reply reply(transport_, std::move(response));
   if (handler == nullptr) {
     reply(Status::NotSupported("no handler for opcode"));
     return;
@@ -241,6 +233,25 @@ void RpcEndpoint::OnMessage(Message msg) {
   (*handler)(msg.from, msg.payload, std::move(reply));
 }
 
+void RpcEndpoint::Reply::operator()(Result<std::string> result) const {
+  if (forward_ != nullptr) {
+    forward_(std::move(result));
+    return;
+  }
+  Message& response = response_;
+  if (result.ok()) {
+    response.payload = std::move(result).value();
+  } else {
+    HandlerErrorCounter()->Add();
+    response.error_code = static_cast<uint8_t>(result.status().code());
+    response.payload = result.status().message();
+  }
+  flightrec::Record(flightrec::EventType::kRpcEnd, response.type,
+                    response.error_code, response.rpc_id,
+                    response.payload.size());
+  (void)transport_->Send(std::move(response));
+}
+
 void RpcEndpoint::CallAsync(const NodeId& to, uint16_t type,
                             std::string payload, const CallOptions& options,
                             Completion done) {
@@ -250,8 +261,14 @@ void RpcEndpoint::CallAsync(const NodeId& to, uint16_t type,
   }
   CallCounter()->Add();
   const int64_t start_nanos = SystemClock::Default()->NowNanos();
-  const int64_t wait = WaitNanos(options);
-  uint64_t rpc_id = next_rpc_id_.fetch_add(1, std::memory_order_relaxed);
+  // Timeouts run on the shared executor's clock; when that is the steady
+  // clock, the start time already read serves.
+  Clock* timer_clock = Executor::Default()->clock();
+  const int64_t expires_at =
+      (timer_clock == SystemClock::Default() ? start_nanos
+                                             : timer_clock->NowNanos()) +
+      WaitNanos(options);
+  uint64_t rpc_id = 0;
   bool started = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -264,11 +281,23 @@ void RpcEndpoint::CallAsync(const NodeId& to, uint16_t type,
                                     "net.rpc.call_latency_ns." + ChannelOf(to)))
                    .first;
       }
-      PendingCall& call = pending_[rpc_id];
+      uint32_t index = 0;
+      if (free_slots_.empty()) {
+        index = static_cast<uint32_t>(slots_.size());
+        slots_.emplace_back();
+      } else {
+        index = free_slots_.back();
+        free_slots_.pop_back();
+      }
+      if (++last_tag_ == 0) last_tag_ = 1;  // rpc_id 0 means one-way
+      rpc_id = (uint64_t{last_tag_} << 32) | index;
+      Slot& slot = slots_[index];
+      slot.rpc_id = rpc_id;
+      PendingCall& call = slot.call;
       call.done = std::move(done);
       call.to = &dest->first;
       call.deadline = options.deadline;
-      call.expires_at = Executor::Default()->clock()->NowNanos() + wait;
+      call.expires_at = expires_at;
       call.start_nanos = start_nanos;
       call.latency = dest->second;
       ArmLocked(call.expires_at);
@@ -300,12 +329,14 @@ void RpcEndpoint::CallAsync(const NodeId& to, uint16_t type,
 }
 
 std::optional<RpcEndpoint::PendingCall> RpcEndpoint::Take(uint64_t rpc_id) {
+  const uint32_t index = static_cast<uint32_t>(rpc_id);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = pending_.find(rpc_id);
-  if (it == pending_.end()) return std::nullopt;
-  PendingCall call = std::move(it->second);
-  pending_.erase(it);
-  return call;
+  if (index >= slots_.size() || slots_[index].rpc_id != rpc_id) {
+    return std::nullopt;
+  }
+  slots_[index].rpc_id = 0;
+  free_slots_.push_back(index);
+  return std::move(slots_[index].call);
 }
 
 void RpcEndpoint::Complete(PendingCall& call, Result<std::string> result,
@@ -342,16 +373,18 @@ void RpcEndpoint::ExpireDue() {
     armed_at_ = -1;
     const int64_t now = Executor::Default()->clock()->NowNanos();
     int64_t next = -1;
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (it->second.expires_at <= now) {
-        expired.push_back(std::move(it->second));
-        it = pending_.erase(it);
+    for (uint32_t index = 0; index < slots_.size(); ++index) {
+      Slot& slot = slots_[index];
+      if (slot.rpc_id == 0) continue;
+      if (slot.call.expires_at <= now) {
+        expired.push_back(std::move(slot.call));
+        slot.rpc_id = 0;
+        free_slots_.push_back(index);
         continue;
       }
-      if (next < 0 || it->second.expires_at < next) {
-        next = it->second.expires_at;
+      if (next < 0 || slot.call.expires_at < next) {
+        next = slot.call.expires_at;
       }
-      ++it;
     }
     if (next >= 0) ArmLocked(next);
   }
@@ -361,23 +394,24 @@ void RpcEndpoint::ExpireDue() {
 Result<std::string> RpcEndpoint::Call(const NodeId& to, uint16_t type,
                                       std::string payload,
                                       const CallOptions& options) {
+  // On this stack: the completion runs exactly once, and Call returns only
+  // after it has, having taken the lock it released.
   struct Waiter {
     std::mutex mu;
     std::condition_variable cv;
     std::optional<Result<std::string>> result;
-  };
+  } waiter;
   if (Executor::OnWorkerThread()) BlockingWaitsOnWorkerCounter()->Add();
   BlockingWaitScope blocking;
-  auto waiter = std::make_shared<Waiter>();
   CallAsync(to, type, std::move(payload), options,
-            [waiter](Result<std::string> result) {
-              std::lock_guard<std::mutex> lock(waiter->mu);
-              waiter->result.emplace(std::move(result));
-              waiter->cv.notify_all();
+            [&waiter](Result<std::string> result) {
+              std::lock_guard<std::mutex> lock(waiter.mu);
+              waiter.result.emplace(std::move(result));
+              waiter.cv.notify_all();
             });
-  std::unique_lock<std::mutex> lock(waiter->mu);
-  waiter->cv.wait(lock, [&] { return waiter->result.has_value(); });
-  return std::move(*waiter->result);
+  std::unique_lock<std::mutex> lock(waiter.mu);
+  waiter.cv.wait(lock, [&] { return waiter.result.has_value(); });
+  return std::move(*waiter.result);
 }
 
 Status RpcEndpoint::Notify(const NodeId& to, uint16_t type,

@@ -1,15 +1,17 @@
 #ifndef CHARIOTS_NET_RPC_H_
 #define CHARIOTS_NET_RPC_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/executor.h"
 #include "common/metrics.h"
@@ -59,14 +61,40 @@ const trace::TraceContext& CurrentRpcTrace();
 /// fire-and-forget.
 class RpcEndpoint {
  public:
-  /// Completion of an outbound call, and the reply to an inbound one: the
-  /// response payload or the error Status (which travels back as an error
-  /// response).
+  /// Completion of an outbound call: the response payload or the error
+  /// Status.
   using Completion = std::function<void(Result<std::string>)>;
-  /// Sends the response to one inbound request. Invoke exactly once, from
-  /// any thread, during or after the handler; it stays valid after the
+  /// Sends the response to one inbound request: the payload, or the error
+  /// Status, which travels back as an error response. Invoke exactly once,
+  /// from any thread, during or after the handler; it stays valid after the
   /// endpoint stops (the response then goes out through the transport).
-  using Reply = Completion;
+  /// The endpoint's Reply carries the response message itself, so replying
+  /// allocates nothing; any callable taking the result converts to a Reply,
+  /// for code that wraps or forwards one.
+  class Reply {
+   public:
+    Reply() = default;
+    template <typename Fn,
+              typename = std::enable_if_t<
+                  !std::is_same_v<std::decay_t<Fn>, Reply> &&
+                  std::is_invocable_v<Fn&, Result<std::string>>>>
+    Reply(Fn&& fn) : forward_(std::forward<Fn>(fn)) {}
+
+    explicit operator bool() const {
+      return transport_ != nullptr || forward_ != nullptr;
+    }
+    void operator()(Result<std::string> result) const;
+
+   private:
+    friend class RpcEndpoint;
+    Reply(Transport* transport, Message response)
+        : transport_(transport), response_(std::move(response)) {}
+
+    Transport* transport_ = nullptr;
+    /// Moved out by the one invocation.
+    mutable Message response_;
+    Completion forward_;
+  };
   using AsyncHandler = std::function<void(
       const NodeId& from, const std::string& payload, Reply reply)>;
   using RpcHandler =
@@ -153,6 +181,11 @@ class RpcEndpoint {
     int64_t start_nanos = 0;  ///< steady clock, for call_latency_ns
     metrics::Histogram* latency = nullptr;
   };
+  /// A reusable home for one pending call.
+  struct Slot {
+    uint64_t rpc_id = 0;  ///< of the call it holds; 0 when free
+    PendingCall call;
+  };
 
   void OnMessage(Message msg);
   /// Removes call `rpc_id` if still pending. Only the remover completes it,
@@ -182,14 +215,19 @@ class RpcEndpoint {
   /// Opcodes registered Dispatch::kInline, per direction.
   std::unordered_set<uint16_t> inline_requests_;
   std::unordered_set<uint16_t> inline_oneway_;
-  std::unordered_map<uint64_t, PendingCall> pending_;
+  /// Calls in flight. A call's rpc_id carries its slot index in the low 32
+  /// bits and a per-endpoint tag above them, so a response finds its call
+  /// by index, a stale one finds another tag, and once the slots cover the
+  /// calls in flight a call allocates nothing.
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
+  uint32_t last_tag_ = 0;
   int64_t armed_at_ = -1;  ///< earliest armed timer (-1 = none)
   /// Fences timer bodies against Stop(); replaced by each Start().
   SerialGate timer_gate_;
   /// net.rpc.call_latency_ns.<channel> by destination, so a call costs no
   /// name building or registry lookup. Entries are never erased.
   std::unordered_map<NodeId, metrics::Histogram*> latency_by_dest_;
-  std::atomic<uint64_t> next_rpc_id_{1};
 };
 
 /// Registers the net.rpc.* call families (blocking_waits_on_worker

@@ -112,6 +112,47 @@ TEST(HistogramTest, ConcurrentRecordsKeepCountConsistent) {
   EXPECT_GE(stats.p99, stats.p50);
 }
 
+// Each thread records into its own shard; Stats() merges them exactly, and
+// Reset() clears every shard, min and max included.
+TEST(HistogramTest, ShardsMergeExactlyAndResetClearsEveryShard) {
+  Histogram hist;
+  constexpr uint64_t kThreads = 4;
+  constexpr uint64_t kPerThread = 50'000;
+  auto record_all = [&] {
+    std::vector<std::thread> threads;
+    for (uint64_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        // Together the threads record 1..kThreads*kPerThread, once each.
+        for (uint64_t i = 1; i <= kPerThread; ++i) {
+          hist.Record(t * kPerThread + i);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+  };
+  constexpr uint64_t kTotal = kThreads * kPerThread;
+  for (int round = 0; round < 2; ++round) {
+    record_all();
+    HistogramStats stats = hist.Stats();
+    EXPECT_EQ(stats.count, kTotal);
+    EXPECT_EQ(hist.count(), kTotal);
+    EXPECT_DOUBLE_EQ(stats.sum, double(kTotal) * double(kTotal + 1) / 2);
+    EXPECT_EQ(stats.min, 1u);
+    EXPECT_EQ(stats.max, kTotal);
+    hist.Reset();
+    stats = hist.Stats();
+    EXPECT_EQ(stats.count, 0u);
+    EXPECT_EQ(hist.count(), 0u);
+    EXPECT_EQ(stats.sum, 0);
+    EXPECT_TRUE(stats.buckets.empty());
+  }
+  hist.Record(1000);
+  HistogramStats one = hist.Stats();
+  EXPECT_EQ(one.count, 1u);
+  EXPECT_EQ(one.min, 1000u);
+  EXPECT_EQ(one.max, 1000u);
+}
+
 TEST(RegistryTest, GetReturnsStablePointers) {
   Registry registry;
   Counter* a = registry.GetCounter("test.counter");

@@ -11,7 +11,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <functional>
+#include <limits>
 #include <mutex>
+#include <new>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -25,6 +29,25 @@
 #include "net/message.h"
 #include "net/rpc.h"
 #include "net/tcp_transport.h"
+
+namespace {
+// Heap allocations made by the calling thread: every allocation in this
+// binary goes through the replaced global operator new below.
+thread_local uint64_t t_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// The replacement pair is malloc/free underneath, which GCC cannot see
+// through when it inlines them.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace chariots::net {
 namespace {
@@ -460,6 +483,86 @@ TEST(InProcTransportTest, FaultsApplyToInlineSafeRequestsInVirtualTime) {
     EXPECT_EQ(got.load(), 4);
   }
   exec.Shutdown();
+}
+
+// A rule, outage or partition installed while other traffic flows fires on
+// the next matching message. Clear() returns the plan to its unlocked empty
+// state, in which messages advance no rule's match counter.
+TEST(InProcTransportTest, FaultsInstalledWhileTrafficFlowsFireOnTheNextMessage) {
+  InProcTransport t;
+  std::atomic<int> to_sink{0};
+  ASSERT_TRUE(
+      t.RegisterInlineSafe("other", [](Message) {}, AllButQueuedType()).ok());
+  ASSERT_TRUE(t.RegisterInlineSafe("sink", [&](Message) { ++to_sink; },
+                                   AllButQueuedType())
+                  .ok());
+  std::atomic<bool> stop{false};
+  std::thread traffic([&] {
+    while (!stop.load()) {
+      EXPECT_TRUE(t.Send(Request("src", "other", 1, "")).ok());
+    }
+  });
+  auto send = [&](const NodeId& from) {
+    EXPECT_TRUE(t.Send(Request(from, "sink", 1, "")).ok());
+    return to_sink.load();
+  };
+  FaultSchedule& faults = t.faults();
+  EXPECT_FALSE(faults.armed());
+  EXPECT_EQ(send("src"), 1);
+
+  faults.DropNth(FaultSchedule::ToPrefix("sink"), 1);
+  EXPECT_TRUE(faults.armed());
+  EXPECT_EQ(send("src"), 1) << "the first match after the install";
+  EXPECT_EQ(send("src"), 2);
+
+  faults.CrashWindow("sink", 0, std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(send("src"), 2) << "delivered inside the outage";
+  faults.Clear();
+  EXPECT_FALSE(faults.armed());
+  EXPECT_EQ(send("src"), 3);
+
+  faults.PartitionWindow({"cut"}, {"sink"}, 0,
+                         std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(send("cut"), 3) << "sent across the partition";
+  EXPECT_EQ(send("src"), 4);
+  faults.Clear();
+
+  for (int i = 0; i < 5; ++i) send("src");
+  EXPECT_EQ(to_sink.load(), 9);
+  faults.DropNth(FaultSchedule::ToPrefix("sink"), 2);
+  EXPECT_EQ(send("src"), 10) << "matches sent while cleared were counted";
+  EXPECT_EQ(send("src"), 10);
+  EXPECT_EQ(send("src"), 11);
+  EXPECT_EQ(faults.faults_injected(), 1u);
+  stop.store(true);
+  traffic.join();
+}
+
+// SetLink replaces a link's bandwidth bucket while a sender may still be
+// paying into the one it resolved; that bucket must outlive the send
+// (ASan/TSan report the race otherwise).
+TEST(InProcTransportTest, SetLinkRacesABandwidthLimitedSend) {
+  InProcTransport t;
+  std::atomic<int> sent{0};
+  ASSERT_TRUE(
+      t.RegisterInlineSafe("dc1/n", [](Message) {}, AllButQueuedType()).ok());
+  LinkOptions fast;
+  fast.bandwidth_bytes_per_sec = 1e12;  // never makes the sender sleep
+  t.SetLink("dc0", "dc1", fast);
+  std::atomic<bool> stop{false};
+  std::thread sender([&] {
+    while (!stop.load()) {
+      EXPECT_TRUE(t.Send(Request("dc0/n", "dc1/n", 1, "x")).ok());
+      ++sent;
+    }
+  });
+  for (int i = 0; sent.load() < 20'000 && i < 1'000'000; ++i) {
+    fast.bandwidth_bytes_per_sec = 1e12 + i;
+    t.SetLink("dc0", "dc1", fast);
+  }
+  stop.store(true);
+  sender.join();
+  EXPECT_GE(sent.load(), 20'000);
 }
 
 // Unregister while a sender's thread delivers in line: once Unregister
@@ -1049,6 +1152,47 @@ TEST_F(RpcTest, BlockingWaitScopeDeliversDeferredRequestsAndReplies) {
   holder.join();
   EXPECT_LT(std::chrono::steady_clock::now() - start, 2s)
       << "the scope left deferred work to the thread about to wait";
+}
+
+// The in-process message path allocates nothing but what the messages
+// own: an inline Call costs its payload, the request's two node ids and the
+// response's copy of the caller's id; a Notify its payload and two ids. The
+// ids are FLStore's, too long for the short-string buffer.
+TEST_F(RpcTest, InlineCallAllocatesOnlyPayloadAndNodeIds) {
+  RpcEndpoint server(&transport_, "dc0/maintainer/0");
+  ASSERT_TRUE(server
+                  .Handle(
+                      1,
+                      [](const NodeId&, const std::string&)
+                          -> Result<std::string> { return std::string(); },
+                      RpcEndpoint::Dispatch::kInline)
+                  .ok());
+  ASSERT_TRUE(server
+                  .HandleOneWay(2, [](const NodeId&, std::string) {},
+                                RpcEndpoint::Dispatch::kInline)
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+  RpcEndpoint client(&transport_, "dc0/client/session0");
+  ASSERT_TRUE(client.Start().ok());
+  const NodeId maintainer = "dc0/maintainer/0";
+  const std::string payload(64, 'p');
+  // Allocations per operation once routes, call slots and instruments are
+  // warm.
+  auto per_op = [](const std::function<void()>& op) {
+    for (int i = 0; i < 64; ++i) op();
+    constexpr int kOps = 512;
+    const uint64_t before = t_allocations;
+    for (int i = 0; i < kOps; ++i) op();
+    return static_cast<double>(t_allocations - before) / kOps;
+  };
+  const double call = per_op([&] {
+    EXPECT_TRUE(client.Call(maintainer, 1, payload).ok());
+  });
+  const double notify = per_op([&] {
+    EXPECT_TRUE(client.Notify(maintainer, 2, payload).ok());
+  });
+  EXPECT_LE(call, 4.0);
+  EXPECT_LE(notify, 3.0);
 }
 
 // Handler tables freeze at Start: a late registration fails, whatever its

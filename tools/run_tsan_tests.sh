@@ -78,6 +78,17 @@
 #       replication_test fault_injection_test \
 #       flstore_integration_test               # one landing path
 #
+# The message path: senders read the in-process route table with no
+# transport-wide lock while Register, Unregister and SetLink publish new
+# tables, a bandwidth-limited send races SetLink replacing its bucket,
+# fault rules, outages and partitions are installed and cleared while
+# traffic flows (the plan's armed flag), RPC calls complete into slots and
+# stack waiters, and histograms take concurrent per-thread records.
+#
+#   tools/run_tsan_tests.sh thread net_test metrics_test \
+#       replication_test fault_injection_test \
+#       flstore_integration_test               # message path
+#
 # Uses a separate build dir (build-<sanitizer>) so the regular build is
 # untouched.
 set -euo pipefail
