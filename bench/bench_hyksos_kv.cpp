@@ -11,7 +11,7 @@
 #include "apps/workload.h"
 #include "bench_report.h"
 #include "chariots/fabric.h"
-#include "common/histogram.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "net/inproc_transport.h"
 
@@ -47,7 +47,7 @@ void RunMix(double put_fraction, const char* label,
   wo.value_bytes = 64;
   WorkloadGenerator gen(wo);
 
-  Histogram put_lat, get_lat;
+  metrics::Histogram put_lat, get_lat;  // nanoseconds
   const int kOps = chariots::bench::SmokeMode() ? 800 : 4000;
   auto bench_start = std::chrono::steady_clock::now();
   for (int i = 0; i < kOps; ++i) {
@@ -63,7 +63,7 @@ void RunMix(double put_fraction, const char* label,
                         .count();
     report->AddLatencyNanos(op_nanos);
     (op.type == OpType::kPut ? put_lat : get_lat)
-        .Record(op_nanos / 1e3);
+        .Record(static_cast<uint64_t>(op_nanos));
   }
   double secs = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - bench_start)
@@ -78,17 +78,16 @@ void RunMix(double put_fraction, const char* label,
                       std::chrono::steady_clock::now() - txn_start)
                       .count();
 
+  const metrics::HistogramStats put = put_lat.Stats();
+  const metrics::HistogramStats get = get_lat.Stats();
   std::printf("%-14s %-12.0f put p50/p99: %6.0f/%-8.0f get p50/p99: "
               "%6.0f/%-8.0f getTxn(10): %.0f us\n",
-              label, kOps / secs, put_lat.Percentile(50),
-              put_lat.Percentile(99), get_lat.Percentile(50),
-              get_lat.Percentile(99), txn_us);
+              label, kOps / secs, put.p50 / 1e3, put.p99 / 1e3,
+              get.p50 / 1e3, get.p99 / 1e3, txn_us);
   report->AddStage(label, kOps / secs);
   if (put_fraction == 0.5) report->SetThroughput(kOps / secs);
-  report->AddExtra(std::string("put_p99_us_") + label,
-                   put_lat.Percentile(99));
-  report->AddExtra(std::string("get_p99_us_") + label,
-                   get_lat.Percentile(99));
+  report->AddExtra(std::string("put_p99_us_") + label, put.p99 / 1e3);
+  report->AddExtra(std::string("get_p99_us_") + label, get.p99 / 1e3);
   for (auto& dc : dcs) dc->Stop();
 }
 

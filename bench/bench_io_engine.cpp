@@ -1,11 +1,11 @@
 // I/O engine sweep (ISSUE 10): LogStore disk append throughput for every
-// engine × batch size × sync policy combination, plus the datapath copy
+// engine × batch size × sync mode combination, plus the datapath copy
 // audit. This is the acceptance bench for the zero-copy datapath:
 //
 //   * `uring_vs_sync_batch32` — io_uring over sync-engine speedup for the
 //     batch-32 *durable* append path (group commit: every batch must reach
 //     the device before it is acked — the only legs where bytes actually
-//     hit disk inside the timed window; the kNever legs write dirty pages
+//     hit disk inside the timed window; the kBuffered legs write dirty pages
 //     that are dropped when the file is removed, so they measure the page
 //     cache, and are reported as `uring_vs_sync_batch32_buffered`).
 //     ISSUE 10 targets 2.0; what this bench can show is bounded by the
@@ -62,10 +62,10 @@ struct RunResult {
 };
 
 // Appends `payload_bytes`-sized records in batches of `batch` under the
-// given engine/policy until the budget is exhausted; returns records/sec
+// given engine/sync mode until the budget is exhausted; returns records/sec
 // over the timed appends only (store setup/teardown excluded).
 RunResult RunAppendPass(storage::IoEngine* engine, size_t batch,
-                        storage::SyncPolicy policy, size_t payload_bytes,
+                        storage::SyncMode mode, size_t payload_bytes,
                         uint64_t byte_budget, uint64_t max_batches,
                         uint64_t warmup_batches = 0) {
   auto dir = std::filesystem::temp_directory_path() /
@@ -73,8 +73,7 @@ RunResult RunAppendPass(storage::IoEngine* engine, size_t batch,
   std::filesystem::remove_all(dir);
   storage::LogStoreOptions options;
   options.dir = dir.string();
-  options.mode = storage::SyncMode::kBuffered;
-  options.sync_policy = policy;
+  options.mode = mode;
   options.io_engine = engine;
   // One segment per pass: rotation mid-run would charge file creation to
   // the append path being measured.
@@ -149,12 +148,12 @@ double MeasureCopiesPerRecord(size_t records, size_t body_bytes) {
 // a single pass is at the mercy of background writeback from earlier
 // configs; the max is the stable, comparable number.
 RunResult BestOf(int trials, storage::IoEngine* engine, size_t batch,
-                 storage::SyncPolicy policy, size_t payload_bytes,
+                 storage::SyncMode mode, size_t payload_bytes,
                  uint64_t byte_budget, uint64_t max_batches,
                  uint64_t warmup_batches = 0) {
   RunResult best;
   for (int i = 0; i < trials; ++i) {
-    RunResult run = RunAppendPass(engine, batch, policy, payload_bytes,
+    RunResult run = RunAppendPass(engine, batch, mode, payload_bytes,
                                   byte_budget, max_batches, warmup_batches);
     if (run.rate_rps > best.rate_rps) best = std::move(run);
   }
@@ -170,7 +169,7 @@ double MeasureStorageCopyFraction(storage::IoEngine* engine,
   auto* written = reg.GetCounter("chariots.storage.io.bytes_written");
   auto* copied = reg.GetCounter("chariots.storage.io.bytes_copied");
   uint64_t w0 = written->Value(), c0 = copied->Value();
-  (void)RunAppendPass(engine, 32, storage::SyncPolicy::kNever, payload_bytes,
+  (void)RunAppendPass(engine, 32, storage::SyncMode::kBuffered, payload_bytes,
                       budget, ~0ull);
   uint64_t dw = written->Value() - w0, dc = copied->Value() - c0;
   return dw == 0 ? -1 : static_cast<double>(dc) / static_cast<double>(dw);
@@ -216,10 +215,10 @@ int main() {
   double best = 0;
   for (storage::IoEngine* engine : engines) {
     for (size_t batch : batches) {
-      for (auto [policy, label] :
-           {std::pair{storage::SyncPolicy::kNever, "nosync"},
-            std::pair{storage::SyncPolicy::kEveryBatch, "group"}}) {
-        const bool fsyncs = policy == storage::SyncPolicy::kEveryBatch;
+      for (auto [mode, label] :
+           {std::pair{storage::SyncMode::kBuffered, "nosync"},
+            std::pair{storage::SyncMode::kFsyncEach, "group"}}) {
+        const bool fsyncs = mode == storage::SyncMode::kFsyncEach;
         // Best-of-N everywhere: on a shared VM a single pass is at the
         // mercy of neighbors and background writeback.
         const uint64_t batch_bytes = batch * kPayloadBytes;
@@ -230,9 +229,9 @@ int main() {
             std::max<uint64_t>(8, std::min<uint64_t>(
                                       128, kSyncByteBudget / batch_bytes));
         RunResult run =
-            fsyncs ? BestOf(kTrials, engine, batch, policy, kPayloadBytes,
+            fsyncs ? BestOf(kTrials, engine, batch, mode, kPayloadBytes,
                             ~0ull, sync_batches, kSyncWarmup)
-                   : BestOf(kTrials, engine, batch, policy, kPayloadBytes,
+                   : BestOf(kTrials, engine, batch, mode, kPayloadBytes,
                             kByteBudget, ~0ull);
         std::printf("%-8s %-8zu %-10s %-22.0f\n", engine->name(), batch,
                     label, run.rate_rps);

@@ -13,7 +13,7 @@
 #include "apps/msgfutures.h"
 #include "bench_report.h"
 #include "chariots/fabric.h"
-#include "common/histogram.h"
+#include "common/metrics.h"
 #include "net/inproc_transport.h"
 
 using namespace chariots;
@@ -42,7 +42,7 @@ void RunRtt(int64_t one_way_nanos, chariots::bench::BenchReport* report) {
   mf0.StartBackground(500'000);
   mf1.StartBackground(500'000);
 
-  Histogram commit_lat;
+  metrics::Histogram commit_lat;  // nanoseconds
   const int kTxns = chariots::bench::SmokeMode() ? 10 : 30;
   int committed = 0;
   auto bench_start = std::chrono::steady_clock::now();
@@ -55,7 +55,7 @@ void RunRtt(int64_t one_way_nanos, chariots::bench::BenchReport* report) {
       auto nanos = std::chrono::duration_cast<std::chrono::nanoseconds>(
                        std::chrono::steady_clock::now() - start)
                        .count();
-      commit_lat.Record(nanos / 1e6);
+      commit_lat.Record(static_cast<uint64_t>(nanos));
       report->AddLatencyNanos(nanos);
       ++committed;
     }
@@ -63,14 +63,14 @@ void RunRtt(int64_t one_way_nanos, chariots::bench::BenchReport* report) {
   double secs = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - bench_start)
                     .count();
+  const metrics::HistogramStats commit = commit_lat.Stats();
   std::printf("%-18.1f %-20.1f %-16.1f %-16.1f\n", one_way_nanos / 0.5e6,
-              commit_lat.mean(), commit_lat.Percentile(50),
-              commit_lat.Percentile(99));
+              commit.mean() / 1e6, commit.p50 / 1e6, commit.p99 / 1e6);
   std::string label = "rtt_ms_" + std::to_string(one_way_nanos / 500'000);
   double rate = secs > 0 ? committed / secs : 0;
   report->AddStage(label, rate);
   if (one_way_nanos == 500'000) report->SetThroughput(rate);
-  report->AddExtra("commit_p50_ms_" + label, commit_lat.Percentile(50));
+  report->AddExtra("commit_p50_ms_" + label, commit.p50 / 1e6);
   for (auto& dc : dcs) dc->Stop();
 }
 

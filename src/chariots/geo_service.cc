@@ -7,6 +7,7 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "flstore/service.h"
+#include "net/metrics_http.h"
 
 namespace chariots::geo {
 
@@ -47,36 +48,10 @@ GeoServer::GeoServer(net::Transport* transport, net::NodeId node,
     : dc_(dc),
       options_(std::move(options)),
       endpoint_(transport, node),
-      watchdog_(WatchdogConfig(node)) {}
-
-Watchdog::Options GeoServer::WatchdogConfig(const net::NodeId& node) {
-  Watchdog::Options wd;
-  wd.node = node;
-  wd.clock = options_.clock;
-  if (options_.watchdog_interval_nanos > 0) {
-    wd.tick_interval_nanos = options_.watchdog_interval_nanos;
-  }
-  wd.on_breach = [this](const HealthReport& report) {
-    OnWatchdogBreach(report);
-  };
-  return wd;
-}
-
-void GeoServer::OnWatchdogBreach(const HealthReport&) {
-  std::string dump = flightrec::Recorder::Default().Dump();
-  {
-    std::lock_guard<std::mutex> lock(dump_mu_);
-    last_breach_dump_ = std::move(dump);
-  }
-  if (!options_.breach_dump_path.empty()) {
-    (void)flightrec::Recorder::Default().DumpToFile(options_.breach_dump_path);
-  }
-}
-
-std::string GeoServer::LastBreachDump() const {
-  std::lock_guard<std::mutex> lock(dump_mu_);
-  return last_breach_dump_;
-}
+      watchdog_({.node = node,
+                 .clock = options_.clock,
+                 .tick_interval_nanos = options_.watchdog_interval_nanos,
+                 .breach_dump_path = options_.breach_dump_path}) {}
 
 GeoServer::~GeoServer() { Stop(); }
 
@@ -228,28 +203,7 @@ Status GeoServer::Start() {
     return trace::RenderTracesJson(traces);
   });
 
-  endpoint_.Handle(kGeoHealth, [this](const net::NodeId&, const std::string&)
-                                   -> Result<std::string> {
-    return RenderHealthJson(watchdog_.TickOnce());
-  });
-
-  endpoint_.Handle(kGeoFlightRec, [this](const net::NodeId&,
-                                         const std::string& payload)
-                                      -> Result<std::string> {
-    uint8_t mode = 0;
-    if (!payload.empty()) {
-      BinaryReader r(payload);
-      CHARIOTS_RETURN_IF_ERROR(r.GetU8(&mode));
-    }
-    if (mode == 1) {
-      std::string dump = LastBreachDump();
-      if (dump.empty()) {
-        return Status::NotFound("no watchdog breach has fired yet");
-      }
-      return dump;
-    }
-    return flightrec::Recorder::Default().Dump();
-  });
+  net::HandleHealthRpcs(&endpoint_, &watchdog_, kGeoHealth, kGeoFlightRec);
 
   CHARIOTS_RETURN_IF_ERROR(endpoint_.Start());
   if (options_.watchdog_interval_nanos > 0) {

@@ -43,7 +43,8 @@ struct GeoServerOptions {
   Executor* executor = nullptr;
   /// Clock for health-report timestamps (null = system).
   Clock* clock = nullptr;
-  /// Breach-hook dump destination ("" = in-memory snapshot only).
+  /// Where the watchdog writes its breach flight-recorder snapshot ("" =
+  /// keep it in memory only).
   std::string breach_dump_path;
 };
 
@@ -62,20 +63,11 @@ class GeoServer {
 
   Watchdog& watchdog() { return watchdog_; }
 
-  /// Flight-recorder snapshot taken at the last watchdog breach ("" if no
-  /// breach has fired).
-  std::string LastBreachDump() const;
-
  private:
-  Watchdog::Options WatchdogConfig(const net::NodeId& node);
-  void OnWatchdogBreach(const HealthReport& report);
-
   Datacenter* const dc_;
   GeoServerOptions options_;
   net::RpcEndpoint endpoint_;
   Watchdog watchdog_;
-  mutable std::mutex dump_mu_;
-  std::string last_breach_dump_;
 };
 
 /// Remote-process counterpart of ChariotsClient: the same append/read

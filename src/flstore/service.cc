@@ -13,6 +13,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/watchdog.h"
+#include "net/metrics_http.h"
 
 namespace chariots::flstore {
 
@@ -241,38 +242,10 @@ MaintainerServer::MaintainerServer(net::Transport* transport,
                                   options_.dedup_disk_faults}),
       replica_(&repl_endpoint_, options_.replica),
       peers_(options_.peers),
-      watchdog_(WatchdogConfig()) {}
-
-Watchdog::Options MaintainerServer::WatchdogConfig() {
-  Watchdog::Options wd;
-  wd.node = options_.node;
-  wd.clock = options_.clock;
-  if (options_.watchdog_interval_nanos > 0) {
-    wd.tick_interval_nanos = options_.watchdog_interval_nanos;
-  }
-  wd.on_breach = [this](const HealthReport& report) {
-    OnWatchdogBreach(report);
-  };
-  return wd;
-}
-
-void MaintainerServer::OnWatchdogBreach(const HealthReport&) {
-  // Snapshot first: the breach window is still in the rings right now, and
-  // anything else we do (logging, file IO) records more events over it.
-  std::string dump = flightrec::Recorder::Default().Dump();
-  {
-    std::lock_guard<std::mutex> lock(dump_mu_);
-    last_breach_dump_ = std::move(dump);
-  }
-  if (!options_.breach_dump_path.empty()) {
-    (void)flightrec::Recorder::Default().DumpToFile(options_.breach_dump_path);
-  }
-}
-
-std::string MaintainerServer::LastBreachDump() const {
-  std::lock_guard<std::mutex> lock(dump_mu_);
-  return last_breach_dump_;
-}
+      watchdog_({.node = options_.node,
+                 .clock = options_.clock,
+                 .tick_interval_nanos = options_.watchdog_interval_nanos,
+                 .breach_dump_path = options_.breach_dump_path}) {}
 
 MaintainerServer::~MaintainerServer() { Stop(); }
 
@@ -804,31 +777,7 @@ void MaintainerServer::InstallHandlers() {
     return std::string();
   });
 
-  // On-demand health: one watchdog tick, served as JSON. Works on
-  // deployments that never armed the periodic tick (watchdog_interval 0).
-  endpoint_.Handle(kHealth, [this](const net::NodeId&, const std::string&)
-                               -> Result<std::string> {
-    return RenderHealthJson(watchdog_.TickOnce());
-  });
-  // Flight-recorder snapshot: mode 0 / empty = dump the rings now, mode 1 =
-  // the snapshot the watchdog took at the last breach (kNotFound if none).
-  endpoint_.Handle(kFlightRec, [this](const net::NodeId&,
-                                      const std::string& payload)
-                                   -> Result<std::string> {
-    uint8_t mode = 0;
-    if (!payload.empty()) {
-      BinaryReader r(payload);
-      CHARIOTS_RETURN_IF_ERROR(r.GetU8(&mode));
-    }
-    if (mode == 1) {
-      std::string dump = LastBreachDump();
-      if (dump.empty()) {
-        return Status::NotFound("no watchdog breach has fired yet");
-      }
-      return dump;
-    }
-    return flightrec::Recorder::Default().Dump();
-  });
+  net::HandleHealthRpcs(&endpoint_, &watchdog_, kHealth, kFlightRec);
 
   // Layout change from the controller: stripe `index` has a new
   // coordinator.
@@ -1213,36 +1162,10 @@ ControllerServer::ControllerServer(net::Transport* transport,
       node_(node),
       endpoint_(transport, std::move(node)),
       leader_lease_(options_.controller.clock, options_.leader_lease_nanos),
-      watchdog_(WatchdogConfig()) {}
-
-Watchdog::Options ControllerServer::WatchdogConfig() {
-  Watchdog::Options wd;
-  wd.node = node_;
-  wd.clock = options_.controller.clock;
-  if (options_.watchdog_interval_nanos > 0) {
-    wd.tick_interval_nanos = options_.watchdog_interval_nanos;
-  }
-  wd.on_breach = [this](const HealthReport& report) {
-    OnWatchdogBreach(report);
-  };
-  return wd;
-}
-
-void ControllerServer::OnWatchdogBreach(const HealthReport&) {
-  std::string dump = flightrec::Recorder::Default().Dump();
-  {
-    std::lock_guard<std::mutex> lock(dump_mu_);
-    last_breach_dump_ = std::move(dump);
-  }
-  if (!options_.breach_dump_path.empty()) {
-    (void)flightrec::Recorder::Default().DumpToFile(options_.breach_dump_path);
-  }
-}
-
-std::string ControllerServer::LastBreachDump() const {
-  std::lock_guard<std::mutex> lock(dump_mu_);
-  return last_breach_dump_;
-}
+      watchdog_({.node = node_,
+                 .clock = options_.controller.clock,
+                 .tick_interval_nanos = options_.watchdog_interval_nanos,
+                 .breach_dump_path = options_.breach_dump_path}) {}
 
 ControllerServer::~ControllerServer() { Stop(); }
 
@@ -1257,27 +1180,7 @@ Status ControllerServer::Start() {
   watchdog_.AddRateProbe(
       node_ + ".elections", [] { return ElectionsCounter()->Value(); },
       options_.max_elections_per_tick);
-  endpoint_.Handle(kHealth, [this](const net::NodeId&, const std::string&)
-                               -> Result<std::string> {
-    return RenderHealthJson(watchdog_.TickOnce());
-  });
-  endpoint_.Handle(kFlightRec, [this](const net::NodeId&,
-                                      const std::string& payload)
-                                   -> Result<std::string> {
-    uint8_t mode = 0;
-    if (!payload.empty()) {
-      BinaryReader r(payload);
-      CHARIOTS_RETURN_IF_ERROR(r.GetU8(&mode));
-    }
-    if (mode == 1) {
-      std::string dump = LastBreachDump();
-      if (dump.empty()) {
-        return Status::NotFound("no watchdog breach has fired yet");
-      }
-      return dump;
-    }
-    return flightrec::Recorder::Default().Dump();
-  });
+  net::HandleHealthRpcs(&endpoint_, &watchdog_, kHealth, kFlightRec);
   endpoint_.Handle(kGetClusterInfo, [this](const net::NodeId&,
                                            const std::string&)
                                         -> Result<std::string> {

@@ -182,8 +182,8 @@ class MaintainerServer {
     /// (0 = probe not registered; the family is shared across in-process
     /// servers, so only enable it where one server owns the process).
     int64_t read_slo_nanos = 0;
-    /// Where the watchdog's breach hook writes a flight-recorder dump
-    /// ("" = keep the snapshot in memory only; kFlightRec mode 1 serves it).
+    /// Where the watchdog writes its breach flight-recorder snapshot ("" =
+    /// keep it in memory only; kFlightRec mode 1 serves it either way).
     std::string breach_dump_path;
   };
 
@@ -206,18 +206,8 @@ class MaintainerServer {
   ReplicaGroup& replica() { return replica_; }
   Watchdog& watchdog() { return watchdog_; }
 
-  /// Flight-recorder snapshot taken by the watchdog's breach hook ("" if no
-  /// breach has fired). What kFlightRec mode 1 serves.
-  std::string LastBreachDump() const;
-
  private:
   void InstallHandlers();
-  /// Watchdog configuration for this server (node label, injected clock,
-  /// tick period, breach hook).
-  Watchdog::Options WatchdogConfig();
-  /// Breach hook: snapshots the flight recorder so the events leading up to
-  /// the breach survive ring wrap, and optionally writes them to disk.
-  void OnWatchdogBreach(const HealthReport& report);
   void GossipOnce();
   void HeartbeatOnce();
   void OnLanded(const LogRecord& record, LId lid);
@@ -344,8 +334,6 @@ class MaintainerServer {
   /// Gossip rounds completed — the progress probe's counter.
   std::atomic<uint64_t> gossip_rounds_{0};
   Watchdog watchdog_;
-  mutable std::mutex dump_mu_;
-  std::string last_breach_dump_;
 };
 
 /// Hosts an Indexer on the RPC fabric.
@@ -396,7 +384,8 @@ struct ControllerServerOptions {
   /// Election-churn budget: the watchdog breaches when more than this many
   /// elections are won in one tick (a flapping leader, dueling candidates).
   uint64_t max_elections_per_tick = 2;
-  /// Breach-hook dump destination ("" = in-memory snapshot only).
+  /// Where the watchdog writes its breach flight-recorder snapshot ("" =
+  /// keep it in memory only).
   std::string breach_dump_path;
 };
 
@@ -442,9 +431,6 @@ class ControllerServer {
   Controller& controller() { return controller_; }
   Watchdog& watchdog() { return watchdog_; }
 
-  /// Breach-time flight-recorder snapshot ("" if none fired yet).
-  std::string LastBreachDump() const;
-
  private:
   /// kUnavailable("NOT_LEADER...") unless this replica is leader — the
   /// redirect non-leader replicas give every mutating RPC; clients treat it
@@ -478,8 +464,6 @@ class ControllerServer {
   Status ExecuteRemoval(const ReplicaRemoval& removal);
   /// The kSuspect body, shared by the request and one-way registrations.
   Result<std::string> HandleSuspect(const std::string& payload);
-  Watchdog::Options WatchdogConfig();
-  void OnWatchdogBreach(const HealthReport& report);
 
   Controller controller_;
   ControllerServerOptions options_;
@@ -496,8 +480,6 @@ class ControllerServer {
   std::atomic<bool> stop_{false};
   Executor::TimerToken monitor_token_;
   Watchdog watchdog_;
-  mutable std::mutex dump_mu_;
-  std::string last_breach_dump_;
 };
 
 }  // namespace chariots::flstore

@@ -10,11 +10,14 @@
 #include <cstring>
 #include <string>
 
+#include "common/codec.h"
 #include "common/executor.h"
 #include "common/flight_recorder.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "common/watchdog.h"
+#include "net/rpc.h"
 
 namespace chariots::net {
 
@@ -96,12 +99,16 @@ Status MetricsHttpServer::Start(int port) {
 void MetricsHttpServer::Stop() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) return;
+  // shutdown() wakes ServeLoop's poll/accept without giving up the
+  // descriptor; it is closed only once the loop has exited, so the loop
+  // never reads a field being written nor polls a number the process may
+  // already have reused.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (thread_.joinable()) thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (thread_.joinable()) thread_.join();
 }
 
 void MetricsHttpServer::ServeLoop() {
@@ -114,7 +121,7 @@ void MetricsHttpServer::ServeLoop() {
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listener closed by Stop()
+      return;  // listener shut down by Stop()
     }
     HandleConnection(fd);
     ::close(fd);
@@ -177,6 +184,31 @@ void MetricsHttpServer::HandleConnection(int fd) {
 void MetricsHttpServer::SetHealthSource(std::function<std::string()> source) {
   std::lock_guard<std::mutex> lock(health_mu_);
   health_source_ = std::move(source);
+}
+
+Status HandleHealthRpcs(RpcEndpoint* endpoint, Watchdog* watchdog,
+                        uint16_t health_type, uint16_t flightrec_type) {
+  CHARIOTS_RETURN_IF_ERROR(endpoint->Handle(
+      health_type,
+      [watchdog](const NodeId&, const std::string&) -> Result<std::string> {
+        return RenderHealthJson(watchdog->TickOnce());
+      }));
+  return endpoint->Handle(
+      flightrec_type,
+      [watchdog](const NodeId&,
+                 const std::string& payload) -> Result<std::string> {
+        uint8_t mode = 0;
+        if (!payload.empty()) {
+          BinaryReader r(payload);
+          CHARIOTS_RETURN_IF_ERROR(r.GetU8(&mode));
+        }
+        if (mode != 1) return flightrec::Recorder::Default().Dump();
+        std::string dump = watchdog->LastBreachDump();
+        if (dump.empty()) {
+          return Status::NotFound("no watchdog breach has fired yet");
+        }
+        return dump;
+      });
 }
 
 }  // namespace chariots::net

@@ -9,7 +9,13 @@
 
 #include "common/status.h"
 
+namespace chariots {
+class Watchdog;
+}  // namespace chariots
+
 namespace chariots::net {
+
+class RpcEndpoint;
 
 /// Minimal blocking HTTP/1.0 server exposing the process's observability
 /// surface (`chariots_node --metrics_port`). Routes:
@@ -52,6 +58,8 @@ class MetricsHttpServer {
   void ServeLoop();
   void HandleConnection(int fd);
 
+  /// Written only by Start, before the serve thread exists, and by Stop,
+  /// after it has joined it.
   int listen_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> stopping_{false};
@@ -59,6 +67,15 @@ class MetricsHttpServer {
   std::mutex health_mu_;
   std::function<std::string()> health_source_;
 };
+
+/// Registers the RPC face of /healthz and /debug/flightrecorder on
+/// `endpoint`, for a server that owns `watchdog`. `health_type` answers one
+/// watchdog tick as JSON (so it works where the periodic tick is unarmed).
+/// `flightrec_type` answers the watchdog's last breach snapshot for mode 1
+/// (NotFound before any breach), and a live flight-recorder dump for an
+/// empty payload or any other mode.
+Status HandleHealthRpcs(RpcEndpoint* endpoint, Watchdog* watchdog,
+                        uint16_t health_type, uint16_t flightrec_type);
 
 }  // namespace chariots::net
 

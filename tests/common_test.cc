@@ -11,7 +11,6 @@
 #include "common/clock.h"
 #include "common/codec.h"
 #include "common/crc32c.h"
-#include "common/histogram.h"
 #include "common/latch.h"
 #include "common/queue.h"
 #include "common/random.h"
@@ -455,38 +454,6 @@ TEST(CountDownLatchTest, ReleasesAtZero) {
   latch.Wait();
   t.join();
   EXPECT_TRUE(latch.WaitFor(std::chrono::nanoseconds(1)));
-}
-
-// -------------------------------------------------------------- Histogram
-
-TEST(HistogramTest, BasicStats) {
-  Histogram h;
-  for (int i = 1; i <= 100; ++i) h.Record(i);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-  EXPECT_DOUBLE_EQ(h.min(), 1);
-  EXPECT_DOUBLE_EQ(h.max(), 100);
-  // Geometric buckets: p50 within ~20% of true median.
-  EXPECT_NEAR(h.Percentile(50), 50, 12);
-  EXPECT_NEAR(h.Percentile(99), 99, 20);
-}
-
-TEST(HistogramTest, MergeCombines) {
-  Histogram a, b;
-  a.Record(10);
-  b.Record(30);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 20);
-  EXPECT_DOUBLE_EQ(a.max(), 30);
-}
-
-TEST(HistogramTest, ResetClears) {
-  Histogram h;
-  h.Record(5);
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Percentile(99), 0);
 }
 
 // ----------------------------------------------------------------- Random

@@ -367,7 +367,7 @@ TEST(MaintainerTest, FillHolesWaitsForAnInFlightLanding) {
   MaintainerOptions o;
   o.journal = EpochJournal(1, 100);
   o.store.dir = dir.string();
-  o.store.sync_policy = storage::SyncPolicy::kEveryBatch;
+  o.store.mode = storage::SyncMode::kFsyncEach;
   o.store.io_engine = &engine;
   {
     LogMaintainer m(o);
@@ -412,7 +412,7 @@ TEST(MaintainerTest, FailedPostAssignedLandingLeavesNothingBehind) {
   MaintainerOptions o;
   o.journal = EpochJournal(1, 100);
   o.store.dir = dir.string();
-  o.store.sync_policy = storage::SyncPolicy::kEveryBatch;
+  o.store.mode = storage::SyncMode::kFsyncEach;
   o.store.io_engine = &engine;
   {
     LogMaintainer m(o);

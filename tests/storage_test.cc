@@ -15,7 +15,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "flstore/maintainer.h"
@@ -186,29 +185,8 @@ TEST_F(LogStoreTest, BatchEqualsSinglesOnDisk) {
   std::filesystem::remove_all(dir2);
 }
 
-TEST_F(LogStoreTest, SyncPolicyIntervalNanosUsesClock) {
-  ManualClock clock(0);
-  LogStoreOptions o = Options();
-  o.sync_policy = SyncPolicy::kIntervalNanos;
-  o.sync_interval_nanos = 1'000'000;
-  o.clock = &clock;
-  LogStore store(o);
-  ASSERT_TRUE(store.Open().ok());
-  // First batch: interval elapsed since epoch 0... set clock so it hasn't.
-  clock.Set(1);
-  ASSERT_TRUE(store.Append(0, "a").ok());  // 1 - 0 < interval: no sync
-  clock.Set(2'000'000);
-  ASSERT_TRUE(store.Append(1, "b").ok());  // interval elapsed: syncs
-  ASSERT_TRUE(store.Append(2, "c").ok());  // just synced: no sync
-  clock.Set(4'000'000);
-  std::vector<AppendEntry> batch = {{3, "d"}, {4, "e"}};
-  ASSERT_TRUE(store.AppendBatch(batch).ok());  // one sync for the batch
-  EXPECT_EQ(store.count(), 5u);
-}
-
-TEST_F(LogStoreTest, SyncPolicyEveryBatchSurvivesReopen) {
-  LogStoreOptions o = Options();
-  o.sync_policy = SyncPolicy::kEveryBatch;
+TEST_F(LogStoreTest, FsyncEachSurvivesReopen) {
+  LogStoreOptions o = Options(SyncMode::kFsyncEach);
   {
     LogStore store(o);
     ASSERT_TRUE(store.Open().ok());
@@ -685,7 +663,7 @@ TEST_F(LogStoreTest, FailedFsyncDoesNotShiftLaterRecords) {
   // index entry points one failed batch short — at lid 1's payload.
   ScriptedIoEngine engine;
   LogStoreOptions o = Options();
-  o.sync_policy = SyncPolicy::kEveryBatch;
+  o.mode = SyncMode::kFsyncEach;
   o.io_engine = &engine;
   {
     LogStore store(o);
@@ -720,7 +698,7 @@ TEST_F(LogStoreTest, ReadersDoNotWaitForAnInFlightFsync) {
   // until the sync returns.
   ScriptedIoEngine engine;
   LogStoreOptions o = Options();
-  o.sync_policy = SyncPolicy::kEveryBatch;
+  o.mode = SyncMode::kFsyncEach;
   o.io_engine = &engine;
   LogStore store(o);
   ASSERT_TRUE(store.Open().ok());
@@ -746,7 +724,7 @@ TEST_F(LogStoreTest, ReadersDoNotWaitForAnInFlightFsync) {
   mo.journal = flstore::EpochJournal(1, 100);
   mo.store = Options();
   mo.store.dir = (dir_ / "maintainer").string();
-  mo.store.sync_policy = SyncPolicy::kEveryBatch;
+  mo.store.mode = SyncMode::kFsyncEach;
   mo.store.io_engine = &engine;
   flstore::LogMaintainer maintainer(mo);
   ASSERT_TRUE(maintainer.Open().ok());
@@ -839,8 +817,7 @@ TEST_F(LogStoreTest, SeededCrashScheduleRecoversConsistently) {
                                  "fail_sync@seg:?", "drop_sync@seg:?"};
   size_t kind = rng.Uniform(4);
   ASSERT_TRUE(faults.AddFromSpec(kSpecs[kind]).ok());
-  LogStoreOptions o = Options(SyncMode::kBuffered, 512);  // forces rotation
-  o.sync_policy = SyncPolicy::kEveryBatch;
+  LogStoreOptions o = Options(SyncMode::kFsyncEach, 512);  // forces rotation
   o.disk_faults = &faults;
   std::vector<uint64_t> acked;
   std::vector<std::string> payloads;
@@ -878,8 +855,7 @@ TEST_F(LogStoreTest, StoreWithFaultScheduleRecoversAckedRecordsOnly) {
   // After power loss, recovery must hold exactly the acked records.
   DiskFaultSchedule faults;
   faults.TornWriteNth("seg-", 4, 17);
-  LogStoreOptions o = Options(SyncMode::kBuffered);
-  o.sync_policy = SyncPolicy::kEveryBatch;
+  LogStoreOptions o = Options(SyncMode::kFsyncEach);
   o.disk_faults = &faults;
   std::vector<uint64_t> acked;
   {
@@ -971,7 +947,7 @@ TEST_P(IoEngineTest, VectoredBatchBytesIdenticalToLegacyFrames) {
   }
 
   LogStoreOptions o = Options();
-  o.sync_policy = SyncPolicy::kEveryBatch;
+  o.mode = SyncMode::kFsyncEach;
   LogStore store(o);
   ASSERT_TRUE(store.Open().ok());
   ASSERT_TRUE(store.AppendBatch(entries).ok());
@@ -990,7 +966,7 @@ TEST_P(IoEngineTest, TornWriteComposesWithEngine) {
   DiskFaultSchedule faults;
   faults.TornWriteNth("seg-", 1, 21);  // header + 4 payload bytes
   LogStoreOptions o = Options();
-  o.sync_policy = SyncPolicy::kEveryBatch;
+  o.mode = SyncMode::kFsyncEach;
   o.disk_faults = &faults;
   {
     LogStore store(o);
@@ -1014,7 +990,7 @@ TEST_P(IoEngineTest, FailedLinkedFsyncIsNotAckedAndNotRecovered) {
   DiskFaultSchedule faults;
   faults.FailSyncNth("seg-", 2);
   LogStoreOptions o = Options();
-  o.sync_policy = SyncPolicy::kEveryBatch;
+  o.mode = SyncMode::kFsyncEach;
   o.disk_faults = &faults;
   std::vector<uint64_t> acked;
   {
@@ -1039,7 +1015,7 @@ TEST_P(IoEngineTest, DroppedSyncComposesWithEngine) {
   DiskFaultSchedule faults;
   faults.DropSyncNth("seg-", 2);
   LogStoreOptions o = Options();
-  o.sync_policy = SyncPolicy::kEveryBatch;
+  o.mode = SyncMode::kFsyncEach;
   o.disk_faults = &faults;
   {
     LogStore store(o);

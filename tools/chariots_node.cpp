@@ -204,8 +204,9 @@ int Usage() {
       "                             else 0 = suspect fast path only)\n"
       "  --index=N                  this node's index (maintainer/indexer)\n"
       "  --batch=N                  striping batch size (default 1000)\n"
-      "  --store-dir=PATH           persist records (default: memory)\n"
-      "  --fsync                    fsync every append\n"
+      "  --store-dir=PATH           persist records durably: each write\n"
+      "                             is fdatasynced before it is acked\n"
+      "                             (default: memory only)\n"
       "  --io_engine={uring|sync}   storage I/O backend (persistent\n"
       "                             datacenter + maintainer roles):\n"
       "                             uring = batched io_uring with linked\n"
@@ -261,9 +262,7 @@ int RunDatacenter(const Flags& flags) {
   std::string store_dir = flags.Get("store-dir");
   if (!store_dir.empty()) {
     config.store_dir = store_dir;
-    config.store_mode = flags.GetBool("fsync")
-                            ? storage::SyncMode::kFsyncEach
-                            : storage::SyncMode::kBuffered;
+    config.store_mode = storage::SyncMode::kFsyncEach;
     config.io_engine = storage::ResolveIoEngine(
         flags.Get("io_engine", "sync"));
     std::printf("storage io engine: %s\n", config.io_engine->name());
@@ -318,7 +317,7 @@ int main(int argc, char** argv) {
                "gossip-ms", "read_cache_bytes", "tail_cache_records",
                "disk_fault_schedule", "fault_seed",
                // shared by the datacenter and FLStore roles
-               "listen", "batch", "store-dir", "fsync", "io_engine"});
+               "listen", "batch", "store-dir", "io_engine"});
   std::string role = flags.Get("role");
   if (role.empty()) return Usage();
   std::signal(SIGINT, HandleSignal);
@@ -436,9 +435,7 @@ int main(int argc, char** argv) {
       mo.store.mode = storage::SyncMode::kMemoryOnly;
     } else {
       mo.store.dir = store_dir;
-      mo.store.mode = flags.GetBool("fsync")
-                          ? storage::SyncMode::kFsyncEach
-                          : storage::SyncMode::kBuffered;
+      mo.store.mode = storage::SyncMode::kFsyncEach;
     }
     mo.store.io_engine =
         storage::ResolveIoEngine(flags.Get("io_engine", "sync"));
