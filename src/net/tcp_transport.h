@@ -96,8 +96,9 @@ class TcpTransport : public Transport {
   void CloseConn(IoThread* io, const std::shared_ptr<Conn>& conn);
   Result<std::shared_ptr<Conn>> GetOrConnect(const std::string& addr);
   /// Registers a socket with a reactor thread (round-robin for accepted
-  /// and outbound connections alike).
-  void AdoptConn(const std::shared_ptr<Conn>& conn);
+  /// and outbound connections alike). After Shutdown it closes the socket
+  /// instead and returns Unavailable.
+  Status AdoptConn(const std::shared_ptr<Conn>& conn);
   Status EnsureIoThreads();
 
   const Options options_;
