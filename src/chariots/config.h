@@ -33,8 +33,9 @@ struct ChariotsConfig {
   storage::SyncMode store_mode = storage::SyncMode::kMemoryOnly;
   std::string store_dir;
 
-  /// I/O engine for the maintainer stores; nullptr picks the process
-  /// default ($CHARIOTS_IO_ENGINE or sync — see storage/io_engine.h).
+  /// Test seam for the maintainer stores' I/O (see storage/io_engine.h):
+  /// fault tests set an engine that fails on cue; nullptr is the sync
+  /// engine every production store runs.
   storage::IoEngine* io_engine = nullptr;
 
   /// Sender resend timer: rewind to the last acknowledged TOId after this

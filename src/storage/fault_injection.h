@@ -154,11 +154,10 @@ class FaultInjectingFile {
   Status Append(std::string_view data);
 
   /// Vectored append + optional durability through `engine`. With no
-  /// schedule attached this is the fused fast path (the uring engine links
-  /// its write and fsync SQEs into one submission). With faults armed the
+  /// schedule attached this is one engine call. With faults armed the
   /// operation decomposes into an engine write then an engine fsync so
-  /// torn-write/failed-sync/dropped-sync decisions compose with BOTH
-  /// engines exactly as they do with the scalar Append/Sync pair: a torn
+  /// torn-write/failed-sync/dropped-sync decisions compose with the
+  /// engine exactly as they do with the scalar Append/Sync pair: a torn
   /// write persists the trimmed prefix (through the engine) and fails, a
   /// dropped sync reports OK without flushing, etc.
   Status AppendvAndSync(std::span<const std::string_view> parts, bool sync,

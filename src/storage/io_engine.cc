@@ -1,22 +1,11 @@
 #include "storage/io_engine.h"
 
-#include <linux/io_uring.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
-#include <limits.h>
-#include <memory>
-#include <mutex>
-#include <vector>
+#include <string>
 
-#include "common/logging.h"
 #include "common/metrics.h"
 
 namespace chariots::storage {
@@ -29,9 +18,7 @@ metrics::Counter* IoBytesWrittenCounter() {
   return c;
 }
 
-// Bytes memcpy'd by an engine before reaching the kernel: the sync engine's
-// arena flatten and the uring engine's small-batch staging both land here.
-// The vectored uring path adds nothing — that is the point of this PR.
+// Bytes memcpy'd before reaching the kernel: the arena flatten below.
 metrics::Counter* IoBytesCopiedCounter() {
   static metrics::Counter* c =
       metrics::Registry::Default().GetCounter("chariots.storage.io.bytes_copied");
@@ -44,26 +31,13 @@ metrics::Counter* IoSubmissionsCounter() {
   return c;
 }
 
-metrics::Counter* IoLinkedFsyncsCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Default().GetCounter("chariots.storage.io.linked_fsyncs");
-  return c;
-}
-
 Status ErrnoStatus(const char* op, int err) {
   return Status::IOError(std::string(op) + ": " + std::strerror(err));
 }
 
-// ------------------------------------------------------------- sync engine
-
-/// The pre-io_uring synchronous path, moved behind the interface verbatim:
-/// flatten the batch into a reusable arena, one write(2), one fdatasync(2).
-/// Portable to any POSIX system and the downgrade target when io_uring is
-/// missing.
+/// Flatten the batch into a reusable arena, one write(2), one fdatasync(2).
 class SyncEngineImpl final : public IoEngine {
  public:
-  const char* name() const override { return "sync"; }
-
   Status Appendv(int fd, std::span<const std::string_view> parts,
                  bool sync) override {
     // Thread-local so concurrent stores don't serialize on one arena;
@@ -97,370 +71,11 @@ class SyncEngineImpl final : public IoEngine {
   }
 };
 
-// ------------------------------------------------------------ uring engine
-
-int SysIoUringSetup(unsigned entries, io_uring_params* p) {
-  return static_cast<int>(::syscall(__NR_io_uring_setup, entries, p));
-}
-
-int SysIoUringEnter(int fd, unsigned to_submit, unsigned min_complete,
-                    unsigned flags) {
-  return static_cast<int>(::syscall(__NR_io_uring_enter, fd, to_submit,
-                                    min_complete, flags, nullptr, 0));
-}
-
-int SysIoUringRegister(int fd, unsigned opcode, const void* arg,
-                       unsigned nr_args) {
-  return static_cast<int>(
-      ::syscall(__NR_io_uring_register, fd, opcode, arg, nr_args));
-}
-
-/// Batches whose total size fits here are copied into a registered staging
-/// buffer and submitted as one IORING_OP_WRITE_FIXED — for tiny writes
-/// (tombstones, sidecar tokens) the pre-pinned single-buffer op beats a
-/// vectored submission. Anything larger goes zero-copy via IORING_OP_WRITEV
-/// straight from the caller's slices.
-constexpr size_t kStagingBytes = 8192;
-
-constexpr uint64_t kWriteUserData = 1;
-constexpr uint64_t kFsyncUserData = 2;
-
-/// io_uring over raw syscalls (the container bakes in kernel headers but no
-/// liburing). One ring per engine; submissions are serialized on `mu_` and
-/// every submission is awaited before the lock drops, so the ring never
-/// carries state across calls and sizing is trivial.
-class UringEngineImpl final : public IoEngine {
- public:
-  static std::unique_ptr<UringEngineImpl> Create() {
-    auto engine = std::unique_ptr<UringEngineImpl>(new UringEngineImpl());
-    if (!engine->Init()) return nullptr;
-    return engine;
-  }
-
-  ~UringEngineImpl() override {
-    if (sqes_ != nullptr && sqes_ != MAP_FAILED) {
-      ::munmap(sqes_, sq_entries_ * sizeof(io_uring_sqe));
-    }
-    if (sq_ring_ != nullptr && sq_ring_ != MAP_FAILED) {
-      ::munmap(sq_ring_, sq_ring_bytes_);
-    }
-    if (cq_ring_ != nullptr && cq_ring_ != MAP_FAILED) {
-      ::munmap(cq_ring_, cq_ring_bytes_);
-    }
-    if (ring_fd_ >= 0) ::close(ring_fd_);
-    std::free(staging_);
-  }
-
-  const char* name() const override { return "uring"; }
-
-  Status Appendv(int fd, std::span<const std::string_view> parts,
-                 bool sync) override {
-    size_t total = 0;
-    for (std::string_view p : parts) total += p.size();
-    std::lock_guard<std::mutex> lock(mu_);
-    if (total == 0) return sync ? FsyncLocked(fd) : Status::OK();
-
-    if (staging_registered_ && total <= kStagingBytes) {
-      char* dst = staging_;
-      for (std::string_view p : parts) {
-        std::memcpy(dst, p.data(), p.size());
-        dst += p.size();
-      }
-      IoBytesCopiedCounter()->Add(total);
-      return SubmitFixedWriteLocked(fd, total, sync);
-    }
-
-    // Zero-copy vectored path. IOV_MAX bounds one submission; oversized
-    // batches are split, with the linked fsync riding on the final chunk.
-    iov_.clear();
-    iov_.reserve(parts.size());
-    for (std::string_view p : parts) {
-      if (p.empty()) continue;
-      iov_.push_back(iovec{const_cast<char*>(p.data()), p.size()});
-    }
-    size_t begin = 0;
-    while (begin < iov_.size()) {
-      size_t count = std::min(iov_.size() - begin, size_t{IOV_MAX});
-      bool last = begin + count == iov_.size();
-      CHARIOTS_RETURN_IF_ERROR(
-          SubmitWritevLocked(fd, &iov_[begin], count, last && sync));
-      begin += count;
-    }
-    return Status::OK();
-  }
-
-  Status Fsync(int fd) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return FsyncLocked(fd);
-  }
-
- private:
-  UringEngineImpl() = default;
-
-  bool Init() {
-    io_uring_params p{};
-    ring_fd_ = SysIoUringSetup(64, &p);
-    if (ring_fd_ < 0) return false;
-    // Appends rely on "offset -1 = current file position" semantics
-    // (5.6+); bail out to the sync engine on kernels without it.
-    if ((p.features & IORING_FEAT_RW_CUR_POS) == 0) return false;
-    sq_entries_ = p.sq_entries;
-    cq_entries_ = p.cq_entries;
-
-    sq_ring_bytes_ = p.sq_off.array + p.sq_entries * sizeof(unsigned);
-    cq_ring_bytes_ = p.cq_off.cqes + p.cq_entries * sizeof(io_uring_cqe);
-    sq_ring_ = ::mmap(nullptr, sq_ring_bytes_, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQ_RING);
-    cq_ring_ = ::mmap(nullptr, cq_ring_bytes_, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_CQ_RING);
-    sqes_ = static_cast<io_uring_sqe*>(
-        ::mmap(nullptr, p.sq_entries * sizeof(io_uring_sqe),
-               PROT_READ | PROT_WRITE, MAP_SHARED | MAP_POPULATE, ring_fd_,
-               IORING_OFF_SQES));
-    if (sq_ring_ == MAP_FAILED || cq_ring_ == MAP_FAILED ||
-        sqes_ == MAP_FAILED) {
-      return false;
-    }
-    auto sq = static_cast<char*>(sq_ring_);
-    sq_tail_ = reinterpret_cast<unsigned*>(sq + p.sq_off.tail);
-    sq_mask_ = reinterpret_cast<unsigned*>(sq + p.sq_off.ring_mask);
-    sq_array_ = reinterpret_cast<unsigned*>(sq + p.sq_off.array);
-    auto cq = static_cast<char*>(cq_ring_);
-    cq_head_ = reinterpret_cast<unsigned*>(cq + p.cq_off.head);
-    cq_tail_ = reinterpret_cast<unsigned*>(cq + p.cq_off.tail);
-    cq_mask_ = reinterpret_cast<unsigned*>(cq + p.cq_off.ring_mask);
-    cqes_ = reinterpret_cast<io_uring_cqe*>(cq + p.cq_off.cqes);
-
-    // Registered staging buffer for the small-batch fast path. Failure is
-    // non-fatal (some hardened configs reject buffer registration): the
-    // engine just serves everything through the vectored path.
-    staging_ = static_cast<char*>(std::malloc(kStagingBytes));
-    if (staging_ != nullptr) {
-      iovec reg{staging_, kStagingBytes};
-      staging_registered_ =
-          SysIoUringRegister(ring_fd_, IORING_REGISTER_BUFFERS, &reg, 1) == 0;
-    }
-
-    // Smoke-test a no-op submission so seccomp policies that allow setup
-    // but block io_uring_enter downgrade cleanly at resolve time.
-    io_uring_sqe* sqe = NextSqeLocked();
-    sqe->opcode = IORING_OP_NOP;
-    sqe->user_data = kWriteUserData;
-    int res = 0;
-    if (!SubmitAndWaitLocked(1, &res, nullptr).ok()) return false;
-    return true;
-  }
-
-  /// Claims the next SQE slot (caller holds mu_; pending SQEs are those
-  /// between the kernel-visible tail and local_tail_).
-  io_uring_sqe* NextSqeLocked() {
-    unsigned idx = local_tail_ & *sq_mask_;
-    io_uring_sqe* sqe = &sqes_[idx];
-    std::memset(sqe, 0, sizeof(*sqe));
-    sq_array_[idx] = idx;
-    ++local_tail_;
-    return sqe;
-  }
-
-  /// Publishes `n` pending SQEs, submits, and waits for exactly `n`
-  /// completions. Results land in write_res/fsync_res by user_data.
-  Status SubmitAndWaitLocked(unsigned n, int* write_res, int* fsync_res) {
-    __atomic_store_n(sq_tail_, local_tail_, __ATOMIC_RELEASE);
-    IoSubmissionsCounter()->Add();
-    unsigned submitted = 0;
-    while (submitted < n) {
-      int r = SysIoUringEnter(ring_fd_, n - submitted, n - submitted,
-                              IORING_ENTER_GETEVENTS);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        return ErrnoStatus("io_uring_enter", errno);
-      }
-      submitted += static_cast<unsigned>(r);
-    }
-    unsigned drained = 0;
-    while (drained < n) {
-      unsigned head = *cq_head_;
-      unsigned tail = __atomic_load_n(cq_tail_, __ATOMIC_ACQUIRE);
-      if (head == tail) {
-        int r = SysIoUringEnter(ring_fd_, 0, 1, IORING_ENTER_GETEVENTS);
-        if (r < 0 && errno != EINTR) {
-          return ErrnoStatus("io_uring_enter(wait)", errno);
-        }
-        continue;
-      }
-      for (; head != tail && drained < n; ++head, ++drained) {
-        const io_uring_cqe& cqe = cqes_[head & *cq_mask_];
-        if (cqe.user_data == kWriteUserData && write_res != nullptr) {
-          *write_res = cqe.res;
-        } else if (cqe.user_data == kFsyncUserData && fsync_res != nullptr) {
-          *fsync_res = cqe.res;
-        }
-      }
-      __atomic_store_n(cq_head_, head, __ATOMIC_RELEASE);
-    }
-    return Status::OK();
-  }
-
-  Status FsyncLocked(int fd) {
-    io_uring_sqe* sqe = NextSqeLocked();
-    sqe->opcode = IORING_OP_FSYNC;
-    sqe->fd = fd;
-    sqe->fsync_flags = IORING_FSYNC_DATASYNC;
-    sqe->user_data = kFsyncUserData;
-    int fsync_res = 0;
-    CHARIOTS_RETURN_IF_ERROR(SubmitAndWaitLocked(1, nullptr, &fsync_res));
-    if (fsync_res < 0) return ErrnoStatus("uring fsync", -fsync_res);
-    return Status::OK();
-  }
-
-  /// One writev submission (optionally with the linked fdatasync), retried
-  /// on short writes until the chunk is fully on its way to the page cache.
-  Status SubmitWritevLocked(int fd, iovec* iov, size_t count, bool sync) {
-    for (;;) {
-      size_t chunk_bytes = 0;
-      for (size_t i = 0; i < count; ++i) chunk_bytes += iov[i].iov_len;
-      unsigned n = 1;
-      io_uring_sqe* sqe = NextSqeLocked();
-      sqe->opcode = IORING_OP_WRITEV;
-      sqe->fd = fd;
-      sqe->addr = reinterpret_cast<uint64_t>(iov);
-      sqe->len = static_cast<uint32_t>(count);
-      sqe->off = static_cast<uint64_t>(-1);  // current position (O_APPEND)
-      sqe->user_data = kWriteUserData;
-      if (sync) {
-        sqe->flags |= IOSQE_IO_LINK;
-        io_uring_sqe* fsqe = NextSqeLocked();
-        fsqe->opcode = IORING_OP_FSYNC;
-        fsqe->fd = fd;
-        fsqe->fsync_flags = IORING_FSYNC_DATASYNC;
-        fsqe->user_data = kFsyncUserData;
-        IoLinkedFsyncsCounter()->Add();
-        n = 2;
-      }
-      int write_res = 0, fsync_res = 0;
-      CHARIOTS_RETURN_IF_ERROR(SubmitAndWaitLocked(n, &write_res, &fsync_res));
-      if (write_res < 0) return ErrnoStatus("uring writev", -write_res);
-      IoBytesWrittenCounter()->Add(static_cast<uint64_t>(write_res));
-      size_t written = static_cast<size_t>(write_res);
-      if (written == chunk_bytes) {
-        // A short write does not break the link, so the fsync result only
-        // binds on the final, complete submission.
-        if (sync && fsync_res < 0) {
-          return ErrnoStatus("uring linked fsync", -fsync_res);
-        }
-        return Status::OK();
-      }
-      // Short write (disk full races aside, effectively unseen for regular
-      // files): drop the bytes that landed and resubmit the remainder.
-      while (count > 0 && written >= iov[0].iov_len) {
-        written -= iov[0].iov_len;
-        ++iov;
-        --count;
-      }
-      if (count > 0 && written > 0) {
-        iov[0].iov_base = static_cast<char*>(iov[0].iov_base) + written;
-        iov[0].iov_len -= written;
-      }
-      if (count == 0) {
-        return Status::Internal("uring writev overshot its iovec");
-      }
-    }
-  }
-
-  Status SubmitFixedWriteLocked(int fd, size_t total, bool sync) {
-    size_t done = 0;
-    for (;;) {
-      unsigned n = 1;
-      io_uring_sqe* sqe = NextSqeLocked();
-      sqe->opcode = IORING_OP_WRITE_FIXED;
-      sqe->fd = fd;
-      sqe->addr = reinterpret_cast<uint64_t>(staging_ + done);
-      sqe->len = static_cast<uint32_t>(total - done);
-      sqe->off = static_cast<uint64_t>(-1);
-      sqe->buf_index = 0;
-      sqe->user_data = kWriteUserData;
-      if (sync) {
-        sqe->flags |= IOSQE_IO_LINK;
-        io_uring_sqe* fsqe = NextSqeLocked();
-        fsqe->opcode = IORING_OP_FSYNC;
-        fsqe->fd = fd;
-        fsqe->fsync_flags = IORING_FSYNC_DATASYNC;
-        fsqe->user_data = kFsyncUserData;
-        IoLinkedFsyncsCounter()->Add();
-        n = 2;
-      }
-      int write_res = 0, fsync_res = 0;
-      CHARIOTS_RETURN_IF_ERROR(SubmitAndWaitLocked(n, &write_res, &fsync_res));
-      if (write_res < 0) {
-        return ErrnoStatus("uring write_fixed", -write_res);
-      }
-      IoBytesWrittenCounter()->Add(static_cast<uint64_t>(write_res));
-      done += static_cast<size_t>(write_res);
-      if (done >= total) {
-        if (sync && fsync_res < 0) {
-          return ErrnoStatus("uring linked fsync", -fsync_res);
-        }
-        return Status::OK();
-      }
-    }
-  }
-
-  int ring_fd_ = -1;
-  void* sq_ring_ = nullptr;
-  void* cq_ring_ = nullptr;
-  size_t sq_ring_bytes_ = 0;
-  size_t cq_ring_bytes_ = 0;
-  io_uring_sqe* sqes_ = nullptr;
-  io_uring_cqe* cqes_ = nullptr;
-  size_t sq_entries_ = 0;
-  size_t cq_entries_ = 0;
-  unsigned* sq_tail_ = nullptr;
-  unsigned* sq_mask_ = nullptr;
-  unsigned* sq_array_ = nullptr;
-  unsigned* cq_head_ = nullptr;
-  unsigned* cq_tail_ = nullptr;
-  unsigned* cq_mask_ = nullptr;
-  unsigned local_tail_ = 0;
-
-  char* staging_ = nullptr;
-  bool staging_registered_ = false;
-
-  std::mutex mu_;
-  std::vector<iovec> iov_;  // reused across calls, guarded by mu_
-};
-
 }  // namespace
 
 IoEngine* SyncIoEngine() {
   static SyncEngineImpl* engine = new SyncEngineImpl();
   return engine;
-}
-
-IoEngine* UringIoEngine() {
-  static UringEngineImpl* engine = UringEngineImpl::Create().release();
-  return engine;
-}
-
-bool IoUringAvailable() { return UringIoEngine() != nullptr; }
-
-IoEngine* ResolveIoEngine(std::string_view name) {
-  if (name == "uring") {
-    IoEngine* uring = UringIoEngine();
-    if (uring != nullptr) return uring;
-    LOG_WARN << "io_uring unavailable on this kernel/seccomp profile; "
-                "downgrading --io_engine=uring to the sync engine";
-    return SyncIoEngine();
-  }
-  if (!name.empty() && name != "sync") {
-    LOG_WARN << "unknown io engine '" << std::string(name)
-             << "'; using the sync engine";
-  }
-  return SyncIoEngine();
-}
-
-IoEngine* IoEngineFromEnv() {
-  const char* v = std::getenv("CHARIOTS_IO_ENGINE");
-  return ResolveIoEngine(v != nullptr ? v : "");
 }
 
 }  // namespace chariots::storage

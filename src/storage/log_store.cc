@@ -78,7 +78,7 @@ int64_t GrowForOne(std::vector<T>* v) {
 LogStore::LogStore(LogStoreOptions options)
     : options_(std::move(options)),
       engine_(options_.io_engine != nullptr ? options_.io_engine
-                                            : IoEngineFromEnv()) {}
+                                            : SyncIoEngine()) {}
 
 LogStore::~LogStore() {
   IndexBytesGauge()->Add(-static_cast<int64_t>(index_bytes_));
@@ -453,12 +453,11 @@ Status LogStore::AppendBatch(std::span<const AppendEntry> entries) {
   CHARIOTS_RETURN_IF_ERROR(RotateIfNeededLocked());
   Segment& seg = segments_.rbegin()->second;
 
-  // Zero-copy group commit (DESIGN.md §15): only the fixed-size frame
-  // headers are encoded (into the reusable arena, one kFrameHeaderBytes
-  // stride per record, CRC extended over the borrowed payload in place);
-  // the payload bytes themselves ride as their own iovec entries straight
-  // from the caller's buffers into one vectored append — and, under
-  // kFsyncEach, one fused write+fsync submission.
+  // Group commit (DESIGN.md §15): only the fixed-size frame headers are
+  // encoded (into the reusable arena, one kFrameHeaderBytes stride per
+  // record, CRC extended over the borrowed payload in place); the payloads
+  // ride as views of the caller's buffers into one Appendv — one write(2)
+  // and, under kFsyncEach, one fdatasync for the whole batch.
   arena_.clear();
   arena_.reserve(entries.size() * kFrameHeaderBytes);
   uint64_t payload_bytes = 0;

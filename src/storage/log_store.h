@@ -55,10 +55,9 @@ struct LogStoreOptions {
   /// Optional scripted disk-fault plan every segment file routes its writes
   /// and syncs through (crash-consistency tests). Null = real disk only.
   DiskFaultSchedule* disk_faults = nullptr;
-  /// I/O backend for the append path (DESIGN.md §15). Null selects the
-  /// engine named by $CHARIOTS_IO_ENGINE (falling back to the portable sync
-  /// engine) — this is how the test suites and crash matrix rerun the whole
-  /// storage layer under io_uring without any per-test wiring.
+  /// Test seam for the append path (DESIGN.md §15): a test sets an engine
+  /// that fails a scripted write or fsync. Null selects SyncIoEngine(),
+  /// which is what every production store runs.
   IoEngine* io_engine = nullptr;
 };
 

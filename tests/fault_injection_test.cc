@@ -628,12 +628,10 @@ TEST(GeoFaultTest, CongestedPipelineRefusesAppendsWithoutConsumingToids) {
 }
 
 // Fails the first `failures` vectored writes after Arm(), then recovers;
-// every other call goes to the engine $CHARIOTS_IO_ENGINE names. `on_fail`
-// runs inside each failed write, on the writer's thread.
+// every other call goes to SyncIoEngine(). `on_fail` runs inside each
+// failed write, on the writer's thread.
 class FailingIoEngine : public storage::IoEngine {
  public:
-  const char* name() const override { return "failing"; }
-
   void Arm(int failures, std::function<void()> on_fail) {
     on_fail_ = std::move(on_fail);
     failures_.store(failures);
@@ -654,7 +652,7 @@ class FailingIoEngine : public storage::IoEngine {
   int failures_left() const { return failures_.load(); }
 
  private:
-  storage::IoEngine* const inner_ = storage::IoEngineFromEnv();
+  storage::IoEngine* const inner_ = storage::SyncIoEngine();
   std::atomic<int> failures_{0};
   std::function<void()> on_fail_;
 };

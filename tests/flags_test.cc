@@ -11,7 +11,7 @@ Flags Parse(std::vector<const char*> argv) {
   argv.insert(argv.begin(), "prog");
   return Flags(static_cast<int>(argv.size()), const_cast<char**>(argv.data()),
                {"role", "index", "listen", "fsync", "controller", "port",
-                "count", "delta", "io_engine", "store-dir"});
+                "count", "delta", "meta_wal_dir", "store-dir"});
 }
 
 TEST(FlagsTest, EqualsForm) {
@@ -66,11 +66,11 @@ TEST(FlagsDeathTest, EmptyValueExits) {
 }
 
 TEST(FlagsTest, UnderscoreAndDashSpellOneFlag) {
-  // Declared as io_engine, given as io-engine: one flag, either lookup.
-  Flags dashed = Parse({"--io-engine=uring"});
-  EXPECT_EQ(dashed.Get("io_engine"), "uring");
-  EXPECT_EQ(dashed.Get("io-engine"), "uring");
-  EXPECT_TRUE(dashed.Has("io_engine"));
+  // Declared as meta_wal_dir, given as meta-wal-dir: one flag, either lookup.
+  Flags dashed = Parse({"--meta-wal-dir=/wal"});
+  EXPECT_EQ(dashed.Get("meta_wal_dir"), "/wal");
+  EXPECT_EQ(dashed.Get("meta-wal-dir"), "/wal");
+  EXPECT_TRUE(dashed.Has("meta_wal_dir"));
   // Declared as store-dir, given as store_dir.
   Flags underscored = Parse({"--store_dir", "/data", "--port=7"});
   EXPECT_EQ(underscored.Get("store-dir"), "/data");
@@ -80,8 +80,8 @@ TEST(FlagsTest, UnderscoreAndDashSpellOneFlag) {
 
 TEST(FlagsDeathTest, UndeclaredFlagExits) {
   // A typo must not run the tool on the flag's default.
-  EXPECT_EXIT(Parse({"--io-enigne=uring"}), testing::ExitedWithCode(2),
-              "unknown flag --io-enigne");
+  EXPECT_EXIT(Parse({"--stor-dir=/data"}), testing::ExitedWithCode(2),
+              "unknown flag --stor-dir");
   EXPECT_EXIT(Parse({"--role=x", "--verbose"}), testing::ExitedWithCode(2),
               "unknown flag --verbose");
 }

@@ -885,9 +885,15 @@ TEST_F(RpcTest, CallAsyncTimeoutRacesLateResponse) {
   // Replies land around each call's timeout: whichever of the response and
   // the timer comes first completes the call, exactly once; the loser is
   // dropped.
-  RpcEndpoint server(&transport_, "server");
+  // Everything the handlers and completions touch is declared before the
+  // endpoints, so it outlives them: a request whose call already timed out
+  // can still reach the server's handler until `server` stops.
+  constexpr int kCalls = 200;
   std::mutex mu;
   std::vector<std::pair<int64_t, RpcEndpoint::Reply>> due;
+  std::vector<std::atomic<int>> completions(kCalls);
+  std::atomic<int> ok{0}, timed_out{0};
+  RpcEndpoint server(&transport_, "server");
   server.HandleAsync(1, [&](const NodeId&, const std::string&,
                             RpcEndpoint::Reply reply) {
     std::lock_guard<std::mutex> lock(mu);
@@ -915,9 +921,6 @@ TEST_F(RpcTest, CallAsyncTimeoutRacesLateResponse) {
     }
   });
 
-  constexpr int kCalls = 200;
-  std::vector<std::atomic<int>> completions(kCalls);
-  std::atomic<int> ok{0}, timed_out{0};
   CallOptions options;
   options.timeout = 1ms;
   for (int i = 0; i < kCalls; ++i) {

@@ -17,7 +17,6 @@
 #include "net/inproc_transport.h"
 #include "storage/fault_injection.h"
 #include "storage/file.h"
-#include "storage/io_engine.h"
 #include "storage/log_store.h"
 
 namespace chariots {
@@ -277,36 +276,13 @@ TEST_F(TombstoneTest, FailedGcTombstoneSyncKeepsTheSegment) {
   EXPECT_EQ(store.ListLids(), (std::vector<uint64_t>{2, 50, 60}));
 }
 
-// -------------------------------------- recovery under both I/O engines
+// ------------------------------------------ recovery of a group commit
 
-// The torn-final-frame and failed-linked-fsync scenarios again, but run
-// once per I/O engine: recovery semantics must not depend on whether the
-// batch went down through write+fdatasync or a linked io_uring submission.
-class EngineRecoveryTest : public ::testing::TestWithParam<const char*> {
- protected:
-  void SetUp() override {
-    if (std::string_view(GetParam()) == "uring" &&
-        !storage::IoUringAvailable()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel; uring leg skipped";
-    }
-    dir_ = fs::temp_directory_path() /
-           ("chariots_engine_recovery_" + std::string(GetParam()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
+// A torn final frame and a failed fsync in the middle of batched appends:
+// recovery keeps exactly the whole, synced prefix.
+using EngineRecoveryTest = TombstoneTest;
 
-  storage::LogStoreOptions Options() {
-    storage::LogStoreOptions o;
-    o.dir = dir_.string();
-    o.io_engine = storage::ResolveIoEngine(GetParam());
-    return o;
-  }
-
-  fs::path dir_;
-};
-
-TEST_P(EngineRecoveryTest, TornFinalFrameMidBatchRecovers) {
+TEST_F(EngineRecoveryTest, TornFinalFrameMidBatchRecovers) {
   std::vector<storage::AppendEntry> entries;
   std::vector<std::string> payloads;
   for (uint64_t lid = 0; lid < 8; ++lid) {
@@ -342,7 +318,7 @@ TEST_P(EngineRecoveryTest, TornFinalFrameMidBatchRecovers) {
   EXPECT_EQ(*store.Get(7), "rewritten");
 }
 
-TEST_P(EngineRecoveryTest, FailedLinkedFsyncBeforeAckIsNotRecovered) {
+TEST_F(EngineRecoveryTest, FailedFsyncBeforeAckIsNotRecovered) {
   storage::DiskFaultSchedule faults;
   faults.FailSyncNth("seg-", 3);
   storage::LogStoreOptions o = Options();
@@ -365,12 +341,6 @@ TEST_P(EngineRecoveryTest, FailedLinkedFsyncBeforeAckIsNotRecovered) {
   ASSERT_TRUE(store.Open().ok());
   EXPECT_EQ(store.ListLids(), acked);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothEngines, EngineRecoveryTest,
-                         ::testing::Values("sync", "uring"),
-                         [](const auto& info) {
-                           return std::string(info.param);
-                         });
 
 TEST_F(TombstoneTest, TornDedupSidecarRecoversToLastDurableToken) {
   fs::create_directories(dir_);

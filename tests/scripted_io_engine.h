@@ -1,5 +1,5 @@
 // An IoEngine double for tests of the durable write path. It writes through
-// the portable sync engine, so a store under it runs its production call
+// the sync engine, so a store under it runs its production call
 // path, and it can fail the next fdatasync after the write landed, or hold
 // every fdatasync until released — the shape of a slow or failing disk.
 
@@ -17,8 +17,6 @@ namespace chariots::storage {
 
 class ScriptedIoEngine : public IoEngine {
  public:
-  const char* name() const override { return "scripted"; }
-
   Status Appendv(int fd, std::span<const std::string_view> parts,
                  bool sync) override {
     CHARIOTS_RETURN_IF_ERROR(

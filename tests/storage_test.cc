@@ -879,26 +879,24 @@ TEST_F(LogStoreTest, StoreWithFaultScheduleRecoversAckedRecordsOnly) {
   }
 }
 
-// ------------------------------------------------- io engines (both backends)
+// ------------------------------------------------------------- io engine
 
-// Every test below runs once per engine. The uring leg self-skips (with a
-// message) on kernels without io_uring, so the suite is green everywhere
-// while exercising the real engine wherever the container allows it.
-class IoEngineTest : public ::testing::TestWithParam<const char*> {
+// The store's write path through SyncIoEngine(), with and without the
+// disk-fault layer between them.
+class IoEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (std::string_view(GetParam()) == "uring" && !IoUringAvailable()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel; uring leg skipped";
-    }
     dir_ = fs::temp_directory_path() /
-           ("chariots_io_engine_" + std::string(GetParam()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+           ("chariots_engine_test_" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  IoEngine* Engine() { return ResolveIoEngine(GetParam()); }
+  IoEngine* Engine() { return SyncIoEngine(); }
 
   LogStoreOptions Options() {
     LogStoreOptions o;
@@ -910,16 +908,13 @@ class IoEngineTest : public ::testing::TestWithParam<const char*> {
   fs::path dir_;
 };
 
-TEST_P(IoEngineTest, AppendvWritesPartsInOrderAndDurably) {
-  ASSERT_STREQ(Engine()->name(), GetParam());
+TEST_F(IoEngineTest, AppendvWritesPartsInOrderAndDurably) {
   auto file = File::OpenAppendable((dir_ / "parts.bin").string());
   ASSERT_TRUE(file.ok());
-  // Large enough that the uring engine takes the zero-copy vectored path.
   std::string a(5000, 'a'), b(7000, 'b'), c(1, 'c');
   std::vector<std::string_view> parts{a, "", b, c};  // empty part is legal
   ASSERT_TRUE(file->Appendv(parts, /*sync=*/true, Engine()).ok());
-  // And a small batch, which the uring engine stages in its registered
-  // buffer: both paths must land byte-identically.
+  // A small batch after a large one lands right behind it.
   std::vector<std::string_view> small{"x", "yz"};
   ASSERT_TRUE(file->Appendv(small, /*sync=*/false, Engine()).ok());
   ASSERT_TRUE(file->Appendv({}, /*sync=*/true, Engine()).ok());  // sync only
@@ -929,9 +924,9 @@ TEST_P(IoEngineTest, AppendvWritesPartsInOrderAndDurably) {
   EXPECT_EQ(got, a + b + c + "xyz");
 }
 
-TEST_P(IoEngineTest, VectoredBatchBytesIdenticalToLegacyFrames) {
-  // The zero-copy append (header-only arena + borrowed payload iovecs) must
-  // produce exactly the bytes the old flatten-and-write path produced.
+TEST_F(IoEngineTest, VectoredBatchBytesIdenticalToLegacyFrames) {
+  // The vectored append (header-only arena + borrowed payload views) must
+  // produce exactly the bytes AppendFrameTo lays out frame by frame.
   std::vector<AppendEntry> entries;
   std::vector<std::string> payloads;
   for (uint64_t lid = 0; lid < 16; ++lid) {
@@ -959,10 +954,10 @@ TEST_P(IoEngineTest, VectoredBatchBytesIdenticalToLegacyFrames) {
   EXPECT_EQ(on_disk, expected);
 }
 
-TEST_P(IoEngineTest, TornWriteComposesWithEngine) {
+TEST_F(IoEngineTest, TornWriteComposesWithEngine) {
   // A torn write must persist exactly the scripted prefix and fail the
-  // append — through either engine (the fault layer decomposes the fused
-  // write+fsync so the tear lands before any sync).
+  // append (the fault layer decomposes the engine's write+fsync so the
+  // tear lands before any sync).
   DiskFaultSchedule faults;
   faults.TornWriteNth("seg-", 1, 21);  // header + 4 payload bytes
   LogStoreOptions o = Options();
@@ -984,8 +979,8 @@ TEST_P(IoEngineTest, TornWriteComposesWithEngine) {
   EXPECT_EQ(*store.Get(1), "rewritten");
 }
 
-TEST_P(IoEngineTest, FailedLinkedFsyncIsNotAckedAndNotRecovered) {
-  // The write lands in the page cache but the (linked) fsync fails: the
+TEST_F(IoEngineTest, FailedFsyncIsNotAckedAndNotRecovered) {
+  // The write lands in the page cache but the fsync fails: the
   // append must report an error, and after power loss the record is gone.
   DiskFaultSchedule faults;
   faults.FailSyncNth("seg-", 2);
@@ -1010,7 +1005,7 @@ TEST_P(IoEngineTest, FailedLinkedFsyncIsNotAckedAndNotRecovered) {
   EXPECT_EQ(store.ListLids(), acked);
 }
 
-TEST_P(IoEngineTest, DroppedSyncComposesWithEngine) {
+TEST_F(IoEngineTest, DroppedSyncComposesWithEngine) {
   // A lying disk reports the sync done; the loss only shows at power loss.
   DiskFaultSchedule faults;
   faults.DropSyncNth("seg-", 2);
@@ -1034,7 +1029,7 @@ TEST_P(IoEngineTest, DroppedSyncComposesWithEngine) {
 // out-of-order batches, rejected batches, removals, GC with and without an
 // archive and close/reopen runs against a std::map, with small segments so
 // it rotates often. After every step each lookup must agree with the map.
-TEST_P(IoEngineTest, StoreIndexAgreesWithModelUnderRandomOperations) {
+TEST_F(IoEngineTest, StoreIndexAgreesWithModelUnderRandomOperations) {
   constexpr uint64_t kSeed = 1917;
   Random rng(kSeed);
   LogStoreOptions o = Options();
@@ -1162,12 +1157,6 @@ TEST_P(IoEngineTest, StoreIndexAgreesWithModelUnderRandomOperations) {
   // The walk really exercised GC.
   EXPECT_GT(gc_dropped, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothEngines, IoEngineTest,
-                         ::testing::Values("sync", "uring"),
-                         [](const auto& info) {
-                           return std::string(info.param);
-                         });
 
 }  // namespace
 }  // namespace chariots::storage

@@ -207,13 +207,6 @@ int Usage() {
       "  --store-dir=PATH           persist records durably: each write\n"
       "                             is fdatasynced before it is acked\n"
       "                             (default: memory only)\n"
-      "  --io_engine={uring|sync}   storage I/O backend (persistent\n"
-      "                             datacenter + maintainer roles):\n"
-      "                             uring = batched io_uring with linked\n"
-      "                             write+fsync (downgrades to sync with a\n"
-      "                             warning when the kernel lacks io_uring);\n"
-      "                             sync = portable write+fdatasync\n"
-      "                             (default)\n"
       "  --gossip-ms=N              HL gossip interval (default 2)\n"
       "  --read_cache_bytes=N       maintainer tail-cache byte budget\n"
       "                             (default 4194304; 0 disables)\n"
@@ -263,9 +256,6 @@ int RunDatacenter(const Flags& flags) {
   if (!store_dir.empty()) {
     config.store_dir = store_dir;
     config.store_mode = storage::SyncMode::kFsyncEach;
-    config.io_engine = storage::ResolveIoEngine(
-        flags.Get("io_engine", "sync"));
-    std::printf("storage io engine: %s\n", config.io_engine->name());
   }
   net::MetricsHttpServer metrics_http;
   if (!MaybeStartMetrics(flags, &metrics_http)) return 1;
@@ -317,7 +307,7 @@ int main(int argc, char** argv) {
                "gossip-ms", "read_cache_bytes", "tail_cache_records",
                "disk_fault_schedule", "fault_seed",
                // shared by the datacenter and FLStore roles
-               "listen", "batch", "store-dir", "io_engine"});
+               "listen", "batch", "store-dir"});
   std::string role = flags.Get("role");
   if (role.empty()) return Usage();
   std::signal(SIGINT, HandleSignal);
@@ -437,9 +427,6 @@ int main(int argc, char** argv) {
       mo.store.dir = store_dir;
       mo.store.mode = storage::SyncMode::kFsyncEach;
     }
-    mo.store.io_engine =
-        storage::ResolveIoEngine(flags.Get("io_engine", "sync"));
-    std::printf("storage io engine: %s\n", mo.store.io_engine->name());
     MaintainerServer::Options so;
     so.node = "m" + std::to_string(index) + "/node";
     so.peers = d.MaintainerNodes();

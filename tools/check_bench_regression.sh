@@ -70,21 +70,15 @@ for base_path in baselines:
                 f"{name}: p99 latency {f_p99} ns above the regression "
                 f"ceiling {ceil:.0f} (baseline {b_p99}, factor "
                 f"{lat_factor:g}x)")
-    # Structural zero-copy gates for the I/O engine bench (ISSUE 10):
-    # copy counters are machine-independent, so unlike throughput they get
-    # hard bounds rather than a tolerance band against the baseline.
+    # Structural zero-copy gate for the I/O engine bench: copy counters
+    # are machine-independent, so unlike throughput they get a hard bound
+    # rather than a tolerance band against the baseline.
     if name == "BENCH_io_engine.json":
         fx = fresh.get("extra", {})
         cpr = fx.get("copies_per_record", -1)
         if not 0 < cpr <= 1.2:
             failures.append(f"{name}: copies_per_record {cpr:.2f} outside "
                             "(0, 1.2]")
-        if (fx.get("uring_available", 0) >= 1
-                and fx.get("storage_copy_fraction_uring", 1) > 0.2):
-            failures.append(
-                f"{name}: storage_copy_fraction_uring "
-                f"{fx.get('storage_copy_fraction_uring', 1):.2f} > 0.2 — "
-                "the vectored path regressed to staging copies")
     status = "FAIL" if any(f.startswith(name) for f in failures) else "ok"
     print(f"{status}: {name} throughput {f_tp:.0f}/{b_tp:.0f} rps, "
           f"p99 {f_p99}/{b_p99} ns")

@@ -21,7 +21,7 @@ namespace chariots::tools {
 class Flags {
  public:
   /// `declared` is every flag the tool reads. `_` and `-` in a flag name
-  /// are the same character, so `--io_engine` and `--io-engine` are one
+  /// are the same character, so `--store_dir` and `--store-dir` are one
   /// flag. A flag outside `declared` prints its name and exits 2: a typo
   /// must not run the tool on a default.
   Flags(int argc, char** argv,

@@ -45,20 +45,7 @@ SWEEP=(
 
 cmake -B "$BUILD_DIR" -S "$ROOT" >/dev/null || exit 1
 cmake --build "$BUILD_DIR" -j --target replication_test recovery_test \
-  storage_test controller_ha_test io_uring_probe || exit 1
-
-# Storage-leg sweep again under the io_uring engine (ISSUE 10): the fault
-# schedules (torn writes, failed/dropped fsyncs) must compose with the
-# vectored submit + linked-fsync path exactly as they do with the portable
-# sync engine. CHARIOTS_IO_ENGINE re-points every LogStore in the suite.
-if "$BUILD_DIR/tools/io_uring_probe" >/dev/null 2>&1; then
-  SWEEP+=(
-    "env CHARIOTS_IO_ENGINE=uring $BUILD_DIR/tests/recovery_test --gtest_filter=TombstoneTest.Torn*:TombstoneTest.Failed*:TombstoneTest.Dedup*"
-    "env CHARIOTS_IO_ENGINE=uring $BUILD_DIR/tests/storage_test --gtest_filter=*Seeded*:*Fault*:*Torn*:*Dropped*:*FailedWrite*:*FailedSync*"
-  )
-else
-  echo "io_uring unavailable on this kernel — storage legs sweep sync-engine only"
-fi
+  storage_test controller_ha_test || exit 1
 
 LOG_DIR="$(mktemp -d "${TMPDIR:-/tmp}/chariots_crash_matrix.XXXXXX")"
 trap 'rm -rf "$LOG_DIR"' EXIT
@@ -123,7 +110,7 @@ if [ "${CHARIOTS_FAULT_SKIP_TSAN:-0}" != "1" ]; then
   cmake -B "$TSAN_BUILD" -S "$ROOT" -DCHARIOTS_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null || exit 1
   cmake --build "$TSAN_BUILD" -j --target replication_test \
-    controller_ha_test storage_test recovery_test io_uring_probe || exit 1
+    controller_ha_test storage_test recovery_test || exit 1
   if ! CHARIOTS_FAULT_SEED=0 "$TSAN_BUILD/tests/replication_test" \
        --gtest_brief=1; then
     echo "CRASH MATRIX FAILED under TSan (seed offset 0)" >&2
@@ -135,22 +122,12 @@ if [ "${CHARIOTS_FAULT_SKIP_TSAN:-0}" != "1" ]; then
          "seed offset 0)" >&2
     exit 1
   fi
-  # Storage fault legs under TSan, once per engine (ISSUE 10): the sync
-  # fallback must stay green everywhere; the uring leg runs when the kernel
-  # allows it (otherwise the in-test GTEST_SKIPs cover the message).
-  for eng in sync uring; do
-    if [ "$eng" = uring ] && ! "$TSAN_BUILD/tools/io_uring_probe" \
-         >/dev/null 2>&1; then
-      echo "io_uring unavailable — TSan storage legs ran sync-engine only"
-      continue
+  # Storage fault legs under TSan.
+  for t in storage_test recovery_test; do
+    if ! CHARIOTS_FAULT_SEED=0 "$TSAN_BUILD/tests/$t" --gtest_brief=1; then
+      echo "CRASH MATRIX FAILED under TSan ($t)" >&2
+      exit 1
     fi
-    for t in storage_test recovery_test; do
-      if ! CHARIOTS_FAULT_SEED=0 CHARIOTS_IO_ENGINE="$eng" \
-           "$TSAN_BUILD/tests/$t" --gtest_brief=1; then
-        echo "CRASH MATRIX FAILED under TSan ($t, $eng engine)" >&2
-        exit 1
-      fi
-    done
   done
 fi
 

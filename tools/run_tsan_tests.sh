@@ -120,19 +120,6 @@ else
   cmake --build "$BUILD_DIR" -j
   cd "$BUILD_DIR"
   ctest --output-on-failure -j
-  # Storage legs again under the io_uring engine (ISSUE 10): the suites
-  # default to the portable sync engine; CHARIOTS_IO_ENGINE=uring re-points
-  # every LogStore at the uring backend so the vectored submit / linked
-  # fsync path gets the same sanitizer coverage. Skipped (loudly) when the
-  # kernel can't do io_uring — the sync fallback already ran above.
-  if "./tools/io_uring_probe" >/dev/null 2>&1; then
-    echo "=== storage suites under io_uring ($SANITIZER) ==="
-    CHARIOTS_IO_ENGINE=uring ctest --output-on-failure -j \
-      -R "storage_test|recovery_test|fault_injection_test|flstore_integration_test"
-  else
-    echo "=== io_uring unavailable on this kernel — storage suites ran" \
-         "sync-engine only ==="
-  fi
   # Bench binaries exercise the full pipeline (threads included) — smoke
   # them under the sanitizer too so data races in the metrics/trace hot
   # paths surface here. Set CHARIOTS_SKIP_BENCH_SMOKE=1 to opt out.
