@@ -122,7 +122,6 @@ if [ "${CHARIOTS_FAULT_SKIP_TSAN:-0}" != "1" ]; then
          "seed offset 0)" >&2
     exit 1
   fi
-  # Storage fault legs under TSan.
   for t in storage_test recovery_test; do
     if ! CHARIOTS_FAULT_SEED=0 "$TSAN_BUILD/tests/$t" --gtest_brief=1; then
       echo "CRASH MATRIX FAILED under TSan ($t)" >&2
