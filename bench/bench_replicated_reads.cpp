@@ -32,7 +32,7 @@
 #include "bench_report.h"
 #include "common/executor.h"
 #include "flstore/client.h"
-#include "flstore/replica_group.h"
+#include "flstore/hermes.h"
 #include "flstore/service.h"
 #include "net/inproc_transport.h"
 

@@ -14,10 +14,6 @@ Status EventPublisher::Publish(const std::string& payload) {
   return r.ok() ? Status::OK() : r.status();
 }
 
-void EventPublisher::PublishAsync(const std::string& payload) {
-  client_.AppendAsync(payload, {{TopicTag(topic_), ""}});
-}
-
 EventReader::EventReader(geo::Datacenter* dc, std::string topic,
                          std::string group)
     : dc_(dc), client_(dc), topic_(std::move(topic)),

@@ -24,9 +24,6 @@ class EventPublisher {
   /// Publishes an event; returns once it is durable in the local log.
   Status Publish(const std::string& payload);
 
-  /// Fire-and-forget publish (still exactly-once end to end).
-  void PublishAsync(const std::string& payload);
-
   const std::string& topic() const { return topic_; }
 
  private:

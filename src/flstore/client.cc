@@ -4,7 +4,6 @@
 #include <chrono>
 #include <map>
 #include <optional>
-#include <thread>
 #include <tuple>
 
 #include "common/codec.h"
@@ -26,9 +25,9 @@ FLStoreClient::FLStoreClient(net::Transport* transport, net::NodeId node,
     : endpoint_(transport, std::move(node)),
       controllers_(ControllerList(controller, options)),
       options_(std::move(options)),
-      channel_(&endpoint_, options_.retry,
-               options_.clock != nullptr ? options_.clock
-                                         : SystemClock::Default()),
+      clock_(options_.clock != nullptr ? options_.clock
+                                       : SystemClock::Default()),
+      channel_(&endpoint_, options_.retry, clock_),
       read_cache_(options_.read_cache_bytes) {}
 
 void FLStoreClient::PutToken(BinaryWriter* w) {
@@ -195,8 +194,9 @@ std::map<net::NodeId, uint64_t> FLStoreClient::reads_by_node() const {
   return reads_by_node_;
 }
 
-Result<std::string> FLStoreClient::CallMaintainerIndex(
-    uint32_t index, uint16_t op, const std::string& payload) {
+Result<std::string> FLStoreClient::CallStripe(uint32_t index, uint16_t op,
+                                              const std::string& payload,
+                                              bool read) {
   Status last = Status::Unavailable("no failover attempts budgeted");
   bool skip_backoff = false;
   for (int attempt = 0; attempt < std::max(1, options_.failover_attempts);
@@ -205,50 +205,7 @@ Result<std::string> FLStoreClient::CallMaintainerIndex(
     if (attempt > 0 && !skip_backoff) {
       // Give an in-flight failover time to promote a replica, then learn
       // the new layout before re-resolving the stripe.
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(options_.failover_backoff_nanos));
-      Status refreshed = RefreshClusterInfo();
-      if (!refreshed.ok()) {
-        last = refreshed;
-        continue;
-      }
-    }
-    skip_backoff = false;
-    net::NodeId node;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (index >= info_.maintainers.size()) {
-        return Status::Unavailable("stale cluster info: unknown maintainer");
-      }
-      node = info_.maintainers[index];
-    }
-    // First attempt is a single shot (no channel backoff): a dead node
-    // fails it fast, and the synchronous suspect report below repairs the
-    // layout — detection + failover well under one lease.
-    Result<std::string> result =
-        attempt == 0
-            ? endpoint_.Call(node, op, payload, options_.retry.attempt_timeout)
-            : channel_.Call(node, op, payload);
-    if (result.ok()) return result;
-    last = result.status();
-    // Only node loss (or fencing, which surfaces as kUnavailable) triggers
-    // failover; a genuine handler error is the caller's to see.
-    if (!IsRetryable(last.code())) return last;
-    if (ReportSuspect(index, node)) skip_backoff = true;
-  }
-  return last;
-}
-
-Result<std::string> FLStoreClient::CallStripeRead(uint32_t index, uint16_t op,
-                                                  const std::string& payload) {
-  Status last = Status::Unavailable("no failover attempts budgeted");
-  bool skip_backoff = false;
-  for (int attempt = 0; attempt < std::max(1, options_.failover_attempts);
-       ++attempt) {
-    if (attempt > 0) outer_retries_.fetch_add(1, std::memory_order_relaxed);
-    if (attempt > 0 && !skip_backoff) {
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(options_.failover_backoff_nanos));
+      clock_->SleepFor(options_.failover_backoff_nanos);
       Status refreshed = RefreshClusterInfo();
       if (!refreshed.ok()) {
         last = refreshed;
@@ -263,37 +220,42 @@ Result<std::string> FLStoreClient::CallStripeRead(uint32_t index, uint16_t op,
         return Status::Unavailable("stale cluster info: unknown maintainer");
       }
       members.push_back(info_.maintainers[index]);
-      if (index < info_.replicas.size()) {
+      if (read && index < info_.replicas.size()) {
         members.insert(members.end(), info_.replicas[index].begin(),
                        info_.replicas[index].end());
       }
     }
-    const uint64_t start = read_rr_.fetch_add(1, std::memory_order_relaxed);
+    const uint64_t start =
+        read ? read_rr_.fetch_add(1, std::memory_order_relaxed) : 0;
     bool all_not_found = true;
     net::NodeId first_down;
     for (size_t k = 0; k < members.size(); ++k) {
       const net::NodeId& node = members[(start + k) % members.size()];
+      // Reads, and a write's first attempt, are single shots (no channel
+      // backoff): a dead node fails them fast, and the synchronous suspect
+      // report below repairs the layout — detection + failover well under
+      // one lease.
       Result<std::string> result =
-          endpoint_.Call(node, op, payload, options_.retry.attempt_timeout);
+          read || attempt == 0 ? endpoint_.Call(node, op, payload,
+                                                options_.retry.attempt_timeout)
+                               : channel_.Call(node, op, payload);
       if (result.ok()) {
-        NoteRead(node);
+        if (read) NoteRead(node);
         return result;
       }
       last = result.status();
       if (last.code() == StatusCode::kNotFound) continue;
       all_not_found = false;
       // A genuine handler error is final; kUnavailable/kTimedOut (down,
-      // fenced, or INVALID_LID — not validated there yet) cycles on.
+      // fenced, or INVALID_LID — not validated there yet) fails over.
       if (!IsRetryable(last.code())) return last;
       if (first_down.empty()) first_down = node;
     }
     if (all_not_found) return last;  // every member agrees: no such record
-    // Whole cycle failed. Let the controller probe the first dead-looking
-    // member — if it really is down, the layout is repaired inside this
-    // call and the next cycle reads from the survivors.
-    if (!first_down.empty() && ReportSuspect(index, first_down)) {
-      skip_backoff = true;
-    }
+    // Let the controller probe the first dead-looking member — if it really
+    // is down, the layout is repaired inside this call and the next attempt
+    // goes to the survivors at once.
+    if (ReportSuspect(index, first_down)) skip_backoff = true;
   }
   return last;
 }
@@ -308,7 +270,8 @@ Result<LId> FLStoreClient::Append(const LogRecord& record) {
   // replicated with every batch).
   CHARIOTS_ASSIGN_OR_RETURN(
       std::string payload,
-      CallMaintainerIndex(IndexForAppend(), kAppend, std::move(w).data()));
+      CallStripe(IndexForAppend(), kAppend, std::move(w).data(),
+                 /*read=*/false));
   BinaryReader r(payload);
   LId lid = 0;
   CHARIOTS_RETURN_IF_ERROR(r.GetU64(&lid));
@@ -325,8 +288,8 @@ Result<std::vector<LId>> FLStoreClient::AppendBatch(
   }
   CHARIOTS_ASSIGN_OR_RETURN(
       std::string payload,
-      CallMaintainerIndex(IndexForAppend(), kAppendBatch,
-                          std::move(w).data()));
+      CallStripe(IndexForAppend(), kAppendBatch, std::move(w).data(),
+                 /*read=*/false));
   BinaryReader r(payload);
   uint32_t n = 0;
   CHARIOTS_RETURN_IF_ERROR(r.GetU32(&n));
@@ -345,8 +308,8 @@ Result<LId> FLStoreClient::AppendOrdered(const LogRecord& record,
   w.PutBytes(EncodeLogRecord(record));
   CHARIOTS_ASSIGN_OR_RETURN(
       std::string payload,
-      CallMaintainerIndex(IndexForAppend(), kAppendOrdered,
-                          std::move(w).data()));
+      CallStripe(IndexForAppend(), kAppendOrdered, std::move(w).data(),
+                 /*read=*/false));
   BinaryReader r(payload);
   LId lid = 0;
   CHARIOTS_RETURN_IF_ERROR(r.GetU64(&lid));
@@ -363,27 +326,13 @@ void FLStoreClient::CacheReadResponse(LId lid, uint32_t stripe,
   read_cache_.Put(lid, rec_bytes, stripe, epoch, /*permanent=*/lid < hl);
 }
 
-Result<LogRecord> FLStoreClient::Read(LId lid) {
-  if (std::optional<std::string> cached = read_cache_.Get(lid)) {
-    return DecodeLogRecord(lid, *cached);
-  }
-  CHARIOTS_ASSIGN_OR_RETURN(uint32_t index, IndexForLId(lid));
-  BinaryWriter w;
-  w.PutU64(lid);
-  CHARIOTS_ASSIGN_OR_RETURN(
-      std::string payload,
-      CallStripeRead(index, kRead, std::move(w).data()));
-  BinaryReader r(payload);
-  uint64_t epoch = 0, hl = 0;
-  std::string rec_bytes;
-  CHARIOTS_RETURN_IF_ERROR(r.GetU64(&epoch));
-  CHARIOTS_RETURN_IF_ERROR(r.GetU64(&hl));
-  CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&rec_bytes));
-  CacheReadResponse(lid, index, epoch, hl, rec_bytes);
-  return DecodeLogRecord(lid, rec_bytes);
-}
+Result<LogRecord> FLStoreClient::Read(LId lid) { return ReadOne(lid, kRead); }
 
 Result<LogRecord> FLStoreClient::ReadCommitted(LId lid) {
+  return ReadOne(lid, kReadCommitted);
+}
+
+Result<LogRecord> FLStoreClient::ReadOne(LId lid, uint16_t op) {
   if (std::optional<std::string> cached = read_cache_.Get(lid)) {
     return DecodeLogRecord(lid, *cached);
   }
@@ -392,7 +341,7 @@ Result<LogRecord> FLStoreClient::ReadCommitted(LId lid) {
   w.PutU64(lid);
   CHARIOTS_ASSIGN_OR_RETURN(
       std::string payload,
-      CallStripeRead(index, kReadCommitted, std::move(w).data()));
+      CallStripe(index, op, std::move(w).data(), /*read=*/true));
   BinaryReader r(payload);
   uint64_t epoch = 0, hl = 0;
   std::string rec_bytes;
@@ -424,7 +373,7 @@ Result<std::vector<LogRecord>> FLStoreClient::ReadMany(
     for (size_t pos : positions) w.PutU64(lids[pos]);
     CHARIOTS_ASSIGN_OR_RETURN(
         std::string payload,
-        CallStripeRead(index, kReadRange, std::move(w).data()));
+        CallStripe(index, kReadRange, std::move(w).data(), /*read=*/true));
     BinaryReader r(payload);
     uint64_t epoch = 0, hl = 0;
     uint32_t n = 0;
@@ -455,7 +404,7 @@ Result<std::vector<LogRecord>> FLStoreClient::ReadMany(
 Result<LId> FLStoreClient::HeadOfLog() {
   CHARIOTS_ASSIGN_OR_RETURN(
       std::string payload,
-      CallStripeRead(IndexForAppend(), kHeadOfLog, ""));
+      CallStripe(IndexForAppend(), kHeadOfLog, "", /*read=*/true));
   BinaryReader r(payload);
   LId hl = 0;
   CHARIOTS_RETURN_IF_ERROR(r.GetU64(&hl));

@@ -173,20 +173,20 @@ class FLStoreClient {
   /// after a layout refresh lands on the stripe's new primary.
   uint32_t IndexForAppend();
   Result<uint32_t> IndexForLId(LId lid);
-  /// Calls the current primary of stripe `index`, refreshing the layout and
-  /// failing over when the node is unreachable or fenced (kUnavailable /
-  /// kTimedOut). The payload — including any dedup token — is reused
-  /// verbatim on every attempt, so retried appends stay exactly-once.
-  Result<std::string> CallMaintainerIndex(uint32_t index, uint16_t op,
-                                          const std::string& payload);
-  /// Read-path variant: fans a read over stripe `index`'s replica set
-  /// (coordinator + replicas, rotated per call), cycling to the next member
-  /// on kUnavailable/kTimedOut — a down node, a fenced node, or a position
-  /// not yet validated there. NotFound is final only when *every* member
-  /// reports it. When a whole cycle fails, reports the first dead-looking
-  /// member to the controller and retries on the repaired layout.
-  Result<std::string> CallStripeRead(uint32_t index, uint16_t op,
-                                     const std::string& payload);
+  /// Calls stripe `index`, failing over when a node is unreachable or
+  /// fenced (kUnavailable / kTimedOut): reports the first dead-looking
+  /// member to the controller, then (after a backoff on the client clock,
+  /// unless the report repaired the layout) refreshes the layout and tries
+  /// again. A write goes to the coordinator; its payload — dedup token
+  /// included — is reused verbatim, so retried appends stay exactly-once. A
+  /// `read` fans over the coordinator and its replicas, rotated per call,
+  /// cycling on kUnavailable/kTimedOut (a down or fenced node, or a
+  /// position not yet validated there); NotFound is final only when every
+  /// member reports it.
+  Result<std::string> CallStripe(uint32_t index, uint16_t op,
+                                 const std::string& payload, bool read);
+  /// Read and ReadCommitted: `op` names which.
+  Result<LogRecord> ReadOne(LId lid, uint16_t op);
   /// Synchronous suspect report: asks the controller to probe `node` (of
   /// stripe `index`) and repair the layout if it really is dead. Returns
   /// true when the controller says the layout changed (the client refreshed
@@ -215,6 +215,7 @@ class FLStoreClient {
   /// Index of the controller replica that last answered (sticky leader).
   std::atomic<uint64_t> ctrl_rr_{0};
   const ClientOptions options_;
+  Clock* const clock_;
   net::RetryingChannel channel_;
   std::atomic<uint64_t> op_seq_{0};
   /// LId-keyed read-through cache (own internal lock; see read_cache.h).
@@ -226,8 +227,8 @@ class FLStoreClient {
   /// Rotates the starting member of each read fan-out so read load spreads
   /// across a stripe's coordinator and replicas.
   std::atomic<uint64_t> read_rr_{0};
-  /// Outer failover-loop retries (attempt > 0 in CallMaintainerIndex /
-  /// CallStripeRead); see retries().
+  /// Outer failover-loop retries (attempt > 0 in CallStripe); see
+  /// retries().
   std::atomic<uint64_t> outer_retries_{0};
   bool started_ = false;
   std::map<net::NodeId, uint64_t> reads_by_node_;

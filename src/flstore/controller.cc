@@ -320,13 +320,6 @@ Status Controller::AddReplica(uint32_t index, const net::NodeId& replica) {
   });
 }
 
-void Controller::SetApproxRecords(uint64_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Advisory; not worth a WAL frame per update. The next durable mutation
-  // snapshots it along with everything else.
-  info_.approx_records = n;
-}
-
 void Controller::Heartbeat(uint32_t index, const net::NodeId& from) {
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -38,7 +38,7 @@ struct ClusterInfo {
   /// replicas.
   std::vector<std::vector<net::NodeId>> replicas;
   /// Fencing epoch per maintainer index (starts at 1, bumped on every
-  /// failover promotion or replica-set change; see ReplicaGroup).
+  /// failover promotion or replica-set change; see HermesStripe).
   std::vector<uint64_t> fence_epochs;
   /// Controller (leadership) epoch, bumped by every leader election of the
   /// replicated control plane. Stamped into every layout/promotion RPC so
@@ -144,8 +144,6 @@ class Controller {
 
   /// Adds `replica` to stripe `index`'s replica set (bumps the version).
   Status AddReplica(uint32_t index, const net::NodeId& replica);
-
-  void SetApproxRecords(uint64_t n);
 
   /// Heartbeat from the coordinator of stripe `index`; renews its lease iff
   /// `from` is the node the layout names as that coordinator (a fenced old

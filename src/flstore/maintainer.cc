@@ -451,8 +451,7 @@ LId LogMaintainer::FirstInvalid() const {
   return invalid_.empty() ? kInvalidLId : *invalid_.begin();
 }
 
-std::vector<std::pair<LId, std::string>> LogMaintainer::InvalidEntries()
-    const {
+std::vector<ReplicatedEntry> LogMaintainer::InvalidEntries() const {
   std::vector<LId> lids;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -460,12 +459,12 @@ std::vector<std::pair<LId, std::string>> LogMaintainer::InvalidEntries()
   }
   // Payloads are fetched outside mu_ (Read never holds it across I/O). A
   // position whose record vanished concurrently is simply not replayable.
-  std::vector<std::pair<LId, std::string>> entries;
+  std::vector<ReplicatedEntry> entries;
   entries.reserve(lids.size());
   for (LId lid : lids) {
     Result<LogRecord> record = Read(lid);
     if (!record.ok()) continue;
-    entries.emplace_back(lid, EncodeLogRecord(*record));
+    entries.push_back(ReplicatedEntry{lid, EncodeLogRecord(*record)});
   }
   return entries;
 }

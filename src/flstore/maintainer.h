@@ -222,7 +222,7 @@ class LogMaintainer {
   /// Snapshot of every invalid position with its encoded record bytes — the
   /// replay set a promoted coordinator re-broadcasts. Positions whose
   /// payload cannot be read back are skipped (they never landed here).
-  std::vector<std::pair<LId, std::string>> InvalidEntries() const;
+  std::vector<ReplicatedEntry> InvalidEntries() const;
 
   /// Tail-cache occupancy (test/diagnostic helpers).
   uint64_t TailCacheBytes() const { return tail_cache_.bytes(); }

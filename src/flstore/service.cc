@@ -55,12 +55,6 @@ metrics::Histogram* FillHist() {
   return h;
 }
 
-metrics::Counter* PromotionsCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Default().GetCounter("flstore.promotions");
-  return c;
-}
-
 metrics::Counter* LeaseExpiryCounter() {
   static metrics::Counter* c = metrics::Registry::Default().GetCounter(
       "flstore.controller.lease_expiries");
@@ -76,27 +70,6 @@ metrics::Counter* FailoverCommitCounter() {
 metrics::Counter* FailoverAbortCounter() {
   static metrics::Counter* c = metrics::Registry::Default().GetCounter(
       "flstore.controller.failovers_aborted");
-  return c;
-}
-
-// Hermes replication families (ISSUE 7): the INV/VAL/replay volume and the
-// controller-observed repair time, CLI-visible via `chariots_cli metrics`.
-
-metrics::Counter* InvalidationsCounter() {
-  static metrics::Counter* c = metrics::Registry::Default().GetCounter(
-      "chariots.flstore.repl.invalidations");
-  return c;
-}
-
-metrics::Counter* ValidationsCounter() {
-  static metrics::Counter* c = metrics::Registry::Default().GetCounter(
-      "chariots.flstore.repl.validations");
-  return c;
-}
-
-metrics::Counter* ReplaysCounter() {
-  static metrics::Counter* c = metrics::Registry::Default().GetCounter(
-      "chariots.flstore.repl.replays");
   return c;
 }
 
@@ -154,52 +127,51 @@ Result<LId> DecodeLId(std::string_view data) {
   return lid;
 }
 
+/// Payload of kPromote and kReconfigure: the controller epoch, then the
+/// stripe's new fencing epoch and its peers.
+struct EpochChange {
+  uint64_t ctrl_epoch = 0;
+  uint64_t epoch = 0;
+  std::vector<net::NodeId> peers;
+};
+
+Result<EpochChange> DecodeEpochChange(std::string_view data) {
+  BinaryReader r(data);
+  EpochChange change;
+  CHARIOTS_RETURN_IF_ERROR(r.GetU64(&change.ctrl_epoch));
+  CHARIOTS_RETURN_IF_ERROR(r.GetU64(&change.epoch));
+  uint32_t n = 0;
+  CHARIOTS_RETURN_IF_ERROR(r.GetU32(&n));
+  change.peers.resize(n);
+  for (net::NodeId& peer : change.peers) {
+    CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&peer));
+  }
+  return change;
+}
+
 /// Blocks until the replication work `start` begins reports its outcome.
 /// Only queued handlers (promotion, reconfigure, fill) wait like this.
-Status WaitForRound(
-    const std::function<void(std::function<void(Status)>)>& start) {
+template <typename T, typename Start>
+T WaitFor(Start start) {
   struct Latch {
     std::mutex mu;
     std::condition_variable cv;
-    std::optional<Status> status;
+    std::optional<T> value;
   };
   RoundWaitsCounter()->Add();
   net::BlockingWaitScope blocking;
   auto latch = std::make_shared<Latch>();
-  start([latch](Status status) {
+  start([latch](T value) {
     std::lock_guard<std::mutex> lock(latch->mu);
-    latch->status = std::move(status);
+    latch->value = std::move(value);
     latch->cv.notify_all();
   });
   std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->status.has_value(); });
-  return *latch->status;
-}
-
-std::vector<LId> BatchLids(const std::vector<ReplicatedEntry>& batch) {
-  std::vector<LId> lids;
-  lids.reserve(batch.size());
-  for (const ReplicatedEntry& entry : batch) lids.push_back(entry.lid);
-  return lids;
-}
-
-/// Highest position in a replicated batch (kInvalidLId when empty).
-LId BatchTop(const std::vector<ReplicatedEntry>& batch) {
-  LId top = kInvalidLId;
-  for (const ReplicatedEntry& entry : batch) {
-    if (top == kInvalidLId || entry.lid > top) top = entry.lid;
-  }
-  return top;
+  latch->cv.wait(lock, [&] { return latch->value.has_value(); });
+  return *std::move(latch->value);
 }
 
 }  // namespace
-
-void RegisterReplicationMetrics() {
-  InvalidationsCounter();
-  ValidationsCounter();
-  ReplaysCounter();
-  MttrHist();
-}
 
 void RegisterControllerMetrics() {
   ElectionsCounter();
@@ -240,7 +212,10 @@ MaintainerServer::MaintainerServer(net::Transport* transport,
                                   options_.dedup_sidecar,
                                   options_.dedup_compact_min_frames,
                                   options_.dedup_disk_faults}),
-      replica_(&repl_endpoint_, options_.replica),
+      stripe_(&maintainer_, &dedup_, this, options_.replica,
+              options_.clock != nullptr ? options_.clock
+                                        : SystemClock::Default(),
+              &repl_round_ns_),
       peers_(options_.peers),
       watchdog_({.node = options_.node,
                  .clock = options_.clock,
@@ -341,34 +316,26 @@ void MaintainerServer::OnLanded(const LogRecord& record, LId lid) {
   // Replicas hold the postings back: the coordinator already published
   // them, and a promoted node starts publishing the moment it begins
   // serving appends.
-  if (!options_.indexers.empty() && replica_.CheckAppendServing().ok()) {
+  if (!options_.indexers.empty() && stripe_.CheckAppendServing().ok()) {
     PublishPostings(record, lid);
   }
 }
 
 void MaintainerServer::InstallHandlers() {
-  // Replicated stripes run the Hermes round per landed batch: the batch
-  // lands locally marked invalid, an INV carrying the payload (and the
-  // dedup token) goes to every peer at once, and only when all peers acked
-  // does the coordinator validate (local mark + one-way VAL) and ack. An
-  // ack therefore means every replica holds the records durably.
-  //
-  // Each handler below only lands its records and returns what the client
-  // gets back, landing through the Landing it is given. StartWrite does the
-  // rest (admission, dedup, the Landing that collects the round's batch, the
-  // round) and the handler returns as soon as the INVs are out; the round's
-  // last ack sends the reply. Client appends open with a (client_id, seq)
-  // token; kAppendAt carries none.
+  // Each append-side handler below only lands its records and returns what
+  // the client gets back, landing through the Landing it is given. The
+  // stripe does the rest (admission, dedup, the Landing that collects the
+  // round's batch, the Hermes round) and the handler returns as soon as
+  // the INVs are out; the round's last ack sends the reply. Client appends
+  // open with a (client_id, seq) token; kAppendAt carries none.
   //
   // The data path — kAppend, kRead, kInvalidate, kValidate — never blocks
   // and is safe alongside itself, so it is registered kInline: on the
   // in-process transport each request runs on its sending thread, beside
   // the other clients' requests to the node, and a whole append (INVs,
   // acks, VALs) completes on the client's thread. Every other handler stays
-  // queued, and runs alone on its node. What makes the four safe side by
-  // side: landings are published invalid (Landing::invalid), kRead checks
-  // validity again once it has the bytes, StartWrite claims a token before
-  // it lands, and INV/VAL act under the epoch lock.
+  // queued, and runs alone on its node. DESIGN.md §12 has the rules that
+  // make the four safe side by side.
   constexpr auto kInline = net::RpcEndpoint::Dispatch::kInline;
   HandleWrite(kAppend, /*tokened=*/true,
               [this](BinaryReader& r,
@@ -439,54 +406,33 @@ void MaintainerServer::InstallHandlers() {
                 return EncodeLId(lid);
               });
 
-  // Read responses open with (fence epoch, head of log): the client's
-  // read-through cache keys its invalidation off them — an epoch bump for
-  // the stripe purges cached tail entries, and lids below the piggybacked
-  // HL are immutable and cacheable forever (DESIGN.md §11). Every unfenced
-  // role serves reads, but only of *valid* positions: an invalid position
-  // is not yet known durable everywhere, so serving it could expose a
-  // value a failover later junk-fills. Clients retry invalid positions
-  // against another replica (the coordinator validates first).
-  endpoint_.Handle(kRead, [this](const net::NodeId&,
-                                 const std::string& payload)
-                              -> Result<std::string> {
+  // Read responses open with (fence epoch, cacheable head of log): the
+  // client's read-through cache keys its invalidation off them
+  // (DESIGN.md §11). Every unfenced role serves reads, but only of *valid*
+  // positions; clients retry an invalid one against another member.
+  auto read_one = [this](const std::string& payload,
+                         bool committed) -> Result<std::string> {
     metrics::ScopedLatencyTimer timer(ReadHist());
     ReadCounter()->Add();
-    CHARIOTS_RETURN_IF_ERROR(replica_.CheckReadServing());
+    CHARIOTS_ASSIGN_OR_RETURN(HermesStripe::ReadHeader header,
+                              stripe_.AdmitRead());
     CHARIOTS_ASSIGN_OR_RETURN(LId lid, DecodeLId(payload));
-    if (maintainer_.IsInvalid(lid)) {
-      return Status::Unavailable("INVALID_LID: position not yet validated");
-    }
-    CHARIOTS_ASSIGN_OR_RETURN(LogRecord record, maintainer_.Read(lid));
-    // A landing running beside this read may have published the bytes
-    // (invalid) after the check above.
-    if (maintainer_.IsInvalid(lid)) {
-      return Status::Unavailable("INVALID_LID: position not yet validated");
-    }
+    CHARIOTS_ASSIGN_OR_RETURN(LogRecord record,
+                              stripe_.ReadValid(lid, committed));
     BinaryWriter w;
-    w.PutU64(replica_.epoch());
-    w.PutU64(CacheableHl());
+    w.PutU64(header.epoch);
+    w.PutU64(header.cacheable_hl);
     w.PutBytes(EncodeLogRecord(record));
     return std::move(w).data();
+  };
+  endpoint_.Handle(kRead, [read_one](const net::NodeId&,
+                                     const std::string& payload) {
+    return read_one(payload, /*committed=*/false);
   }, kInline);
 
-  endpoint_.Handle(kReadCommitted, [this](const net::NodeId&,
-                                          const std::string& payload)
-                                       -> Result<std::string> {
-    metrics::ScopedLatencyTimer timer(ReadHist());
-    ReadCounter()->Add();
-    CHARIOTS_RETURN_IF_ERROR(replica_.CheckReadServing());
-    CHARIOTS_ASSIGN_OR_RETURN(LId lid, DecodeLId(payload));
-    if (maintainer_.IsInvalid(lid)) {
-      return Status::Unavailable("INVALID_LID: position not yet validated");
-    }
-    CHARIOTS_ASSIGN_OR_RETURN(LogRecord record,
-                              maintainer_.ReadCommitted(lid));
-    BinaryWriter w;
-    w.PutU64(replica_.epoch());
-    w.PutU64(CacheableHl());
-    w.PutBytes(EncodeLogRecord(record));
-    return std::move(w).data();
+  endpoint_.Handle(kReadCommitted, [read_one](const net::NodeId&,
+                                              const std::string& payload) {
+    return read_one(payload, /*committed=*/true);
   });
 
   // Batched multi-get: the whole batch costs one round trip. Per-lid
@@ -500,21 +446,19 @@ void MaintainerServer::InstallHandlers() {
                                    -> Result<std::string> {
     metrics::ScopedLatencyTimer timer(ReadHist());
     ReadCounter()->Add();
-    CHARIOTS_RETURN_IF_ERROR(replica_.CheckReadServing());
+    CHARIOTS_ASSIGN_OR_RETURN(HermesStripe::ReadHeader header,
+                              stripe_.AdmitRead());
     BinaryReader r(payload);
     uint32_t n = 0;
     CHARIOTS_RETURN_IF_ERROR(r.GetU32(&n));
     BinaryWriter w;
-    w.PutU64(replica_.epoch());
-    w.PutU64(CacheableHl());
+    w.PutU64(header.epoch);
+    w.PutU64(header.cacheable_hl);
     w.PutU32(n);
     for (uint32_t i = 0; i < n; ++i) {
       LId lid = 0;
       CHARIOTS_RETURN_IF_ERROR(r.GetU64(&lid));
-      if (maintainer_.IsInvalid(lid)) {
-        return Status::Unavailable("INVALID_LID: position not yet validated");
-      }
-      Result<LogRecord> record = maintainer_.Read(lid);
+      Result<LogRecord> record = stripe_.ReadValid(lid, /*committed=*/false);
       w.PutU64(lid);
       if (record.ok()) {
         w.PutU8(1);
@@ -531,7 +475,7 @@ void MaintainerServer::InstallHandlers() {
 
   endpoint_.Handle(kHeadOfLog, [this](const net::NodeId&, const std::string&)
                                    -> Result<std::string> {
-    CHARIOTS_RETURN_IF_ERROR(replica_.CheckReadServing());
+    CHARIOTS_RETURN_IF_ERROR(stripe_.AdmitRead().status());
     return EncodeLId(maintainer_.HeadOfLog());
   });
 
@@ -553,84 +497,34 @@ void MaintainerServer::InstallHandlers() {
     }
   });
 
-  // Replica side of the INV leg: adopt the sender's epoch (stale rejects,
-  // newer demotes a deposed coordinator back to replica), apply the batch
-  // landing invalid, then mirror its dedup state so exactly-once survives a
-  // failover. AlreadyExists with identical bytes is a retried/replayed
-  // batch; with different bytes it is a cross-epoch replay overwriting a
-  // divergent position (e.g. junk filled under an older view), which the
-  // new coordinator's copy wins. The whole INV acts under the epoch lock.
+  // The replica side of the Hermes round: decode, call the stripe, encode.
   endpoint_.Handle(kInvalidate, [this](const net::NodeId&,
                                        const std::string& payload)
                                     -> Result<std::string> {
     CHARIOTS_ASSIGN_OR_RETURN(InvalidateRequest req,
                               DecodeInvalidateRequest(payload));
-    EpochHold hold = HoldEpoch(req.epoch);
-    CHARIOTS_RETURN_IF_ERROR(replica_.AcceptRemoteEpoch(req.epoch));
-    InvalidationsCounter()->Add(req.entries.size());
-    const Landing invalid{.invalid = true};
-    for (const ReplicatedEntry& entry : req.entries) {
-      CHARIOTS_ASSIGN_OR_RETURN(
-          LogRecord record, DecodeLogRecord(entry.lid, entry.record_bytes));
-      Status status = maintainer_.AppendAt(entry.lid, record, invalid);
-      if (status.code() == StatusCode::kAlreadyExists) {
-        maintainer_.MarkInvalid(entry.lid);  // until this round's VAL
-        Result<LogRecord> existing = maintainer_.Read(entry.lid);
-        if (existing.ok() &&
-            EncodeLogRecord(*existing) != entry.record_bytes) {
-          CHARIOTS_RETURN_IF_ERROR(maintainer_.Remove(entry.lid));
-          CHARIOTS_RETURN_IF_ERROR(
-              maintainer_.AppendAt(entry.lid, record, invalid));
-        }
-      } else {
-        CHARIOTS_RETURN_IF_ERROR(status);
-      }
-    }
-    if (!req.client_id.empty()) {
-      CHARIOTS_RETURN_IF_ERROR(
-          dedup_.Record(req.client_id, req.seq, req.response));
-    }
+    CHARIOTS_RETURN_IF_ERROR(stripe_.OnInvalidate(req));
     return std::string();
   }, kInline);
 
-  // Replica side of the VAL leg: flip the listed positions readable and
-  // fold in the coordinator's validated floor. Only the exact current
-  // epoch counts — a deposed coordinator's stray VAL must not validate
-  // positions its successor may junk-fill — and it stays current until the
-  // VAL has acted: adopting a newer one waits for the epoch lock.
   endpoint_.HandleOneWay(kValidate, [this](const net::NodeId&,
                                            std::string payload) {
     Result<ValidateNotice> notice = DecodeValidateNotice(payload);
-    if (!notice.ok()) return;
-    std::shared_lock<std::shared_mutex> hold(epoch_mu_);
-    if (replica_.fenced() || notice->epoch != replica_.epoch()) return;
-    ValidationsCounter()->Add(notice->lids.size());
-    for (LId lid : notice->lids) maintainer_.MarkValid(lid);
-    AdvanceReplicatedFloor(notice->floor);
+    if (notice.ok()) stripe_.OnValidate(*notice);
   }, kInline);
 
-  // Promotion-replay source: a candidate coordinator pulling this node's
-  // invalid window (positions applied here whose VAL never arrived —
-  // exactly the writes the dead coordinator may have acked). Adopting the
-  // caller's epoch is the point: it fences the dead coordinator out of
-  // this replica for good.
   endpoint_.Handle(kFetchInvalid, [this](const net::NodeId&,
                                          const std::string& payload)
                                       -> Result<std::string> {
     BinaryReader r(payload);
     uint64_t epoch = 0;
     CHARIOTS_RETURN_IF_ERROR(r.GetU64(&epoch));
-    {
-      EpochHold hold = HoldEpoch(epoch);
-      CHARIOTS_RETURN_IF_ERROR(replica_.AcceptRemoteEpoch(epoch));
-    }
-    std::vector<std::pair<LId, std::string>> entries =
-        maintainer_.InvalidEntries();
+    CHARIOTS_ASSIGN_OR_RETURN(std::vector<InvalidateRequest> window,
+                              stripe_.OnFetchInvalid(epoch));
     BinaryWriter w;
-    w.PutU32(static_cast<uint32_t>(entries.size()));
-    for (const auto& [lid, bytes] : entries) {
-      w.PutU64(lid);
-      w.PutBytes(bytes);
+    w.PutU32(static_cast<uint32_t>(window.size()));
+    for (const InvalidateRequest& batch : window) {
+      w.PutBytes(EncodeInvalidateRequest(batch));
     }
     return std::move(w).data();
   });
@@ -641,24 +535,12 @@ void MaintainerServer::InstallHandlers() {
   endpoint_.Handle(kReconfigure, [this](const net::NodeId&,
                                         const std::string& payload)
                                      -> Result<std::string> {
-    BinaryReader r(payload);
-    uint64_t ctrl_epoch = 0;
-    CHARIOTS_RETURN_IF_ERROR(r.GetU64(&ctrl_epoch));
-    CHARIOTS_RETURN_IF_ERROR(CheckCtrlEpoch(ctrl_epoch));
-    uint64_t new_epoch = 0;
-    CHARIOTS_RETURN_IF_ERROR(r.GetU64(&new_epoch));
-    uint32_t n = 0;
-    CHARIOTS_RETURN_IF_ERROR(r.GetU32(&n));
-    std::vector<net::NodeId> peers(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&peers[i]));
-    }
-    {
-      std::lock_guard<std::shared_mutex> adopt(epoch_mu_);
-      CHARIOTS_RETURN_IF_ERROR(replica_.Reconfigure(new_epoch,
-                                                    std::move(peers)));
-    }
-    Status replay = DriveReplication();
+    CHARIOTS_ASSIGN_OR_RETURN(EpochChange change, DecodeEpochChange(payload));
+    CHARIOTS_RETURN_IF_ERROR(CheckCtrlEpoch(change.ctrl_epoch));
+    CHARIOTS_RETURN_IF_ERROR(
+        stripe_.Reconfigure(change.epoch, std::move(change.peers)));
+    Status replay = WaitFor<Status>(
+        [this](HermesStripe::Done done) { stripe_.ReplayParked(done); });
     if (!replay.ok()) {
       // Another peer died meanwhile; the next suspect round handles it.
       // Rate-limited: every retried append replays again until it heals.
@@ -673,84 +555,25 @@ void MaintainerServer::InstallHandlers() {
   // dead and should be failed over without waiting out its lease.
   endpoint_.Handle(kPing, [this](const net::NodeId&, const std::string&)
                               -> Result<std::string> {
-    CHARIOTS_RETURN_IF_ERROR(replica_.CheckReadServing());
+    CHARIOTS_RETURN_IF_ERROR(stripe_.AdmitRead().status());
     return std::string();
   });
 
-  // Failover promotion (controller -> candidate): adopt the bumped fencing
-  // epoch and the surviving peers, replay the in-flight writes (pull every
-  // survivor's invalid window, merge, re-broadcast under the new epoch),
-  // and junk-fill the true holes — positions the dead coordinator assigned
-  // but never invalidated anywhere — so the Head of the Log can advance
-  // past them. Responds with the filled positions. Idempotent under retry.
+  // Failover promotion (controller -> candidate): the stripe adopts the
+  // bumped epoch, replays the in-flight writes and junk-fills the true
+  // holes. Responds with the filled positions. Idempotent under retry.
   endpoint_.Handle(kPromote, [this](const net::NodeId&,
                                     const std::string& payload)
                                  -> Result<std::string> {
-    BinaryReader r(payload);
-    uint64_t ctrl_epoch = 0;
-    CHARIOTS_RETURN_IF_ERROR(r.GetU64(&ctrl_epoch));
-    CHARIOTS_RETURN_IF_ERROR(CheckCtrlEpoch(ctrl_epoch));
-    uint64_t new_epoch = 0;
-    CHARIOTS_RETURN_IF_ERROR(r.GetU64(&new_epoch));
-    uint32_t n = 0;
-    CHARIOTS_RETURN_IF_ERROR(r.GetU32(&n));
-    std::vector<net::NodeId> peers(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&peers[i]));
-    }
-    {
-      std::lock_guard<std::shared_mutex> adopt(epoch_mu_);
-      CHARIOTS_RETURN_IF_ERROR(replica_.Promote(new_epoch, peers));
-    }
-    PromotionsCounter()->Add();
-    // Role change: drop the cached tail so nothing assembled under the old
-    // epoch can be served by the new coordinator.
-    maintainer_.InvalidateTailCache();
-    // Merge every surviving peer's invalid window into ours: a write the
-    // dead coordinator acked is applied (invalid) on ALL replicas, so any
-    // survivor — us included — holds it. Fetched positions are marked
-    // invalid here too, putting them in the replay set below.
-    for (const net::NodeId& peer : peers) {
-      BinaryWriter fw;
-      fw.PutU64(new_epoch);
-      CHARIOTS_ASSIGN_OR_RETURN(
-          std::string fetched,
-          repl_endpoint_.Call(peer, kFetchInvalid, std::move(fw).data(),
-                              std::chrono::milliseconds(1000)));
-      BinaryReader fr(fetched);
-      uint32_t m = 0;
-      CHARIOTS_RETURN_IF_ERROR(fr.GetU32(&m));
-      for (uint32_t i = 0; i < m; ++i) {
-        LId lid = 0;
-        std::string bytes;
-        CHARIOTS_RETURN_IF_ERROR(fr.GetU64(&lid));
-        CHARIOTS_RETURN_IF_ERROR(fr.GetBytes(&bytes));
-        CHARIOTS_ASSIGN_OR_RETURN(LogRecord record,
-                                  DecodeLogRecord(lid, bytes));
-        Status status =
-            maintainer_.AppendAt(lid, record, Landing{.invalid = true});
-        if (status.code() != StatusCode::kAlreadyExists) {
-          CHARIOTS_RETURN_IF_ERROR(status);
-        }
-        maintainer_.MarkInvalid(lid);
-      }
-    }
-    // Junk-fill the true holes (nothing above covered them). They land
-    // invalid on a replicated stripe, so the replay below re-broadcasts
-    // them like any landed record.
+    CHARIOTS_ASSIGN_OR_RETURN(EpochChange change, DecodeEpochChange(payload));
+    CHARIOTS_RETURN_IF_ERROR(CheckCtrlEpoch(change.ctrl_epoch));
+    using Filled = Result<std::vector<LId>>;
     CHARIOTS_ASSIGN_OR_RETURN(
         std::vector<LId> filled,
-        maintainer_.FillHoles(MakeJunkRecord(),
-                              Landing{.invalid = replica_.replicates()}));
-    if (!filled.empty()) {
-      LOG_INFO << "promotion of maintainer " << maintainer_.index()
-               << " junk-filled " << filled.size() << " orphaned positions";
-    }
-    // Replay: everything invalid here (own parked writes + merged windows +
-    // fills) is now the authoritative copy. Re-broadcast it under the new
-    // epoch and validate everywhere.
-    CHARIOTS_RETURN_IF_ERROR(DriveReplication());
-    maintainer_.MarkAllValid();
+        WaitFor<Filled>([&](std::function<void(Filled)> done) {
+          stripe_.Promote(change.epoch, std::move(change.peers),
+                          std::move(done));
+        }));
     BinaryWriter w;
     w.PutU32(static_cast<uint32_t>(filled.size()));
     for (LId lid : filled) w.PutU64(lid);
@@ -763,18 +586,18 @@ void MaintainerServer::InstallHandlers() {
                               -> Result<std::string> {
     metrics::ScopedLatencyTimer timer(FillHist());
     FillCounter()->Add();
-    CHARIOTS_RETURN_IF_ERROR(replica_.CheckAppendServing());
     CHARIOTS_ASSIGN_OR_RETURN(LId lid, DecodeLId(payload));
-    std::vector<ReplicatedEntry> batch;
-    Status status = maintainer_.AppendAt(
-        lid, MakeJunkRecord(lid),
-        Landing{.invalid = replica_.replicates(), .collect = &batch});
-    if (status.code() == StatusCode::kAlreadyExists) {
-      return std::string();  // position is occupied — nothing to repair
-    }
-    CHARIOTS_RETURN_IF_ERROR(status);
-    CHARIOTS_RETURN_IF_ERROR(AwaitReplicationRound(std::move(batch)));
-    return std::string();
+    auto land = [&](const Landing& landing) -> Result<std::string> {
+      Status status = maintainer_.AppendAt(lid, MakeJunkRecord(lid), landing);
+      // An occupied position has nothing to repair.
+      if (status.code() == StatusCode::kAlreadyExists) return std::string();
+      CHARIOTS_RETURN_IF_ERROR(status);
+      return std::string();
+    };
+    return WaitFor<Result<std::string>>(
+        [&](std::function<void(Result<std::string>)> done) {
+          stripe_.Write({}, land, std::move(done));
+        });
   });
 
   net::HandleHealthRpcs(&endpoint_, &watchdog_, kHealth, kFlightRec);
@@ -813,218 +636,71 @@ void MaintainerServer::HandleWrite(uint16_t type, bool tokened, LandFn land,
               SystemClock::Default()->NowNanos() - start));
           reply(std::move(result));
         };
-    Status status = StartWrite(tokened, land, payload, timed);
-    if (!status.ok()) timed(status);
+    BinaryReader r(payload);
+    HermesStripe::WriteKey token;
+    if (tokened) {
+      Status decoded = r.GetBytes(&token.first);
+      if (decoded.ok()) decoded = r.GetU64(&token.second);
+      if (!decoded.ok()) {
+        timed(std::move(decoded));
+        return;
+      }
+    }
+    stripe_.Write(token,
+                  [&](const Landing& landing) { return land(r, landing); },
+                  std::move(timed));
   }, dispatch);
 }
 
-Status MaintainerServer::StartWrite(bool tokened, const LandFn& land,
-                                    const std::string& payload,
-                                    const net::RpcEndpoint::Reply& reply) {
-  CHARIOTS_RETURN_IF_ERROR(replica_.CheckAppendServing());
-  BinaryReader r(payload);
-  WriteKey key;
-  // Every reply leaves through `finish`; for a client write it closes the
-  // write, answering every retry that joined it too.
-  net::RpcEndpoint::Reply finish = reply;
-  if (tokened) {
-    CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&key.first));
-    CHARIOTS_RETURN_IF_ERROR(r.GetU64(&key.second));
-    // The token is claimed before anything lands: a retry of an open
-    // write, or a copy of it running beside this request, joins it instead
-    // of landing the record twice.
-    {
-      std::lock_guard<std::mutex> lock(writes_mu_);
-      auto [open, claimed] = open_writes_.try_emplace(key);
-      open->second.push_back(reply);
-      if (!claimed) return Status::OK();
-    }
-    finish = [this, key](Result<std::string> result) {
-      CloseWrite(key, std::move(result));
-    };
-    // A token the dedup window has already executed short-circuits to the
-    // cached response, so a retry whose original *response* was lost
-    // returns the same LIds instead of appending twice. Under replication
-    // the short-circuit first replays any parked (invalid) writes: an
-    // append whose INV round failed recorded its dedup state but never
-    // acked, and its retry is what completes the round. The reply leaves
-    // from the replay round's completion.
-    Result<std::optional<std::string>> cached =
-        dedup_.Lookup(key.first, key.second);
-    if (!cached.ok()) {
-      finish(cached.status());
-      return Status::OK();
-    }
-    if (cached->has_value()) {
-      ReplayParked([finish, response = std::move(**cached)](Status replayed) {
-        if (replayed.ok()) {
-          finish(response);
-        } else {
-          finish(std::move(replayed));
-        }
-      });
-      return Status::OK();
-    }
+void MaintainerServer::Invalidate(const std::vector<net::NodeId>& peers,
+                                  const InvalidateRequest& req,
+                                  std::function<void(size_t, Status)> ack) {
+  net::CallOptions options;
+  options.timeout = options_.replica.invalidate_timeout;
+  std::string wire = EncodeInvalidateRequest(req);
+  for (size_t i = 0; i < peers.size(); ++i) {
+    std::string payload = i + 1 < peers.size() ? wire : std::move(wire);
+    repl_endpoint_.CallAsync(peers[i], kInvalidate, std::move(payload),
+                             options, [ack, i](Result<std::string> result) {
+                               ack(i, result.status());
+                             });
   }
-  // Records land invalid under the replication protocol (Hermes):
-  // unreadable until every peer acked the INV. Records landed outside it
-  // (solo stripes) stay valid. A failed landing landed nothing.
-  std::vector<ReplicatedEntry> batch;
-  Result<std::string> landed =
-      land(r, Landing{.invalid = replica_.replicates(), .collect = &batch});
-  if (!landed.ok()) {
-    finish(landed.status());
-    return Status::OK();
-  }
-  std::string response = *std::move(landed);
-  RunReplicationRound(
-      std::move(batch), key.first, key.second, response,
-      [this, tokened, key, response, finish](Status status,
-                                             const net::NodeId& parked) {
-        Result<std::string> result =
-            status.ok() ? Result<std::string>(response) : status;
-        // A parked write remembers its response too, so the retry that
-        // replays it acks with the same LIds. Record before closing the
-        // write: a retry arriving in between must find either the open
-        // write or the dedup entry.
-        if (tokened && (status.ok() || !parked.empty())) {
-          Status recorded = dedup_.Record(key.first, key.second, response);
-          if (status.ok() && !recorded.ok()) result = recorded;
-        }
-        finish(std::move(result));
-      });
-  return Status::OK();
 }
 
-void MaintainerServer::CloseWrite(const WriteKey& key,
-                                  Result<std::string> result) {
-  std::vector<net::RpcEndpoint::Reply> replies;
-  {
-    std::lock_guard<std::mutex> lock(writes_mu_);
-    auto open = open_writes_.find(key);
-    replies = std::move(open->second);
-    open_writes_.erase(open);
+void MaintainerServer::Validate(const std::vector<net::NodeId>& peers,
+                                const ValidateNotice& notice) {
+  std::string wire = EncodeValidateNotice(notice);
+  for (const net::NodeId& peer : peers) {
+    (void)repl_endpoint_.Notify(peer, kValidate, wire);
   }
-  for (const net::RpcEndpoint::Reply& waiting : replies) waiting(result);
 }
 
-MaintainerServer::EpochHold MaintainerServer::HoldEpoch(uint64_t epoch) {
-  // The epoch only grows, so one no newer than ours at this check is no
-  // newer later: a shared hold never adopts.
-  EpochHold hold;
-  if (epoch > replica_.epoch()) {
-    hold.exclusive = std::unique_lock<std::shared_mutex>(epoch_mu_);
-  } else {
-    hold.shared = std::shared_lock<std::shared_mutex>(epoch_mu_);
+Result<std::vector<InvalidateRequest>> MaintainerServer::FetchInvalid(
+    const net::NodeId& peer, uint64_t epoch) {
+  BinaryWriter w;
+  w.PutU64(epoch);
+  CHARIOTS_ASSIGN_OR_RETURN(
+      std::string fetched,
+      repl_endpoint_.Call(peer, kFetchInvalid, std::move(w).data(),
+                          std::chrono::milliseconds(1000)));
+  BinaryReader r(fetched);
+  uint32_t n = 0;
+  CHARIOTS_RETURN_IF_ERROR(r.GetU32(&n));
+  std::vector<InvalidateRequest> window;
+  for (uint32_t i = 0; i < n; ++i) {
+    std::string batch;
+    CHARIOTS_RETURN_IF_ERROR(r.GetBytes(&batch));
+    CHARIOTS_ASSIGN_OR_RETURN(InvalidateRequest req,
+                              DecodeInvalidateRequest(batch));
+    window.push_back(std::move(req));
   }
-  return hold;
+  return window;
 }
 
-void MaintainerServer::RunReplicationRound(std::vector<ReplicatedEntry> batch,
-                                           const std::string& client_id,
-                                           uint64_t seq,
-                                           const std::string& response,
-                                           ReplicaGroup::RoundDone done) {
-  Clock* clock =
-      options_.clock != nullptr ? options_.clock : SystemClock::Default();
-  const int64_t round_start = clock->NowNanos();
-  std::vector<LId> lids = BatchLids(batch);
-  LId top = BatchTop(batch);
-  flightrec::Record(flightrec::EventType::kReplInv, 0, maintainer_.index(),
-                    top == kInvalidLId ? 0 : top, batch.size());
-  replica_.InvalidateBroadcast(
-      std::move(batch), client_id, seq, response,
-      [this, clock, round_start, lids = std::move(lids), top,
-       done = std::move(done)](Status status,
-                               const net::NodeId& unreachable) {
-        // Failed rounds count toward the SLO too: a round that times out
-        // against a gray peer is exactly the latency the watchdog exists
-        // to catch.
-        repl_round_ns_.Record(
-            static_cast<uint64_t>(clock->NowNanos() - round_start));
-        if (!status.ok()) {
-          // Our own shutdown fails in-flight INVs too; that says nothing
-          // about the peer.
-          if (unreachable.empty() || stop_.load()) {
-            done(status, net::NodeId());
-            return;
-          }
-          // Park the write: the batch stays applied-but-invalid, and the
-          // suspect report lets the controller evict the dead peer — after
-          // which a retry of the same token (or the reconfigure itself)
-          // replays the round. No fencing: a dead *replica* must not take
-          // the coordinator down with it.
-          SuspectPeer(unreachable);
-          done(status, unreachable);
-          return;
-        }
-        // Every peer acked: the batch is durable everywhere. Validate it
-        // locally, advance the floor, and flip it readable on the peers.
-        for (LId lid : lids) maintainer_.MarkValid(lid);
-        NoteReplicated(top);
-        if (!lids.empty() && replica_.replicates()) {
-          replica_.ValidateBroadcast(
-              lids, replicated_floor_.load(std::memory_order_acquire));
-        }
-        flightrec::Record(
-            flightrec::EventType::kReplVal, 0, maintainer_.index(),
-            top == kInvalidLId ? 0 : top,
-            static_cast<uint64_t>(clock->NowNanos() - round_start));
-        done(Status::OK(), net::NodeId());
-      });
-}
-
-Status MaintainerServer::AwaitReplicationRound(
-    std::vector<ReplicatedEntry> batch) {
-  return WaitForRound([&](std::function<void(Status)> done) {
-    RunReplicationRound(std::move(batch), "", 0, "",
-                        [done = std::move(done)](Status status,
-                                                 const net::NodeId&) {
-                          done(std::move(status));
-                        });
-  });
-}
-
-void MaintainerServer::ReplayParked(std::function<void(Status)> done) {
-  if (!replica_.replicates()) {
-    // No peers to replicate to. A coordinator whose last replica was just
-    // evicted (or a solo node) validates its parked positions locally — the
-    // local copy is authoritative now. A replica never gets here (every
-    // caller sits behind CheckAppendServing or a promotion).
-    if (replica_.role() != ReplicaRole::kReplica &&
-        maintainer_.InvalidCount() > 0) {
-      maintainer_.MarkAllValid();
-    }
-    done(Status::OK());
-    return;
-  }
-  std::vector<std::pair<LId, std::string>> invalid;
-  if (maintainer_.InvalidCount() > 0) invalid = maintainer_.InvalidEntries();
-  if (invalid.empty()) {
-    done(Status::OK());
-    return;
-  }
-  std::vector<ReplicatedEntry> entries;
-  entries.reserve(invalid.size());
-  for (auto& [lid, bytes] : invalid) {
-    entries.push_back(ReplicatedEntry{lid, std::move(bytes)});
-  }
-  const size_t count = entries.size();
-  RunReplicationRound(std::move(entries), "", 0, "",
-                      [count, done = std::move(done)](Status status,
-                                                      const net::NodeId&) {
-                        if (status.ok()) ReplaysCounter()->Add(count);
-                        done(std::move(status));
-                      });
-}
-
-Status MaintainerServer::DriveReplication() {
-  return WaitForRound([this](std::function<void(Status)> done) {
-    ReplayParked(std::move(done));
-  });
-}
-
-void MaintainerServer::SuspectPeer(const net::NodeId& suspect) {
+bool MaintainerServer::Suspect(const net::NodeId& suspect) {
+  // Our own shutdown fails in-flight INVs too; that says nothing about the
+  // peer.
+  if (stop_.load()) return false;
   BinaryWriter w;
   w.PutU32(maintainer_.index());
   w.PutBytes(suspect);
@@ -1036,42 +712,7 @@ void MaintainerServer::SuspectPeer(const net::NodeId& suspect) {
   for (const net::NodeId& ctrl : ControllerTargets()) {
     (void)repl_endpoint_.Notify(ctrl, kSuspect, payload);
   }
-}
-
-void MaintainerServer::NoteReplicated(LId top_lid) {
-  if (top_lid == kInvalidLId) return;
-  LId acked = acked_floor_.load(std::memory_order_relaxed);
-  while (acked < top_lid + 1 &&
-         !acked_floor_.compare_exchange_weak(acked, top_lid + 1,
-                                             std::memory_order_relaxed)) {
-  }
-  // Rounds overlap, so a round above this one may still be open or parked:
-  // the floor stops at the first position not yet validated. A landing
-  // marks its positions invalid in the lock hold that plans them
-  // (Landing::invalid), and landings are serialized, so a landing running
-  // beside this completion is in the invalid window before any higher
-  // position is planned, and reading the window after validating our own
-  // batch can only under-count.
-  AdvanceReplicatedFloor(
-      std::min(acked_floor_.load(std::memory_order_relaxed),
-               maintainer_.FirstInvalid()));
-}
-
-void MaintainerServer::AdvanceReplicatedFloor(LId floor) {
-  LId current = replicated_floor_.load(std::memory_order_relaxed);
-  while (current < floor &&
-         !replicated_floor_.compare_exchange_weak(
-             current, floor, std::memory_order_release,
-             std::memory_order_relaxed)) {
-  }
-}
-
-LId MaintainerServer::CacheableHl() const {
-  LId hl = maintainer_.HeadOfLog();
-  if (replica_.in_replica_set()) {
-    hl = std::min(hl, replicated_floor_.load(std::memory_order_acquire));
-  }
-  return hl;
+  return true;
 }
 
 void MaintainerServer::GossipOnce() {
@@ -1097,7 +738,7 @@ void MaintainerServer::HeartbeatOnce() {
   // Only the serving coordinator heartbeats: a replica must not keep its
   // dead coordinator's lease alive, and a fenced coordinator must *let*
   // its lease lapse so the controller promotes a replica.
-  if (!replica_.CheckAppendServing().ok()) return;
+  if (!stripe_.CheckAppendServing().ok()) return;
   BinaryWriter w;
   w.PutU32(maintainer_.index());
   std::string payload = std::move(w).data();

@@ -3,10 +3,8 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,23 +15,13 @@
 #include "common/metrics.h"
 #include "common/watchdog.h"
 #include "flstore/controller.h"
-#include "flstore/dedup.h"
 #include "flstore/indexer.h"
-#include "flstore/maintainer.h"
-#include "flstore/replica_group.h"
+#include "flstore/hermes.h"
 #include "net/rpc.h"
 
 namespace chariots::flstore {
 
-/// Registers the chariots.flstore.repl.* metric families (invalidations,
-/// validations, replays, mttr_ns) with the default registry so they appear
-/// — at zero — in every metrics dump. The registry registers lazily on
-/// first use; calling this at server start keeps the family set stable
-/// across roles, so dashboards and `chariots_cli metrics PREFIX` behave
-/// identically whether or not a node has replicated anything yet.
-void RegisterReplicationMetrics();
-
-/// Same, for the chariots.flstore.ctrl.* control-plane families (elections,
+/// Registers the chariots.flstore.ctrl.* control-plane families (elections,
 /// meta_wal_appends, false_suspects, plan_replays): force-registered at
 /// server start so they export at zero before the first election or crash.
 void RegisterControllerMetrics();
@@ -54,10 +42,10 @@ enum Opcode : uint16_t {
   kControllerAddMaintainer = 12,  ///< node + epoch + u64 version -> ()
   kAppendBatch = 13,  ///< u32 n + n records -> n u64 lids
   kHeartbeat = 14,    ///< one-way to controller: u32 stripe index
-  /// 15: InvalidateRequest -> () — the INV leg of the Hermes round,
+  /// InvalidateRequest -> () — the INV leg of the Hermes round,
   /// coordinator -> replica (carries the payload; the ack means applied +
   /// durable at the replica).
-  kInvalidate = kInvalidateRpc,
+  kInvalidate = 15,
   /// u64 new_epoch + u32 n + n peer nodes -> u32 n + n junk-filled lids
   /// (controller -> promotion candidate). The candidate replays the
   /// surviving invalid writes before junk-filling true holes.
@@ -68,12 +56,13 @@ enum Opcode : uint16_t {
   /// n × (u64 lid, u8 found, record if found). One round trip for a whole
   /// coalesced read batch (the client's ReadMany).
   kReadRange = 19,
-  /// 20: one-way ValidateNotice — the VAL leg, flipping positions readable
-  /// on replicas and piggybacking the coordinator's validated floor.
-  kValidate = kValidateRpc,
-  /// u64 epoch -> u32 n + n × (u64 lid, record bytes): a promotion
+  /// one-way ValidateNotice — the VAL leg, flipping positions readable on
+  /// replicas and piggybacking the coordinator's validated floor.
+  kValidate = 20,
+  /// u64 epoch -> u32 n + n × InvalidateRequest bytes: a promotion
   /// candidate pulling a surviving replica's invalid window (the replay
-  /// set). The replica adopts the new epoch as a side effect.
+  /// set), each entry with the dedup token it was replicated with. The
+  /// replica adopts the new epoch as a side effect.
   kFetchInvalid = 21,
   /// u64 new_epoch + u32 n + n peer nodes -> (): controller telling a
   /// coordinator its replica set changed (dead replica evicted).
@@ -126,13 +115,11 @@ std::string EncodeEpoch(const StripeEpoch& epoch);
 Result<StripeEpoch> DecodeEpoch(std::string_view data);
 
 /// Hosts a LogMaintainer on the RPC fabric: serves appends/reads, runs the
-/// HL gossip timer, publishes tag postings to the indexers, and — when the
-/// stripe is replicated — runs the Hermes invalidate/validate broadcast for
-/// every landed record before acking (the ack leaves from the last INV ack,
-/// so rounds overlap), serves linearizable reads of valid positions from
-/// any role, heartbeats the controller, and obeys epoch fencing (see
-/// ReplicaGroup for the protocol).
-class MaintainerServer {
+/// HL gossip timer, publishes tag postings to the indexers, heartbeats the
+/// controller, and carries its HermesStripe's messages (the stripe owns the
+/// replication protocol: rounds, epochs, fencing and which reads are
+/// served). Its Hermes handlers only decode, call the stripe and encode.
+class MaintainerServer : private HermesStripe::Net {
  public:
   struct Options {
     net::NodeId node;                    ///< this server's address
@@ -189,7 +176,7 @@ class MaintainerServer {
 
   MaintainerServer(net::Transport* transport, MaintainerOptions maintainer,
                    Options options);
-  ~MaintainerServer();
+  ~MaintainerServer() override;
 
   /// Opens the maintainer and begins serving + gossiping (+ heartbeating
   /// when a controller is configured and this node serves its stripe).
@@ -203,7 +190,7 @@ class MaintainerServer {
 
   LogMaintainer& maintainer() { return maintainer_; }
   DedupWindow& dedup() { return dedup_; }
-  ReplicaGroup& replica() { return replica_; }
+  HermesStripe& replica() { return stripe_; }
   Watchdog& watchdog() { return watchdog_; }
 
  private:
@@ -212,76 +199,28 @@ class MaintainerServer {
   void HeartbeatOnce();
   void OnLanded(const LogRecord& record, LId lid);
   void PublishPostings(const LogRecord& record, LId lid);
-  /// Notes that every peer acked a batch topped by `top_lid` (kInvalidLId =
-  /// empty batch, no-op) and advances the replicated floor over the
-  /// contiguous validated prefix: never past a position still invalid.
-  void NoteReplicated(LId top_lid);
-  /// Folds a floor learned from a VAL piggyback (replica side).
-  void AdvanceReplicatedFloor(LId floor);
-  /// The HL value piggybacked on read responses for cacheability. On any
-  /// member of a replicated stripe it is capped at the validated floor: a
-  /// record not yet validated everywhere can still be junk-filled by a
-  /// failover, so clients must not cache it as permanent (read_cache.h).
-  LId CacheableHl() const;
   /// Lands one append-side request's records, all or none, under the given
   /// Landing, and returns what the client gets back once they replicate.
   /// Reads the request past its dedup token.
   using LandFn =
       std::function<Result<std::string>(BinaryReader& r, const Landing&)>;
-  /// (client_id, seq) dedup token of a client write.
-  using WriteKey = std::pair<std::string, uint64_t>;
-
-  /// Registers an append-side handler: StartWrite in the handler, the
-  /// reply from the replication round's completion.
+  /// Registers an append-side handler: decode the token, then the stripe's
+  /// Write, which replies from the replication round's completion.
   void HandleWrite(uint16_t type, bool tokened, LandFn land,
                    net::RpcEndpoint::Dispatch dispatch =
                        net::RpcEndpoint::Dispatch::kQueued);
-  /// Admission, dedup and landing for one append-side request, then starts
-  /// its replication round and returns. `reply` goes out once, when the
-  /// round completes — for a dedup hit, when the replay of parked writes
-  /// completes. A client write claims its token before it lands, and a
-  /// request whose token is open joins that write's reply instead of
-  /// appending again. Never blocks. An error return comes before any claim
-  /// or landing; the caller replies with it.
-  Status StartWrite(bool tokened, const LandFn& land,
-                    const std::string& payload,
-                    const net::RpcEndpoint::Reply& reply);
-  /// Closes the open write of `key`, sending `result` to every reply
-  /// waiting on it.
-  void CloseWrite(const WriteKey& key, Result<std::string> result);
-  /// The epoch lock as one INV or fetch holds it: shared for an epoch no
-  /// newer than this node's, exclusive for one it may adopt.
-  struct EpochHold {
-    std::shared_lock<std::shared_mutex> shared;
-    std::unique_lock<std::shared_mutex> exclusive;
-  };
-  EpochHold HoldEpoch(uint64_t epoch);
-  /// One Hermes write round for a landed batch: INV-broadcast it to every
-  /// peer at once (carrying the dedup token so a replica can answer a
-  /// retry after failover), and from the last ack validate locally,
-  /// advance the floor, VAL-broadcast, then run `done`. On a transport
-  /// failure the batch stays parked (applied-but-invalid), the dead peer
-  /// is reported to the controller, and `done` names it — the caller
-  /// records the dedup token so a retry completes the round instead of
-  /// re-appending.
-  void RunReplicationRound(std::vector<ReplicatedEntry> batch,
-                           const std::string& client_id, uint64_t seq,
-                           const std::string& response,
-                           ReplicaGroup::RoundDone done);
-  /// RunReplicationRound without a token, waited for — promotion and repair
-  /// only, which are queued handlers off the append path.
-  Status AwaitReplicationRound(std::vector<ReplicatedEntry> batch);
-  /// Re-broadcasts every invalid (parked) position to the current peers and
-  /// validates on success — the write replay that completes in-flight
-  /// writes after a replica eviction. `done` gets the outcome from the
-  /// round's completion (at once when nothing is parked). Retried appends
-  /// that hit the dedup window reply from it.
-  void ReplayParked(std::function<void(Status)> done);
-  /// ReplayParked, waited for (kReconfigure, kPromote).
-  Status DriveReplication();
-  /// Fire-and-forget dead-peer report to every controller replica (no-op
-  /// when none is configured), sent from the failed round's completion.
-  void SuspectPeer(const net::NodeId& suspect);
+
+  // HermesStripe::Net over repl_endpoint_.
+  void Invalidate(const std::vector<net::NodeId>& peers,
+                  const InvalidateRequest& req,
+                  std::function<void(size_t, Status)> ack) override;
+  void Validate(const std::vector<net::NodeId>& peers,
+                const ValidateNotice& notice) override;
+  Result<std::vector<InvalidateRequest>> FetchInvalid(
+      const net::NodeId& peer, uint64_t epoch) override;
+  /// A fire-and-forget report to every controller replica (none when none
+  /// is configured), sent from the failed round's completion.
+  bool Suspect(const net::NodeId& suspect) override;
   /// The controller replicas this node talks to (options_.controllers, or
   /// the single legacy options_.controller).
   std::vector<net::NodeId> ControllerTargets() const;
@@ -299,25 +238,11 @@ class MaintainerServer {
   /// INV rounds, promotion fetches and suspect reports.
   net::RpcEndpoint repl_endpoint_;
   DedupWindow dedup_;
-  ReplicaGroup replica_;
-  /// One past the highest position validated everywhere, with every
-  /// position below it validated too (monotonic). On the coordinator it
-  /// advances as INV rounds complete, over the contiguous prefix only; on
-  /// replicas it follows the VAL piggyback. Only meaningful while
-  /// replica_.in_replica_set(); see CacheableHl().
-  std::atomic<LId> replicated_floor_{0};
-  /// One past the highest position of any all-acked round; the floor trails
-  /// it while a lower round is open or parked.
-  std::atomic<LId> acked_floor_{0};
-  /// Replica side: kInvalidate and kValidate check the epoch and act under
-  /// it held shared; adopting a newer epoch (AcceptRemoteEpoch, Promote,
-  /// Reconfigure) holds it exclusively, so a stale INV or VAL never acts
-  /// after a newer epoch was adopted.
-  std::shared_mutex epoch_mu_;
-  /// Client writes whose token is claimed, with every reply waiting on it
-  /// (the original request and any retries of its token).
-  std::mutex writes_mu_;
-  std::map<WriteKey, std::vector<net::RpcEndpoint::Reply>> open_writes_;
+  /// This server's own replication-round latency (server-local, unlike the
+  /// registry's process-wide families): feeds the watchdog's SLO probe, so
+  /// a breach names THIS stripe even with many servers in one process.
+  metrics::Histogram repl_round_ns_;
+  HermesStripe stripe_;
   std::atomic<bool> stop_{false};
   Executor::TimerToken gossip_token_;
   Executor::TimerToken heartbeat_token_;
@@ -327,10 +252,6 @@ class MaintainerServer {
   std::vector<net::NodeId> peers_;
   /// Highest controller epoch observed in any layout/promotion RPC.
   std::atomic<uint64_t> ctrl_epoch_seen_{0};
-  /// This server's own replication-round latency (server-local, unlike the
-  /// registry's process-wide families): feeds the watchdog's SLO probe, so
-  /// a breach names THIS stripe even with many servers in one process.
-  metrics::Histogram repl_round_ns_;
   /// Gossip rounds completed — the progress probe's counter.
   std::atomic<uint64_t> gossip_rounds_{0};
   Watchdog watchdog_;

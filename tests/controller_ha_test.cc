@@ -24,7 +24,7 @@
 #include "common/metrics.h"
 #include "flstore/client.h"
 #include "flstore/controller.h"
-#include "flstore/replica_group.h"
+#include "flstore/hermes.h"
 #include "flstore/service.h"
 #include "net/fault_schedule.h"
 #include "net/inproc_transport.h"

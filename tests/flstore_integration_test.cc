@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "flstore/client.h"
 #include "flstore/service.h"
 #include "net/inproc_transport.h"
@@ -295,6 +296,31 @@ TEST(FLStoreIntegrationTest, ManyConcurrentClients) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(lids.size(), static_cast<size_t>(kClients * kAppendsEach));
+}
+
+// The failover loop's backoff between attempts sleeps on the client's
+// clock: against a dead stripe, a client on a ManualClock spends the whole
+// budget in virtual time and returns at once, however long the backoff.
+TEST(FLStoreIntegrationTest, FailoverBackoffSleepsOnTheClientClock) {
+  Cluster cluster(1, 0, 10);
+  cluster.maintainers_[0]->Stop();
+  ManualClock clock;
+  ClientOptions options;
+  options.clock = &clock;
+  options.failover_attempts = 3;
+  options.failover_backoff_nanos = 3'000'000'000;  // 3 s
+  FLStoreClient client(&cluster.transport_, "dc0/client/manual",
+                       "dc0/controller", options);
+  ASSERT_TRUE(client.Start().ok());
+  const auto start = std::chrono::steady_clock::now();
+  LogRecord rec;
+  rec.body = "nowhere";
+  EXPECT_EQ(client.Append(rec).status().code(), StatusCode::kUnavailable);
+  EXPECT_GE(clock.NowNanos(), 2 * options.failover_backoff_nanos)
+      << "the backoff between the three attempts did not use the clock";
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 3s)
+      << "the backoff slept in real time";
+  EXPECT_GE(client.retries(), 2u);
 }
 
 }  // namespace

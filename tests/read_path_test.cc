@@ -18,7 +18,7 @@
 #include "flstore/indexer.h"
 #include "flstore/maintainer.h"
 #include "flstore/read_cache.h"
-#include "flstore/replica_group.h"
+#include "flstore/hermes.h"
 #include "flstore/service.h"
 #include "net/inproc_transport.h"
 

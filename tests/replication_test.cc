@@ -26,7 +26,7 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "flstore/client.h"
-#include "flstore/replica_group.h"
+#include "flstore/hermes.h"
 #include "flstore/service.h"
 #include "net/fault_schedule.h"
 #include "net/inproc_transport.h"
@@ -1678,6 +1678,91 @@ TEST(ReplicationTest, ReadersNeverSeeAPositionBeforeItsRoundValidatesIt) {
   EXPECT_EQ(served.load(), 0) << "a position was read before validation";
   EXPECT_TRUE(cluster.primary_->maintainer().IsInvalid(kWrites - 1));
   EXPECT_TRUE(cluster.backup2_->maintainer().IsInvalid(kWrites - 1));
+}
+
+// The batched and gap-safe reads follow the same rule as kRead: a position
+// whose landing runs beside the read is never served before its round
+// validates it. As above, no round here ever validates; four readers poll
+// kReadRange and kReadCommitted on the coordinator and on a replica.
+TEST(ReplicationTest, RangeAndCommittedReadsNeverSeeAnUnvalidatedPosition) {
+  ReplicatedCluster::Config config;
+  config.rf = 3;
+  ReplicatedCluster cluster(config);
+  cluster.transport_.faults().DropWithProbability(
+      [](const net::Message& m) {
+        return !m.is_response && m.type == kInvalidate && m.to == kBackup;
+      },
+      1.0);
+  constexpr int kReaders = 4;
+  std::vector<std::unique_ptr<net::RpcEndpoint>> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.push_back(std::make_unique<net::RpcEndpoint>(
+        &cluster.transport_, "dc0/reader" + std::to_string(r)));
+    ASSERT_TRUE(readers.back()->Start().ok());
+  }
+  net::RpcEndpoint writer(&cluster.transport_, "dc0/writer");
+  ASSERT_TRUE(writer.Start().ok());
+  constexpr int kWrites = 100;
+  std::atomic<LId> target{0};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> polls[kReaders] = {0, 0, 0, 0};
+  std::atomic<int> served{0};
+  std::vector<std::thread> pollers;
+  for (int r = 0; r < kReaders; ++r) {
+    pollers.emplace_back([&, r] {
+      // Reader r: kReadRange (r < 2) or kReadCommitted, on the coordinator
+      // (even r) or a replica.
+      const net::NodeId node = r % 2 == 0 ? kPrimary : kBackup2;
+      while (!stop.load()) {
+        const LId lid = target.load();
+        if (r < 2) {
+          BinaryWriter w;
+          w.PutU32(1);
+          w.PutU64(lid);
+          Result<std::string> got =
+              readers[r]->Call(node, kReadRange, std::move(w).data(), 5s);
+          if (got.ok()) {
+            BinaryReader rd(*got);
+            uint64_t epoch = 0, hl = 0, at = 0;
+            uint32_t n = 0;
+            uint8_t found = 0;
+            if (rd.GetU64(&epoch).ok() && rd.GetU64(&hl).ok() &&
+                rd.GetU32(&n).ok() && rd.GetU64(&at).ok() &&
+                rd.GetU8(&found).ok() && found == 1) {
+              ++served;
+            }
+          }
+        } else if (readers[r]
+                       ->Call(node, kReadCommitted, LidPayload(lid), 5s)
+                       .ok()) {
+          ++served;
+        }
+        polls[r].fetch_add(1);
+      }
+    });
+  }
+  net::CallOptions options;
+  options.timeout = 30s;
+  for (int i = 0; i < kWrites; ++i) {
+    const LId lid = static_cast<LId>(i);  // one stripe: positions in order
+    target = lid;
+    // Every reader is polling the position before it lands.
+    uint64_t seen[kReaders];
+    for (int r = 0; r < kReaders; ++r) seen[r] = polls[r].load();
+    for (int r = 0; r < kReaders; ++r) {
+      while (polls[r].load() < seen[r] + 2) std::this_thread::yield();
+    }
+    writer.CallAsync(kPrimary, kAppend,
+                     AppendPayload("dc0/writer", i + 1, Rec("w")), options,
+                     [](Result<std::string>) {});
+    while (cluster.primary_->maintainer().count() <= lid ||
+           cluster.backup2_->maintainer().count() <= lid) {
+      std::this_thread::yield();
+    }
+  }
+  stop = true;
+  for (auto& poller : pollers) poller.join();
+  EXPECT_EQ(served.load(), 0) << "a position was read before validation";
 }
 
 // A stale kValidate racing the replica's adoption of a newer epoch

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Sweeps the crash/failover suite across a seed matrix — {disk-fault
 # schedule x crash window x failover x dropped-VAL replay x controller
-# kill x partition window} — then runs one pass under ThreadSanitizer. Every seeded scenario asserts exact recovery
+# kill x partition window x Hermes delivery order} — then runs one pass
+# under ThreadSanitizer. Every seeded scenario asserts exact recovery
 # (no lost acked record, no duplicate, holes junk-filled, acked-but-
 # unvalidated writes replayed), so a failure is a real divergence.
 #
@@ -34,18 +35,20 @@ JOBS="${CHARIOTS_MATRIX_JOBS:-$(nproc 2>/dev/null || echo 2)}"
 # controller-kill class (leader dies mid-plan; restart/follower resumes
 # from the meta WAL) and the partition class (seeded symmetric and
 # asymmetric windows: a minority leader must never promote, a healed
-# partition converges to one layout). The deterministic promotion/fencing
-# tests run once in ctest.
+# partition converges to one layout), and the Hermes explorer's random
+# delivery orders of the shapes past its exhaustive bound (hermes_test).
+# The deterministic promotion/fencing tests run once in ctest.
 SWEEP=(
   "$BUILD_DIR/tests/replication_test --gtest_filter=*KillPrimaryMidAppend*:*KillCoordinatorMidInvalidate*:*KillCoordinatorWithOverlappingRounds*"
   "$BUILD_DIR/tests/recovery_test --gtest_filter=TombstoneTest.Torn*:TombstoneTest.Failed*:TombstoneTest.Dedup*"
   "$BUILD_DIR/tests/storage_test --gtest_filter=*Seeded*:*Fault*:*Torn*:*Dropped*:*FailedWrite*:*FailedSync*"
   "$BUILD_DIR/tests/controller_ha_test --gtest_filter=*Durability*:*Partition*"
+  "$BUILD_DIR/tests/hermes_test --gtest_filter=*Seeded*"
 )
 
 cmake -B "$BUILD_DIR" -S "$ROOT" >/dev/null || exit 1
 cmake --build "$BUILD_DIR" -j --target replication_test recovery_test \
-  storage_test controller_ha_test || exit 1
+  storage_test controller_ha_test hermes_test || exit 1
 
 LOG_DIR="$(mktemp -d "${TMPDIR:-/tmp}/chariots_crash_matrix.XXXXXX")"
 trap 'rm -rf "$LOG_DIR"' EXIT

@@ -26,7 +26,8 @@
 # and Unregister racing in-line delivery. replication_test runs whole
 # FLStore appends and reads on client threads (the hand-off gate) and the
 # non-blocking dedup-retry replay; fault_injection_test drives the same
-# path under seeded drops, duplicates and delays.
+# path under seeded drops, duplicates and delays; hermes_test checks the
+# same protocol code over every delivery order of small shapes.
 #
 #   tools/run_tsan_tests.sh thread net_test replication_test \
 #       executor_test fault_injection_test      # run-to-completion focus
@@ -61,10 +62,13 @@
 # under its shared hold while a queued drain waits for the last holder and
 # then diverts inline requests into its queue. On FLStore nodes landings
 # are published invalid beside concurrent reads (the post-read validity
-# check), two copies of one write race to claim its dedup token, and a
-# stale VAL races an INV adopting a newer epoch under the epoch lock.
+# check), two copies of one write race to claim its dedup token, a stale
+# VAL races an INV adopting a newer epoch under the epoch lock, and the
+# append and read paths load the stripe's membership snapshot while an
+# adoption publishes the next one. hermes_test runs the same HermesStripe
+# code single-threaded over every delivery order of small shapes.
 #
-#   tools/run_tsan_tests.sh thread net_test replication_test \
+#   tools/run_tsan_tests.sh thread replication_test hermes_test net_test \
 #       fault_injection_test read_path_test \
 #       controller_ha_test                    # concurrent inline handlers
 #
